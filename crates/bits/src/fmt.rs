@@ -33,7 +33,7 @@ impl Bv {
             return Err(ParseBvError::new(format!("unsupported radix {radix}")));
         }
         let mut value = Bv::zero(width.max(64));
-        let scale = Bv::from_u64(value.width(), radix as u64);
+        let top_bits = value.width() % 64;
         let mut any = false;
         for ch in digits.chars() {
             if ch == '_' {
@@ -42,14 +42,18 @@ impl Bv {
             let d = ch.to_digit(radix).ok_or_else(|| {
                 ParseBvError::new(format!("invalid digit {ch:?} for radix {radix}"))
             })?;
-            // Overflow check: the pre-scale value must shrink back after.
-            let next = value
-                .wrapping_mul(&scale)
-                .wrapping_add(&Bv::from_u64(value.width(), d as u64));
-            if next.udiv(&scale).ucmp(&value) == std::cmp::Ordering::Less {
+            // value = value * radix + d, one limb at a time; whatever
+            // spills past the working width is an overflow.
+            let mut carry = u64::from(d);
+            for limb in value.limbs.iter_mut() {
+                let p = u128::from(*limb) * u128::from(radix) + u128::from(carry);
+                *limb = p as u64;
+                carry = (p >> 64) as u64;
+            }
+            let spilled = top_bits != 0 && value.limbs[value.limbs.len() - 1] >> top_bits != 0;
+            if carry != 0 || spilled {
                 return Err(ParseBvError::new("value does not fit working width"));
             }
-            value = next;
             any = true;
         }
         if !any {
@@ -114,9 +118,8 @@ impl fmt::LowerHex for Bv {
         let digits = (self.width as usize).div_ceil(4);
         let mut s = String::with_capacity(digits);
         for i in (0..digits).rev() {
-            let lo = (i * 4) as u32;
-            let hi = ((i * 4 + 3) as u32).min(self.width - 1);
-            let nib = self.slice(hi, lo).to_u64();
+            // Nibbles never straddle limbs, and bits above the width are 0.
+            let nib = (self.limbs[i / 16] >> ((i % 16) * 4)) & 0xF;
             s.push(char::from_digit(nib as u32, 16).expect("nibble in range"));
         }
         f.pad_integral(true, "0x", &s)
@@ -181,6 +184,20 @@ mod tests {
         assert!("80'd1208925819614629174706176".parse::<Bv>().is_err());
         let near: Bv = "80'd1208925819614629174706175".parse().unwrap(); // 2^80 - 1
         assert!(near.is_ones());
+    }
+
+    #[test]
+    fn wide_literals_round_trip_in_every_radix() {
+        // Digits are folded in limb by limb, so a 4096-bit literal costs
+        // a few thousand limb products, not a bignum division per digit.
+        let limbs: Vec<u64> = (0..64u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let v = Bv::from_limbs(4096, &limbs);
+        assert_eq!(v.to_string().parse::<Bv>().unwrap(), v);
+        let bin = format!("4096'b{v:b}");
+        assert_eq!(bin.parse::<Bv>().unwrap(), v);
+        assert!(format!("4095'h{v:x}").parse::<Bv>().is_err());
     }
 
     #[test]

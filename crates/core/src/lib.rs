@@ -103,6 +103,7 @@ use dfv_slmir::{lint, LintFinding, Severity};
 
 mod cache;
 pub mod chaos;
+mod content;
 mod faultcamp;
 mod journal;
 pub mod lockfile;
@@ -138,15 +139,12 @@ pub struct BlockPair {
 
 impl BlockPair {
     /// A stable content hash of everything that affects this block's
-    /// verdict. FNV-1a over the SLM source, the RTL netlist text, and the
-    /// spec's debug rendering.
+    /// verdict: a structural FNV-1a walk over the SLM source and entry,
+    /// the RTL module and the spec (DESIGN.md §13). Equal blocks hash
+    /// equal however they were built, including after a round trip over
+    /// the `dfv-serve` wire.
     pub fn content_hash(&self) -> u64 {
-        let mut h = cache::Fnv::new();
-        h.write(self.slm_source.as_bytes());
-        h.write(self.slm_entry.as_bytes());
-        h.write(dfv_rtl::write_module(&self.rtl).as_bytes());
-        h.write(format!("{:?}", self.spec).as_bytes());
-        h.finish()
+        content::block_hash(self)
     }
 }
 

@@ -91,11 +91,13 @@ impl Json {
     /// Renders the value as compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact JSON text of the value to `out` — what
+    /// [`Json::render`] returns, without a buffer of its own.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -121,7 +123,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.render_into(out);
                 }
                 out.push(']');
             }
@@ -133,7 +135,7 @@ impl Json {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push('}');
             }
@@ -147,21 +149,31 @@ impl fmt::Display for Json {
     }
 }
 
+/// Appends `s` as a JSON string literal. Runs of bytes that need no
+/// escape are copied in bulk; every byte that does is ASCII, so each run
+/// ends on a char boundary.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = fmt::Write::write_fmt(out, format_args!("\\u{b:04x}"));
+        } else {
+            out.push_str(esc);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -172,6 +184,7 @@ fn write_escaped(s: &str, out: &mut String) {
 /// the byte offset on malformed input.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -185,6 +198,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -293,9 +307,12 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
+            // The input is already a `str` and the run is bounded by ASCII
+            // bytes, so it is copied without revalidating it.
             s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid utf-8 near byte {start}"))?,
+                self.text
+                    .get(start..self.pos)
+                    .ok_or_else(|| format!("invalid utf-8 near byte {start}"))?,
             );
             match self.peek() {
                 Some(b'"') => {

@@ -127,22 +127,29 @@ fn node_ref_ok(module: &Module, referrer: u32, id: NodeId) -> Result<(), RtlErro
     Ok(())
 }
 
-fn any_ref_ok(module: &Module, site: &str, id: NodeId) -> Result<(), RtlError> {
+// The `site` of an error is rendered only when the check fails, so a
+// clean module is checked without formatting anything.
+fn any_ref_ok(module: &Module, site: impl Fn() -> String, id: NodeId) -> Result<(), RtlError> {
     if id.index() >= module.nodes.len() {
         return Err(RtlError::DanglingNode {
             module: module.name.clone(),
-            site: site.to_string(),
+            site: site(),
         });
     }
     Ok(())
 }
 
-fn expect_width(module: &Module, site: &str, id: NodeId, expected: u32) -> Result<(), RtlError> {
+fn expect_width(
+    module: &Module,
+    site: impl Fn() -> String,
+    id: NodeId,
+    expected: u32,
+) -> Result<(), RtlError> {
     let found = module.node_widths[id.index()];
     if found != expected {
         return Err(RtlError::WidthMismatch {
             module: module.name.clone(),
-            site: site.to_string(),
+            site: site(),
             expected,
             found,
         });
@@ -263,9 +270,9 @@ pub fn check_module(m: &Module) -> Result<(), RtlError> {
                 node_ref_ok(m, this, *sel)?;
                 node_ref_ok(m, this, *t)?;
                 node_ref_ok(m, this, *f)?;
-                expect_width(m, &format!("mux node {this} select"), *sel, 1)?;
-                expect_width(m, &format!("mux node {this}"), *t, w)?;
-                expect_width(m, &format!("mux node {this}"), *f, w)?;
+                expect_width(m, || format!("mux node {this} select"), *sel, 1)?;
+                expect_width(m, || format!("mux node {this}"), *t, w)?;
+                expect_width(m, || format!("mux node {this}"), *f, w)?;
             }
             Node::Slice { src, hi, lo } => {
                 node_ref_ok(m, this, *src)?;
@@ -311,11 +318,13 @@ pub fn check_module(m: &Module) -> Result<(), RtlError> {
             module: m.name.clone(),
             reg: reg.name.clone(),
         })?;
-        any_ref_ok(m, &format!("register {:?} next", reg.name), next)?;
-        expect_width(m, &format!("register {:?} next", reg.name), next, reg.width)?;
+        let site = || format!("register {:?} next", reg.name);
+        any_ref_ok(m, site, next)?;
+        expect_width(m, site, next, reg.width)?;
         if let Some(en) = reg.en {
-            any_ref_ok(m, &format!("register {:?} enable", reg.name), en)?;
-            expect_width(m, &format!("register {:?} enable", reg.name), en, 1)?;
+            let site = || format!("register {:?} enable", reg.name);
+            any_ref_ok(m, site, en)?;
+            expect_width(m, site, en, 1)?;
         }
         if reg.init.width() != reg.width {
             return Err(RtlError::WidthMismatch {
@@ -328,24 +337,24 @@ pub fn check_module(m: &Module) -> Result<(), RtlError> {
     }
     for mem in &m.mems {
         for (i, wp) in mem.write_ports.iter().enumerate() {
-            let site = format!("memory {:?} write port {i}", mem.name);
-            any_ref_ok(m, &site, wp.en)?;
-            any_ref_ok(m, &site, wp.addr)?;
-            any_ref_ok(m, &site, wp.data)?;
-            expect_width(m, &site, wp.en, 1)?;
-            expect_width(m, &site, wp.addr, mem.addr_width)?;
-            expect_width(m, &site, wp.data, mem.data_width)?;
+            let site = || format!("memory {:?} write port {i}", mem.name);
+            any_ref_ok(m, site, wp.en)?;
+            any_ref_ok(m, site, wp.addr)?;
+            any_ref_ok(m, site, wp.data)?;
+            expect_width(m, site, wp.en, 1)?;
+            expect_width(m, site, wp.addr, mem.addr_width)?;
+            expect_width(m, site, wp.data, mem.data_width)?;
         }
         for (i, rp) in mem.read_ports.iter().enumerate() {
-            let site = format!("memory {:?} read port {i}", mem.name);
-            any_ref_ok(m, &site, rp.addr)?;
-            expect_width(m, &site, rp.addr, mem.addr_width)?;
+            let site = || format!("memory {:?} read port {i}", mem.name);
+            any_ref_ok(m, site, rp.addr)?;
+            expect_width(m, site, rp.addr, mem.addr_width)?;
         }
     }
     for ((port, driver), idx) in m.outputs.iter().zip(&m.output_drivers).zip(0..) {
-        let site = format!("output {:?} (index {idx})", port.name);
-        any_ref_ok(m, &site, *driver)?;
-        expect_width(m, &site, *driver, port.width)?;
+        let site = || format!("output {:?} (index {idx})", port.name);
+        any_ref_ok(m, site, *driver)?;
+        expect_width(m, site, *driver, port.width)?;
     }
     Ok(())
 }

@@ -56,6 +56,13 @@ impl MemId {
     }
 }
 
+impl InstId {
+    /// The raw index of this instance.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// A named, sized port.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Port {

@@ -19,8 +19,6 @@
 //! end
 //! ```
 
-use std::fmt::Write as _;
-
 use dfv_bits::Bv;
 
 use crate::check::check_module;
@@ -100,83 +98,221 @@ fn unop_from(name: &str) -> Option<UnOp> {
     })
 }
 
+/// Appends the decimal digits of `v`.
+fn push_dec(s: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    s.extend_from_slice(&buf[i..]);
+}
+
+/// Appends ` K` for each number.
+fn push_nums(s: &mut Vec<u8>, nums: &[u64]) {
+    for &n in nums {
+        s.push(b' ');
+        push_dec(s, n);
+    }
+}
+
+/// Appends ` nK` for each node reference.
+fn push_refs(s: &mut Vec<u8>, ids: &[NodeId]) {
+    for &id in ids {
+        s.extend_from_slice(b" n");
+        push_dec(s, u64::from(id.0));
+    }
+}
+
+/// Appends `v` as a sized hex literal exactly as its `Display` renders it
+/// (`12'h0ab`: one zero-padded digit per started nibble), reading each
+/// nibble straight out of the limbs.
+fn push_bv(s: &mut Vec<u8>, v: &Bv) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    push_dec(s, u64::from(v.width()));
+    s.extend_from_slice(b"'h");
+    let limbs = v.limbs();
+    for i in (0..v.width().div_ceil(4) as usize).rev() {
+        let nib = (limbs[i / 16] >> ((i % 16) * 4)) & 0xF;
+        s.push(HEX[nib as usize]);
+    }
+}
+
+/// Appends `  <kw> <idx> nA ...` and a newline.
+fn push_indexed(s: &mut Vec<u8>, kw: &str, idx: usize, ids: &[NodeId]) {
+    s.extend_from_slice(kw.as_bytes());
+    push_nums(s, &[idx as u64]);
+    push_refs(s, ids);
+    s.push(b'\n');
+}
+
+/// Appends `  <kw> <name> <width>` and a newline.
+fn push_port(s: &mut Vec<u8>, kw: &str, p: &Port) {
+    s.extend_from_slice(kw.as_bytes());
+    s.extend_from_slice(p.name.as_bytes());
+    push_nums(s, &[u64::from(p.width)]);
+    s.push(b'\n');
+}
+
 /// Serializes a module to the text netlist format.
+///
+/// Tokens go straight into one byte buffer sized up front: no per-line
+/// formatting and no intermediate strings.
 pub fn write_module(m: &Module) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "module {}", m.name);
+    let ports: usize = m
+        .mems
+        .iter()
+        .map(|x| x.read_ports.len() + x.write_ports.len())
+        .sum();
+    let words: usize = m.mems.iter().map(|x| x.init.len()).sum();
+    let lines = m.inputs.len()
+        + 2 * m.outputs.len()
+        + 3 * m.regs.len()
+        + m.mems.len()
+        + ports
+        + m.instances.len()
+        + m.nodes.len()
+        + m.node_names.len()
+        + 2;
+    let mut s = Vec::with_capacity(24 * lines + 8 * words + m.name.len());
+    s.extend_from_slice(b"module ");
+    s.extend_from_slice(m.name.as_bytes());
+    s.push(b'\n');
     for p in &m.inputs {
-        let _ = writeln!(s, "  input {} {}", p.name, p.width);
+        push_port(&mut s, "  input ", p);
     }
     for p in &m.outputs {
-        let _ = writeln!(s, "  output {} {}", p.name, p.width);
+        push_port(&mut s, "  output ", p);
     }
     for r in &m.regs {
-        let _ = writeln!(s, "  reg {} {} {}", r.name, r.width, r.init);
+        s.extend_from_slice(b"  reg ");
+        s.extend_from_slice(r.name.as_bytes());
+        push_nums(&mut s, &[u64::from(r.width)]);
+        s.push(b' ');
+        push_bv(&mut s, &r.init);
+        s.push(b'\n');
     }
     for mem in &m.mems {
-        let _ = write!(
-            s,
-            "  mem {} {} {} {}",
-            mem.name, mem.addr_width, mem.data_width, mem.depth
+        s.extend_from_slice(b"  mem ");
+        s.extend_from_slice(mem.name.as_bytes());
+        push_nums(
+            &mut s,
+            &[
+                u64::from(mem.addr_width),
+                u64::from(mem.data_width),
+                mem.depth as u64,
+            ],
         );
         for w in &mem.init {
-            let _ = write!(s, " {w}");
+            s.push(b' ');
+            push_bv(&mut s, w);
         }
-        let _ = writeln!(s);
+        s.push(b'\n');
     }
     for inst in &m.instances {
-        let _ = write!(s, "  inst {} {}", inst.name, inst.module);
-        for c in &inst.input_conns {
-            let _ = write!(s, " n{}", c.0);
-        }
-        let _ = writeln!(s);
+        s.extend_from_slice(b"  inst ");
+        s.extend_from_slice(inst.name.as_bytes());
+        s.push(b' ');
+        s.extend_from_slice(inst.module.as_bytes());
+        push_refs(&mut s, &inst.input_conns);
+        s.push(b'\n');
     }
     for (i, node) in m.nodes.iter().enumerate() {
-        let w = m.node_widths[i];
-        let body = match node {
-            Node::Input(idx) => format!("input {idx}"),
-            Node::Const(v) => format!("const {v}"),
-            Node::RegQ(r) => format!("regq {}", r.index()),
-            Node::MemReadData(mm, p) => format!("memread {} {p}", mm.index()),
-            Node::InstOut(inst, o) => format!("instout {} {o}", inst.0),
-            Node::Un(op, a) => format!("{} n{}", unop_name(*op), a.0),
-            Node::Bin(op, a, b) => format!("{} n{} n{}", binop_name(*op), a.0, b.0),
-            Node::Mux { sel, t, f } => format!("mux n{} n{} n{}", sel.0, t.0, f.0),
-            Node::Slice { src, hi, lo } => format!("slice n{} {hi} {lo}", src.0),
-            Node::Concat(a, b) => format!("concat n{} n{}", a.0, b.0),
-            Node::Zext(a, tw) => format!("zext n{} {tw}", a.0),
-            Node::Sext(a, tw) => format!("sext n{} {tw}", a.0),
-        };
-        let _ = writeln!(s, "  n{i} = {body} : {w}");
+        s.extend_from_slice(b"  n");
+        push_dec(&mut s, i as u64);
+        s.extend_from_slice(b" = ");
+        match node {
+            Node::Input(idx) => {
+                s.extend_from_slice(b"input");
+                push_nums(&mut s, &[*idx as u64]);
+            }
+            Node::Const(v) => {
+                s.extend_from_slice(b"const ");
+                push_bv(&mut s, v);
+            }
+            Node::RegQ(r) => {
+                s.extend_from_slice(b"regq");
+                push_nums(&mut s, &[r.index() as u64]);
+            }
+            Node::MemReadData(mm, p) => {
+                s.extend_from_slice(b"memread");
+                push_nums(&mut s, &[mm.index() as u64, *p as u64]);
+            }
+            Node::InstOut(inst, o) => {
+                s.extend_from_slice(b"instout");
+                push_nums(&mut s, &[u64::from(inst.0), *o as u64]);
+            }
+            Node::Un(op, a) => {
+                s.extend_from_slice(unop_name(*op).as_bytes());
+                push_refs(&mut s, &[*a]);
+            }
+            Node::Bin(op, a, b) => {
+                s.extend_from_slice(binop_name(*op).as_bytes());
+                push_refs(&mut s, &[*a, *b]);
+            }
+            Node::Mux { sel, t, f } => {
+                s.extend_from_slice(b"mux");
+                push_refs(&mut s, &[*sel, *t, *f]);
+            }
+            Node::Slice { src, hi, lo } => {
+                s.extend_from_slice(b"slice");
+                push_refs(&mut s, &[*src]);
+                push_nums(&mut s, &[u64::from(*hi), u64::from(*lo)]);
+            }
+            Node::Concat(a, b) => {
+                s.extend_from_slice(b"concat");
+                push_refs(&mut s, &[*a, *b]);
+            }
+            Node::Zext(a, tw) => {
+                s.extend_from_slice(b"zext");
+                push_refs(&mut s, &[*a]);
+                push_nums(&mut s, &[u64::from(*tw)]);
+            }
+            Node::Sext(a, tw) => {
+                s.extend_from_slice(b"sext");
+                push_refs(&mut s, &[*a]);
+                push_nums(&mut s, &[u64::from(*tw)]);
+            }
+        }
+        s.extend_from_slice(b" :");
+        push_nums(&mut s, &[u64::from(m.node_widths[i])]);
+        s.push(b'\n');
     }
     for (i, r) in m.regs.iter().enumerate() {
         if let Some(n) = r.next {
-            let _ = writeln!(s, "  next {i} n{}", n.0);
+            push_indexed(&mut s, "  next", i, &[n]);
         }
         if let Some(en) = r.en {
-            let _ = writeln!(s, "  enable {i} n{}", en.0);
+            push_indexed(&mut s, "  enable", i, &[en]);
         }
     }
     for (i, mem) in m.mems.iter().enumerate() {
         for rp in &mem.read_ports {
-            let _ = writeln!(s, "  readport {i} n{}", rp.addr.0);
+            push_indexed(&mut s, "  readport", i, &[rp.addr]);
         }
         for wp in &mem.write_ports {
-            let _ = writeln!(s, "  write {i} n{} n{} n{}", wp.en.0, wp.addr.0, wp.data.0);
+            push_indexed(&mut s, "  write", i, &[wp.en, wp.addr, wp.data]);
         }
     }
     for (i, d) in m.output_drivers.iter().enumerate() {
-        let _ = writeln!(s, "  drive {i} n{}", d.0);
+        push_indexed(&mut s, "  drive", i, &[*d]);
     }
-    for (id, name) in {
-        let mut names: Vec<_> = m.node_names.iter().collect();
-        names.sort_by_key(|(id, _)| **id);
-        names
-    } {
-        let _ = writeln!(s, "  name n{id} {name}");
+    let mut names: Vec<_> = m.node_names.iter().collect();
+    names.sort_unstable_by_key(|(id, _)| **id);
+    for (&id, name) in names {
+        s.extend_from_slice(b"  name");
+        push_refs(&mut s, &[NodeId(id)]);
+        s.push(b' ');
+        s.extend_from_slice(name.as_bytes());
+        s.push(b'\n');
     }
-    let _ = writeln!(s, "end");
-    s
+    s.extend_from_slice(b"end\n");
+    String::from_utf8(s).expect("names are str and every other byte is ASCII")
 }
 
 /// Serializes a whole design (modules in order).
@@ -188,8 +324,88 @@ pub fn write_design(d: &Design) -> String {
         .join("\n")
 }
 
+/// A cursor over netlist text that yields the whitespace-separated
+/// tokens of one line at a time, in a single byte-level pass.
+///
+/// Lines end at `\n` and are numbered from 0, as `str::lines` numbers
+/// them; a `#` ends a line's tokens (the rest is a comment). Whitespace is
+/// `char::is_whitespace`, as for `str::split_whitespace`: ASCII bytes are
+/// classified on their own, and only a non-ASCII char is decoded.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+    line: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// Whether the char at `pos` (not ASCII) is whitespace, and its length.
+    fn wide_char(&self) -> (bool, usize) {
+        let c = self.text[self.pos..]
+            .chars()
+            .next()
+            .expect("pos is on a char boundary");
+        (c.is_whitespace(), c.len_utf8())
+    }
+
+    /// Moves past the end of the current line. Returns the number of the
+    /// line now current, or `None` at the end of the text.
+    fn next_line(&mut self) -> Option<usize> {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&b| b == b'\n')? + 1;
+        self.line += 1;
+        (self.pos < self.text.len()).then_some(self.line)
+    }
+
+    /// The next token of the current line, if any.
+    fn token(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        let ws = |b: u8| matches!(b, b' ' | b'\t'..=b'\r');
+        loop {
+            match bytes.get(self.pos) {
+                // `next_line` skips whatever a comment holds.
+                None | Some(b'\n' | b'#') => return None,
+                Some(&b) if b.is_ascii() => {
+                    if !ws(b) {
+                        break;
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => match self.wide_char() {
+                    (true, n) => self.pos += n,
+                    (false, _) => break,
+                },
+            }
+        }
+        let start = self.pos;
+        loop {
+            match bytes.get(self.pos) {
+                None | Some(b'#') => break,
+                Some(&b) if b.is_ascii() => {
+                    if ws(b) {
+                        break;
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => match self.wide_char() {
+                    (true, _) => break,
+                    (false, n) => self.pos += n,
+                },
+            }
+        }
+        Some(&self.text[start..self.pos])
+    }
+}
+
+impl<'a> Iterator for Scanner<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.token()
+    }
+}
+
 struct Parser<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    sc: Scanner<'a>,
 }
 
 fn perr(line: usize, message: impl Into<String>) -> RtlError {
@@ -213,35 +429,72 @@ fn parse_num<T: std::str::FromStr>(line: usize, tok: &str, what: &str) -> Result
 }
 
 fn parse_bv(line: usize, tok: &str) -> Result<Bv, RtlError> {
+    if let Some(v) = small_literal(tok) {
+        return Ok(v);
+    }
     tok.parse::<Bv>()
         .map_err(|e| perr(line, format!("bad literal {tok:?}: {e}")))
+}
+
+/// The fast path of [`parse_bv`]: a sized literal of at most 64 bits with
+/// a plain decimal width and a value that fits, accumulated in a `u64`.
+/// Anything else returns `None` and goes to the general parser, which
+/// accepts or rejects it exactly as it always has.
+fn small_literal(tok: &str) -> Option<Bv> {
+    let (w, rest) = tok.split_once('\'')?;
+    if !(1..=2).contains(&w.len()) || !w.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let width: u32 = w.parse().ok()?;
+    if !(1..=64).contains(&width) {
+        return None;
+    }
+    let radix: u64 = match rest.bytes().next()? {
+        b'b' | b'B' => 2,
+        b'o' | b'O' => 8,
+        b'd' | b'D' => 10,
+        b'h' | b'H' => 16,
+        _ => return None,
+    };
+    let mut value = 0u64;
+    let mut any = false;
+    for b in rest.bytes().skip(1) {
+        if b == b'_' {
+            continue;
+        }
+        let d = char::from(b).to_digit(radix as u32)?;
+        value = value.checked_mul(radix)?.checked_add(u64::from(d))?;
+        any = true;
+    }
+    (any && (width == 64 || value >> width == 0)).then(|| Bv::from_u64(width, value))
 }
 
 impl<'a> Parser<'a> {
     fn parse_design(text: &'a str) -> Result<Design, RtlError> {
         let mut p = Parser {
-            lines: text.lines().enumerate(),
+            sc: Scanner {
+                text,
+                pos: 0,
+                line: 0,
+            },
         };
         let mut d = Design::new();
-        while let Some((ln, raw)) = p.lines.next() {
-            let line = strip_comment(raw);
-            if line.is_empty() {
-                continue;
-            }
-            let mut toks = line.split_whitespace();
-            match toks.next() {
+        let mut line = (!text.is_empty()).then_some(0);
+        while let Some(ln) = line {
+            match p.sc.next() {
                 Some("module") => {
-                    let name = toks
-                        .next()
-                        .ok_or_else(|| perr(ln, "module needs a name"))?
-                        .to_string();
+                    let name =
+                        p.sc.next()
+                            .ok_or_else(|| perr(ln, "module needs a name"))?
+                            .to_string();
                     let m = p.parse_module_body(name)?;
                     check_module(&m)?;
                     d.add_module(m);
                 }
                 Some(other) => return Err(perr(ln, format!("expected `module`, found {other:?}"))),
-                None => unreachable!(),
+                None => {}
             }
+            line = p.sc.next_line();
         }
         Ok(d)
     }
@@ -251,13 +504,11 @@ impl<'a> Parser<'a> {
             name,
             ..Module::default()
         };
-        for (ln, raw) in self.lines.by_ref() {
-            let line = strip_comment(raw);
-            if line.is_empty() {
+        while let Some(ln) = self.sc.next_line() {
+            let t = &mut self.sc;
+            let Some(kw) = t.next() else {
                 continue;
-            }
-            let mut t = line.split_whitespace();
-            let kw = t.next().expect("nonempty");
+            };
             match kw {
                 "end" => return Ok(m),
                 "input" | "output" => {
@@ -368,7 +619,7 @@ impl<'a> Parser<'a> {
                     m.node_names.insert(node.0, name.to_string());
                 }
                 tok if tok.starts_with('n') => {
-                    // nK = <op> ... : <width>
+                    // nK = <op> <args...> : <width>
                     let id = parse_node_ref(ln, tok)?;
                     if id.index() != m.nodes.len() {
                         return Err(perr(
@@ -382,14 +633,26 @@ impl<'a> Parser<'a> {
                     if t.next() != Some("=") {
                         return Err(perr(ln, "expected `=` after node id"));
                     }
-                    let rest: Vec<&str> = t.collect();
-                    let colon = rest
-                        .iter()
-                        .rposition(|s| *s == ":")
-                        .ok_or_else(|| perr(ln, "node line missing `: width`"))?;
-                    let width: u32 =
-                        parse_num(ln, rest.get(colon + 1).copied().unwrap_or(""), "width")?;
-                    let node = self_parse_node(ln, &rest[..colon])?;
+                    // The body runs up to the last `:` token and the width
+                    // follows it. No op reads past its third argument, so
+                    // the first four body tokens are all that is kept.
+                    let mut body = [""; 4];
+                    let mut colon = None;
+                    let mut width_tok = None;
+                    for (i, tok) in t.enumerate() {
+                        if let Some(slot) = body.get_mut(i) {
+                            *slot = tok;
+                        }
+                        if tok == ":" {
+                            colon = Some(i);
+                            width_tok = None;
+                        } else if colon == Some(i.wrapping_sub(1)) {
+                            width_tok = Some(tok);
+                        }
+                    }
+                    let colon = colon.ok_or_else(|| perr(ln, "node line missing `: width`"))?;
+                    let width: u32 = parse_num(ln, width_tok.unwrap_or(""), "width")?;
+                    let node = parse_node(ln, &body[..colon.min(body.len())])?;
                     m.nodes.push(node);
                     m.node_widths.push(width);
                 }
@@ -400,7 +663,7 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn self_parse_node(ln: usize, toks: &[&str]) -> Result<Node, RtlError> {
+fn parse_node(ln: usize, toks: &[&str]) -> Result<Node, RtlError> {
     let op = *toks.first().ok_or_else(|| perr(ln, "empty node body"))?;
     let arg = |i: usize| -> &str { toks.get(i).copied().unwrap_or("") };
     let node = match op {
@@ -439,13 +702,6 @@ fn self_parse_node(ln: usize, toks: &[&str]) -> Result<Node, RtlError> {
         }
     };
     Ok(node)
-}
-
-fn strip_comment(line: &str) -> &str {
-    match line.find('#') {
-        Some(i) => line[..i].trim(),
-        None => line.trim(),
-    }
 }
 
 /// Parses a design from the text netlist format, validating every module.
@@ -552,6 +808,52 @@ mod tests {
         // Output driver never set.
         let text = "module m\n  input a 8\n  output y 8\n  n0 = input 0 : 8\nend\n";
         assert!(parse_design(text).is_err());
+    }
+
+    #[test]
+    fn any_whitespace_line_ending_or_comment_placement_parses_alike() {
+        let m = rich_module();
+        let text = write_module(&m);
+        // CRLF endings, tabs and Unicode spaces between tokens, a comment
+        // glued to a token, and no newline after `end`.
+        let crlf = text.replace('\n', "\r\n");
+        let spaced = text.replace(" = ", "\t=\u{a0}").replace(" :", "\u{2003}:");
+        let commented = text.replacen("  input en 1\n", "  input en 1#enable\n", 1);
+        let unterminated = text.trim_end().to_string();
+        for variant in [crlf, spaced, commented, unterminated] {
+            assert_eq!(parse_module(&variant).unwrap(), m, "{variant:?}");
+        }
+    }
+
+    #[test]
+    fn sized_literals_parse_on_both_sides_of_64_bits() {
+        for tok in [
+            "1'h1",
+            "8'hff",
+            "8'd255",
+            "8'b1010_1010",
+            "9'o777",
+            "64'hffffffffffffffff",
+            "65'h1ffffffffffffffff",
+            "200'h0abc",
+            "+8'h1",
+        ] {
+            assert_eq!(
+                parse_bv(0, tok).unwrap(),
+                tok.parse::<Bv>().unwrap(),
+                "{tok}"
+            );
+        }
+        for tok in [
+            "0'h1",
+            "8'h100",
+            "8'hfg",
+            "8'h",
+            "8'x1",
+            "64'h10000000000000000",
+        ] {
+            assert!(parse_bv(0, tok).is_err(), "{tok}");
+        }
     }
 
     #[test]

@@ -129,19 +129,26 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Serializes `msg` and writes one complete frame, flushing the stream.
+///
+/// The payload is rendered straight into the frame buffer behind a
+/// placeholder header, which is filled in once the length is known.
 pub fn write_frame<W: Write>(w: &mut W, msg: &Json) -> Result<(), FrameError> {
-    let payload = msg.render();
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME {
-        return Err(FrameError::TooLarge(bytes.len()));
+    const HEADER: usize = 4 + 4 + 8;
+    let mut text = String::with_capacity(256);
+    // The magic is ASCII and the placeholder NULs, so the header is text.
+    text.extend(MAGIC.map(char::from));
+    text.extend(std::iter::repeat_n('\0', HEADER - MAGIC.len()));
+    msg.render_into(&mut text);
+    let mut buf = text.into_bytes();
+    let len = buf.len() - HEADER;
+    if len > MAX_FRAME {
+        return Err(FrameError::TooLarge(len));
     }
+    let sum = fnv1a(&buf[HEADER..]);
+    buf[4..8].copy_from_slice(&(len as u32).to_be_bytes());
+    buf[8..HEADER].copy_from_slice(&sum.to_be_bytes());
     // One buffered write per frame: a frame either reaches the OS whole
     // or the error tells the caller the connection is unusable.
-    let mut buf = Vec::with_capacity(4 + 4 + 8 + bytes.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&fnv1a(bytes).to_be_bytes());
-    buf.extend_from_slice(bytes);
     w.write_all(&buf)?;
     w.flush()?;
     Ok(())

@@ -72,9 +72,11 @@ impl Read for PipeReader {
         loop {
             if !st.buf.is_empty() {
                 let n = buf.len().min(st.buf.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = st.buf.pop_front().expect("checked non-empty");
-                }
+                let (front, back) = st.buf.as_slices();
+                let k = n.min(front.len());
+                buf[..k].copy_from_slice(&front[..k]);
+                buf[k..n].copy_from_slice(&back[..n - k]);
+                st.buf.drain(..n);
                 return Ok(n);
             }
             if st.write_closed {

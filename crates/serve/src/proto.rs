@@ -876,6 +876,45 @@ mod tests {
     }
 
     #[test]
+    fn content_hash_is_stable_across_wire_round_trips_with_named_constraint_nodes() {
+        // Each decoded constraint gets a fresh `node_names` map with its
+        // own random iteration order; a hash that followed that order
+        // would make dedup, the cache and journal replay miss this block.
+        use crate::frame::{read_frame, write_frame};
+        use dfv_designs::memsys;
+        let table: [u8; 16] = std::array::from_fn(|i| (i as u8).wrapping_mul(11) ^ 0x42);
+        let mut spec = memsys::equiv_spec_fast();
+        let constraint = &mut spec.constraints[0];
+        for (id, name) in [(0, "addr_in"), (1, "eight"), (2, "in_bank0")] {
+            constraint.node_names.insert(id, name.to_string());
+        }
+        let block = BlockPair {
+            name: "memf".into(),
+            slm_source: memsys::slm_source(&table),
+            slm_entry: "lookup".into(),
+            rtl: memsys::rtl(&table),
+            spec,
+        };
+        let want = block.content_hash();
+        let req = encode_request(&Request::Submit(JobSpec::Campaign {
+            blocks: vec![block],
+            options: SubmitOptions::default(),
+        }))
+        .unwrap();
+        for round in 0..50 {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &req).unwrap();
+            let msg = read_frame(&mut frame.as_slice()).unwrap();
+            let Request::Submit(JobSpec::Campaign { blocks, .. }) = decode_request(&msg).unwrap()
+            else {
+                panic!("variant changed in flight");
+            };
+            assert_eq!(blocks[0].spec.constraints[0].node_names.len(), 3);
+            assert_eq!(blocks[0].content_hash(), want, "round {round}");
+        }
+    }
+
+    #[test]
     fn fault_sweep_submission_roundtrips() {
         let items = |n: u64| {
             (0..n)

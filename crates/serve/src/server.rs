@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dfv_core::{
     Campaign, CampaignOptions, CancelToken, FaultCampaign, IoHandle, ProgressHook, SharedStore,
@@ -70,10 +70,12 @@ use crate::proto::{decode_request, encode_response, JobSpec, Request, Response, 
 
 /// Outbound frames buffered per connection before progress is shed.
 const OUTBOUND_QUEUE: usize = 64;
-/// Bounded retry schedule for final (non-sheddable) sends: attempts ×
-/// sleep ≈ 2 s of patience for a slow client, then it is written off.
-const FINAL_SEND_ATTEMPTS: u32 = 400;
-const FINAL_SEND_PAUSE: Duration = Duration::from_millis(5);
+/// Bounded patience for final (non-sheddable) sends: a slow client gets
+/// 2 s to make room, polled finely enough that a queue full of shed
+/// progress frames, which the writer drains in microseconds, costs the
+/// final answer well under a millisecond; then the client is written off.
+const FINAL_SEND_PATIENCE: Duration = Duration::from_secs(2);
+const FINAL_SEND_POLL: Duration = Duration::from_micros(100);
 
 /// Monotonic named counters, readable while the server runs.
 #[derive(Debug, Default)]
@@ -136,18 +138,18 @@ impl Outbound {
     /// Non-sheddable send with bounded patience. Returns `false` when
     /// the client is gone or would not drain its channel in time.
     pub fn send_final(&self, resp: Response) -> bool {
+        let give_up = Instant::now() + FINAL_SEND_PATIENCE;
         let mut resp = resp;
-        for _ in 0..FINAL_SEND_ATTEMPTS {
+        loop {
             match self.tx.try_send(resp) {
                 Ok(()) => return true,
-                Err(TrySendError::Full(r)) => {
+                Err(TrySendError::Full(r)) if Instant::now() < give_up => {
                     resp = r;
-                    std::thread::sleep(FINAL_SEND_PAUSE);
+                    std::thread::sleep(FINAL_SEND_POLL);
                 }
-                Err(TrySendError::Disconnected(_)) => return false,
+                Err(_) => return false,
             }
         }
-        false
     }
 }
 

@@ -17,6 +17,10 @@ run() {
 
 run cargo build --release
 run cargo test -q --workspace
+# The benchmark is a workspace of its own (dfvbench/), so its self-tests
+# run separately. They assert, among other things, that generated blocks
+# have reproducible and distinct content hashes.
+run cargo test --release --offline --manifest-path dfvbench/Cargo.toml
 # Offline smoke test: fault-injection sweep + kernel watchdog demos. The
 # example asserts zero masked faults and byte-for-byte report
 # reproducibility, so a plain exit 0 is a real check.

@@ -9,6 +9,7 @@
 //! cargo run --release -p dfv-bench --bin bench -- sim --out BENCH_sim.json --canonical /tmp/c.json
 //! cargo run --release -p dfv-bench --bin bench -- sec
 //! cargo run --release -p dfv-bench --bin bench -- sec --smoke --canonical /tmp/c.json
+//! cargo run --release -p dfv-bench --bin bench -- sat
 //! ```
 //!
 //! The `sim` subcommand runs the deterministic simulator workload sweep
@@ -30,8 +31,14 @@
 //! workload checked sweep-off and sweep-on with verdict and
 //! counterexample-location parity asserted inside the harness, written
 //! to `BENCH_sec.json`. Same `--smoke`/`--out`/`--canonical` contract.
+//!
+//! The `sat` subcommand runs the CDCL solver alone on pigeonhole, random
+//! 3-SAT and incremental-assumption instances, written to
+//! `BENCH_sat.json`: full search counters per instance (canonical) and
+//! best-of-5 wall-clock (timing). Same contract.
 
-use dfv_bench::{secbench, simbench};
+use dfv_bench::{satbench, secbench, simbench};
+use dfv_obs::RunReport;
 use dfv_rtl::EvalMode;
 
 /// Cycles per workload for a real measurement run.
@@ -47,7 +54,7 @@ const SMOKE_BATCH_CYCLES: u64 = 120;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench sim [--smoke] [--batch] [--engine interp|vm] [--out PATH] [--canonical PATH]\n       bench sec [--smoke] [--out PATH] [--canonical PATH]"
+        "usage: bench sim [--smoke] [--batch] [--engine interp|vm] [--out PATH] [--canonical PATH]\n       bench sec|sat [--smoke] [--out PATH] [--canonical PATH]"
     );
     std::process::exit(2);
 }
@@ -56,7 +63,16 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("sim") => run_sim(&args[1..]),
-        Some("sec") => run_sec(&args[1..]),
+        Some("sec") => run_report(&args[1..], "BENCH_sec.json", |smoke| {
+            let rep = secbench::sec_bench_report(smoke);
+            print!("{}", secbench::render_sec_bench(&rep));
+            rep
+        }),
+        Some("sat") => run_report(&args[1..], "BENCH_sat.json", |smoke| {
+            let rep = satbench::sat_bench_report(smoke);
+            print!("{}", satbench::render_sat_bench(&rep));
+            rep
+        }),
         _ => usage(),
     }
 }
@@ -111,9 +127,11 @@ fn run_sim(args: &[String]) {
     }
 }
 
-fn run_sec(args: &[String]) {
+/// The shared runner of the report subcommands: parses `--smoke`,
+/// `--out` and `--canonical`, runs the sweep and writes its reports.
+fn run_report(args: &[String], default_out: &str, sweep: impl FnOnce(bool) -> RunReport) {
     let mut smoke = false;
-    let mut out_path = String::from("BENCH_sec.json");
+    let mut out_path = String::from(default_out);
     let mut canonical_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -124,8 +142,7 @@ fn run_sec(args: &[String]) {
             _ => usage(),
         }
     }
-    let rep = secbench::sec_bench_report(smoke);
-    print!("{}", secbench::render_sec_bench(&rep));
+    let rep = sweep(smoke);
     std::fs::write(&out_path, rep.full_json()).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);

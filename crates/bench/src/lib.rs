@@ -3,14 +3,17 @@
 //! corresponding figure or claim of the paper.
 //!
 //! Run everything with `cargo run --release -p dfv-bench --bin experiments`
-//! (or pass experiment ids, e.g. `-- e1 e3`). Criterion micro-benchmarks
-//! for the underlying components live in `benches/`.
+//! (or pass experiment ids, e.g. `-- e1 e3`). The `bench` binary runs the
+//! deterministic-counter benchmark sweeps: the simulators (`bench sim`),
+//! the SAT-sweeping miter front-end (`bench sec`) and the CDCL solver on
+//! its own (`bench sat`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod models;
+pub mod satbench;
 pub mod secbench;
 pub mod simbench;
 

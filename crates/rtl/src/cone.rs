@@ -117,7 +117,7 @@ impl FanoutMap {
         let n = module.nodes.len();
         let mut counts = vec![0u32; n + 1];
         for node in &module.nodes {
-            for_each_operand(node, |op| counts[op.index() + 1] += 1);
+            node.for_each_operand(|op| counts[op.index() + 1] += 1);
         }
         for i in 0..n {
             counts[i + 1] += counts[i];
@@ -126,7 +126,7 @@ impl FanoutMap {
         let mut edges = vec![NodeId(0); offsets[n] as usize];
         let mut next = counts;
         for (i, node) in module.nodes.iter().enumerate() {
-            for_each_operand(node, |op| {
+            node.for_each_operand(|op| {
                 edges[next[op.index()] as usize] = NodeId(i as u32);
                 next[op.index()] += 1;
             });
@@ -143,31 +143,6 @@ impl FanoutMap {
     /// Total combinational edge count.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-}
-
-/// Calls `f` for each combinational operand (node-to-node edge source) of
-/// `node`.
-fn for_each_operand(node: &Node, mut f: impl FnMut(NodeId)) {
-    match node {
-        Node::Input(..) | Node::Const(..) | Node::RegQ(..) | Node::MemReadData(..) => {}
-        Node::InstOut(..) => {}
-        Node::Un(_, a) => f(*a),
-        Node::Bin(_, a, b) => {
-            f(*a);
-            f(*b);
-        }
-        Node::Mux { sel, t, f: fv } => {
-            f(*sel);
-            f(*t);
-            f(*fv);
-        }
-        Node::Slice { src, .. } => f(*src),
-        Node::Concat(a, b) => {
-            f(*a);
-            f(*b);
-        }
-        Node::Zext(a, _) | Node::Sext(a, _) => f(*a),
     }
 }
 
@@ -417,7 +392,7 @@ mod tests {
         let fan = FanoutMap::build(&m);
         let mut expected_edges = 0;
         for (i, node) in m.nodes.iter().enumerate() {
-            super::for_each_operand(node, |op| {
+            node.for_each_operand(|op| {
                 expected_edges += 1;
                 assert!(
                     fan.fanouts(op).contains(&NodeId(i as u32)),

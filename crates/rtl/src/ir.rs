@@ -192,6 +192,33 @@ pub enum Node {
     Sext(NodeId, u32),
 }
 
+impl Node {
+    /// Calls `f` for each combinational operand of this node, in operand
+    /// order. Sources (inputs, constants, register and memory outputs,
+    /// instance outputs) have none.
+    pub fn for_each_operand(&self, mut f: impl FnMut(NodeId)) {
+        match self {
+            Node::Input(_)
+            | Node::Const(_)
+            | Node::RegQ(_)
+            | Node::MemReadData(..)
+            | Node::InstOut(..) => {}
+            Node::Un(_, a) | Node::Zext(a, _) | Node::Sext(a, _) | Node::Slice { src: a, .. } => {
+                f(*a)
+            }
+            Node::Bin(_, a, b) | Node::Concat(a, b) => {
+                f(*a);
+                f(*b);
+            }
+            Node::Mux { sel, t, f: fv } => {
+                f(*sel);
+                f(*t);
+                f(*fv);
+            }
+        }
+    }
+}
+
 /// A D-type register, clocked by the module's single implicit clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reg {

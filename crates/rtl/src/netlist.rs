@@ -18,6 +18,12 @@
 //!   drive 0 n1
 //! end
 //! ```
+//!
+//! Netlist text is a trust boundary — the `dfv-serve` daemon parses what
+//! clients send — so the parser refuses any width above [`MAX_WIDTH`]:
+//! a literal, port, register, memory or node width is a number on one
+//! line, and without a cap a dozen bytes such as `4000000000'h0` would
+//! make the parser allocate half a gigabyte.
 
 use dfv_bits::Bv;
 
@@ -428,9 +434,41 @@ fn parse_num<T: std::str::FromStr>(line: usize, tok: &str, what: &str) -> Result
         .map_err(|_| perr(line, format!("invalid {what} {tok:?}")))
 }
 
+/// The widest value, in bits, a parsed netlist may declare: 65 536 bits,
+/// 8 KiB per value. Far above any width the workspace's designs use
+/// (their widest packed SLM arrays are 128 bits), and low enough that
+/// one netlist line cannot make the parser allocate more than a few
+/// kilobytes.
+pub const MAX_WIDTH: u32 = 1 << 16;
+
+fn width_cap(line: usize, width: u64, what: &str) -> Result<(), RtlError> {
+    if width > u64::from(MAX_WIDTH) {
+        return Err(perr(
+            line,
+            format!("{what} {width} exceeds the maximum width {MAX_WIDTH}"),
+        ));
+    }
+    Ok(())
+}
+
+/// Parses a width field, refusing anything above [`MAX_WIDTH`].
+fn parse_width(line: usize, tok: &str, what: &str) -> Result<u32, RtlError> {
+    let width: u32 = parse_num(line, tok, what)?;
+    width_cap(line, width.into(), what)?;
+    Ok(width)
+}
+
 fn parse_bv(line: usize, tok: &str) -> Result<Bv, RtlError> {
     if let Some(v) = small_literal(tok) {
         return Ok(v);
+    }
+    // Refuse an oversized literal before the general parser allocates
+    // storage for its declared width.
+    if let Some(width) = tok
+        .split_once('\'')
+        .and_then(|(w, _)| w.parse::<u64>().ok())
+    {
+        width_cap(line, width, "literal width")?;
     }
     tok.parse::<Bv>()
         .map_err(|e| perr(line, format!("bad literal {tok:?}: {e}")))
@@ -513,7 +551,7 @@ impl<'a> Parser<'a> {
                 "end" => return Ok(m),
                 "input" | "output" => {
                     let pname = t.next().ok_or_else(|| perr(ln, "port needs a name"))?;
-                    let width: u32 = parse_num(ln, t.next().unwrap_or(""), "width")?;
+                    let width = parse_width(ln, t.next().unwrap_or(""), "width")?;
                     let port = Port {
                         name: pname.to_string(),
                         width,
@@ -527,7 +565,7 @@ impl<'a> Parser<'a> {
                 }
                 "reg" => {
                     let rname = t.next().ok_or_else(|| perr(ln, "reg needs a name"))?;
-                    let width: u32 = parse_num(ln, t.next().unwrap_or(""), "width")?;
+                    let width = parse_width(ln, t.next().unwrap_or(""), "width")?;
                     let init = parse_bv(ln, t.next().unwrap_or(""))?;
                     m.regs.push(Reg {
                         name: rname.to_string(),
@@ -539,8 +577,8 @@ impl<'a> Parser<'a> {
                 }
                 "mem" => {
                     let mname = t.next().ok_or_else(|| perr(ln, "mem needs a name"))?;
-                    let addr_width: u32 = parse_num(ln, t.next().unwrap_or(""), "addr width")?;
-                    let data_width: u32 = parse_num(ln, t.next().unwrap_or(""), "data width")?;
+                    let addr_width = parse_width(ln, t.next().unwrap_or(""), "addr width")?;
+                    let data_width = parse_width(ln, t.next().unwrap_or(""), "data width")?;
                     let depth: usize = parse_num(ln, t.next().unwrap_or(""), "depth")?;
                     let mut init = Vec::new();
                     for tok in t {
@@ -651,7 +689,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                     let colon = colon.ok_or_else(|| perr(ln, "node line missing `: width`"))?;
-                    let width: u32 = parse_num(ln, width_tok.unwrap_or(""), "width")?;
+                    let width = parse_width(ln, width_tok.unwrap_or(""), "width")?;
                     let node = parse_node(ln, &body[..colon.min(body.len())])?;
                     m.nodes.push(node);
                     m.node_widths.push(width);
@@ -689,8 +727,14 @@ fn parse_node(ln: usize, toks: &[&str]) -> Result<Node, RtlError> {
             lo: parse_num(ln, arg(3), "lo")?,
         },
         "concat" => Node::Concat(parse_node_ref(ln, arg(1))?, parse_node_ref(ln, arg(2))?),
-        "zext" => Node::Zext(parse_node_ref(ln, arg(1))?, parse_num(ln, arg(2), "width")?),
-        "sext" => Node::Sext(parse_node_ref(ln, arg(1))?, parse_num(ln, arg(2), "width")?),
+        "zext" => Node::Zext(
+            parse_node_ref(ln, arg(1))?,
+            parse_width(ln, arg(2), "width")?,
+        ),
+        "sext" => Node::Sext(
+            parse_node_ref(ln, arg(1))?,
+            parse_width(ln, arg(2), "width")?,
+        ),
         other => {
             if let Some(u) = unop_from(other) {
                 Node::Un(u, parse_node_ref(ln, arg(1))?)
@@ -786,6 +830,42 @@ mod tests {
         assert_eq!(back.modules.len(), 2);
         assert_eq!(back.module("top").unwrap(), d.module("top").unwrap());
         assert_eq!(back.module("leaf").unwrap(), d.module("leaf").unwrap());
+    }
+
+    #[test]
+    fn widths_above_the_cap_are_refused_before_allocating() {
+        let max = MAX_WIDTH;
+        let over = u64::from(MAX_WIDTH) + 1;
+        // At the cap: accepted.
+        let ok = format!(
+            "module m\n  output y {max}\n  n0 = const {max}'h1 : {max}\n  drive 0 n0\nend\n"
+        );
+        assert_eq!(parse_module(&ok).unwrap().node_widths, vec![MAX_WIDTH]);
+        // Above it, in every place a width appears; the literal case is
+        // the one that used to allocate ~500 MB.
+        for (line, text) in [
+            (
+                2,
+                "module m\n  n0 = const 4000000000'h0 : 1\nend\n".to_string(),
+            ),
+            (2, format!("module m\n  input a {over}\nend\n")),
+            (2, format!("module m\n  reg r {over} 1'h0\nend\n")),
+            (2, format!("module m\n  mem q 2 {over} 4\nend\n")),
+            (2, format!("module m\n  n0 = const 1'h0 : {over}\nend\n")),
+            (
+                3,
+                format!("module m\n  n0 = const 1'h0 : 1\n  n1 = zext n0 {over} : 8\nend\n"),
+            ),
+            (2, format!("module m\n  reg r 8 {over}'h0\nend\n")),
+        ] {
+            match parse_module(&text) {
+                Err(RtlError::Parse { line: l, message }) => {
+                    assert_eq!(l, line, "{text}");
+                    assert!(message.contains("exceeds the maximum width"), "{message}");
+                }
+                other => panic!("{text}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

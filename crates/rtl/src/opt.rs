@@ -222,7 +222,7 @@ pub fn optimize(module: &Module) -> (Module, Vec<Option<NodeId>>, OptStats) {
         if std::mem::replace(&mut live[n.index()], true) {
             continue;
         }
-        for_each_operand(&b.nodes[n.index()], |o| work.push(o));
+        b.nodes[n.index()].for_each_operand(|o| work.push(o));
     }
 
     // Compact live nodes, preserving topological order.
@@ -285,26 +285,6 @@ pub fn optimize(module: &Module) -> (Module, Vec<Option<NodeId>>, OptStats) {
     stats.nodes_after = out.nodes.len() as u64;
     check_module(&out).expect("optimize produced a structurally valid module");
     (out, final_map, stats)
-}
-
-fn for_each_operand(node: &Node, mut f: impl FnMut(NodeId)) {
-    match node {
-        Node::Input(_)
-        | Node::Const(_)
-        | Node::RegQ(_)
-        | Node::MemReadData(..)
-        | Node::InstOut(..) => {}
-        Node::Un(_, a) | Node::Zext(a, _) | Node::Sext(a, _) | Node::Slice { src: a, .. } => f(*a),
-        Node::Bin(_, a, b) | Node::Concat(a, b) => {
-            f(*a);
-            f(*b);
-        }
-        Node::Mux { sel, t, f: fv } => {
-            f(*sel);
-            f(*t);
-            f(*fv);
-        }
-    }
 }
 
 fn remap_operands(node: &mut Node, compact: &[Option<NodeId>]) {

@@ -59,14 +59,29 @@ impl SolverStats {
     }
 }
 
-#[derive(Debug, Clone)]
+/// A clause's header. Its literals live in the solver's flat literal
+/// arena at `start..start + len`; the arena holds clauses in id order, so
+/// compaction after a reduction is a single in-order sweep.
+#[derive(Debug, Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     activity: f64,
 }
 
+impl Clause {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 const NO_REASON: u32 = u32::MAX;
+
+/// A literal's value in `Solver::vals`: true, false or unassigned.
+const TRUE: i8 = 1;
+const FALSE: i8 = -1;
+const UNDEF: i8 = 0;
 
 /// A CDCL SAT solver.
 ///
@@ -91,11 +106,16 @@ const NO_REASON: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
+    /// Clause headers, indexed by clause id.
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back in clause-id order.
+    arena: Vec<Lit>,
     /// For each literal index, the clauses to inspect when that literal
     /// becomes **true** (i.e. clauses watching its negation).
     watches: Vec<Vec<u32>>,
-    assign: Vec<Option<bool>>,
+    /// The value of every literal, indexed by literal index; `x` and `!x`
+    /// are kept opposite, so a value test is one load and no sign logic.
+    vals: Vec<i8>,
     phase: Vec<bool>,
     reason: Vec<u32>,
     level: Vec<u32>,
@@ -107,6 +127,10 @@ pub struct Solver {
     cla_inc: f64,
     order: VarHeap,
     seen: Vec<bool>,
+    /// Buffers for `add_clause`'s sorted copy and for the clause being
+    /// learnt, reused across calls so neither allocates per clause.
+    add_buf: Vec<Lit>,
+    learnt_buf: Vec<Lit>,
     stats: SolverStats,
     ok: bool,
     model: Vec<Option<bool>>,
@@ -127,8 +151,8 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
-        self.assign.push(None);
+        let v = Var(self.num_vars() as u32);
+        self.vals.extend([UNDEF, UNDEF]);
         self.phase.push(false);
         self.reason.push(NO_REASON);
         self.level.push(0);
@@ -136,7 +160,7 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.grow_to(self.assign.len());
+        self.order.grow_to(self.num_vars());
         self.order.insert(v, &self.activity);
         v
     }
@@ -148,7 +172,7 @@ impl Solver {
 
     /// The number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.vals.len() / 2
     }
 
     /// The number of clauses (original + learnt).
@@ -164,7 +188,10 @@ impl Solver {
     }
 
     fn value_lit(&self, l: Lit) -> Option<bool> {
-        self.assign[l.var().index()].map(|b| b != l.is_negated())
+        match self.vals[l.index()] {
+            UNDEF => None,
+            v => Some(v == TRUE),
+        }
     }
 
     fn decision_level(&self) -> usize {
@@ -187,53 +214,108 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
+        let mut sorted = std::mem::take(&mut self.add_buf);
+        sorted.clear();
+        sorted.extend_from_slice(lits);
+        sorted.sort_unstable();
         sorted.dedup();
-        for &l in &sorted {
+        self.assert_own(&sorted);
+        // `x` and `!x` differ only in the sign bit, so once sorted and
+        // deduplicated a complementary pair sits side by side.
+        let tautology = sorted.windows(2).any(|w| w[0].var() == w[1].var());
+        let ok = tautology || self.add_sorted(&sorted);
+        self.add_buf = sorted;
+        ok
+    }
+
+    /// Adds a clause whose literals are over pairwise distinct variables —
+    /// the shape of every Tseitin gate clause — skipping
+    /// [`Solver::add_clause`]'s buffer copy, deduplication and tautology
+    /// scan. The clause database comes out exactly as `add_clause` would
+    /// build it (same literal order, same level-0 simplification).
+    ///
+    /// # Panics
+    ///
+    /// As [`Solver::add_clause`]. Repeated variables are a caller bug,
+    /// caught by a debug assertion only.
+    pub fn add_clause_distinct<const N: usize>(&mut self, mut lits: [Lit; N]) -> bool {
+        assert_eq!(self.decision_level(), 0, "add_clause at nonzero level");
+        if !self.ok {
+            return false;
+        }
+        lits.sort_unstable();
+        debug_assert!(
+            lits.windows(2).all(|w| w[0].var() != w[1].var()),
+            "add_clause_distinct: repeated variable in {lits:?}"
+        );
+        self.assert_own(&lits);
+        self.add_sorted(&lits)
+    }
+
+    /// Panics unless every variable of the sorted `lits` belongs to this
+    /// solver (the last literal has the highest variable).
+    fn assert_own(&self, sorted: &[Lit]) {
+        if let Some(l) = sorted.last() {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal from foreign solver"
             );
-            if sorted.contains(&!l) {
-                return true; // tautology
-            }
+        }
+    }
+
+    /// The shared tail of the two `add_clause` entry points: `lits` is
+    /// sorted, free of repeated variables and this solver's own. Literals
+    /// false at level 0 are dropped, a literal true at level 0 drops the
+    /// whole clause, a unit is enqueued and propagated, and anything
+    /// longer is attached.
+    fn add_sorted(&mut self, lits: &[Lit]) -> bool {
+        let start = self.arena.len();
+        for &l in lits {
             match self.value_lit(l) {
-                Some(true) => return true, // already satisfied at level 0
-                Some(false) => continue,   // literal is dead
-                None => c.push(l),
+                Some(true) => {
+                    // Already satisfied at level 0.
+                    self.arena.truncate(start);
+                    return true;
+                }
+                Some(false) => {} // dead literal
+                None => self.arena.push(l),
             }
         }
-        match c.len() {
+        match self.arena.len() - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(c[0], NO_REASON);
+                let unit = self.arena[start];
+                self.arena.truncate(start);
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach(c, false);
+                self.attach_tail(start, false);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
-        debug_assert!(lits.len() >= 2);
+    /// Registers the literals at `arena[start..]` as a new clause and
+    /// watches its first two literals.
+    fn attach_tail(&mut self, start: usize, learnt: bool) -> u32 {
+        let len = self.arena.len() - start;
+        debug_assert!(len >= 2);
         let id = self.clauses.len() as u32;
-        self.watches[(!lits[0]).index()].push(id);
-        self.watches[(!lits[1]).index()].push(id);
+        self.watches[(!self.arena[start]).index()].push(id);
+        self.watches[(!self.arena[start + 1]).index()].push(id);
         if learnt {
             self.learnt_count += 1;
         }
         self.clauses.push(Clause {
-            lits,
+            start: start as u32,
+            len: len as u32,
             learnt,
             activity: 0.0,
         });
@@ -242,62 +324,66 @@ impl Solver {
 
     fn enqueue(&mut self, l: Lit, reason: u32) {
         let v = l.var().index();
-        debug_assert!(self.assign[v].is_none());
-        self.assign[v] = Some(!l.is_negated());
+        debug_assert_eq!(self.vals[l.index()], UNDEF);
+        self.vals[l.index()] = TRUE;
+        self.vals[(!l).index()] = FALSE;
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
     /// Unit propagation. Returns the conflicting clause id, if any.
+    ///
+    /// Each watch list is compacted in place: `i` reads, `j` writes, so a
+    /// clause that keeps its watch stays where it was and one that moves
+    /// leaves no hole. The visit order — and with it every propagation,
+    /// conflict and reason — is that of a list rebuilt front to back.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
-            let mut kept = Vec::with_capacity(ws.len());
+            let (mut i, mut j) = (0, 0);
             let mut conflict = None;
-            let mut it = ws.drain(..);
-            for cid in it.by_ref() {
-                let false_lit = !p;
+            'watches: while i < ws.len() {
+                let cid = ws[i];
+                i += 1;
+                let c = &mut self.arena[self.clauses[cid as usize].range()];
                 // Normalize: watched false literal at position 1.
-                {
-                    let c = &mut self.clauses[cid as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                if c[0] == false_lit {
+                    c.swap(0, 1);
                 }
-                let first = self.clauses[cid as usize].lits[0];
-                if self.value_lit(first) == Some(true) {
-                    kept.push(cid);
+                debug_assert_eq!(c[1], false_lit);
+                let first = c[0];
+                let first_value = self.vals[first.index()];
+                if first_value == TRUE {
+                    ws[j] = cid;
+                    j += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                let replacement = {
-                    let c = &self.clauses[cid as usize];
-                    c.lits[2..]
-                        .iter()
-                        .position(|&l| self.value_lit(l) != Some(false))
-                };
-                if let Some(k) = replacement {
-                    let c = &mut self.clauses[cid as usize];
-                    c.lits.swap(1, k + 2);
-                    let new_watch = c.lits[1];
-                    self.watches[(!new_watch).index()].push(cid);
-                    continue; // moved to another list
+                for k in 2..c.len() {
+                    if self.vals[c[k].index()] != FALSE {
+                        c.swap(1, k);
+                        self.watches[(!c[1]).index()].push(cid);
+                        continue 'watches; // moved to another list
+                    }
                 }
                 // Unit or conflicting on `first`.
-                kept.push(cid);
-                if self.value_lit(first) == Some(false) {
+                ws[j] = cid;
+                j += 1;
+                if first_value == FALSE {
                     conflict = Some(cid);
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
                     break;
                 }
                 self.enqueue(first, cid);
             }
-            kept.extend(it);
-            self.watches[p.index()] = kept;
+            ws.truncate(j);
+            self.watches[p.index()] = ws;
             if conflict.is_some() {
                 self.qhead = self.trail.len();
                 return conflict;
@@ -328,19 +414,22 @@ impl Solver {
         }
     }
 
-    /// 1UIP conflict analysis. Returns the learnt clause (asserting literal
-    /// first) and the backjump level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, usize) {
+    /// 1UIP conflict analysis. Leaves the learnt clause (asserting literal
+    /// first) in `learnt_buf` and returns the backjump level.
+    fn analyze(&mut self, mut confl: u32) -> usize {
         let current = self.decision_level() as u32;
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the asserting lit
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit(0)); // placeholder for the asserting lit
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         loop {
             self.bump_clause(confl);
-            let lits = self.clauses[confl as usize].lits.clone();
+            let range = self.clauses[confl as usize].range();
             let skip = usize::from(p.is_some());
-            for &q in &lits[skip..] {
+            for k in range.start + skip..range.end {
+                let q = self.arena[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -386,7 +475,8 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()] as usize
         };
-        (learnt, bt)
+        self.learnt_buf = learnt;
+        bt
     }
 
     fn cancel_until(&mut self, target: usize) {
@@ -398,7 +488,8 @@ impl Solver {
             let l = self.trail.pop().expect("trail nonempty");
             let v = l.var();
             self.phase[v.index()] = !l.is_negated();
-            self.assign[v.index()] = None;
+            self.vals[l.index()] = UNDEF;
+            self.vals[(!l).index()] = UNDEF;
             self.reason[v.index()] = NO_REASON;
             self.order.insert(v, &self.activity);
         }
@@ -408,7 +499,7 @@ impl Solver {
 
     fn pick_branch(&mut self) -> Option<Var> {
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assign[v.index()].is_none() {
+            if self.vals[v.positive().index()] == UNDEF {
                 return Some(v);
             }
         }
@@ -428,31 +519,41 @@ impl Solver {
                 .partial_cmp(&self.clauses[b as usize].activity)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let locked: std::collections::HashSet<u32> = self
-            .trail
-            .iter()
-            .map(|l| self.reason[l.var().index()])
-            .filter(|&r| r != NO_REASON)
-            .collect();
+        let mut locked = vec![false; self.clauses.len()];
+        for l in &self.trail {
+            let r = self.reason[l.var().index()];
+            if r != NO_REASON {
+                locked[r as usize] = true;
+            }
+        }
         let drop_count = learnt_ids.len() / 2;
-        let mut remove: Vec<bool> = vec![false; self.clauses.len()];
+        let mut remove = vec![false; self.clauses.len()];
         for &cid in learnt_ids.iter().take(drop_count) {
-            let c = &self.clauses[cid as usize];
-            if c.lits.len() > 2 && !locked.contains(&cid) {
+            if self.clauses[cid as usize].len > 2 && !locked[cid as usize] {
                 remove[cid as usize] = true;
             }
         }
-        // Compact, remapping ids in reasons and rebuilding watches.
+        // Compact headers and arena together (both are in id order, so
+        // every kept clause slides left), remapping ids in reasons and
+        // rebuilding watches.
         let mut remap: Vec<u32> = vec![NO_REASON; self.clauses.len()];
-        let mut new_clauses = Vec::with_capacity(self.clauses.len());
-        for (i, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
+        let (mut kept, mut arena_len) = (0usize, 0usize);
+        for i in 0..self.clauses.len() {
             if remove[i] {
                 continue;
             }
-            remap[i] = new_clauses.len() as u32;
-            new_clauses.push(c);
+            let c = self.clauses[i];
+            self.arena.copy_within(c.range(), arena_len);
+            self.clauses[kept] = Clause {
+                start: arena_len as u32,
+                ..c
+            };
+            remap[i] = kept as u32;
+            kept += 1;
+            arena_len += c.len as usize;
         }
-        self.clauses = new_clauses;
+        self.clauses.truncate(kept);
+        self.arena.truncate(arena_len);
         for r in &mut self.reason {
             if *r != NO_REASON {
                 *r = remap[*r as usize];
@@ -463,8 +564,9 @@ impl Solver {
             w.clear();
         }
         for (i, c) in self.clauses.iter().enumerate() {
-            self.watches[(!c.lits[0]).index()].push(i as u32);
-            self.watches[(!c.lits[1]).index()].push(i as u32);
+            let start = c.start as usize;
+            self.watches[(!self.arena[start]).index()].push(i as u32);
+            self.watches[(!self.arena[start + 1]).index()].push(i as u32);
         }
         self.learnt_count = self.clauses.iter().filter(|c| c.learnt).count();
     }
@@ -533,13 +635,15 @@ impl Solver {
                     self.ok = false;
                     break SolveResult::Unsat;
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 self.cancel_until(bt);
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], NO_REASON);
+                let asserting = self.learnt_buf[0];
+                if self.learnt_buf.len() == 1 {
+                    self.enqueue(asserting, NO_REASON);
                 } else {
-                    let asserting = learnt[0];
-                    let cid = self.attach(learnt, true);
+                    let start = self.arena.len();
+                    self.arena.extend_from_slice(&self.learnt_buf);
+                    let cid = self.attach_tail(start, true);
                     self.bump_clause(cid);
                     self.enqueue(asserting, cid);
                 }
@@ -558,7 +662,11 @@ impl Solver {
                     self.cancel_until(0);
                     continue;
                 }
-                // Re-establish assumptions after any backjump/restart.
+                // Re-establish assumptions after any backjump/restart, one
+                // decision level each. A newly placed assumption is
+                // propagated before the next one goes down: every conflict
+                // clause then has a literal at the current level, which
+                // 1UIP analysis needs.
                 while self.decision_level() < assumptions.len() {
                     let a = assumptions[self.decision_level()];
                     match self.value_lit(a) {
@@ -567,6 +675,7 @@ impl Solver {
                         None => {
                             self.trail_lim.push(self.trail.len());
                             self.enqueue(a, NO_REASON);
+                            break;
                         }
                     }
                 }
@@ -575,7 +684,9 @@ impl Solver {
                 }
                 match self.pick_branch() {
                     None => {
-                        self.model = self.assign.clone();
+                        self.model = (0..self.num_vars())
+                            .map(|v| self.value_lit(Var(v as u32).positive()))
+                            .collect();
                         break SolveResult::Sat;
                     }
                     Some(v) => {
@@ -777,6 +888,44 @@ mod tests {
         assert!(s.add_clause(&[b.positive(), b.positive()])); // duplicate
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.value(b), Some(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "literal from foreign solver")]
+    fn foreign_literal_panics_even_in_a_tautology() {
+        let mut s = Solver::new();
+        s.new_var();
+        let foreign = Var::from_index(5);
+        s.add_clause(&[foreign.positive(), foreign.negative()]);
+    }
+
+    #[test]
+    fn distinct_clauses_build_the_same_database_as_add_clause() {
+        // Same literals through both entry points, some simplified by
+        // level-0 units: identical search afterwards.
+        let build = |distinct: bool| {
+            let mut s = Solver::new();
+            let v = s.new_vars(6);
+            s.add_clause(&[v[0].positive()]);
+            let clauses = [
+                [v[3].negative(), v[1].positive(), v[2].positive()],
+                [v[0].negative(), v[4].positive(), v[5].negative()],
+                [v[0].positive(), v[4].negative(), v[2].negative()],
+                [v[5].positive(), v[3].positive(), v[1].negative()],
+                [v[2].positive(), v[4].positive(), v[3].negative()],
+            ];
+            for c in clauses {
+                if distinct {
+                    s.add_clause_distinct(c);
+                } else {
+                    s.add_clause(&c);
+                }
+            }
+            s.add_clause_distinct([v[1].negative(), v[2].negative()]);
+            let r = s.solve_with(&[v[3].positive()]);
+            (r, s.num_clauses(), s.stats(), s.model.clone())
+        };
+        assert_eq!(build(true), build(false));
     }
 
     #[test]

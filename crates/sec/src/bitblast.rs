@@ -4,9 +4,45 @@
 //! Gate encoders allocate fresh variables and add the defining clauses to
 //! the underlying [`Solver`].
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use dfv_bits::Bv;
 use dfv_rtl::ir::{BinOp, UnOp};
 use dfv_sat::{Lit, Solver};
+
+/// An FxHash-style hasher for the gate caches. Their keys are two literal
+/// indices packed into one `u64`, so one multiply mixes every key bit
+/// into the high half, and the final rotate brings that half down to the
+/// low bits the table indexes by. It has no random seed, so lookups cost
+/// the same on every run, and it is far cheaper than the default SipHash
+/// for keys this small.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Gate cache: packed operand pair to output literal.
+type GateCache = HashMap<u64, Lit, BuildHasherDefault<FxHasher>>;
+
+/// The cache key of an (ordered) operand pair.
+fn gate_key(a: Lit, b: Lit) -> u64 {
+    (a.index() as u64) << 32 | b.index() as u64
+}
 
 /// A bit-blasting context over a [`Solver`].
 ///
@@ -20,8 +56,13 @@ pub struct BitBlaster<'a> {
     /// unrolling re-encodes mostly-identical combinational cones every
     /// cycle, and consing collapses the shared structure — the same trick
     /// AIG-based equivalence checkers rely on.
-    and_cache: std::collections::HashMap<(Lit, Lit), Lit>,
-    xor_cache: std::collections::HashMap<(Lit, Lit), Lit>,
+    ///
+    /// Gate outputs are a pure function of the operand literals and these
+    /// caches, which only ever grow: re-encoding an operator on operands
+    /// already seen returns the same literals and emits nothing, which is
+    /// what lets the unroller skip it outright.
+    and_cache: GateCache,
+    xor_cache: GateCache,
 }
 
 impl<'a> BitBlaster<'a> {
@@ -32,8 +73,8 @@ impl<'a> BitBlaster<'a> {
         BitBlaster {
             solver,
             true_lit: t,
-            and_cache: std::collections::HashMap::new(),
-            xor_cache: std::collections::HashMap::new(),
+            and_cache: GateCache::default(),
+            xor_cache: GateCache::default(),
         }
     }
 
@@ -90,14 +131,20 @@ impl<'a> BitBlaster<'a> {
         if a == !b {
             return self.false_lit();
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
+        let key = if a <= b {
+            gate_key(a, b)
+        } else {
+            gate_key(b, a)
+        };
         if let Some(&o) = self.and_cache.get(&key) {
             return o;
         }
+        // `a`, `b` and the fresh `o` are three distinct variables, so the
+        // clauses skip `add_clause`'s dedup and tautology checks.
         let o = self.solver.new_var().positive();
-        self.solver.add_clause(&[!a, !b, o]);
-        self.solver.add_clause(&[a, !o]);
-        self.solver.add_clause(&[b, !o]);
+        self.solver.add_clause_distinct([!a, !b, o]);
+        self.solver.add_clause_distinct([a, !o]);
+        self.solver.add_clause_distinct([b, !o]);
         self.and_cache.insert(key, o);
         o
     }
@@ -139,15 +186,16 @@ impl<'a> BitBlaster<'a> {
             invert = !invert;
         }
         let (x, y) = if x <= y { (x, y) } else { (y, x) };
-        if let Some(&o) = self.xor_cache.get(&(x, y)) {
+        let key = gate_key(x, y);
+        if let Some(&o) = self.xor_cache.get(&key) {
             return if invert { !o } else { o };
         }
         let o = self.solver.new_var().positive();
-        self.solver.add_clause(&[!x, !y, !o]);
-        self.solver.add_clause(&[x, y, !o]);
-        self.solver.add_clause(&[!x, y, o]);
-        self.solver.add_clause(&[x, !y, o]);
-        self.xor_cache.insert((x, y), o);
+        self.solver.add_clause_distinct([!x, !y, !o]);
+        self.solver.add_clause_distinct([x, y, !o]);
+        self.solver.add_clause_distinct([!x, y, o]);
+        self.solver.add_clause_distinct([x, !y, o]);
+        self.xor_cache.insert(key, o);
         if invert {
             !o
         } else {

@@ -580,7 +580,9 @@ fn build_miter(
     let initial_reg_words: Vec<Vec<Lit>> = sym.reg_state().to_vec();
     // Free-binding words, recorded for counterexample extraction.
     let mut free_words: HashMap<(usize, u32), Vec<Lit>> = HashMap::new();
-    let mut rtl_cycles = Vec::with_capacity(spec.rtl_cycles as usize);
+    // The RTL words the compare points read, captured as each cycle is
+    // unrolled; no other node word outlives its cycle.
+    let mut rtl_outs: Vec<Vec<Lit>> = vec![Vec::new(); spec.compares.len()];
     for t in 0..spec.rtl_cycles {
         let inputs: Vec<Vec<Lit>> = rtl
             .inputs
@@ -600,23 +602,27 @@ fn build_miter(
                 None => bb.constant(&Bv::zero(p.width)),
             })
             .collect();
-        rtl_cycles.push(match sweeper.as_mut() {
+        let cycle = match sweeper.as_mut() {
             Some(sw) => sym.step_hooked(&mut bb, &inputs, &mut |bb, n, w| {
                 sw.process_word(bb, rtl_site(t), n, w)
             }),
             None => sym.step(&mut bb, &inputs),
-        });
+        };
+        for (cp, out) in spec.compares.iter().zip(&mut rtl_outs) {
+            if cp.rtl_cycle == t {
+                *out = cycle.output(rtl, &cp.rtl_output);
+            }
+        }
     }
 
     // One (unasserted) difference literal per compare point.
     let mut diffs = Vec::with_capacity(spec.compares.len());
-    for cp in &spec.compares {
+    for (cp, r) in spec.compares.iter().zip(&rtl_outs) {
         let mut s = slm_cycle.output(slm, &cp.slm_output);
         if let Some((hi, lo)) = cp.slm_slice {
             s = s[lo as usize..=hi as usize].to_vec();
         }
-        let r = rtl_cycles[cp.rtl_cycle as usize].output(rtl, &cp.rtl_output);
-        let eq = bb.eq_word(&s, &r);
+        let eq = bb.eq_word(&s, r);
         diffs.push(!eq);
     }
     drop(bb);

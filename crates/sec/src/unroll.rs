@@ -16,12 +16,36 @@ use crate::spec::{InitState, SecError};
 pub const MEM_BLAST_LIMIT: usize = 256;
 
 /// Symbolic (literal-vector) state of a flat module.
+///
+/// Besides the architectural state, the simulator keeps one previous
+/// cycle of words: each node's word as consumers read it, and as the
+/// bit-blaster produced it (before any hook rewrote it). A node whose
+/// operand words did not change since that cycle takes its produced word
+/// from there instead of being bit-blasted again. Gate encoding is a pure
+/// function of the operand literals plus caches that only grow, so the
+/// skipped encoding would have returned exactly that word and emitted no
+/// variable and no clause: the CNF is the same, only cheaper to build.
 #[derive(Debug)]
 pub struct SymbolicSim<'m> {
     module: &'m Module,
     regs: Vec<Vec<Lit>>,
     mems: Vec<Vec<Vec<Lit>>>,
     mem_read_regs: Vec<Vec<Vec<Lit>>>,
+    /// The last step's node words as consumers read them (after the hook).
+    cycle: SymbolicCycle,
+    /// The last step's bit-blasted word of every operator and constant
+    /// node (before the hook); empty for the other sources.
+    blasted: Vec<Vec<Lit>>,
+    /// Whether a step has run yet (the first one has nothing to reuse).
+    stepped: bool,
+    /// Whether a node's word differs from the step before.
+    node_changed: Vec<bool>,
+    /// Whether a register's word changed at the last clock edge.
+    reg_changed: Vec<bool>,
+    /// Whether any word of a memory changed at the last clock edge.
+    mem_changed: Vec<bool>,
+    /// The buffer each node's word is built in and handed to the hook.
+    hook_word: Vec<Lit>,
 }
 
 /// The per-cycle result of a symbolic step: every node's literal vector.
@@ -113,11 +137,21 @@ impl<'m> SymbolicSim<'m> {
                     .collect()
             })
             .collect();
+        let n = module.nodes.len();
         Ok(SymbolicSim {
             module,
             regs,
             mems,
             mem_read_regs,
+            cycle: SymbolicCycle {
+                nodes: vec![Vec::new(); n],
+            },
+            blasted: vec![Vec::new(); n],
+            stepped: false,
+            node_changed: vec![true; n],
+            reg_changed: vec![true; module.regs.len()],
+            mem_changed: vec![true; module.mems.len()],
+            hook_word: Vec::new(),
         })
     }
 
@@ -132,14 +166,15 @@ impl<'m> SymbolicSim<'m> {
     }
 
     /// Evaluates one cycle's combinational logic from the given input words
-    /// (in input-port order) and then commits the clock edge.
+    /// (in input-port order) and then commits the clock edge. The returned
+    /// node words stay valid until the next step.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` does not match the module's input ports in count
     /// or width — the caller (the checker) constructs them from a validated
     /// spec.
-    pub fn step(&mut self, bb: &mut BitBlaster<'_>, inputs: &[Vec<Lit>]) -> SymbolicCycle {
+    pub fn step(&mut self, bb: &mut BitBlaster<'_>, inputs: &[Vec<Lit>]) -> &SymbolicCycle {
         self.step_hooked(bb, inputs, &mut |_, _, _| {})
     }
 
@@ -149,7 +184,9 @@ impl<'m> SymbolicSim<'m> {
     /// in place — this is how the SAT sweeper substitutes proven-equal
     /// representative literals so the rest of the encoding collapses
     /// through the bit-blaster's gate caches. The hook's `usize` argument
-    /// is the node index within the module.
+    /// is the node index within the module. It sees every node of every
+    /// step, with the same word whether that word was bit-blasted afresh
+    /// or reused from the step before.
     ///
     /// # Panics
     ///
@@ -160,66 +197,105 @@ impl<'m> SymbolicSim<'m> {
         bb: &mut BitBlaster<'_>,
         inputs: &[Vec<Lit>],
         hook: &mut dyn FnMut(&mut BitBlaster<'_>, usize, &mut Vec<Lit>),
-    ) -> SymbolicCycle {
+    ) -> &SymbolicCycle {
         let m = self.module;
         assert_eq!(inputs.len(), m.inputs.len(), "input count mismatch");
-        let mut nodes: Vec<Vec<Lit>> = Vec::with_capacity(m.nodes.len());
+        let mut v = std::mem::take(&mut self.hook_word);
         for (i, node) in m.nodes.iter().enumerate() {
             let w = m.node_widths[i];
-            let mut v: Vec<Lit> = match node {
+            let nodes = &self.cycle.nodes;
+            v.clear();
+            match node {
                 Node::Input(idx) => {
                     assert_eq!(inputs[*idx].len(), w as usize, "input width mismatch");
-                    inputs[*idx].clone()
+                    v.extend_from_slice(&inputs[*idx]);
                 }
-                Node::Const(c) => bb.constant(c),
-                Node::RegQ(r) => self.regs[r.index()].clone(),
-                Node::MemReadData(mm, p) => self.mem_read_regs[mm.index()][*p].clone(),
+                Node::RegQ(r) => v.extend_from_slice(&self.regs[r.index()]),
+                Node::MemReadData(mm, p) => {
+                    v.extend_from_slice(&self.mem_read_regs[mm.index()][*p])
+                }
                 Node::InstOut(..) => unreachable!("module is flat"),
-                Node::Un(op, a) => bb.un_op(*op, &nodes[a.index()]),
-                Node::Bin(op, a, b) => bb.bin_op(*op, &nodes[a.index()], &nodes[b.index()]),
-                Node::Mux { sel, t, f } => {
-                    let s = nodes[sel.index()][0];
-                    bb.mux_word(s, &nodes[t.index()], &nodes[f.index()])
+                _ => {
+                    // Operators and constants: reuse the last step's word
+                    // when no operand changed.
+                    let mut stale = !self.stepped;
+                    node.for_each_operand(|a| stale |= self.node_changed[a.index()]);
+                    if stale {
+                        self.blasted[i] = match node {
+                            Node::Const(c) => bb.constant(c),
+                            Node::Un(op, a) => bb.un_op(*op, &nodes[a.index()]),
+                            Node::Bin(op, a, b) => {
+                                bb.bin_op(*op, &nodes[a.index()], &nodes[b.index()])
+                            }
+                            Node::Mux { sel, t, f } => {
+                                let s = nodes[sel.index()][0];
+                                bb.mux_word(s, &nodes[t.index()], &nodes[f.index()])
+                            }
+                            Node::Slice { src, hi, lo } => {
+                                nodes[src.index()][*lo as usize..=*hi as usize].to_vec()
+                            }
+                            Node::Concat(hi, lo) => {
+                                let mut c = nodes[lo.index()].clone();
+                                c.extend_from_slice(&nodes[hi.index()]);
+                                c
+                            }
+                            Node::Zext(a, tw) => {
+                                let mut c = nodes[a.index()].clone();
+                                c.resize(*tw as usize, bb.false_lit());
+                                c
+                            }
+                            Node::Sext(a, tw) => {
+                                let mut c = nodes[a.index()].clone();
+                                let sign = *c.last().expect("nonzero width");
+                                c.resize(*tw as usize, sign);
+                                c
+                            }
+                            Node::Input(_)
+                            | Node::RegQ(_)
+                            | Node::MemReadData(..)
+                            | Node::InstOut(..) => unreachable!("sources handled above"),
+                        };
+                    }
+                    v.extend_from_slice(&self.blasted[i]);
                 }
-                Node::Slice { src, hi, lo } => {
-                    nodes[src.index()][*lo as usize..=*hi as usize].to_vec()
-                }
-                Node::Concat(hi, lo) => {
-                    let mut v = nodes[lo.index()].clone();
-                    v.extend_from_slice(&nodes[hi.index()]);
-                    v
-                }
-                Node::Zext(a, tw) => {
-                    let mut v = nodes[a.index()].clone();
-                    v.resize(*tw as usize, bb.false_lit());
-                    v
-                }
-                Node::Sext(a, tw) => {
-                    let mut v = nodes[a.index()].clone();
-                    let sign = *v.last().expect("nonzero width");
-                    v.resize(*tw as usize, sign);
-                    v
-                }
-            };
+            }
             debug_assert_eq!(v.len(), w as usize);
             hook(bb, i, &mut v);
             assert_eq!(v.len(), w as usize, "hook must preserve word width");
-            nodes.push(v);
+            let prev = &mut self.cycle.nodes[i];
+            self.node_changed[i] = *prev != v;
+            if self.node_changed[i] {
+                std::mem::swap(prev, &mut v);
+            }
         }
-        // Clock edge: registers.
-        let mut new_regs = Vec::with_capacity(self.regs.len());
+        self.hook_word = v;
+        self.commit(bb);
+        self.stepped = true;
+        &self.cycle
+    }
+
+    /// The clock edge: registers, then memories (read-first). An update
+    /// whose inputs all match the step before reproduces the state it
+    /// produced then, which is the current state, so it is skipped.
+    fn commit(&mut self, bb: &mut BitBlaster<'_>) {
+        let m = self.module;
+        let nodes = &self.cycle.nodes;
+        let changed = &self.node_changed;
         for (ri, reg) in m.regs.iter().enumerate() {
-            let next = nodes[reg.next.expect("checked module").index()].clone();
+            let next = reg.next.expect("checked module");
             let v = match reg.en {
-                None => next,
+                None => nodes[next.index()].clone(),
                 Some(en) => {
+                    if !changed[next.index()] && !changed[en.index()] && !self.reg_changed[ri] {
+                        continue;
+                    }
                     let e = nodes[en.index()][0];
-                    bb.mux_word(e, &next, &self.regs[ri])
+                    bb.mux_word(e, &nodes[next.index()], &self.regs[ri])
                 }
             };
-            new_regs.push(v);
+            self.reg_changed[ri] = v != self.regs[ri];
+            self.regs[ri] = v;
         }
-        // Clock edge: memories (read-first).
         for (mi, mem) in m.mems.iter().enumerate() {
             let eff_addr = |bb: &mut BitBlaster<'_>, addr: &[Lit]| -> Vec<Lit> {
                 if mem.depth == (1usize << mem.addr_width.min(63)) {
@@ -231,8 +307,12 @@ impl<'m> SymbolicSim<'m> {
                     bb.bin_op(dfv_rtl::ir::BinOp::URem, addr, &d)
                 }
             };
+            let mem_stable = !self.mem_changed[mi];
             // Sample read ports against pre-write contents.
             for (pi, rp) in mem.read_ports.iter().enumerate() {
+                if mem_stable && !changed[rp.addr.index()] {
+                    continue;
+                }
                 let addr = eff_addr(bb, &nodes[rp.addr.index()]);
                 let mut acc = bb.constant(&Bv::zero(mem.data_width));
                 for (wi, word) in self.mems[mi].iter().enumerate() {
@@ -243,20 +323,30 @@ impl<'m> SymbolicSim<'m> {
                 self.mem_read_regs[mi][pi] = acc;
             }
             // Apply writes.
+            let ports_stable = mem.write_ports.iter().all(|wp| {
+                !changed[wp.en.index()] && !changed[wp.addr.index()] && !changed[wp.data.index()]
+            });
+            if mem_stable && ports_stable {
+                continue;
+            }
+            let mut any_written = false;
             for wp in &mem.write_ports {
                 let en = nodes[wp.en.index()][0];
                 let addr = eff_addr(bb, &nodes[wp.addr.index()]);
-                let data = nodes[wp.data.index()].clone();
+                let data = &nodes[wp.data.index()];
                 for wi in 0..mem.depth {
                     let idx = bb.constant(&Bv::from_u64(mem.addr_width, wi as u64));
                     let hit = bb.eq_word(&addr, &idx);
                     let strobe = bb.and_gate(en, hit);
-                    self.mems[mi][wi] = bb.mux_word(strobe, &data, &self.mems[mi][wi]);
+                    let word = bb.mux_word(strobe, data, &self.mems[mi][wi]);
+                    if word != self.mems[mi][wi] {
+                        any_written = true;
+                        self.mems[mi][wi] = word;
+                    }
                 }
             }
+            self.mem_changed[mi] = any_written;
         }
-        self.regs = new_regs;
-        SymbolicCycle { nodes }
     }
 }
 
@@ -288,7 +378,8 @@ pub fn eval_comb_symbolic_hooked(
 ) -> SymbolicCycle {
     assert!(module.is_combinational(), "module must be combinational");
     let mut sim = SymbolicSim::new(bb, module, InitState::Reset).expect("comb module");
-    sim.step_hooked(bb, inputs, hook)
+    sim.step_hooked(bb, inputs, hook);
+    sim.cycle
 }
 
 #[cfg(test)]

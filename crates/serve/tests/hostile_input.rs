@@ -13,7 +13,7 @@ use dfv_bits::SplitMix64;
 use dfv_core::BlockPair;
 use dfv_designs::{alu, fir, memsys};
 use dfv_obs::Json;
-use dfv_rtl::{parse_module, write_module, RtlError};
+use dfv_rtl::{parse_module, write_module, RtlError, MAX_WIDTH};
 use dfv_serve::frame::{fnv1a, MAGIC};
 use dfv_serve::proto::{decode_request, encode_request};
 use dfv_serve::{read_frame, write_frame, FrameError, JobSpec, Request, SubmitOptions};
@@ -114,6 +114,53 @@ fn mutated_netlists_parse_or_fail_typed() {
     // The mutations reach the syntax checks, the structural checks, and
     // leave some inputs valid (an edited name or constant).
     assert!(parse_errors > 0 && other_errors > 0 && parsed > 0);
+}
+
+#[test]
+fn oversized_widths_are_refused_typed() {
+    // A width is one number on one line, so a mutation of a few bytes
+    // cannot reach the dangerous range, but a hostile client can simply
+    // write it: `4000000000'h0` once made the parser allocate ~500 MB.
+    // Every width field past the cap must be a typed parse error, both
+    // through `parse_module` and inside a well-framed `Submit`.
+    let base = write_module(&blocks()[0].rtl);
+    let huge = u64::from(MAX_WIDTH) + 1;
+    let edits = [
+        ("n0 = input 0 : 8", format!("n0 = input 0 : {huge}")),
+        ("input a 8", format!("input a {huge}")),
+        ("reg tmp 8 8'h", "reg tmp 8 4000000000'h".to_string()),
+    ];
+    for (from, to) in &edits {
+        let (at, _) = base.match_indices(from).next().expect("edit site present");
+        let text = format!("{}{to}{}", &base[..at], &base[at + from.len()..]);
+        match parse_module(&text) {
+            Err(RtlError::Parse { message, .. }) => {
+                assert!(message.contains("exceeds the maximum width"), "{message}")
+            }
+            other => panic!("{to}: expected a width error, got {other:?}"),
+        }
+        let payload = submit()
+            .render()
+            .replace(&json_escape(&base), &json_escape(&text));
+        assert_ne!(
+            payload,
+            submit().render(),
+            "{to}: netlist not found in the payload"
+        );
+        let msg = read_frame(&mut framed(payload.as_bytes()).as_slice()).expect("well framed");
+        let err = decode_request(&msg).expect_err("oversized width refused");
+        assert!(
+            err.message.contains("exceeds the maximum width"),
+            "{}",
+            err.message
+        );
+    }
+}
+
+/// `s` as it appears inside a rendered JSON string.
+fn json_escape(s: &str) -> String {
+    let quoted = Json::Str(s.to_string()).render();
+    quoted[1..quoted.len() - 1].to_string()
 }
 
 /// A frame around `payload` with a correct header and checksum: what a

@@ -159,7 +159,30 @@ run cargo run --release -q -p dfv-bench --bin bench -- sec --smoke \
 run cargo run --release -q -p dfv-bench --bin bench -- sec --smoke \
     --out "$obs_dir/bench_sec2_full.json" --canonical "$obs_dir/bench_sec2.json" > /dev/null
 run cmp "$obs_dir/bench_sec1.json" "$obs_dir/bench_sec2.json"
+# Counters as the regression gate: a full-size run's deterministic
+# counters (SAT conflicts, CNF vars and clauses, every sweep.* counter,
+# sweep off and on) must equal the ones checked in with BENCH_sec.json,
+# and the CDCL solver's full search counters (conflicts, decisions,
+# propagations, restarts, reductions) the ones in BENCH_sat.json. Only
+# the timing sections may move; a change that means to move a counter
+# regenerates the file and the diff is reviewed.
+counters() { grep -o '"counters":{[^}]*}' "$1" | tr ',' '\n'; }
+gate_counters() {
+    echo "==> counters of bench $1 == $2"
+    if ! diff <(counters "$2") <(counters "$3"); then
+        echo "error: bench $1 counters differ from the checked-in $2" >&2
+        exit 1
+    fi
+}
+run cargo run --release -q -p dfv-bench --bin bench -- sec \
+    --out "$obs_dir/bench_sec_full.json" --canonical "$obs_dir/bench_sec.json" > /dev/null
+gate_counters sec BENCH_sec.json "$obs_dir/bench_sec.json"
+run cargo run --release -q -p dfv-bench --bin bench -- sat \
+    --out "$obs_dir/bench_sat_full.json" --canonical "$obs_dir/bench_sat.json" > /dev/null
+gate_counters sat BENCH_sat.json "$obs_dir/bench_sat.json"
 run cargo test -q --release -p dfv-sec --test prop_sweep
+run cargo test -q --release -p dfv-sec --test prop_bitblast
+run cargo test -q --release -p dfv-sat --test prop_solver
 run cargo run --release -q -p dfv-bench --bin experiments -- e17 > /dev/null
 run cargo clippy --all-targets --workspace -- -D warnings
 run cargo fmt --all --check

@@ -21,33 +21,40 @@ use crate::render_table;
 /// Worker counts swept by the experiment.
 pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// A genuinely-equivalent multiplier-commutativity block: `a * b` in the
-/// SLM against `b * a` in RTL, `width` bits per operand. SAT cost grows
-/// steeply with `width`, giving the plan a mix of cheap and pricey items.
-fn mul_block(width: u32) -> BlockPair {
+/// A genuinely-equivalent distributivity block: `a * (b + c)` in the SLM
+/// against `a*b + a*c` in RTL, `width` bits per operand. SAT cost grows
+/// steeply with `width` (multiplier commutativity no longer does: the
+/// bit-blaster gives `a*b` and `b*a` the same gates), giving the plan a
+/// mix of cheap and pricey items.
+pub(crate) fn distrib_block(name: String, width: u32) -> BlockPair {
     let out = 2 * width;
-    let mut rb = ModuleBuilder::new("rtl_mul");
+    let mut rb = ModuleBuilder::new("rtl_distrib");
     let a = rb.input("a", width);
     let b = rb.input("b", width);
-    let (aw, bw) = (rb.zext(a, out), rb.zext(b, out));
-    let y = rb.mul(bw, aw);
+    let c = rb.input("c", width);
+    let (aw, bw, cw) = (rb.zext(a, out), rb.zext(b, out), rb.zext(c, out));
+    let ab = rb.mul(aw, bw);
+    let ac = rb.mul(aw, cw);
+    let y = rb.add(ab, ac);
     rb.output("y", y);
     BlockPair {
-        name: format!("mul{width}"),
+        name,
         slm_source: format!(
-            "uint<{out}> mul(uint<{width}> a, uint<{width}> b) {{ return (uint<{out}>)a * (uint<{out}>)b; }}"
+            "uint<{out}> distrib(uint<{width}> a, uint<{width}> b, uint<{width}> c) \
+             {{ return (uint<{out}>)a * ((uint<{out}>)b + (uint<{out}>)c); }}"
         ),
-        slm_entry: "mul".into(),
-        rtl: rb.finish().expect("mul rtl builds"),
+        slm_entry: "distrib".into(),
+        rtl: rb.finish().expect("distrib rtl builds"),
         spec: EquivSpec::new(1)
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("b", 0, Binding::Slm("b".into()))
+            .bind("c", 0, Binding::Slm("c".into()))
             .compare("return", "y", 0),
     }
 }
 
 /// The E11 plan: the ALU and FIR reference blocks plus a ramp of
-/// multiplier widths — eight independent proof obligations of uneven
+/// distributivity widths — eight independent proof obligations of uneven
 /// cost, which is exactly the load shape self-scheduling is for.
 pub fn e11_plan() -> VerificationPlan {
     let mut plan = VerificationPlan::new()
@@ -65,11 +72,10 @@ pub fn e11_plan() -> VerificationPlan {
             rtl: fir::rtl(),
             spec: fir::equiv_spec(),
         });
-    for width in [4, 4, 5, 5, 6, 6] {
-        let mut b = mul_block(width);
+    for width in [3, 3, 3, 4, 4, 4] {
         // Widths repeat, but names must stay unique within the plan.
-        b.name = format!("mul{width}_{}", plan.blocks.len());
-        plan = plan.block(b);
+        let name = format!("distrib{width}_{}", plan.blocks.len());
+        plan = plan.block(distrib_block(name, width));
     }
     plan
 }

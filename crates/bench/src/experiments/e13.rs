@@ -15,37 +15,13 @@
 use dfv_core::{BlockPair, Campaign, CampaignOptions, VerificationPlan};
 use dfv_designs::{alu, fir};
 use dfv_obs::{Json, RunReport};
-use dfv_rtl::ModuleBuilder;
-use dfv_sec::{Binding, EquivSpec};
 use std::path::PathBuf;
 
+use crate::experiments::e11::distrib_block;
 use crate::render_table;
 
-/// A genuinely-equivalent multiplier-commutativity block, as in E11.
-fn mul_block(width: u32, tag: usize) -> BlockPair {
-    let out = 2 * width;
-    let mut rb = ModuleBuilder::new("rtl_mul");
-    let a = rb.input("a", width);
-    let b = rb.input("b", width);
-    let (aw, bw) = (rb.zext(a, out), rb.zext(b, out));
-    let y = rb.mul(bw, aw);
-    rb.output("y", y);
-    BlockPair {
-        name: format!("mul{width}_{tag}"),
-        slm_source: format!(
-            "uint<{out}> mul(uint<{width}> a, uint<{width}> b) {{ return (uint<{out}>)a * (uint<{out}>)b; }}"
-        ),
-        slm_entry: "mul".into(),
-        rtl: rb.finish().expect("mul rtl builds"),
-        spec: EquivSpec::new(1)
-            .bind("a", 0, Binding::Slm("a".into()))
-            .bind("b", 0, Binding::Slm("b".into()))
-            .compare("return", "y", 0),
-    }
-}
-
-/// The E13 plan: the ALU and FIR reference blocks plus a multiplier ramp
-/// — six proof obligations of uneven cost, so each journal record
+/// The E13 plan: the ALU and FIR reference blocks plus E11's
+/// distributivity ramp — six proof obligations of uneven cost, so each journal record
 /// represents a materially different amount of rescued work.
 pub fn e13_plan() -> VerificationPlan {
     let mut plan = VerificationPlan::new()
@@ -63,8 +39,8 @@ pub fn e13_plan() -> VerificationPlan {
             rtl: fir::rtl(),
             spec: fir::equiv_spec(),
         });
-    for (i, width) in [4, 5, 5, 6].into_iter().enumerate() {
-        plan = plan.block(mul_block(width, i));
+    for (i, width) in [3, 3, 4, 4].into_iter().enumerate() {
+        plan = plan.block(distrib_block(format!("distrib{width}_{i}"), width));
     }
     plan
 }

@@ -10,12 +10,13 @@
 //!   memory-system fast bank, and a seeded-bug falsification. Each
 //!   workload is checked both ways; the verdicts and counterexample
 //!   mismatch locations are asserted identical before any number lands.
-//! * **The cliff** — commuted multiplier miters at widths the *unswept*
-//!   path cannot finish: sweep-off runs under a hard conflict budget and
-//!   degrades to Inconclusive, sweep-on proves the same miter outright in
-//!   milliseconds. The gate here is monotonicity, not parity: the swept
-//!   path may *rescue* a proof the raw path cannot afford, but the two
-//!   may never return contradictory Equivalent/NotEquivalent verdicts.
+//! * **The former cliff** — commuted multiplier miters at widths up to the
+//!   paper-scale 16 bits. The unswept path once exhausted any budget here;
+//!   the bit-blaster's canonical multiplier operand order now gives both
+//!   sides the same gates, so sweep-off (under a hard conflict budget)
+//!   and sweep-on both prove each miter with zero conflicts. The gate is
+//!   that both prove; the two may never return contradictory
+//!   Equivalent/NotEquivalent verdicts.
 //!
 //! Wall-clock lives only in the report's timing section; every counter is
 //! a pure function of the fixed workloads.
@@ -26,12 +27,13 @@ use dfv_sec::{check_equivalence_with, Budget, CheckOptions, EquivOutcome};
 use crate::render_table;
 use crate::secbench;
 
-/// Conflict budget for the unswept side of the cliff table — far above
-/// anything the swept side needs, far below what the raw miters want.
+/// Conflict budget for the unswept side of the cliff table — far below
+/// what independently ordered multipliers would want.
 const CLIFF_CONFLICT_BUDGET: u64 = 20_000;
 
-/// Multiplier widths for the cliff table. Width 8 already costs the raw
-/// path ~200k conflicts; 16 is the paper-scale datapath.
+/// Multiplier widths for the cliff table. With independent operand
+/// orders, width 8 cost the raw path ~200k conflicts; 16 is the
+/// paper-scale datapath.
 const CLIFF_WIDTHS: [u32; 3] = [8, 12, 16];
 
 /// Runs E17 and reduces it to a [`RunReport`].
@@ -39,8 +41,8 @@ const CLIFF_WIDTHS: [u32; 3] = [8, 12, 16];
 /// # Panics
 ///
 /// Panics if sweeping changes any workload's verdict or counterexample
-/// locations (the workload sweep), if the swept cliff miters fail to
-/// prove, or if a cliff pair returns contradictory verdicts.
+/// locations (the workload sweep), if a cliff miter fails to prove on
+/// either path, or if a cliff pair returns contradictory verdicts.
 pub fn e17_report() -> RunReport {
     let mut rep = secbench::sec_bench_report(false);
 
@@ -57,8 +59,8 @@ pub fn e17_report() -> RunReport {
         let on = rep.phase(format!("cliff.mul{w}.on"), || {
             check_equivalence_with(&slm, &rtl, &spec, &swept).unwrap()
         });
-        // Monotonicity gate: sweeping may only *rescue* proofs, never
-        // flip one. A contradiction here would be a soundness bug.
+        // Sweeping may only *rescue* proofs, never flip one. A
+        // contradiction here would be a soundness bug.
         let contradiction = matches!(
             (&off.outcome, &on.outcome),
             (EquivOutcome::Equivalent, EquivOutcome::NotEquivalent(_))
@@ -69,11 +71,13 @@ pub fn e17_report() -> RunReport {
             "mul{w}: contradictory verdicts off={:?} on={:?}",
             off.outcome, on.outcome
         );
-        assert!(
-            on.outcome.is_equivalent(),
-            "mul{w}: swept commutativity miter must prove, got {:?}",
-            on.outcome
-        );
+        for (tag, r) in [("unswept", &off), ("swept", &on)] {
+            assert!(
+                r.outcome.is_equivalent(),
+                "mul{w}: {tag} commutativity miter must prove, got {:?}",
+                r.outcome
+            );
+        }
         let code = |o: &EquivOutcome| match o {
             EquivOutcome::Equivalent => 0u64,
             EquivOutcome::NotEquivalent(_) => 1,
@@ -130,7 +134,7 @@ pub fn e17_sat_sweeping() -> String {
         ]);
     }
     out.push_str(&format!(
-        "\nbeyond the cliff: commuted multiplier miters, sweep-off capped at {CLIFF_CONFLICT_BUDGET} conflicts\n\n"
+        "\nthe former cliff: commuted multiplier miters, sweep-off capped at {CLIFF_CONFLICT_BUDGET} conflicts\n\n"
     ));
     out.push_str(&render_table(
         &[
@@ -145,7 +149,7 @@ pub fn e17_sat_sweeping() -> String {
         &rows,
     ));
     out.push_str(
-        "\nsweep-off exhausts its conflict budget and degrades to Inconclusive on every\nwidth; sweep-on proves each miter with zero solver conflicts. Sweeping may\nrescue a proof the raw path cannot afford, but contradictory verdicts are\nasserted impossible before this table is printed.\n",
+        "\nthe bit-blaster orders multiplier operands canonically, so a*b and b*a share\ntheir gates and both paths prove every width with zero solver conflicts\n(sweep-off once exhausted its budget here). Contradictory verdicts are\nasserted impossible before this table is printed.\n",
     );
     out
 }
@@ -159,15 +163,13 @@ mod tests {
     /// whole workload sweep) runs in release via `experiments -- e17`,
     /// which `scripts/check.sh` gates on.
     #[test]
-    fn cliff_rescues_a_wide_multiplier() {
+    fn both_paths_close_the_multiplier_cliff() {
         let (slm, rtl, spec) = secbench::mul_pair(8, false);
         let mut opts = CheckOptions::with_budget(Budget::unlimited().with_conflicts(500));
         opts.fallback_transactions = 0;
         let off = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
-        assert!(
-            matches!(off.outcome, EquivOutcome::Inconclusive { .. }),
-            "raw mul8 commutativity must exhaust a 500-conflict budget"
-        );
+        assert!(off.outcome.is_equivalent(), "{:?}", off.outcome);
+        assert_eq!(off.solver_stats.conflicts, 0);
         opts.sweep = dfv_sec::SweepOptions::on();
         let on = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
         assert!(on.outcome.is_equivalent(), "{:?}", on.outcome);

@@ -33,9 +33,9 @@ struct SecWorkload {
 }
 
 /// `a*b` versus `b*a`, zero-extended to the full product width. The
-/// classic CDCL cliff: the unswept miter is exponential in the operand
-/// width, while commutative canonicalization collapses the two cones to
-/// the same literals.
+/// classic CDCL cliff for independently ordered multipliers; both the
+/// bit-blaster's canonical operand order and the sweep's commutative
+/// canonicalization collapse the two cones to the same literals.
 fn mul_comm(smoke: bool) -> (Module, Module, EquivSpec) {
     let w = if smoke { 5 } else { 7 };
     mul_pair(w, false)
@@ -151,8 +151,8 @@ fn add_assoc(smoke: bool) -> (Module, Module, EquivSpec) {
 /// A fused-multiply-add mantissa slice — significand multiply, addend
 /// alignment, sum, one-step normalization — with the RTL's multiply and
 /// add commuted and its datapath decorated with `|0` / `^0` identities
-/// the word-level rewriter must strip. The significand multiplier
-/// dominates the unswept miter; sweeping collapses it structurally.
+/// the word-level rewriter must strip. Both paths collapse the commuted
+/// significand multiplier structurally.
 fn fpu_slice(smoke: bool) -> (Module, Module, EquivSpec) {
     let mw = if smoke { 4 } else { 6 };
     let pw = 2 * mw + 1; // product plus one guard bit of headroom
@@ -457,15 +457,23 @@ mod tests {
         let b = sec_bench_report(true);
         assert_eq!(a.canonical_json(), b.canonical_json());
         assert!(!a.canonical_json().contains("wall_us"));
-        // The two commutativity workloads must show an integer-factor
-        // conflict drop even in smoke mode.
+        // Reassociation is the row the sweep still has to earn: the
+        // word-level rewriter leaves it alone and the bit-blaster's
+        // canonical operand order does not apply, so only the merge
+        // proofs can cut the search. At full width they must show an
+        // integer-factor conflict drop. (The commutativity rows once
+        // showed it too; the unswept encoder now closes them at zero
+        // conflicts by itself.)
+        let (slm, rtl, spec) = add_assoc(false);
+        let off = check_equivalence_with(&slm, &rtl, &spec, &CheckOptions::default()).unwrap();
+        let on = check_equivalence_with(&slm, &rtl, &spec, &CheckOptions::swept()).unwrap();
+        let (c_off, c_on) = (off.solver_stats.conflicts, on.solver_stats.conflicts);
+        assert!(
+            c_off >= 2 * c_on.max(1),
+            "add_assoc: conflicts off {c_off} vs on {c_on} — sweep lost its edge"
+        );
         for w in ["mul_comm", "madd_comm"] {
-            let off = a.counter(&format!("sec.{w}.off.conflicts"));
-            let on = a.counter(&format!("sec.{w}.on.conflicts"));
-            assert!(
-                off >= 2 * on.max(1),
-                "{w}: conflicts off {off} vs on {on} — sweep lost its edge"
-            );
+            assert_eq!(a.counter(&format!("sec.{w}.off.conflicts")), 0, "{w}");
         }
         // The seeded bug is found with matching mismatch locations.
         assert_eq!(a.counter("sec.mul_bug.verdict"), 1);

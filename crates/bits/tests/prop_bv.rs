@@ -1,212 +1,298 @@
-//! Property-based tests: `Bv` must agree with native integer arithmetic on
-//! widths up to 64, and ring/structural axioms must hold at any width.
-// Gated: property-based tests depend on the external `proptest` crate,
-// which offline builds cannot fetch. Enable with `--features proptest-tests`
-// in an environment that can resolve crates.io dependencies.
-#![cfg(feature = "proptest-tests")]
+//! Property tests: `Bv` must agree with native integer arithmetic on
+//! widths up to 64 (128 for add/sub), and ring/structural axioms must
+//! hold at any width.
+//!
+//! Uses the crate's own `SplitMix64` so the suite runs offline; the seeds
+//! are fixed, making every run reproducible.
 
-use dfv_bits::{Bv, Fx, OverflowMode, RoundingMode};
-use proptest::prelude::*;
+use dfv_bits::{Bv, Fx, OverflowMode, RoundingMode, SplitMix64};
 
-/// An arbitrary width in 1..=200 plus a value pattern.
-fn bv_strategy() -> impl Strategy<Value = Bv> {
-    (1u32..=200, proptest::collection::vec(any::<u64>(), 4)).prop_map(|(w, limbs)| {
-        let mut v = Bv::zero(w);
-        let mut out = v.clone();
-        for (i, l) in limbs.iter().enumerate() {
-            let base = (i * 64) as u32;
-            if base >= w {
-                break;
-            }
-            let hi = (base + 63).min(w - 1);
-            let part = Bv::from_u64(hi - base + 1, *l);
-            out = if base == 0 {
-                part.zext(w)
-            } else {
-                out.or(&part.zext(w).shl(base))
-            };
-            v = out.clone();
-        }
-        v
-    })
-}
+/// Cases per property.
+const CASES: u64 = 256;
 
-/// Pairs of equal-width vectors.
-fn bv_pair() -> impl Strategy<Value = (Bv, Bv)> {
-    bv_strategy().prop_flat_map(|a| {
-        let w = a.width();
-        (
-            Just(a),
-            proptest::collection::vec(any::<u64>(), 4).prop_map(move |limbs| {
-                let mut v = Bv::zero(w);
-                for (i, l) in limbs.iter().enumerate() {
-                    let base = (i * 64) as u32;
-                    if base >= w {
-                        break;
-                    }
-                    let hi = (base + 63).min(w - 1);
-                    v = v.or(&Bv::from_u64(hi - base + 1, *l).zext(w).shl(base));
-                }
-                v
-            }),
-        )
-    })
-}
-
-proptest! {
-    #[test]
-    fn add_matches_u128(w in 1u32..=128, a in any::<u128>(), b in any::<u128>()) {
-        let x = Bv::from_u128(w, a);
-        let y = Bv::from_u128(w, b);
-        let mask = if w == 128 { u128::MAX } else { (1u128 << w) - 1 };
-        prop_assert_eq!(x.wrapping_add(&y).to_u128(), a.wrapping_add(b) & mask);
-        prop_assert_eq!(x.wrapping_sub(&y).to_u128(), a.wrapping_sub(b) & mask);
+/// A random `u64`, one time in four an edge value (0, 1, all-ones, the
+/// sign bit alone or everything below it) that uniform draws almost
+/// never hit.
+fn word(rng: &mut SplitMix64) -> u64 {
+    const EDGES: [u64; 5] = [0, 1, u64::MAX, 1 << 63, (1 << 63) - 1];
+    if rng.below(4) == 0 {
+        EDGES[rng.below(EDGES.len() as u64) as usize]
+    } else {
+        rng.next_u64()
     }
+}
 
-    #[test]
-    fn mul_matches_u64(w in 1u32..=64, a in any::<u64>(), b in any::<u64>()) {
-        let x = Bv::from_u64(w, a);
-        let y = Bv::from_u64(w, b);
-        let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-        prop_assert_eq!(x.wrapping_mul(&y).to_u64(), (a & mask).wrapping_mul(b & mask) & mask);
-        prop_assert_eq!(
+/// A random vector of width 1..=200.
+fn random_bv(rng: &mut SplitMix64) -> Bv {
+    let w = rng.range_u64(1, 200) as u32;
+    random_bv_of(rng, w)
+}
+
+/// A random vector of width `w`, 64 bits at a time.
+fn random_bv_of(rng: &mut SplitMix64, w: u32) -> Bv {
+    let mut v = Bv::zero(w);
+    for base in (0..w).step_by(64) {
+        let hi = (base + 63).min(w - 1);
+        v = v.or(&Bv::from_u64(hi - base + 1, word(rng)).zext(w).shl(base));
+    }
+    v
+}
+
+/// Runs `check` on `CASES` cases drawn from a generator seeded with
+/// `seed`, passing the case number for failure messages.
+fn cases(seed: u64, mut check: impl FnMut(&mut SplitMix64, u64)) {
+    let mut rng = SplitMix64::new(seed);
+    for case in 0..CASES {
+        check(&mut rng, case);
+    }
+}
+
+fn mask64(w: u32) -> u64 {
+    if w == 64 {
+        u64::MAX
+    } else {
+        (1u64 << w) - 1
+    }
+}
+
+#[test]
+fn add_matches_u128() {
+    cases(0xB5_0001, |rng, case| {
+        let w = rng.range_u64(1, 128) as u32;
+        let a = u128::from(word(rng)) << 64 | u128::from(word(rng));
+        let b = u128::from(word(rng)) << 64 | u128::from(word(rng));
+        let (x, y) = (Bv::from_u128(w, a), Bv::from_u128(w, b));
+        let mask = if w == 128 {
+            u128::MAX
+        } else {
+            (1u128 << w) - 1
+        };
+        assert_eq!(
+            x.wrapping_add(&y).to_u128(),
+            a.wrapping_add(b) & mask,
+            "case {case}"
+        );
+        assert_eq!(
+            x.wrapping_sub(&y).to_u128(),
+            a.wrapping_sub(b) & mask,
+            "case {case}"
+        );
+    });
+}
+
+#[test]
+fn mul_matches_u64() {
+    cases(0xB5_0002, |rng, case| {
+        let w = rng.range_u64(1, 64) as u32;
+        let mask = mask64(w);
+        let (a, b) = (word(rng) & mask, word(rng) & mask);
+        let (x, y) = (Bv::from_u64(w, a), Bv::from_u64(w, b));
+        assert_eq!(
+            x.wrapping_mul(&y).to_u64(),
+            a.wrapping_mul(b) & mask,
+            "case {case}"
+        );
+        assert_eq!(
             x.widening_umul(&y).to_u128(),
-            ((a & mask) as u128) * ((b & mask) as u128)
+            u128::from(a) * u128::from(b),
+            "case {case}"
         );
-    }
+    });
+}
 
-    #[test]
-    fn div_matches_u64(w in 1u32..=64, a in any::<u64>(), b in any::<u64>()) {
-        let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-        let (am, bm) = (a & mask, b & mask);
-        prop_assume!(bm != 0);
-        let x = Bv::from_u64(w, am);
-        let y = Bv::from_u64(w, bm);
-        prop_assert_eq!(x.udiv(&y).to_u64(), am / bm);
-        prop_assert_eq!(x.urem(&y).to_u64(), am % bm);
-    }
-
-    #[test]
-    fn signed_ops_match_i64(w in 2u32..=64, a in any::<i64>(), b in any::<i64>()) {
-        let x = Bv::from_i64(w, a);
-        let y = Bv::from_i64(w, b);
-        let (ax, bx) = (x.to_i64(), y.to_i64());
-        prop_assume!(bx != 0);
-        prop_assume!(!(ax == i64::MIN && bx == -1));
-        // Quotient may overflow the w-bit range (MIN / -1); that case wraps,
-        // so compare through a re-encode.
-        let expect_q = Bv::from_i64(w, ax.wrapping_div(bx));
-        let expect_r = Bv::from_i64(w, ax.wrapping_rem(bx));
-        prop_assert_eq!(x.sdiv(&y), expect_q);
-        prop_assert_eq!(x.srem(&y), expect_r);
-        prop_assert_eq!(x.scmp(&y), ax.cmp(&bx));
-    }
-
-    #[test]
-    fn ring_axioms_any_width((a, b) in bv_pair()) {
-        let w = a.width();
-        let zero = Bv::zero(w);
-        prop_assert_eq!(a.wrapping_add(&b), b.wrapping_add(&a));
-        prop_assert_eq!(a.wrapping_mul(&b), b.wrapping_mul(&a));
-        prop_assert_eq!(a.wrapping_add(&zero), a.clone());
-        prop_assert_eq!(a.wrapping_sub(&a), zero.clone());
-        prop_assert_eq!(a.wrapping_add(&a.wrapping_neg()), zero);
-        prop_assert_eq!(a.wrapping_sub(&b).wrapping_add(&b), a.clone());
-    }
-
-    #[test]
-    fn same_width_add_is_associative((a, b) in bv_pair(), c_seed in any::<u64>()) {
-        // Modular addition at a FIXED width is associative; Fig 1's
-        // non-associativity appears only when an intermediate is narrower.
-        let c = Bv::from_u64(a.width(), c_seed);
-        prop_assert_eq!(
-            a.wrapping_add(&b).wrapping_add(&c),
-            a.wrapping_add(&b.wrapping_add(&c))
-        );
-    }
-
-    #[test]
-    fn de_morgan((a, b) in bv_pair()) {
-        prop_assert_eq!(a.and(&b).not(), a.not().or(&b.not()));
-        prop_assert_eq!(a.or(&b).not(), a.not().and(&b.not()));
-        prop_assert_eq!(a.xor(&b), a.and(&b.not()).or(&a.not().and(&b)));
-    }
-
-    #[test]
-    fn slice_concat_inverse(v in bv_strategy(), cut in any::<u32>()) {
-        let w = v.width();
-        prop_assume!(w >= 2);
-        let cut = 1 + cut % (w - 1); // 1..w-1
-        let hi = v.slice(w - 1, cut);
-        let lo = v.slice(cut - 1, 0);
-        prop_assert_eq!(hi.concat(&lo), v);
-    }
-
-    #[test]
-    fn extension_preserves_value(v in bv_strategy(), extra in 0u32..100) {
-        let z = v.zext(v.width() + extra);
-        prop_assert_eq!(z.trunc(v.width()), v.clone());
-        let s = v.sext(v.width() + extra);
-        prop_assert_eq!(s.trunc(v.width()), v.clone());
-        prop_assert_eq!(s.to_i64(), v.to_i64());
-    }
-
-    #[test]
-    fn shifts_match_scaling(v in bv_strategy(), s in 0u32..64) {
-        let w = v.width();
-        let factor = Bv::from_u64(w, 1).shl(s.min(w - 1));
-        if s < w {
-            prop_assert_eq!(v.shl(s), v.wrapping_mul(&factor));
-            prop_assert_eq!(v.lshr(s).shl(s), v.and(&Bv::ones(w).shl(s)));
-        } else {
-            prop_assert_eq!(v.shl(s), Bv::zero(w));
+#[test]
+fn div_matches_u64() {
+    cases(0xB5_0003, |rng, case| {
+        let w = rng.range_u64(1, 64) as u32;
+        let mask = mask64(w);
+        let (a, b) = (word(rng) & mask, word(rng) & mask);
+        if b == 0 {
+            return;
         }
-    }
+        let (x, y) = (Bv::from_u64(w, a), Bv::from_u64(w, b));
+        assert_eq!(x.udiv(&y).to_u64(), a / b, "case {case}");
+        assert_eq!(x.urem(&y).to_u64(), a % b, "case {case}");
+    });
+}
 
-    #[test]
-    fn ashr_matches_i64(w in 2u32..=64, a in any::<i64>(), s in 0u32..70) {
-        let x = Bv::from_i64(w, a);
-        let expect = if s >= w {
-            if x.msb() { -1 } else { 0 }
+#[test]
+fn signed_ops_match_i64() {
+    cases(0xB5_0004, |rng, case| {
+        let w = rng.range_u64(2, 64) as u32;
+        let x = Bv::from_i64(w, word(rng) as i64);
+        let y = Bv::from_i64(w, word(rng) as i64);
+        let (ax, bx) = (x.to_i64(), y.to_i64());
+        if bx == 0 || (ax == i64::MIN && bx == -1) {
+            return;
+        }
+        // The quotient may overflow the w-bit range (MIN / -1); that case
+        // wraps, so compare through a re-encode.
+        assert_eq!(
+            x.sdiv(&y),
+            Bv::from_i64(w, ax.wrapping_div(bx)),
+            "case {case}"
+        );
+        assert_eq!(
+            x.srem(&y),
+            Bv::from_i64(w, ax.wrapping_rem(bx)),
+            "case {case}"
+        );
+        assert_eq!(x.scmp(&y), ax.cmp(&bx), "case {case}");
+    });
+}
+
+#[test]
+fn ring_axioms_any_width() {
+    cases(0xB5_0005, |rng, case| {
+        let a = random_bv(rng);
+        let b = random_bv_of(rng, a.width());
+        let zero = Bv::zero(a.width());
+        assert_eq!(a.wrapping_add(&b), b.wrapping_add(&a), "case {case}");
+        assert_eq!(a.wrapping_mul(&b), b.wrapping_mul(&a), "case {case}");
+        assert_eq!(a.wrapping_add(&zero), a, "case {case}");
+        assert_eq!(a.wrapping_sub(&a), zero, "case {case}");
+        assert_eq!(a.wrapping_add(&a.wrapping_neg()), zero, "case {case}");
+        assert_eq!(a.wrapping_sub(&b).wrapping_add(&b), a, "case {case}");
+    });
+}
+
+#[test]
+fn same_width_add_is_associative() {
+    // Modular addition at a FIXED width is associative; Fig 1's
+    // non-associativity appears only when an intermediate is narrower.
+    cases(0xB5_0006, |rng, case| {
+        let a = random_bv(rng);
+        let b = random_bv_of(rng, a.width());
+        let c = Bv::from_u64(a.width(), word(rng));
+        assert_eq!(
+            a.wrapping_add(&b).wrapping_add(&c),
+            a.wrapping_add(&b.wrapping_add(&c)),
+            "case {case}"
+        );
+    });
+}
+
+#[test]
+fn de_morgan() {
+    cases(0xB5_0007, |rng, case| {
+        let a = random_bv(rng);
+        let b = random_bv_of(rng, a.width());
+        assert_eq!(a.and(&b).not(), a.not().or(&b.not()), "case {case}");
+        assert_eq!(a.or(&b).not(), a.not().and(&b.not()), "case {case}");
+        assert_eq!(
+            a.xor(&b),
+            a.and(&b.not()).or(&a.not().and(&b)),
+            "case {case}"
+        );
+    });
+}
+
+#[test]
+fn slice_concat_inverse() {
+    cases(0xB5_0008, |rng, case| {
+        let v = random_bv(rng);
+        let w = v.width();
+        if w < 2 {
+            return;
+        }
+        let cut = rng.range_u64(1, u64::from(w) - 1) as u32;
+        let (hi, lo) = (v.slice(w - 1, cut), v.slice(cut - 1, 0));
+        assert_eq!(hi.concat(&lo), v, "case {case}");
+    });
+}
+
+#[test]
+fn extension_preserves_value() {
+    cases(0xB5_0009, |rng, case| {
+        let v = random_bv(rng);
+        let extra = rng.below(100) as u32;
+        let z = v.zext(v.width() + extra);
+        assert_eq!(z.trunc(v.width()), v, "case {case}");
+        let s = v.sext(v.width() + extra);
+        assert_eq!(s.trunc(v.width()), v, "case {case}");
+        assert_eq!(s.to_i64(), v.to_i64(), "case {case}");
+    });
+}
+
+#[test]
+fn shifts_match_scaling() {
+    cases(0xB5_000A, |rng, case| {
+        let v = random_bv(rng);
+        let s = rng.below(64) as u32;
+        let w = v.width();
+        if s < w {
+            let factor = Bv::from_u64(w, 1).shl(s);
+            assert_eq!(v.shl(s), v.wrapping_mul(&factor), "case {case}");
+            assert_eq!(v.lshr(s).shl(s), v.and(&Bv::ones(w).shl(s)), "case {case}");
         } else {
-            // Emulate w-bit arithmetic shift in i64.
+            assert_eq!(v.shl(s), Bv::zero(w), "case {case}");
+        }
+    });
+}
+
+#[test]
+fn ashr_matches_i64() {
+    cases(0xB5_000B, |rng, case| {
+        let w = rng.range_u64(2, 64) as u32;
+        let x = Bv::from_i64(w, word(rng) as i64);
+        let s = rng.below(70) as u32;
+        let expect = if s >= w {
+            if x.msb() {
+                -1
+            } else {
+                0
+            }
+        } else {
+            // Emulate a w-bit arithmetic shift in i64.
             x.to_i64() >> s
         };
-        prop_assert_eq!(x.ashr(s).to_i64(), expect);
-    }
+        assert_eq!(x.ashr(s).to_i64(), expect, "case {case}");
+    });
+}
 
-    #[test]
-    fn parse_display_roundtrip(v in bv_strategy()) {
-        let s = v.to_string();
-        prop_assert_eq!(s.parse::<Bv>().unwrap(), v.clone());
+#[test]
+fn parse_display_roundtrip() {
+    cases(0xB5_000C, |rng, case| {
+        let v = random_bv(rng);
+        assert_eq!(v.to_string().parse::<Bv>().unwrap(), v, "case {case}");
         let b = format!("{}'b{:b}", v.width(), v);
-        prop_assert_eq!(b.parse::<Bv>().unwrap(), v);
-    }
+        assert_eq!(b.parse::<Bv>().unwrap(), v, "case {case}");
+    });
+}
 
-    #[test]
-    fn count_ones_consistent(v in bv_strategy()) {
+#[test]
+fn count_ones_consistent() {
+    cases(0xB5_000D, |rng, case| {
+        let v = random_bv(rng);
         let by_iter = v.iter_bits().filter(|&b| b).count() as u32;
-        prop_assert_eq!(v.count_ones(), by_iter);
-        prop_assert_eq!(v.not().count_ones(), v.width() - by_iter);
-    }
+        assert_eq!(v.count_ones(), by_iter, "case {case}");
+        assert_eq!(v.not().count_ones(), v.width() - by_iter, "case {case}");
+    });
+}
 
-    #[test]
-    fn fx_add_exact(a in -1000i64..1000, b in -1000i64..1000, fa in 0u32..6, fb in 0u32..6) {
+#[test]
+fn fx_add_exact() {
+    cases(0xB5_000E, |rng, case| {
+        let (a, b) = (rng.range_i64(-1000, 999), rng.range_i64(-1000, 999));
+        let (fa, fb) = (rng.below(6) as u32, rng.below(6) as u32);
         let x = Fx::from_raw(Bv::from_i64(16, a), fa);
         let y = Fx::from_raw(Bv::from_i64(16, b), fb);
-        let s = x.add(&y);
         let expect = (a as f64) * 2f64.powi(-(fa as i32)) + (b as f64) * 2f64.powi(-(fb as i32));
-        prop_assert!((s.to_f64() - expect).abs() < 1e-9);
-    }
+        assert!((x.add(&y).to_f64() - expect).abs() < 1e-9, "case {case}");
+    });
+}
 
-    #[test]
-    fn fx_saturate_brackets(v in -4096i64..4096) {
+#[test]
+fn fx_saturate_brackets() {
+    cases(0xB5_000F, |rng, case| {
+        let v = rng.range_i64(-4096, 4095);
         let x = Fx::from_raw(Bv::from_i64(16, v), 0);
-        let q = x.quantize(8, 0, RoundingMode::Truncate, OverflowMode::Saturate);
-        let f = q.to_f64();
-        prop_assert!((-128.0..=127.0).contains(&f));
+        let f = x
+            .quantize(8, 0, RoundingMode::Truncate, OverflowMode::Saturate)
+            .to_f64();
+        assert!((-128.0..=127.0).contains(&f), "case {case}");
         if (-128..=127).contains(&v) {
-            prop_assert_eq!(f, v as f64);
+            assert_eq!(f, v as f64, "case {case}");
         }
-    }
+    });
 }

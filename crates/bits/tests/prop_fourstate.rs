@@ -2,17 +2,23 @@
 //! unknown bits of the operands, the concrete 2-state result must be
 //! *covered* by the four-state result (agree on every bit the four-state
 //! result claims to know).
-// Gated: property-based tests depend on the external `proptest` crate,
-// which offline builds cannot fetch. Enable with `--features proptest-tests`
-// in an environment that can resolve crates.io dependencies.
-#![cfg(feature = "proptest-tests")]
+//!
+//! Uses the crate's own `SplitMix64` so the suite runs offline; the seeds
+//! are fixed, making every run reproducible.
 
-use dfv_bits::{Bv, Xv};
-use proptest::prelude::*;
+use dfv_bits::{Bv, SplitMix64, Xv};
+
+/// Cases per property.
+const CASES: u64 = 400;
 
 /// Builds a partial value from (value bits, known mask) seeds.
 fn xv(width: u32, value: u64, known: u64) -> Xv {
     Xv::with_mask(&Bv::from_u64(width, value), &Bv::from_u64(width, known))
+}
+
+/// A random partial value of width `w`.
+fn random_xv(rng: &mut SplitMix64, w: u32) -> Xv {
+    xv(w, rng.next_u64(), rng.next_u64())
 }
 
 /// Completes an Xv's unknown bits from a fill pattern.
@@ -30,57 +36,64 @@ fn covers(x: &Xv, concrete: &Bv) -> bool {
     x.value_bits().and(&known) == concrete.and(&known)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(400))]
-
-    #[test]
-    fn binary_ops_are_sound(
-        w in 1u32..=16,
-        av in any::<u64>(), ak in any::<u64>(),
-        bv in any::<u64>(), bk in any::<u64>(),
-        fa in any::<u64>(), fb in any::<u64>(),
-    ) {
-        let a = xv(w, av, ak);
-        let b = xv(w, bv, bk);
-        let (ca, cb) = (complete(&a, fa), complete(&b, fb));
-        prop_assert!(covers(&a.and(&b), &ca.and(&cb)), "and");
-        prop_assert!(covers(&a.or(&b), &ca.or(&cb)), "or");
-        prop_assert!(covers(&a.xor(&b), &ca.xor(&cb)), "xor");
-        prop_assert!(covers(&a.not(), &ca.not()), "not");
-        prop_assert!(covers(&a.add(&b), &ca.wrapping_add(&cb)), "add");
+#[test]
+fn binary_ops_are_sound() {
+    let mut rng = SplitMix64::new(0xF5_0001);
+    for case in 0..CASES {
+        let w = rng.range_u64(1, 16) as u32;
+        let (a, b) = (random_xv(&mut rng, w), random_xv(&mut rng, w));
+        let (ca, cb) = (complete(&a, rng.next_u64()), complete(&b, rng.next_u64()));
+        assert!(covers(&a.and(&b), &ca.and(&cb)), "case {case}: and");
+        assert!(covers(&a.or(&b), &ca.or(&cb)), "case {case}: or");
+        assert!(covers(&a.xor(&b), &ca.xor(&cb)), "case {case}: xor");
+        assert!(covers(&a.not(), &ca.not()), "case {case}: not");
+        assert!(
+            covers(&a.add(&b), &ca.wrapping_add(&cb)),
+            "case {case}: add"
+        );
     }
+}
 
-    #[test]
-    fn mux_is_sound(
-        w in 1u32..=16,
-        av in any::<u64>(), ak in any::<u64>(),
-        bv in any::<u64>(), bk in any::<u64>(),
-        sel_known in any::<bool>(), sel_val in any::<bool>(),
-        fa in any::<u64>(), fb in any::<u64>(), fs in any::<bool>(),
-    ) {
-        let a = xv(w, av, ak);
-        let b = xv(w, bv, bk);
+#[test]
+fn mux_is_sound() {
+    let mut rng = SplitMix64::new(0xF5_0002);
+    for case in 0..CASES {
+        let w = rng.range_u64(1, 16) as u32;
+        let (a, b) = (random_xv(&mut rng, w), random_xv(&mut rng, w));
+        let (sel_known, sel_val) = (rng.next_bool(), rng.next_bool());
         let s = if sel_known {
             Xv::from_bv(&Bv::from_bool(sel_val))
         } else {
             Xv::unknown(1)
         };
         let m = Xv::mux(&s, &a, &b);
-        let concrete_sel = if sel_known { sel_val } else { fs };
+        let concrete_sel = if sel_known { sel_val } else { rng.next_bool() };
+        let (fa, fb) = (rng.next_u64(), rng.next_u64());
         let concrete = if concrete_sel {
             complete(&a, fa)
         } else {
             complete(&b, fb)
         };
-        prop_assert!(covers(&m, &concrete));
+        assert!(covers(&m, &concrete), "case {case}");
     }
+}
 
-    #[test]
-    fn fully_known_ops_are_exact(w in 1u32..=16, av in any::<u64>(), bv in any::<u64>()) {
-        let (a, b) = (Bv::from_u64(w, av), Bv::from_u64(w, bv));
+#[test]
+fn fully_known_ops_are_exact() {
+    let mut rng = SplitMix64::new(0xF5_0003);
+    for case in 0..CASES {
+        let w = rng.range_u64(1, 16) as u32;
+        let (a, b) = (
+            Bv::from_u64(w, rng.next_u64()),
+            Bv::from_u64(w, rng.next_u64()),
+        );
         let (xa, xb) = (Xv::from_bv(&a), Xv::from_bv(&b));
-        prop_assert_eq!(xa.add(&xb).try_to_bv().unwrap(), a.wrapping_add(&b));
-        prop_assert_eq!(xa.and(&xb).try_to_bv().unwrap(), a.and(&b));
-        prop_assert_eq!(xa.xor(&xb).try_to_bv().unwrap(), a.xor(&b));
+        assert_eq!(
+            xa.add(&xb).try_to_bv().unwrap(),
+            a.wrapping_add(&b),
+            "case {case}"
+        );
+        assert_eq!(xa.and(&xb).try_to_bv().unwrap(), a.and(&b), "case {case}");
+        assert_eq!(xa.xor(&xb).try_to_bv().unwrap(), a.xor(&b), "case {case}");
     }
 }

@@ -1111,24 +1111,30 @@ mod tests {
         }
     }
 
-    /// A deliberately hard, genuinely-equivalent block: 16×16→32 multiplier
-    /// commutativity (`a*b` in the SLM vs `b*a` in the RTL), which CDCL
-    /// cannot settle under a tiny budget.
+    /// A deliberately hard, genuinely-equivalent block: distributivity
+    /// over 16-bit operands (`a*(b+c)` in the SLM vs `a*b + a*c` in the
+    /// RTL), which CDCL cannot settle under a tiny budget.
     fn hard_block() -> BlockPair {
-        let mut rb = ModuleBuilder::new("rtl_mul");
+        let mut rb = ModuleBuilder::new("rtl_distrib");
         let a = rb.input("a", 16);
         let b = rb.input("b", 16);
-        let (aw, bw) = (rb.zext(a, 32), rb.zext(b, 32));
-        let y = rb.mul(bw, aw);
+        let c = rb.input("c", 16);
+        let (aw, bw, cw) = (rb.zext(a, 32), rb.zext(b, 32), rb.zext(c, 32));
+        let ab = rb.mul(aw, bw);
+        let ac = rb.mul(aw, cw);
+        let y = rb.add(ab, ac);
         rb.output("y", y);
         BlockPair {
-            name: "mul".into(),
-            slm_source: "uint32 mul(uint16 a, uint16 b) { return (uint32)a * (uint32)b; }".into(),
-            slm_entry: "mul".into(),
+            name: "distrib".into(),
+            slm_source: "uint32 distrib(uint16 a, uint16 b, uint16 c) { \
+                         return (uint32)a * ((uint32)b + (uint32)c); }"
+                .into(),
+            slm_entry: "distrib".into(),
             rtl: rb.finish().unwrap(),
             spec: EquivSpec::new(1)
                 .bind("a", 0, Binding::Slm("a".into()))
                 .bind("b", 0, Binding::Slm("b".into()))
+                .bind("c", 0, Binding::Slm("c".into()))
                 .compare("return", "y", 0),
         }
     }

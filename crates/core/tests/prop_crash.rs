@@ -69,24 +69,28 @@ fn random_block(i: usize, rng: &mut SplitMix64) -> BlockPair {
             spec,
         },
         _ => {
-            // 12x12 multiplier commutativity: beyond the tiny budget below,
-            // deterministically inconclusive.
-            let mut rb = ModuleBuilder::new("rtl_mul");
+            // 12-bit distributivity, a*(b+c) vs a*b + a*c: beyond the tiny
+            // budget below, deterministically inconclusive.
+            let mut rb = ModuleBuilder::new("rtl_distrib");
             let a = rb.input("a", 12);
             let b = rb.input("b", 12);
-            let (aw, bw) = (rb.zext(a, 24), rb.zext(b, 24));
-            let y = rb.mul(bw, aw);
+            let c = rb.input("c", 12);
+            let (aw, bw, cw) = (rb.zext(a, 24), rb.zext(b, 24), rb.zext(c, 24));
+            let ab = rb.mul(aw, bw);
+            let ac = rb.mul(aw, cw);
+            let y = rb.add(ab, ac);
             rb.output("y", y);
             BlockPair {
                 name,
-                slm_source:
-                    "uint<24> mul(uint<12> a, uint<12> b) { return (uint<24>)a * (uint<24>)b; }"
-                        .into(),
-                slm_entry: "mul".into(),
+                slm_source: "uint<24> distrib(uint<12> a, uint<12> b, uint<12> c) { \
+                             return (uint<24>)a * ((uint<24>)b + (uint<24>)c); }"
+                    .into(),
+                slm_entry: "distrib".into(),
                 rtl: rb.finish().unwrap(),
                 spec: EquivSpec::new(1)
                     .bind("a", 0, Binding::Slm("a".into()))
                     .bind("b", 0, Binding::Slm("b".into()))
+                    .bind("c", 0, Binding::Slm("c".into()))
                     .compare("return", "y", 0),
             }
         }

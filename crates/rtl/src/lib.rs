@@ -59,7 +59,9 @@ pub use cone::{fanin_cone, ConeEntry, ConeKind, ConeStart};
 pub use flatten::flatten;
 pub use ir::{Design, Module, ModuleStats, NodeId};
 pub use lanes::{LaneSim, LaneStats};
-pub use netlist::{parse_design, parse_module, write_design, write_module, MAX_WIDTH};
+pub use netlist::{
+    parse_design, parse_module, write_design, write_module, MAX_MEM_DEPTH, MAX_WIDTH,
+};
 pub use opt::{optimize, OptStats};
 pub use schedule::SimSchedule;
 pub use sim::{eval_bin, eval_un, EvalMode, SimStats, Simulator, TraceStep};

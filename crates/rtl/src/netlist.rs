@@ -441,6 +441,13 @@ fn parse_num<T: std::str::FromStr>(line: usize, tok: &str, what: &str) -> Result
 /// kilobytes.
 pub const MAX_WIDTH: u32 = 1 << 16;
 
+/// The deepest memory, in words, a parsed netlist may declare: 65 536
+/// words, a 16-bit address space. Simulators allocate every word up
+/// front, so together with [`MAX_WIDTH`] this bounds what one `mem` line
+/// can make a simulation of a client netlist allocate; the workspace's
+/// designs use at most 16 words.
+pub const MAX_MEM_DEPTH: usize = 1 << 16;
+
 fn width_cap(line: usize, width: u64, what: &str) -> Result<(), RtlError> {
     if width > u64::from(MAX_WIDTH) {
         return Err(perr(
@@ -580,6 +587,12 @@ impl<'a> Parser<'a> {
                     let addr_width = parse_width(ln, t.next().unwrap_or(""), "addr width")?;
                     let data_width = parse_width(ln, t.next().unwrap_or(""), "data width")?;
                     let depth: usize = parse_num(ln, t.next().unwrap_or(""), "depth")?;
+                    if depth > MAX_MEM_DEPTH {
+                        return Err(perr(
+                            ln,
+                            format!("mem depth {depth} exceeds the maximum depth {MAX_MEM_DEPTH}"),
+                        ));
+                    }
                     let mut init = Vec::new();
                     for tok in t {
                         init.push(parse_bv(ln, tok)?);
@@ -830,6 +843,20 @@ mod tests {
         assert_eq!(back.modules.len(), 2);
         assert_eq!(back.module("top").unwrap(), d.module("top").unwrap());
         assert_eq!(back.module("leaf").unwrap(), d.module("leaf").unwrap());
+    }
+
+    #[test]
+    fn memory_depths_above_the_cap_are_refused() {
+        let max = MAX_MEM_DEPTH;
+        let ok = format!("module m\n  mem q 16 8 {max}\nend\n");
+        assert_eq!(parse_module(&ok).unwrap().mems[0].depth, MAX_MEM_DEPTH);
+        let over = format!("module m\n  mem q 16 8 {}\nend\n", max + 1);
+        match parse_module(&over) {
+            Err(RtlError::Parse { line: 2, message }) => {
+                assert!(message.contains("exceeds the maximum depth"), "{message}")
+            }
+            other => panic!("expected a depth error, got {other:?}"),
+        }
     }
 
     #[test]

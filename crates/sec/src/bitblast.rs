@@ -1,15 +1,20 @@
 //! Bit-blasting: word-level IR operators to CNF via Tseitin encoding.
 //!
 //! Every word-level value becomes a vector of SAT literals (LSB first).
-//! Gate encoders allocate fresh variables and add the defining clauses to
-//! the underlying [`Solver`].
+//! Gate encoders allocate a fresh variable per gate output and record the
+//! gate in a log; its defining clauses reach the [`Solver`] only when a
+//! solve depends on it. [`BitBlaster::solve`] first emits the cone of the
+//! literals it reads — the assumptions plus every asserted clause — in
+//! creation order, so a miter that structural hashing already folded to a
+//! constant costs no clauses at all, and a cone that covers every gate
+//! gets exactly the CNF an eager encoder would have built.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use dfv_bits::Bv;
 use dfv_rtl::ir::{BinOp, UnOp};
-use dfv_sat::{Lit, Solver};
+use dfv_sat::{Budget, Lit, SolveResult, Solver};
 
 /// An FxHash-style hasher for the gate caches. Their keys are two literal
 /// indices packed into one `u64`, so one multiply mixes every key bit
@@ -44,13 +49,30 @@ fn gate_key(a: Lit, b: Lit) -> u64 {
     (a.index() as u64) << 32 | b.index() as u64
 }
 
-/// A bit-blasting context over a [`Solver`].
+/// One entry of the gate log: what emission turns into clauses.
+#[derive(Debug, Clone, Copy)]
+enum Gate {
+    /// `o <-> a & b`.
+    And { o: Lit, a: Lit, b: Lit },
+    /// `o <-> x ^ y`.
+    Xor { o: Lit, x: Lit, y: Lit },
+    /// The asserted clause `asserted[i]`.
+    Assert(u32),
+}
+
+/// [`BitBlaster::def`] of a variable no unemitted gate defines: an input,
+/// the constant, or a gate output whose clauses are already emitted.
+const NO_GATE: u32 = u32::MAX;
+
+/// A bit-blasting context owning its [`Solver`].
 ///
 /// Holds the constant-true literal and provides word-level operator
-/// encoders used by the unroller and the miter builder.
+/// encoders used by the unroller and the miter builder. Gates are
+/// recorded, not emitted: the solver holds only the clauses of cones some
+/// earlier [`BitBlaster::solve`] or [`BitBlaster::emit_cone`] depended on.
 #[derive(Debug)]
-pub struct BitBlaster<'a> {
-    solver: &'a mut Solver,
+pub struct BitBlaster {
+    solver: Solver,
     true_lit: Lit,
     /// Structural hashing (hash-consing) of AND/XOR gates: transaction
     /// unrolling re-encodes mostly-identical combinational cones every
@@ -59,15 +81,37 @@ pub struct BitBlaster<'a> {
     ///
     /// Gate outputs are a pure function of the operand literals and these
     /// caches, which only ever grow: re-encoding an operator on operands
-    /// already seen returns the same literals and emits nothing, which is
-    /// what lets the unroller skip it outright.
+    /// already seen returns the same literals and records nothing, which
+    /// is what lets the unroller skip it outright.
     and_cache: GateCache,
     xor_cache: GateCache,
+    /// Every gate and assertion, in creation order.
+    gates: Vec<Gate>,
+    /// The literals of each asserted clause, indexed by [`Gate::Assert`].
+    asserted: Vec<Vec<Lit>>,
+    /// Per solver variable, the index in `gates` of the gate defining it
+    /// while that gate is unemitted; [`NO_GATE`] otherwise.
+    def: Vec<u32>,
+    /// Gate-log indices of the assertions not emitted yet. Every solve
+    /// depends on all of them.
+    pending_asserts: Vec<u32>,
+    /// Scratch for [`BitBlaster::emit_cone`]: the variables left to visit
+    /// and the gates found.
+    stack: Vec<u32>,
+    cone: Vec<u32>,
 }
 
-impl<'a> BitBlaster<'a> {
-    /// Creates a context, allocating the constant-true variable.
-    pub fn new(solver: &'a mut Solver) -> Self {
+impl Default for BitBlaster {
+    fn default() -> Self {
+        BitBlaster::new()
+    }
+}
+
+impl BitBlaster {
+    /// Creates a context over a fresh solver, allocating the constant-true
+    /// variable.
+    pub fn new() -> Self {
+        let mut solver = Solver::new();
         let t = solver.new_var().positive();
         solver.add_clause(&[t]);
         BitBlaster {
@@ -75,6 +119,12 @@ impl<'a> BitBlaster<'a> {
             true_lit: t,
             and_cache: GateCache::default(),
             xor_cache: GateCache::default(),
+            gates: Vec::new(),
+            asserted: Vec::new(),
+            def: vec![NO_GATE],
+            pending_asserts: Vec::new(),
+            stack: Vec::new(),
+            cone: Vec::new(),
         }
     }
 
@@ -88,16 +138,38 @@ impl<'a> BitBlaster<'a> {
         !self.true_lit
     }
 
-    /// The underlying solver.
-    pub fn solver(&mut self) -> &mut Solver {
-        self.solver
+    /// The underlying solver: its model after a [`BitBlaster::solve`],
+    /// its statistics, and the variables and clauses emitted so far.
+    pub fn solver(&self) -> &Solver {
+        &self.solver
+    }
+
+    /// Forwards a recorder into the solver, so `sat.*` counters of later
+    /// solves land in it.
+    pub(crate) fn set_recorder(&mut self, rec: dfv_obs::SharedRecorder) {
+        self.solver.set_recorder(rec);
+    }
+
+    /// The number of gates and assertions recorded so far, emitted or not.
+    pub fn num_gates(&self) -> usize {
+        self.gates.len()
+    }
+
+    /// A fresh variable no gate defines.
+    fn fresh_lit(&mut self) -> Lit {
+        self.def.push(NO_GATE);
+        self.solver.new_var().positive()
+    }
+
+    /// Records `gate`, whose output `o` was just allocated.
+    fn record(&mut self, o: Lit, gate: Gate) {
+        self.def[o.var().index()] = self.gates.len() as u32;
+        self.gates.push(gate);
     }
 
     /// A vector of fresh unconstrained literals (a symbolic word).
     pub fn fresh_word(&mut self, width: u32) -> Vec<Lit> {
-        (0..width)
-            .map(|_| self.solver.new_var().positive())
-            .collect()
+        (0..width).map(|_| self.fresh_lit()).collect()
     }
 
     /// Encodes a constant.
@@ -110,7 +182,87 @@ impl<'a> BitBlaster<'a> {
 
     /// Asserts a single literal.
     pub fn assert_lit(&mut self, l: Lit) {
-        self.solver.add_clause(&[l]);
+        self.assert_clause(&[l]);
+    }
+
+    /// Asserts that at least one of `lits` holds. Every later solve
+    /// depends on the clause and on the cones of its literals.
+    pub(crate) fn assert_clause(&mut self, lits: &[Lit]) {
+        self.pending_asserts.push(self.gates.len() as u32);
+        self.gates.push(Gate::Assert(self.asserted.len() as u32));
+        self.asserted.push(lits.to_vec());
+    }
+
+    /// Emits into the solver the clauses of every not-yet-emitted gate in
+    /// the cone of `roots` and of the asserted clauses, in creation order.
+    /// Since every gate's operands were created before it, creation order
+    /// defines each literal before any clause that reads it, and a cone
+    /// covering the whole log reproduces the eager encoding clause for
+    /// clause.
+    pub fn emit_cone(&mut self, roots: &[Lit]) {
+        let mut stack = std::mem::take(&mut self.stack);
+        let mut cone = std::mem::take(&mut self.cone);
+        for &g in &self.pending_asserts {
+            cone.push(g);
+            let Gate::Assert(i) = self.gates[g as usize] else {
+                unreachable!("pending assertions are assertions")
+            };
+            stack.extend(
+                self.asserted[i as usize]
+                    .iter()
+                    .map(|l| l.var().index() as u32),
+            );
+        }
+        self.pending_asserts.clear();
+        stack.extend(roots.iter().map(|l| l.var().index() as u32));
+        while let Some(v) = stack.pop() {
+            let g = std::mem::replace(&mut self.def[v as usize], NO_GATE);
+            if g == NO_GATE {
+                continue;
+            }
+            cone.push(g);
+            match self.gates[g as usize] {
+                Gate::And { a, b: y, .. } | Gate::Xor { x: a, y, .. } => {
+                    stack.push(a.var().index() as u32);
+                    stack.push(y.var().index() as u32);
+                }
+                Gate::Assert(_) => unreachable!("assertions define no variable"),
+            }
+        }
+        cone.sort_unstable();
+        // `a`, `b` (or `x`, `y`) and the gate's own `o` are three distinct
+        // variables, so gate clauses skip `add_clause`'s dedup and
+        // tautology checks.
+        for &g in &cone {
+            match self.gates[g as usize] {
+                Gate::And { o, a, b } => {
+                    self.solver.add_clause_distinct([!a, !b, o]);
+                    self.solver.add_clause_distinct([a, !o]);
+                    self.solver.add_clause_distinct([b, !o]);
+                }
+                Gate::Xor { o, x, y } => {
+                    self.solver.add_clause_distinct([!x, !y, !o]);
+                    self.solver.add_clause_distinct([x, y, !o]);
+                    self.solver.add_clause_distinct([!x, y, o]);
+                    self.solver.add_clause_distinct([x, !y, o]);
+                }
+                Gate::Assert(i) => {
+                    self.solver.add_clause(&self.asserted[i as usize]);
+                }
+            }
+        }
+        cone.clear();
+        self.stack = stack;
+        self.cone = cone;
+    }
+
+    /// Solves under `assumptions` and `budget` after emitting the cone the
+    /// call depends on: the assumptions' and every asserted clause's. The
+    /// model then covers every literal in that cone; literals outside it
+    /// are unconstrained.
+    pub fn solve(&mut self, assumptions: &[Lit], budget: &Budget) -> SolveResult {
+        self.emit_cone(assumptions);
+        self.solver.solve_budgeted(assumptions, budget)
     }
 
     /// Tseitin AND gate: returns `o` with `o <-> a & b`.
@@ -139,12 +291,8 @@ impl<'a> BitBlaster<'a> {
         if let Some(&o) = self.and_cache.get(&key) {
             return o;
         }
-        // `a`, `b` and the fresh `o` are three distinct variables, so the
-        // clauses skip `add_clause`'s dedup and tautology checks.
-        let o = self.solver.new_var().positive();
-        self.solver.add_clause_distinct([!a, !b, o]);
-        self.solver.add_clause_distinct([a, !o]);
-        self.solver.add_clause_distinct([b, !o]);
+        let o = self.fresh_lit();
+        self.record(o, Gate::And { o, a, b });
         self.and_cache.insert(key, o);
         o
     }
@@ -190,11 +338,8 @@ impl<'a> BitBlaster<'a> {
         if let Some(&o) = self.xor_cache.get(&key) {
             return if invert { !o } else { o };
         }
-        let o = self.solver.new_var().positive();
-        self.solver.add_clause_distinct([!x, !y, !o]);
-        self.solver.add_clause_distinct([x, y, !o]);
-        self.solver.add_clause_distinct([!x, y, o]);
-        self.solver.add_clause_distinct([x, !y, o]);
+        let o = self.fresh_lit();
+        self.record(o, Gate::Xor { o, x, y });
         self.xor_cache.insert(key, o);
         if invert {
             !o
@@ -328,18 +473,20 @@ impl<'a> BitBlaster<'a> {
 
     /// Shift-and-add multiplication, truncated to the operand width.
     ///
-    /// When one operand is constant it is used as the multiplier, so only
-    /// its *set* bits contribute partial products — this keeps a
-    /// constant-coefficient multiply structurally identical no matter which
-    /// side of `*` the constant appeared on, which in turn lets the
-    /// hash-conser collapse SLM and RTL cones that differ only in operand
+    /// Multiplication commutes but the shift-add rows do not, so the
+    /// operands are put in a canonical order first: a constant operand
+    /// becomes the multiplier, so only its *set* bits contribute partial
+    /// products, and otherwise the smaller literal vector comes first.
+    /// Either way `a*b` and `b*a` produce the same gates, and the
+    /// hash-conser collapses SLM and RTL cones that differ only in operand
     /// order.
     pub fn mul_word(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
         debug_assert_eq!(a.len(), b.len());
-        let (a, b) = if self.is_const_word(a) && !self.is_const_word(b) {
-            (b, a) // multiplication is commutative; put the constant second
-        } else {
-            (a, b)
+        let (a, b) = match (self.is_const_word(a), self.is_const_word(b)) {
+            (true, false) => (b, a),
+            (false, true) => (a, b),
+            _ if a <= b => (a, b),
+            _ => (b, a),
         };
         let w = a.len();
         let mut acc = vec![self.false_lit(); w];
@@ -545,7 +692,13 @@ pub fn model_word(solver: &Solver, word: &[Lit]) -> Bv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfv_sat::SolveResult;
+
+    /// Solves with no assumptions after emitting the cone of `read`, so
+    /// the model gives those literals their encoded values.
+    fn solve_reading(bb: &mut BitBlaster, read: &[Lit]) -> SolveResult {
+        bb.emit_cone(read);
+        bb.solve(&[], &Budget::unlimited())
+    }
 
     /// Checks an operator encoding against concrete evaluation for all
     /// pairs of 4-bit values — exhaustive ground truth.
@@ -553,14 +706,12 @@ mod tests {
         let w = 4u32;
         for av in 0..16u64 {
             for bv in 0..16u64 {
-                let mut solver = Solver::new();
-                let mut bb = BitBlaster::new(&mut solver);
+                let mut bb = BitBlaster::new();
                 let a = bb.constant(&Bv::from_u64(w, av));
                 let b = bb.constant(&Bv::from_u64(w, bv));
                 let out = bb.bin_op(op, &a, &b);
-                drop(bb);
-                assert_eq!(solver.solve(), SolveResult::Sat);
-                let got = model_word(&solver, &out);
+                assert_eq!(solve_reading(&mut bb, &out), SolveResult::Sat);
+                let got = model_word(bb.solver(), &out);
                 let expect = dfv_rtl::eval_bin(op, &Bv::from_u64(w, av), &Bv::from_u64(w, bv));
                 assert_eq!(got, expect, "{op:?} {av} {bv}");
             }
@@ -613,24 +764,21 @@ mod tests {
     #[test]
     fn symbolic_addition_is_commutative() {
         // Prove forall a, b: a + b == b + a at 8 bits (UNSAT of inequality).
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        let mut bb = BitBlaster::new();
         let a = bb.fresh_word(8);
         let b = bb.fresh_word(8);
         let ab = bb.add_word(&a, &b, bb.false_lit());
         let ba = bb.add_word(&b, &a, bb.false_lit());
         let eq = bb.eq_word(&ab, &ba);
         bb.assert_lit(!eq);
-        drop(bb);
-        assert_eq!(solver.solve(), SolveResult::Unsat);
+        assert_eq!(bb.solve(&[], &Budget::unlimited()), SolveResult::Unsat);
     }
 
     #[test]
     fn symbolic_fig1_counterexample_exists() {
         // The paper's Fig 1: (a+b)+c != (b+c)+a at 8-bit intermediates,
         // when the final sum is taken at 9 bits. SAT must find a witness.
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        let mut bb = BitBlaster::new();
         let a = bb.fresh_word(8);
         let b = bb.fresh_word(8);
         let c = bb.fresh_word(8);
@@ -649,13 +797,12 @@ mod tests {
         let rhs = bb.add_word(&t2w, &aw, bb.false_lit());
         let eq = bb.eq_word(&lhs, &rhs);
         bb.assert_lit(!eq);
-        drop(bb);
-        assert_eq!(solver.solve(), SolveResult::Sat);
+        assert_eq!(bb.solve(&[], &Budget::unlimited()), SolveResult::Sat);
         // The witness must really violate associativity when replayed.
         let (av, bv, cv) = (
-            model_word(&solver, &a),
-            model_word(&solver, &b),
-            model_word(&solver, &c),
+            model_word(bb.solver(), &a),
+            model_word(bb.solver(), &b),
+            model_word(bb.solver(), &c),
         );
         let l = av.wrapping_add(&bv).sext(9).wrapping_add(&cv.sext(9));
         let r = bv.wrapping_add(&cv).sext(9).wrapping_add(&av.sext(9));
@@ -663,16 +810,15 @@ mod tests {
     }
 
     #[test]
-    fn constant_operand_gates_fold_without_clauses() {
+    fn constant_operand_gates_fold_without_gates() {
         // Every gate with a known true/false operand must return the
-        // folded literal and emit no clauses at all.
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        // folded literal and record no gate at all.
+        let mut bb = BitBlaster::new();
         let a = bb.fresh_word(1)[0];
         let f = bb.fresh_word(1)[0];
         let tt = bb.true_lit();
         let ff = bb.false_lit();
-        let before = bb.solver().num_clauses();
+        let before = bb.num_gates();
         assert_eq!(bb.and_gate(a, ff), ff);
         assert_eq!(bb.and_gate(tt, a), a);
         assert_eq!(bb.or_gate(a, ff), a);
@@ -686,15 +832,15 @@ mod tests {
         assert_eq!(bb.mux_gate(ff, a, f), f);
         assert_eq!(bb.mux_gate(a, f, f), f);
         assert_eq!(
-            bb.solver().num_clauses(),
+            bb.num_gates(),
             before,
-            "constant folds must not emit clauses"
+            "constant folds must not record gates"
         );
         // Constant-arm muxes collapse to a single gate, not three.
         let one_gate = bb.mux_gate(a, tt, f); // a | f
-        let after_or = bb.solver().num_clauses();
+        assert_eq!(bb.num_gates(), before + 1);
         assert_eq!(one_gate, bb.or_gate(a, f), "hash-conses with plain or");
-        assert_eq!(bb.solver().num_clauses(), after_or);
+        assert_eq!(bb.num_gates(), before + 1);
     }
 
     #[test]
@@ -708,8 +854,7 @@ mod tests {
             // Five shapes: both arms free, t const, f const, t == !f,
             // and both arms const.
             for shape in 0..5 {
-                let mut solver = Solver::new();
-                let mut bb = BitBlaster::new(&mut solver);
+                let mut bb = BitBlaster::new();
                 let s = bb.fresh_word(1)[0];
                 let x = bb.fresh_word(1)[0];
                 let konst = |bb: &mut BitBlaster, v: bool| {
@@ -736,14 +881,13 @@ mod tests {
                         bb.assert_lit(if v { lit } else { !lit });
                     }
                 }
-                drop(bb);
                 assert_eq!(
-                    solver.solve(),
+                    solve_reading(&mut bb, &[o]),
                     SolveResult::Sat,
                     "shape {shape} bits {bits}"
                 );
                 assert_eq!(
-                    solver.lit_value(o),
+                    bb.solver().lit_value(o),
                     Some(expect),
                     "shape {shape} s={sv} t={tv} f={fv}"
                 );

@@ -67,8 +67,7 @@ pub fn check_property(module: &Module, property: &str, bound: u32) -> Result<Bmc
     let start = Instant::now();
     validate_property(module, property, bound)?;
 
-    let mut solver = Solver::new();
-    let mut bb = BitBlaster::new(&mut solver);
+    let mut bb = BitBlaster::new();
     let mut sym = SymbolicSim::new(&mut bb, module, InitState::Reset)?;
     let mut input_words: Vec<Vec<Vec<Lit>>> = Vec::new();
     let mut violated_at: Vec<Lit> = Vec::new();
@@ -88,13 +87,12 @@ pub fn check_property(module: &Module, property: &str, bound: u32) -> Result<Bmc
         any = bb.or_gate(any, v);
     }
     bb.assert_lit(any);
-    drop(bb);
 
-    let cnf_vars = solver.num_vars();
-    let outcome = match solver.solve() {
+    let cnf_vars = bb.solver().num_vars();
+    let outcome = match bb.solve(&[], &Budget::unlimited()) {
         SolveResult::Unsat => BmcOutcome::HoldsUpTo(bound),
         SolveResult::Sat => BmcOutcome::Violated(Box::new(extract_trace(
-            &solver,
+            bb.solver(),
             module,
             property,
             &input_words,
@@ -172,15 +170,13 @@ fn check_property_budgeted_inner(
     }
 
     obs.begin_span("sec.bmc");
-    let mut solver = Solver::new();
+    let mut bb = BitBlaster::new();
     if let Some(rec) = obs.recorder() {
-        solver.set_recorder(rec);
+        bb.set_recorder(rec);
     }
-    let mut bb = BitBlaster::new(&mut solver);
     let mut sym = match SymbolicSim::new(&mut bb, module, InitState::Reset) {
         Ok(s) => s,
         Err(e) => {
-            drop(bb);
             obs.end_span("sec.bmc");
             return Err(e);
         }
@@ -198,7 +194,7 @@ fn check_property_budgeted_inner(
         let prop = cyc.output(module, property);
         let violated = !prop[0];
         input_words.push(inputs);
-        let result = bb.solver().solve_budgeted(&[violated], &budget);
+        let result = bb.solve(&[violated], &budget);
         obs.add("sec.depths", 1);
         let vars_now = bb.solver().num_vars();
         obs.event("sec.depth", || {
@@ -229,9 +225,8 @@ fn check_property_budgeted_inner(
             }
         }
     }
-    drop(bb);
     let outcome = outcome.unwrap_or(BmcOutcome::HoldsUpTo(bound));
-    let cnf_vars = solver.num_vars();
+    let cnf_vars = bb.solver().num_vars();
     obs.add("sec.cnf_vars", cnf_vars as u64);
     obs.event("sec.outcome", || match &outcome {
         BmcOutcome::HoldsUpTo(k) => format!("holds_up_to {k}"),

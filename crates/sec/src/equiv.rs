@@ -180,7 +180,10 @@ pub struct EquivReport {
     pub outcome: EquivOutcome,
     /// CNF variables allocated.
     pub cnf_vars: usize,
-    /// CNF clauses generated.
+    /// CNF clauses emitted: the final solve's cone (gate definitions
+    /// reachable from the difference assertion and the constraints) plus
+    /// whatever sweep proofs emitted before it. Recorded gates outside
+    /// every cone never become clauses.
     pub cnf_clauses: usize,
     /// SAT search statistics.
     pub solver_stats: SolverStats,
@@ -300,13 +303,15 @@ fn check_equivalence_inner(
     let mut ctx = build_miter(slm, rtl, spec, &opts.sweep)?;
     obs.begin_span("sec.equiv");
     if let Some(rec) = obs.recorder() {
-        ctx.solver.set_recorder(rec);
+        ctx.bb.set_recorder(rec);
     }
     // Assert that *some* compare point differs: one clause over the diffs.
-    let diffs = ctx.diffs.clone();
-    ctx.solver.add_clause(&diffs);
-    let cnf_vars = ctx.solver.num_vars();
-    let cnf_clauses = ctx.solver.num_clauses();
+    // Emitting its cone now, rather than inside the solve, lets the
+    // counters below report the CNF the final solve runs on.
+    ctx.bb.assert_clause(&ctx.diffs);
+    ctx.bb.emit_cone(&[]);
+    let cnf_vars = ctx.bb.solver().num_vars();
+    let cnf_clauses = ctx.bb.solver().num_clauses();
     obs.add("sec.cnf_vars", cnf_vars as u64);
     obs.add("sec.cnf_clauses", cnf_clauses as u64);
     if let Some(s) = &ctx.sweep {
@@ -318,10 +323,10 @@ fn check_equivalence_inner(
         obs.add("sec.sweep.proof_conflicts", s.proof_conflicts);
         obs.add("sec.sweep.nodes_removed", s.nodes_before - s.nodes_after);
     }
-    let outcome = match ctx.solver.solve_budgeted(&[], &opts.budget) {
+    let outcome = match ctx.bb.solve(&[], &opts.budget) {
         SolveResult::Unsat => EquivOutcome::Equivalent,
         SolveResult::Sat => EquivOutcome::NotEquivalent(Box::new(extract_and_replay(
-            &ctx.solver,
+            ctx.bb.solver(),
             slm,
             rtl,
             spec,
@@ -373,7 +378,7 @@ fn check_equivalence_inner(
         outcome,
         cnf_vars,
         cnf_clauses,
-        solver_stats: ctx.solver.stats(),
+        solver_stats: ctx.bb.solver().stats(),
         sweep: ctx.sweep,
         duration: start.elapsed(),
     })
@@ -449,14 +454,14 @@ pub fn check_equivalence_per_output_with(
 ) -> Result<PerOutputReport, SecError> {
     let start = Instant::now();
     let mut ctx = build_miter(slm, rtl, spec, &opts.sweep)?;
-    let cnf_vars = ctx.solver.num_vars();
+    let cnf_vars = ctx.bb.solver().num_vars();
     let mut verdicts = Vec::with_capacity(spec.compares.len());
     for (cp, &diff) in spec.compares.iter().zip(&ctx.diffs) {
         let t0 = Instant::now();
-        let outcome = match ctx.solver.solve_budgeted(&[diff], &opts.budget) {
+        let outcome = match ctx.bb.solve(&[diff], &opts.budget) {
             SolveResult::Unsat => EquivOutcome::Equivalent,
             SolveResult::Sat => EquivOutcome::NotEquivalent(Box::new(extract_and_replay(
-                &ctx.solver,
+                ctx.bb.solver(),
                 slm,
                 rtl,
                 spec,
@@ -484,10 +489,11 @@ pub fn check_equivalence_per_output_with(
 }
 
 /// Everything shared between the one-shot and per-output checkers: the
-/// solver holding the encoded miter, one difference literal per compare
+/// bit-blaster holding the recorded miter (only the cones earlier sweep
+/// proofs needed are emitted yet), one difference literal per compare
 /// point (unasserted), and the words needed for counterexample extraction.
 struct MiterCtx {
-    solver: Solver,
+    bb: BitBlaster,
     diffs: Vec<Lit>,
     slm_words: HashMap<String, Vec<Lit>>,
     free_words: HashMap<(usize, u32), Vec<Lit>>,
@@ -533,8 +539,7 @@ fn build_miter(
         None => (slm, rtl),
     };
 
-    let mut solver = Solver::new();
-    let mut bb = BitBlaster::new(&mut solver);
+    let mut bb = BitBlaster::new();
 
     // Symbolic SLM inputs.
     let mut slm_words: HashMap<String, Vec<Lit>> = HashMap::new();
@@ -549,8 +554,9 @@ fn build_miter(
         .collect();
 
     // Environment constraints. Encoded (and asserted) before any sweep
-    // proof runs, so merges are sound relative to the constrained input
-    // space — exactly the space the verdict quantifies over.
+    // proof runs, so every proof emits them and merges are sound relative
+    // to the constrained input space — exactly the space the verdict
+    // quantifies over.
     for c in &spec.constraints {
         let ins: Vec<Vec<Lit>> = c
             .inputs
@@ -625,9 +631,8 @@ fn build_miter(
         let eq = bb.eq_word(&s, r);
         diffs.push(!eq);
     }
-    drop(bb);
     Ok(MiterCtx {
-        solver,
+        bb,
         diffs,
         slm_words,
         free_words,
@@ -1165,11 +1170,10 @@ mod tests {
         assert!(report.outcome.is_equivalent());
     }
 
-    /// A deliberately hard miter: two structurally different 16×16→32
-    /// multipliers (`a*b` vs `b*a`). Proving commutativity of a bit-blasted
-    /// multiplier is notoriously expensive for CDCL, so tiny budgets
-    /// reliably exhaust — while the models are genuinely equivalent, so the
-    /// simulation fallback finds no counterexample.
+    /// Multiplier commutativity: `a*b` vs `b*a` over 16-bit operands
+    /// zero-extended to 32 bits. Bit-blasted with independent operand
+    /// orders this is a CDCL cliff; the canonical operand order of
+    /// [`BitBlaster::mul_word`] makes both sides the same gates.
     fn hard_pair() -> (Module, Module, EquivSpec) {
         let mut sb = ModuleBuilder::new("slm_mul");
         let a = sb.input("a", 16);
@@ -1194,15 +1198,87 @@ mod tests {
         (slm, rtl, spec)
     }
 
+    /// `a*(b+c)` over 16-bit operands zero-extended to 32 bits: the SLM
+    /// side of [`distrib_pair`], also used by the per-output test.
+    /// Returns the input `a` and the product.
+    fn distrib_slm(b: &mut ModuleBuilder) -> (dfv_rtl::NodeId, dfv_rtl::NodeId) {
+        let a = b.input("a", 16);
+        let bi = b.input("b", 16);
+        let c = b.input("c", 16);
+        let (aw, bw, cw) = (b.zext(a, 32), b.zext(bi, 32), b.zext(c, 32));
+        let s = b.add(bw, cw);
+        (a, b.mul(aw, s))
+    }
+
+    /// `a*b + a*c`, the RTL side of [`distrib_pair`], returning the input
+    /// `a` and the sum.
+    fn distrib_rtl(b: &mut ModuleBuilder) -> (dfv_rtl::NodeId, dfv_rtl::NodeId) {
+        let a = b.input("a", 16);
+        let bi = b.input("b", 16);
+        let c = b.input("c", 16);
+        let (aw, bw, cw) = (b.zext(a, 32), b.zext(bi, 32), b.zext(c, 32));
+        let ab = b.mul(aw, bw);
+        let ac = b.mul(aw, cw);
+        (a, b.add(ab, ac))
+    }
+
+    /// A deliberately hard miter: distributivity, `a*(b+c)` vs
+    /// `a*b + a*c`. No operand order or gate cache relates the two
+    /// multiplier structures, and no word-level rewrite does either, so
+    /// CDCL faces it with or without the sweep: tiny budgets reliably
+    /// exhaust, while the models are genuinely equivalent, so the
+    /// simulation fallback finds no counterexample.
+    fn distrib_pair() -> (Module, Module, EquivSpec) {
+        let mut sb = ModuleBuilder::new("slm_distrib");
+        let (_, y) = distrib_slm(&mut sb);
+        sb.output("y", y);
+        let slm = sb.finish().unwrap();
+
+        let mut rb = ModuleBuilder::new("rtl_distrib");
+        let (_, y) = distrib_rtl(&mut rb);
+        rb.output("y", y);
+        let rtl = rb.finish().unwrap();
+
+        let spec = EquivSpec::new(1)
+            .bind("a", 0, Binding::Slm("a".into()))
+            .bind("b", 0, Binding::Slm("b".into()))
+            .bind("c", 0, Binding::Slm("c".into()))
+            .compare("y", "y", 0);
+        (slm, rtl, spec)
+    }
+
+    #[test]
+    fn unswept_multiplier_commutativity_is_free() {
+        // The canonical operand order gives `a*b` and `b*a` the same
+        // gates, so the difference folds to constant false during
+        // encoding: no search, and no clause is ever emitted.
+        let (slm, rtl, spec) = hard_pair();
+        let report = check_equivalence(&slm, &rtl, &spec).unwrap();
+        assert!(report.outcome.is_equivalent(), "{:?}", report.outcome);
+        assert_eq!(report.solver_stats.conflicts, 0);
+        assert_eq!(report.cnf_clauses, 0);
+    }
+
+    #[test]
+    fn folded_miter_emits_no_clauses() {
+        // Fig 1 in the golden order: the RTL's registers carry the SLM's
+        // own words into cycle 1, so structural hashing folds the
+        // difference to constant false. The final solve then depends on
+        // no gate, although the encoder recorded every adder gate.
+        let report = check_equivalence(&fig1_slm(false), &fig1_rtl(), &fig1_spec()).unwrap();
+        assert!(report.outcome.is_equivalent());
+        assert_eq!(report.cnf_clauses, 0);
+        assert_eq!(report.solver_stats.decisions, 0);
+        assert!(report.cnf_vars > 1, "the adders were encoded");
+    }
+
     #[test]
     fn sweep_collapses_multiplier_commutativity() {
-        // Unswept, proving a*b == b*a for 16-bit operands is out of reach
-        // for CDCL (the budgeted tests below rely on that). The sweeping
-        // front-end's commutative GVN canonicalizes both multipliers to
-        // the same operand order, the shared input literals make the two
-        // cones literally identical through the gate caches, and the
-        // difference folds to constant false — Equivalent in milliseconds
-        // with (near) zero conflicts.
+        // The sweeping front-end's commutative GVN canonicalizes both
+        // multipliers to the same operand order at the word level, the
+        // shared input literals make the two cones literally identical
+        // through the gate caches, and the difference folds to constant
+        // false — Equivalent in milliseconds with (near) zero conflicts.
         let (slm, rtl, spec) = hard_pair();
         let report = check_equivalence_with(&slm, &rtl, &spec, &CheckOptions::swept()).unwrap();
         assert!(report.outcome.is_equivalent(), "{:?}", report.outcome);
@@ -1274,7 +1350,7 @@ mod tests {
 
     #[test]
     fn tiny_budget_yields_inconclusive_with_falsification() {
-        let (slm, rtl, spec) = hard_pair();
+        let (slm, rtl, spec) = distrib_pair();
         let opts = CheckOptions {
             budget: Budget::unlimited().with_conflicts(100),
             fallback_transactions: 64,
@@ -1304,7 +1380,7 @@ mod tests {
 
     #[test]
     fn deadline_budget_yields_inconclusive() {
-        let (slm, rtl, spec) = hard_pair();
+        let (slm, rtl, spec) = distrib_pair();
         let opts = CheckOptions {
             budget: Budget::unlimited().with_timeout(Duration::from_millis(1)),
             fallback_transactions: 0,
@@ -1405,23 +1481,17 @@ mod tests {
 
     #[test]
     fn per_output_budget_localizes_exhaustion() {
-        // One easy output (pass-through) and one hard output (multiplier
-        // commutativity): under a tiny budget the easy one still proves,
-        // only the hard one is inconclusive.
+        // One easy output (pass-through) and one hard output
+        // (distributivity): under a tiny budget the easy one still
+        // proves, only the hard one is inconclusive.
         let mut sb = ModuleBuilder::new("slm");
-        let a = sb.input("a", 16);
-        let b = sb.input("b", 16);
-        let (aw, bw) = (sb.zext(a, 32), sb.zext(b, 32));
-        let p = sb.mul(aw, bw);
+        let (a, p) = distrib_slm(&mut sb);
         sb.output("p", p);
         sb.output("pass", a);
         let slm = sb.finish().unwrap();
 
         let mut rb = ModuleBuilder::new("rtl");
-        let a = rb.input("a", 16);
-        let b = rb.input("b", 16);
-        let (aw, bw) = (rb.zext(a, 32), rb.zext(b, 32));
-        let p = rb.mul(bw, aw);
+        let (a, p) = distrib_rtl(&mut rb);
         rb.output("p", p);
         rb.output("pass", a);
         let rtl = rb.finish().unwrap();
@@ -1429,6 +1499,7 @@ mod tests {
         let spec = EquivSpec::new(1)
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("b", 0, Binding::Slm("b".into()))
+            .bind("c", 0, Binding::Slm("c".into()))
             .compare("pass", "pass", 0)
             .compare("p", "p", 0);
         let opts = CheckOptions::with_budget(Budget::unlimited().with_conflicts(50));

@@ -19,8 +19,8 @@
 //!    provably distinguishable and never reaches the solver.
 //! 3. **SAT sweeping proper** — during miter encoding, each candidate
 //!    bit is proved equal to its class representative with a small
-//!    budgeted incremental `solve_budgeted(&[xor], …)` call against the
-//!    clauses emitted so far; proven bits are *replaced* by the
+//!    budgeted incremental `solve(&[xor], …)` call, which first emits the
+//!    cones of both literals; proven bits are *replaced* by the
 //!    representative literal before any consumer encodes, so downstream
 //!    cones collapse and the final difference check sees a fraigged
 //!    miter.
@@ -28,16 +28,22 @@
 //! # Soundness
 //!
 //! A merge happens only after `CNF ∧ (a ≠ b)` is UNSAT, where CNF is the
-//! clause set at proof time: the gate definitions of both literals plus
-//! the environment-constraint assertions. Clauses are only ever *added*
-//! afterwards, so the entailment `CNF ⊨ a = b` persists to the final
-//! solve — substituting `b := a` preserves the satisfiability of the
-//! difference assertion in both directions, and (because constraints are
-//! part of CNF) "equal under constraints" is exactly the equivalence the
-//! verdict is relative to. Refuted or budget-exhausted candidates are
-//! simply left unmerged; the sweep degrades to the unswept encoding, it
-//! never changes a verdict. The `prop_sweep` suite asserts this parity
-//! over random module pairs; the claim is also gated in CI.
+//! clause set the solver holds at proof time: the gate definitions in the
+//! cones of both literals, the environment-constraint assertions with
+//! their cones, and whatever earlier solves emitted. Every emitted clause
+//! is a Tseitin definition or an assertion, and clauses are only ever
+//! *added* afterwards, so the entailment `CNF ⊨ a = b` persists to the
+//! final solve. Tseitin definitions fix each gate variable as a function
+//! of the inputs, so any input assignment the constraints allow extends
+//! to a model of every definition at once, cone or not: substituting
+//! `b := a` preserves the satisfiability of the difference assertion in
+//! both directions, and (because constraints are part of CNF) "equal
+//! under constraints" is exactly the equivalence the verdict is relative
+//! to. Refuted or budget-exhausted candidates are simply left unmerged;
+//! the sweep degrades to the unswept encoding, it never changes a
+//! verdict. The `prop_sweep` suite asserts this parity over random module
+//! pairs, and against exhaustive enumeration on narrow ones; the claim is
+//! also gated in CI.
 
 use std::collections::HashMap;
 
@@ -307,7 +313,7 @@ impl Sweeper {
     /// and rewrites proven bits in place.
     pub(crate) fn process_word(
         &mut self,
-        bb: &mut BitBlaster<'_>,
+        bb: &mut BitBlaster,
         site: usize,
         node: usize,
         word: &mut [Lit],
@@ -345,7 +351,7 @@ impl Sweeper {
             }
             self.proofs_attempted += 1;
             let before = bb.solver().stats().conflicts;
-            let res = bb.solver().solve_budgeted(&[diff], &budget);
+            let res = bb.solve(&[diff], &budget);
             self.stats.proof_conflicts += bb.solver().stats().conflicts - before;
             match res {
                 SolveResult::Unsat => {

@@ -23,8 +23,9 @@ pub const MEM_BLAST_LIMIT: usize = 256;
 /// operand words did not change since that cycle takes its produced word
 /// from there instead of being bit-blasted again. Gate encoding is a pure
 /// function of the operand literals plus caches that only grow, so the
-/// skipped encoding would have returned exactly that word and emitted no
-/// variable and no clause: the CNF is the same, only cheaper to build.
+/// skipped encoding would have returned exactly that word and allocated
+/// no variable and recorded no gate: the CNF is the same, only cheaper to
+/// build.
 #[derive(Debug)]
 pub struct SymbolicSim<'m> {
     module: &'m Module,
@@ -78,11 +79,7 @@ impl<'m> SymbolicSim<'m> {
     ///
     /// Returns [`SecError`] if the module is not flat or a memory exceeds
     /// [`MEM_BLAST_LIMIT`].
-    pub fn new(
-        bb: &mut BitBlaster<'_>,
-        module: &'m Module,
-        init: InitState,
-    ) -> Result<Self, SecError> {
+    pub fn new(bb: &mut BitBlaster, module: &'m Module, init: InitState) -> Result<Self, SecError> {
         if !module.instances.is_empty() {
             return Err(SecError::Rtl(dfv_rtl::RtlError::NotFlat {
                 module: module.name.clone(),
@@ -174,7 +171,7 @@ impl<'m> SymbolicSim<'m> {
     /// Panics if `inputs` does not match the module's input ports in count
     /// or width — the caller (the checker) constructs them from a validated
     /// spec.
-    pub fn step(&mut self, bb: &mut BitBlaster<'_>, inputs: &[Vec<Lit>]) -> &SymbolicCycle {
+    pub fn step(&mut self, bb: &mut BitBlaster, inputs: &[Vec<Lit>]) -> &SymbolicCycle {
         self.step_hooked(bb, inputs, &mut |_, _, _| {})
     }
 
@@ -194,9 +191,9 @@ impl<'m> SymbolicSim<'m> {
     /// width.
     pub fn step_hooked(
         &mut self,
-        bb: &mut BitBlaster<'_>,
+        bb: &mut BitBlaster,
         inputs: &[Vec<Lit>],
-        hook: &mut dyn FnMut(&mut BitBlaster<'_>, usize, &mut Vec<Lit>),
+        hook: &mut dyn FnMut(&mut BitBlaster, usize, &mut Vec<Lit>),
     ) -> &SymbolicCycle {
         let m = self.module;
         assert_eq!(inputs.len(), m.inputs.len(), "input count mismatch");
@@ -277,7 +274,7 @@ impl<'m> SymbolicSim<'m> {
     /// The clock edge: registers, then memories (read-first). An update
     /// whose inputs all match the step before reproduces the state it
     /// produced then, which is the current state, so it is skipped.
-    fn commit(&mut self, bb: &mut BitBlaster<'_>) {
+    fn commit(&mut self, bb: &mut BitBlaster) {
         let m = self.module;
         let nodes = &self.cycle.nodes;
         let changed = &self.node_changed;
@@ -297,7 +294,7 @@ impl<'m> SymbolicSim<'m> {
             self.regs[ri] = v;
         }
         for (mi, mem) in m.mems.iter().enumerate() {
-            let eff_addr = |bb: &mut BitBlaster<'_>, addr: &[Lit]| -> Vec<Lit> {
+            let eff_addr = |bb: &mut BitBlaster, addr: &[Lit]| -> Vec<Lit> {
                 if mem.depth == (1usize << mem.addr_width.min(63)) {
                     addr.to_vec()
                 } else {
@@ -357,7 +354,7 @@ impl<'m> SymbolicSim<'m> {
 /// Panics if the module has state or instances, or inputs mismatch; callers
 /// validate with [`crate::EquivSpec::validate`] first.
 pub fn eval_comb_symbolic(
-    bb: &mut BitBlaster<'_>,
+    bb: &mut BitBlaster,
     module: &Module,
     inputs: &[Vec<Lit>],
 ) -> SymbolicCycle {
@@ -371,10 +368,10 @@ pub fn eval_comb_symbolic(
 ///
 /// As [`eval_comb_symbolic`].
 pub fn eval_comb_symbolic_hooked(
-    bb: &mut BitBlaster<'_>,
+    bb: &mut BitBlaster,
     module: &Module,
     inputs: &[Vec<Lit>],
-    hook: &mut dyn FnMut(&mut BitBlaster<'_>, usize, &mut Vec<Lit>),
+    hook: &mut dyn FnMut(&mut BitBlaster, usize, &mut Vec<Lit>),
 ) -> SymbolicCycle {
     assert!(module.is_combinational(), "module must be combinational");
     let mut sim = SymbolicSim::new(bb, module, InitState::Reset).expect("comb module");
@@ -387,7 +384,7 @@ mod tests {
     use super::*;
     use crate::bitblast::model_word;
     use dfv_rtl::{ModuleBuilder, Simulator};
-    use dfv_sat::{SolveResult, Solver};
+    use dfv_sat::{Budget, SolveResult};
 
     /// A two-stage accumulator pipeline used across the tests.
     fn pipeline() -> Module {
@@ -409,8 +406,7 @@ mod tests {
     #[test]
     fn symbolic_constant_run_matches_concrete() {
         let m = pipeline();
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        let mut bb = BitBlaster::new();
         let mut sym = SymbolicSim::new(&mut bb, &m, InitState::Reset).unwrap();
         let x = bb.constant(&Bv::from_u64(8, 5));
         let mut outs = Vec::new();
@@ -418,13 +414,13 @@ mod tests {
             let cyc = sym.step(&mut bb, std::slice::from_ref(&x));
             outs.push(cyc.output(&m, "y"));
         }
-        drop(bb);
-        assert_eq!(solver.solve(), SolveResult::Sat);
+        bb.emit_cone(&outs.concat());
+        assert_eq!(bb.solve(&[], &Budget::unlimited()), SolveResult::Sat);
         let mut sim = Simulator::new(m.clone()).unwrap();
         for word in outs {
             let expect = sim.output("y");
             sim.step_with(&[("x", Bv::from_u64(8, 5))]);
-            assert_eq!(model_word(&solver, &word), expect);
+            assert_eq!(model_word(bb.solver(), &word), expect);
         }
     }
 
@@ -449,8 +445,7 @@ mod tests {
             (0, 7, 0x00),
         ];
 
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        let mut bb = BitBlaster::new();
         let mut sym = SymbolicSim::new(&mut bb, &m, InitState::Reset).unwrap();
         let mut words = Vec::new();
         for &(we_v, a_v, d_v) in &stim {
@@ -462,8 +457,8 @@ mod tests {
             let cyc = sym.step(&mut bb, &ins);
             words.push(cyc.output(&m, "q"));
         }
-        drop(bb);
-        assert_eq!(solver.solve(), SolveResult::Sat);
+        bb.emit_cone(&words.concat());
+        assert_eq!(bb.solve(&[], &Budget::unlimited()), SolveResult::Sat);
 
         let mut sim = Simulator::new(m.clone()).unwrap();
         for (i, &(we_v, a_v, d_v)) in stim.iter().enumerate() {
@@ -475,7 +470,7 @@ mod tests {
                 sim.step();
                 o
             };
-            assert_eq!(model_word(&solver, &words[i]), expect, "cycle {i}");
+            assert_eq!(model_word(bb.solver(), &words[i]), expect, "cycle {i}");
         }
     }
 
@@ -487,8 +482,7 @@ mod tests {
         let rd = b.mem_read(mem, addr);
         b.output("q", rd);
         let m = b.finish().unwrap();
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        let mut bb = BitBlaster::new();
         match SymbolicSim::new(&mut bb, &m, InitState::Reset) {
             Err(SecError::MemTooLarge { depth, .. }) => assert_eq!(depth, 4096),
             other => panic!("expected MemTooLarge, got {other:?}"),

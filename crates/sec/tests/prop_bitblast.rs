@@ -3,7 +3,10 @@
 //! of the IR semantics. The sequential cases unroll random modules with
 //! registers, enables and a memory over several cycles, holding inputs
 //! for runs of cycles so the unroller's cross-cycle word reuse is on the
-//! tested path, and check every cycle's outputs.
+//! tested path, and check every cycle's outputs. On narrow inputs, an
+//! exhaustive-enumeration oracle checks the verdicts of whole equivalence
+//! checks (sequential pairs, constraints, `Free` bindings, per-output
+//! checks, sweep on and off) and of bounded model checks, depth by depth.
 //!
 //! Uses the repo's own `SplitMix64` so the suite runs offline; the seeds
 //! are fixed, making every run reproducible.
@@ -12,8 +15,11 @@ use std::collections::HashMap;
 
 use dfv_bits::{Bv, SplitMix64};
 use dfv_rtl::{Module, ModuleBuilder, NodeId, Simulator};
-use dfv_sat::{Lit, SolveResult, Solver};
-use dfv_sec::{model_word, Binding, BitBlaster, EquivSpec, InitState, SymbolicSim};
+use dfv_sat::{Budget, Lit, SolveResult, Solver};
+use dfv_sec::{
+    check_equivalence_per_output_with, check_equivalence_with, model_word, Binding, BitBlaster,
+    BmcOutcome, CheckOptions, EquivOutcome, EquivSpec, InitState, SymbolicSim,
+};
 
 /// Number of operator selectors [`push_op`] understands.
 const NUM_OPS: u64 = 22;
@@ -204,14 +210,16 @@ fn bitblast_matches_simulator() {
             .collect();
         let expect = sim.eval_comb(&refs)["out"].clone();
         // Symbolic evaluation with the same constants.
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        let mut bb = BitBlaster::new();
         let words: Vec<Vec<Lit>> = inputs.iter().map(|(_, v)| bb.constant(v)).collect();
         let cyc = dfv_sec::eval_comb_symbolic(&mut bb, &module, &words);
         let out = cyc.output(&module, "out");
-        drop(bb);
-        assert_eq!(solver.solve(), SolveResult::Sat, "case {case}");
-        assert_eq!(model_word(&solver, &out), expect, "case {case}");
+        assert_eq!(
+            solve_reading(&mut bb, &out),
+            SolveResult::Sat,
+            "case {case}"
+        );
+        assert_eq!(model_word(bb.solver(), &out), expect, "case {case}");
     }
 }
 
@@ -230,12 +238,19 @@ fn self_equivalence_holds() {
     }
 }
 
+/// Solves with no assumptions after emitting the cone of `read`, so the
+/// model gives those literals their encoded values.
+fn solve_reading(bb: &mut BitBlaster, read: &[Lit]) -> SolveResult {
+    bb.emit_cone(read);
+    bb.solve(&[], &Budget::unlimited())
+}
+
 /// Per-cycle input words for `cycles` cycles: each input keeps its word
 /// for a run of cycles (often several) before switching to a new one.
 /// With `symbolic`, a new word is a fresh symbolic word; otherwise a
 /// random constant.
 fn held_inputs(
-    bb: &mut BitBlaster<'_>,
+    bb: &mut BitBlaster,
     m: &Module,
     rng: &mut SplitMix64,
     cycles: usize,
@@ -265,7 +280,7 @@ fn held_inputs(
 
 /// Unrolls `m` over `inputs` from reset, returning every output word of
 /// every cycle (cycle-major, output-port order).
-fn unroll(bb: &mut BitBlaster<'_>, m: &Module, inputs: &[Vec<Vec<Lit>>]) -> Vec<Vec<Vec<Lit>>> {
+fn unroll(bb: &mut BitBlaster, m: &Module, inputs: &[Vec<Vec<Lit>>]) -> Vec<Vec<Vec<Lit>>> {
     let mut sym = SymbolicSim::new(bb, m, InitState::Reset).unwrap();
     inputs
         .iter()
@@ -309,16 +324,19 @@ fn unrolled_sequential_modules_match_simulator() {
         let module = random_seq(&mut rng);
         let cycles = rng.range_u64(4, 10) as usize;
         for symbolic in [false, true] {
-            let mut solver = Solver::new();
-            let mut bb = BitBlaster::new(&mut solver);
+            let mut bb = BitBlaster::new();
             let inputs = held_inputs(&mut bb, &module, &mut rng, cycles, symbolic);
             let outputs = unroll(&mut bb, &module, &inputs);
-            drop(bb);
             // Unconstrained fresh inputs: any model is a valid stimulus,
             // and the output literals' model values must be what the
             // simulator computes from it.
-            assert_eq!(solver.solve(), SolveResult::Sat, "case {case}");
-            check_against_simulator(&solver, &module, &inputs, &outputs, case);
+            let read: Vec<Lit> = outputs.iter().flatten().flatten().copied().collect();
+            assert_eq!(
+                solve_reading(&mut bb, &read),
+                SolveResult::Sat,
+                "case {case}"
+            );
+            check_against_simulator(bb.solver(), &module, &inputs, &outputs, case);
         }
     }
 }
@@ -334,8 +352,7 @@ fn symbolic_outputs_are_forced_by_inputs() {
     for case in 0..60 {
         let module = random_seq(&mut rng);
         let cycles = rng.range_u64(4, 8) as usize;
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        let mut bb = BitBlaster::new();
         let inputs = held_inputs(&mut bb, &module, &mut rng, cycles, true);
         let outputs = unroll(&mut bb, &module, &inputs);
         let mut sim = Simulator::new(module.clone()).unwrap();
@@ -366,8 +383,11 @@ fn symbolic_outputs_are_forced_by_inputs() {
         }
         let (l, v) = flipped.expect("target cycle reached");
         bb.assert_lit(if v { !l } else { l });
-        drop(bb);
-        assert_eq!(solver.solve(), SolveResult::Unsat, "case {case}");
+        assert_eq!(
+            bb.solve(&[], &Budget::unlimited()),
+            SolveResult::Unsat,
+            "case {case}"
+        );
     }
 }
 
@@ -375,16 +395,15 @@ fn symbolic_outputs_are_forced_by_inputs() {
 fn reused_words_equal_fresh_encoding() {
     // Every word the unroller produced — reused from an earlier cycle or
     // not — must be exactly what encoding that node afresh from its
-    // operand words gives, and encoding afresh must add nothing to the
-    // CNF: the reuse may skip work, never change the formula. Register
-    // updates are recomputed the same way from the recorded states.
+    // operand words gives, and encoding afresh must record nothing: the
+    // reuse may skip work, never change the formula. Register updates are
+    // recomputed the same way from the recorded states.
     use dfv_rtl::ir::Node;
     let mut rng = SplitMix64::new(0xB17_0005);
     for case in 0..150 {
         let m = random_seq(&mut rng);
         let cycles = rng.range_u64(4, 10) as usize;
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
+        let mut bb = BitBlaster::new();
         let inputs = held_inputs(&mut bb, &m, &mut rng, cycles, true);
         let mut sym = SymbolicSim::new(&mut bb, &m, InitState::Reset).unwrap();
         let mut states = vec![sym.reg_state().to_vec()];
@@ -394,7 +413,7 @@ fn reused_words_equal_fresh_encoding() {
             states.push(sym.reg_state().to_vec());
         }
         let vars = bb.solver().num_vars();
-        let clauses = bb.solver().num_clauses();
+        let gates = bb.num_gates();
         for (t, nodes) in words.iter().enumerate() {
             for (i, node) in m.nodes.iter().enumerate() {
                 let fresh = match node {
@@ -444,9 +463,368 @@ fn reused_words_equal_fresh_encoding() {
             "case {case}: fresh encoding added variables"
         );
         assert_eq!(
-            bb.solver().num_clauses(),
-            clauses,
-            "case {case}: fresh encoding added clauses"
+            bb.num_gates(),
+            gates,
+            "case {case}: fresh encoding recorded gates"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Exhaustive-enumeration oracle. On pairs and properties narrow enough to
+// enumerate every input, the verdicts of the whole checker — encoder,
+// emission, solver, sweep — must equal what concrete simulation of every
+// constraint-satisfying input establishes. The oracle reads only the
+// spec and the simulator, never a literal.
+// ---------------------------------------------------------------------
+
+/// Calls `visit` once per assignment of the given widths.
+fn for_each_assignment(widths: &[u32], visit: &mut dyn FnMut(&[Bv])) {
+    let total: u32 = widths.iter().sum();
+    assert!(total <= 16, "oracle space of {total} bits is too wide");
+    for bits in 0..1u64 << total {
+        let mut rest = bits;
+        let vals: Vec<Bv> = widths
+            .iter()
+            .map(|&w| {
+                let v = Bv::from_u64(w, rest);
+                rest >>= w;
+                v
+            })
+            .collect();
+        visit(&vals);
+    }
+}
+
+/// Per compare point: whether some constraint-satisfying assignment of
+/// the SLM inputs and `Free` bindings makes it disagree, found by
+/// replaying every assignment on the concrete simulators (reset initial
+/// state).
+fn oracle_mismatches(slm: &Module, rtl: &Module, spec: &EquivSpec) -> Vec<bool> {
+    let frees: Vec<(usize, u32)> = spec
+        .bindings
+        .iter()
+        .filter(|(_, _, b)| matches!(b, Binding::Free))
+        .map(|(port, t, _)| (rtl.input_index(port).unwrap(), *t))
+        .collect();
+    let widths: Vec<u32> = slm
+        .inputs
+        .iter()
+        .map(|p| p.width)
+        .chain(frees.iter().map(|&(i, _)| rtl.inputs[i].width))
+        .collect();
+    let mut slm_sim = Simulator::new(slm.clone()).unwrap();
+    let mut rtl_sim = Simulator::new(rtl.clone()).unwrap();
+    let mut constraint_sims: Vec<Simulator> = spec
+        .constraints
+        .iter()
+        .map(|c| Simulator::new(c.clone()).unwrap())
+        .collect();
+    let mut bad = vec![false; spec.compares.len()];
+    for_each_assignment(&widths, &mut |vals| {
+        let (slm_vals, free_vals) = vals.split_at(slm.inputs.len());
+        let named: HashMap<&str, &Bv> = slm
+            .inputs
+            .iter()
+            .map(|p| p.name.as_str())
+            .zip(slm_vals)
+            .collect();
+        let allowed = constraint_sims
+            .iter_mut()
+            .zip(&spec.constraints)
+            .all(|(sim, c)| {
+                let ins: Vec<(&str, Bv)> = c
+                    .inputs
+                    .iter()
+                    .map(|p| (p.name.as_str(), named[p.name.as_str()].clone()))
+                    .collect();
+                sim.eval_comb(&ins)[&c.outputs[0].name].bit(0)
+            });
+        if !allowed {
+            return;
+        }
+        let ins: Vec<(&str, Bv)> = named.iter().map(|(n, v)| (*n, (*v).clone())).collect();
+        let slm_outs = slm_sim.eval_comb(&ins);
+        rtl_sim.reset();
+        for t in 0..spec.rtl_cycles {
+            for (i, p) in rtl.inputs.iter().enumerate() {
+                let bound = spec
+                    .bindings
+                    .iter()
+                    .find(|(port, c, _)| *port == p.name && *c == t);
+                let v = match bound.map(|(_, _, b)| b) {
+                    Some(Binding::Slm(n)) => named[n.as_str()].clone(),
+                    Some(Binding::SlmSlice { name, hi, lo }) => {
+                        named[name.as_str()].slice(*hi, *lo)
+                    }
+                    Some(Binding::Const(v)) => v.clone(),
+                    Some(Binding::Free) => {
+                        let k = frees.iter().position(|&f| f == (i, t)).unwrap();
+                        free_vals[k].clone()
+                    }
+                    None => Bv::zero(p.width),
+                };
+                rtl_sim.poke(&p.name, v);
+            }
+            for (k, cp) in spec.compares.iter().enumerate() {
+                if cp.rtl_cycle == t && rtl_sim.output(&cp.rtl_output) != slm_outs[&cp.slm_output] {
+                    bad[k] = true;
+                }
+            }
+            rtl_sim.step();
+        }
+    });
+    bad
+}
+
+/// A narrow equivalence pair: a random combinational SLM program over
+/// 2..=3 inputs of 1..=3 bits, and an RTL that computes the same program
+/// from inputs delayed by 0..=`t` registers, sampled at cycle `t`. RTL
+/// output `y` may carry an injected difference — unconditional, gated
+/// by a `Free` pin, or at one input value that a constraint may exclude
+/// — and unobserved cycles drive the input ports with zero, a constant
+/// or a `Free` value.
+fn oracle_pair(rng: &mut SplitMix64) -> (Module, Module, EquivSpec) {
+    let t = rng.below(3) as u32;
+    let widths: Vec<u32> = (0..rng.range_u64(2, 3))
+        .map(|_| rng.range_u64(1, 3) as u32)
+        .collect();
+    let n_ops = rng.range_u64(2, 8);
+    let program = SplitMix64::new(rng.next_u64());
+    let build_program = |b: &mut ModuleBuilder, leaves: Vec<NodeId>| {
+        let mut prog = program;
+        let mut nodes = leaves;
+        for _ in 0..n_ops {
+            let n = push_op(b, &nodes, &mut prog, true);
+            nodes.push(n);
+        }
+        (nodes[nodes.len() - 1], nodes[nodes.len() / 2])
+    };
+
+    let mut sb = ModuleBuilder::new("slm");
+    let leaves: Vec<NodeId> = widths
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| sb.input(format!("i{i}"), w))
+        .collect();
+    let (y, z) = build_program(&mut sb, leaves);
+    sb.output("y", y);
+    sb.output("z", z);
+    let slm = sb.finish().unwrap();
+
+    let mut spec = EquivSpec::new(t + 1);
+    let mut rb = ModuleBuilder::new("rtl");
+    let mut leaves = Vec::new();
+    // At most one unobserved `Free` port, to keep the oracle space small.
+    let mut spare_free = true;
+    for (i, &w) in widths.iter().enumerate() {
+        let name = format!("i{i}");
+        let mut leaf = rb.input(&name, w);
+        let delay = rng.below(u64::from(t) + 1) as u32;
+        for d in 0..delay {
+            let r = rb.reg(format!("d{i}_{d}"), w, Bv::from_u64(w, rng.bits(w)));
+            rb.connect_reg(r, leaf);
+            leaf = rb.reg_q(r);
+        }
+        leaves.push(leaf);
+        for c in 0..=t {
+            let b = if c == t - delay {
+                Binding::Slm(name.clone())
+            } else {
+                match rng.below(4) {
+                    0 => Binding::Const(Bv::from_u64(w, rng.bits(w))),
+                    1 if w == 1 && spare_free => {
+                        spare_free = false;
+                        Binding::Free
+                    }
+                    _ => continue,
+                }
+            };
+            spec = spec.bind(&name, c, b);
+        }
+    }
+    let leaf0 = leaves[0];
+    let (y, z) = build_program(&mut rb, leaves);
+    let f = rb.input("f", 1);
+    spec = spec.bind("f", t, Binding::Free);
+    let k = Bv::from_u64(widths[0], rng.bits(widths[0]));
+    let at_k = {
+        let kn = rb.constant(k.clone());
+        rb.eq(leaf0, kn)
+    };
+    let inject = match rng.below(4) {
+        0 => None,
+        1 => Some(f),
+        2 => Some(rb.and(f, at_k)),
+        _ => Some(at_k),
+    };
+    let y = match inject {
+        Some(bit) => {
+            let wide = rb.resize_zext(bit, rb.node_width(y));
+            rb.xor(y, wide)
+        }
+        None => y,
+    };
+    rb.output("y", y);
+    rb.output("z", z);
+    let rtl = rb.finish().unwrap();
+
+    if rng.next_bool() {
+        // Excludes exactly the input value the injection may fire at.
+        let mut cb = ModuleBuilder::new("not_k");
+        let a = cb.input("i0", widths[0]);
+        let kn = cb.constant(k);
+        let ok = cb.ne(a, kn);
+        cb.output("ok", ok);
+        spec = spec.constrain(cb.finish().unwrap());
+    }
+    (slm, rtl, spec.compare("y", "y", t).compare("z", "z", t))
+}
+
+#[test]
+fn equivalence_verdicts_match_exhaustive_oracle() {
+    let mut rng = SplitMix64::new(0xB17_0006);
+    let (mut equivalent, mut falsified) = (0, 0);
+    for case in 0..60 {
+        let (slm, rtl, spec) = oracle_pair(&mut rng);
+        let bad = oracle_mismatches(&slm, &rtl, &spec);
+        let expect_equiv = !bad.contains(&true);
+        if expect_equiv {
+            equivalent += 1;
+        } else {
+            falsified += 1;
+        }
+        for opts in [CheckOptions::default(), CheckOptions::swept()] {
+            let report = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
+            match &report.outcome {
+                EquivOutcome::Equivalent => assert!(expect_equiv, "case {case}: {bad:?}"),
+                EquivOutcome::NotEquivalent(cex) => {
+                    assert!(!expect_equiv, "case {case}: spurious counterexample");
+                    for m in &cex.mismatches {
+                        let k = spec
+                            .compares
+                            .iter()
+                            .position(|cp| cp.rtl_output == m.rtl_output)
+                            .unwrap();
+                        assert!(bad[k], "case {case}: mismatch on {}", m.rtl_output);
+                    }
+                }
+                other => panic!("case {case}: unbudgeted check returned {other:?}"),
+            }
+            let per = check_equivalence_per_output_with(&slm, &rtl, &spec, &opts).unwrap();
+            for (v, &b) in per.verdicts.iter().zip(&bad) {
+                assert_eq!(
+                    !v.outcome.is_equivalent(),
+                    b,
+                    "case {case}: per-output verdict on {}",
+                    v.compare.rtl_output
+                );
+            }
+        }
+    }
+    assert!(
+        equivalent >= 10 && falsified >= 10,
+        "{equivalent} / {falsified}"
+    );
+}
+
+/// A narrow sequential module with a 1-bit `prop` output: 1..=2 inputs
+/// of 1..=2 bits and 1..=2 registers of 2..=3 bits, updated from random
+/// operators, with the property a comparison of a register against a
+/// random constant.
+fn oracle_property_module(rng: &mut SplitMix64) -> Module {
+    let mut b = ModuleBuilder::new("bmc");
+    let mut nodes = Vec::new();
+    for i in 0..rng.range_u64(1, 2) {
+        nodes.push(b.input(format!("i{i}"), rng.range_u64(1, 2) as u32));
+    }
+    let regs: Vec<_> = (0..rng.range_u64(1, 2))
+        .map(|r| {
+            let w = rng.range_u64(2, 3) as u32;
+            let reg = b.reg(format!("r{r}"), w, Bv::from_u64(w, rng.bits(w)));
+            nodes.push(b.reg_q(reg));
+            reg
+        })
+        .collect();
+    for _ in 0..rng.range_u64(2, 5) {
+        let n = push_op(&mut b, &nodes, rng, true);
+        nodes.push(n);
+    }
+    for reg in &regs {
+        let w = b.node_width(b.reg_q(*reg));
+        let src = nodes[rng.below(nodes.len() as u64) as usize];
+        let next = b.resize_zext(src, w);
+        b.connect_reg(*reg, next);
+    }
+    let q = b.reg_q(regs[0]);
+    let w = b.node_width(q);
+    let k = b.lit(w, rng.bits(w));
+    let prop = if rng.next_bool() {
+        b.ne(q, k)
+    } else {
+        b.ult(q, k)
+    };
+    b.output("prop", prop);
+    b.finish().unwrap()
+}
+
+/// The first cycle at which some input sequence of length `bound` drives
+/// `prop` to 0 from reset, by enumerating every sequence.
+fn oracle_first_violation(m: &Module, bound: u32) -> Option<u32> {
+    let per_cycle: Vec<u32> = m.inputs.iter().map(|p| p.width).collect();
+    let widths: Vec<u32> = (0..bound).flat_map(|_| per_cycle.clone()).collect();
+    let mut sim = Simulator::new(m.clone()).unwrap();
+    let mut first: Option<u32> = None;
+    for_each_assignment(&widths, &mut |vals| {
+        sim.reset();
+        for (t, cycle) in vals.chunks(per_cycle.len()).enumerate() {
+            for (p, v) in m.inputs.iter().zip(cycle) {
+                sim.poke(&p.name, v.clone());
+            }
+            if !sim.output("prop").bit(0) {
+                first = Some(first.map_or(t as u32, |f| f.min(t as u32)));
+                break;
+            }
+            sim.step();
+        }
+    });
+    first
+}
+
+#[test]
+fn bmc_depths_match_exhaustive_oracle() {
+    let mut rng = SplitMix64::new(0xB17_0007);
+    let (mut holds, mut violated) = (0, 0);
+    for case in 0..60 {
+        let m = oracle_property_module(&mut rng);
+        let bits_per_cycle: u32 = m.inputs.iter().map(|p| p.width).sum();
+        let bound = (12 / bits_per_cycle).clamp(1, 4);
+        let first = oracle_first_violation(&m, bound);
+        let whole = dfv_sec::check_property(&m, "prop", bound).unwrap();
+        let stepped =
+            dfv_sec::check_property_budgeted(&m, "prop", bound, &Budget::unlimited()).unwrap();
+        match first {
+            None => {
+                holds += 1;
+                assert_eq!(whole.outcome, BmcOutcome::HoldsUpTo(bound), "case {case}");
+                assert_eq!(stepped.outcome, BmcOutcome::HoldsUpTo(bound), "case {case}");
+            }
+            Some(depth) => {
+                violated += 1;
+                assert!(
+                    matches!(whole.outcome, BmcOutcome::Violated(_)),
+                    "case {case}: {:?}",
+                    whole.outcome
+                );
+                // Depth-by-depth solving finds the shallowest violation.
+                match &stepped.outcome {
+                    BmcOutcome::Violated(t) => {
+                        assert_eq!(t.violation_cycle, depth, "case {case}")
+                    }
+                    other => panic!("case {case}: expected a violation, got {other:?}"),
+                }
+            }
+        }
+    }
+    assert!(holds >= 10 && violated >= 10, "{holds} / {violated}");
 }

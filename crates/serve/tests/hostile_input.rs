@@ -13,7 +13,7 @@ use dfv_bits::SplitMix64;
 use dfv_core::BlockPair;
 use dfv_designs::{alu, fir, memsys};
 use dfv_obs::Json;
-use dfv_rtl::{parse_module, write_module, RtlError, MAX_WIDTH};
+use dfv_rtl::{parse_module, write_module, RtlError, MAX_MEM_DEPTH, MAX_WIDTH};
 use dfv_serve::frame::{fnv1a, MAGIC};
 use dfv_serve::proto::{decode_request, encode_request};
 use dfv_serve::{read_frame, write_frame, FrameError, JobSpec, Request, SubmitOptions};
@@ -155,6 +155,45 @@ fn oversized_widths_are_refused_typed() {
             err.message
         );
     }
+}
+
+#[test]
+fn oversized_memory_depths_are_refused_typed() {
+    // A `mem` line's depth is the number of words a simulator allocates
+    // up front; past the cap it must be a typed parse error, both through
+    // `parse_module` and inside a well-framed `Submit`.
+    let base = write_module(&blocks()[2].rtl);
+    let m = &blocks()[2].rtl.mems[0];
+    let line = |depth: usize| format!("mem {} {} {} {depth}", m.name, m.addr_width, m.data_width);
+    let from = line(m.depth);
+    let (at, _) = base.match_indices(&from).next().expect("mem line present");
+    let text = format!(
+        "{}{}{}",
+        &base[..at],
+        line(MAX_MEM_DEPTH + 1),
+        &base[at + from.len()..]
+    );
+    match parse_module(&text) {
+        Err(RtlError::Parse { message, .. }) => {
+            assert!(message.contains("exceeds the maximum depth"), "{message}")
+        }
+        other => panic!("expected a depth error, got {other:?}"),
+    }
+    let payload = submit()
+        .render()
+        .replace(&json_escape(&base), &json_escape(&text));
+    assert_ne!(
+        payload,
+        submit().render(),
+        "netlist not found in the payload"
+    );
+    let msg = read_frame(&mut framed(payload.as_bytes()).as_slice()).expect("well framed");
+    let err = decode_request(&msg).expect_err("oversized depth refused");
+    assert!(
+        err.message.contains("exceeds the maximum depth"),
+        "{}",
+        err.message
+    );
 }
 
 /// `s` as it appears inside a rendered JSON string.

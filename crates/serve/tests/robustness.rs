@@ -48,27 +48,33 @@ fn add_block(name: &str, delta: u64, bug: bool) -> BlockPair {
     }
 }
 
-/// A genuinely-equivalent but SAT-expensive block: `width`×`width`
-/// multiplier commutativity. Slow enough (hundreds of ms in debug) that
-/// a test can reliably act *while* an executor is inside it.
+/// A genuinely-equivalent but SAT-expensive block: distributivity,
+/// `a * (b + c)` against `a*b + a*c`, over `width`-bit operands. Slow
+/// enough (hundreds of ms at 4 bits) that a test can reliably act
+/// *while* an executor is inside it.
 fn slow_block(name: &str, width: u32) -> BlockPair {
     let out = 2 * width;
-    let mut rb = ModuleBuilder::new("rtl_mul");
+    let mut rb = ModuleBuilder::new("rtl_distrib");
     let a = rb.input("a", width);
     let b = rb.input("b", width);
-    let (aw, bw) = (rb.zext(a, out), rb.zext(b, out));
-    let y = rb.mul(bw, aw);
+    let c = rb.input("c", width);
+    let (aw, bw, cw) = (rb.zext(a, out), rb.zext(b, out), rb.zext(c, out));
+    let ab = rb.mul(aw, bw);
+    let ac = rb.mul(aw, cw);
+    let y = rb.add(ab, ac);
     rb.output("y", y);
     BlockPair {
         name: name.into(),
         slm_source: format!(
-            "uint<{out}> mul(uint<{width}> a, uint<{width}> b) {{ return (uint<{out}>)a * (uint<{out}>)b; }}"
+            "uint<{out}> distrib(uint<{width}> a, uint<{width}> b, uint<{width}> c) \
+             {{ return (uint<{out}>)a * ((uint<{out}>)b + (uint<{out}>)c); }}"
         ),
-        slm_entry: "mul".into(),
+        slm_entry: "distrib".into(),
         rtl: rb.finish().unwrap(),
         spec: EquivSpec::new(1)
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("b", 0, Binding::Slm("b".into()))
+            .bind("c", 0, Binding::Slm("c".into()))
             .compare("return", "y", 0),
     }
 }
@@ -303,7 +309,7 @@ fn abandoned_job_still_completes_and_the_lost_client_is_counted() {
     // client is counted lost by whichever thread notices first. The
     // block is deliberately SAT-slow so the drop lands mid-proof, not
     // after the report already reached the (still-open) pipe buffer.
-    let spec = campaign(vec![slow_block("slow", 6)], None);
+    let spec = campaign(vec![slow_block("slow", 4)], None);
     let ((cr, cw), (sr, sw)) = duplex();
     let conn2 = server.attach(sr, sw);
     let mut doomed = Client::new(cr, cw);

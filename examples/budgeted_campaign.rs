@@ -2,8 +2,8 @@
 //! crash-safe persisted cache.
 //!
 //! Four acts:
-//! 1. A campaign mixing an easy block with a deliberately hard one (16x16
-//!    multiplier commutativity — CDCL-intractable under a tiny budget) runs
+//! 1. A campaign mixing an easy block with a deliberately hard one (16-bit
+//!    distributivity — CDCL-intractable under a tiny budget) runs
 //!    under a 100-conflict / 1 ms escalating policy: the easy block is
 //!    proven, the hard one degrades to bounded random falsification and
 //!    comes back `INCONC` in bounded time.
@@ -41,23 +41,30 @@ fn easy_block() -> BlockPair {
     }
 }
 
-/// Commutativity of a 16x16 multiplier: genuinely equivalent, but proving
-/// `a*b == b*a` at the bit level is far beyond a 100-conflict budget.
+/// Distributivity over 16-bit operands: genuinely equivalent, but proving
+/// `a*(b+c) == a*b + a*c` at the bit level is far beyond a 100-conflict
+/// budget.
 fn hard_block() -> BlockPair {
-    let mut rb = ModuleBuilder::new("rtl_mul_comm");
+    let mut rb = ModuleBuilder::new("rtl_distrib");
     let a = rb.input("a", 16);
     let b = rb.input("b", 16);
-    let (aw, bw) = (rb.zext(a, 32), rb.zext(b, 32));
-    let y = rb.mul(bw, aw); // b * a, against the SLM's a * b
+    let c = rb.input("c", 16);
+    let (aw, bw, cw) = (rb.zext(a, 32), rb.zext(b, 32), rb.zext(c, 32));
+    let ab = rb.mul(aw, bw);
+    let ac = rb.mul(aw, cw);
+    let y = rb.add(ab, ac); // a*b + a*c, against the SLM's a*(b+c)
     rb.output("y", y);
     BlockPair {
-        name: "mul_comm".into(),
-        slm_source: "uint32 mul(uint16 a, uint16 b) { return (uint32)a * (uint32)b; }".into(),
-        slm_entry: "mul".into(),
-        rtl: rb.finish().expect("mul rtl builds"),
+        name: "distrib".into(),
+        slm_source: "uint32 distrib(uint16 a, uint16 b, uint16 c) { \
+                     return (uint32)a * ((uint32)b + (uint32)c); }"
+            .into(),
+        slm_entry: "distrib".into(),
+        rtl: rb.finish().expect("distrib rtl builds"),
         spec: EquivSpec::new(1)
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("b", 0, Binding::Slm("b".into()))
+            .bind("c", 0, Binding::Slm("c".into()))
             .compare("return", "y", 0),
     }
 }
@@ -86,7 +93,7 @@ fn main() {
     assert_eq!(
         r1.inconclusive(),
         1,
-        "the multiplier must exhaust its budget"
+        "the distributivity proof must exhaust its budget"
     );
 
     println!("\n== act 2: restart — unchanged proven blocks come from disk ==");

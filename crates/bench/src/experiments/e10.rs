@@ -9,7 +9,8 @@
 //!
 //! * **work ratio** (`rtl.node_evals` per `slm.activations`) — a
 //!   deterministic structural proxy that lands in the canonical JSON and
-//!   reproduces byte-for-byte across runs;
+//!   reproduces byte-for-byte across runs. `rtl.node_evals` counts the
+//!   default engine's VM instructions executed;
 //! * **wall ratio** (RTL phase time per SLM phase time) — the measured
 //!   §2 "SLM simulates faster than RTL" number, reported in the rendered
 //!   text and the report's `timing` section only, since wall time varies
@@ -103,7 +104,7 @@ pub fn e10_observability() -> String {
         .and_then(Json::as_u64)
         .unwrap_or(0);
     out.push_str(&format!(
-        "\nwork ratio (deterministic): the RTL model evaluates {:.2} IR nodes per\nSLM process activation for the same {} blocks.\n",
+        "\nwork ratio (deterministic): the RTL model executes {:.2} VM instructions per\nSLM process activation for the same {} blocks.\n",
         work_x100 as f64 / 100.0,
         BLOCKS
     ));

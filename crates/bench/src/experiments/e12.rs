@@ -1,6 +1,6 @@
 //! E12 — the compiled simulation engine, measured: E10's SLM-vs-RTL work
-//! ratio re-taken on the dirty-cone engine, plus an old-vs-new engine
-//! comparison on the identical FIR workload in the same report.
+//! ratio re-taken on the default bytecode engine, plus an old-vs-new
+//! engine comparison on the identical FIR workload in the same report.
 //!
 //! The pre-compilation baseline survives as
 //! [`Simulator::new_reference`](dfv_rtl::Simulator::new_reference) — the
@@ -8,12 +8,13 @@
 //! `eval_passes * node_count` by construction. Running both engines on
 //! the same seeded blocks gives two deterministic numbers:
 //!
-//! * **work ratio vs SLM** (`rtl_dirty.node_evals` per
-//!   `slm.activations`) — E10's structural cost proxy, now measured on
-//!   the engine that skips stable cones;
+//! * **work ratio vs SLM** (`rtl_vm.node_evals` per `slm.activations`)
+//!   — E10's structural cost proxy, now measured on the engine that
+//!   skips stable cones. Its unit is VM instructions executed, not IR
+//!   nodes (a fused instruction covers two nodes; sources emit none);
 //! * **engine work ratio** (`rtl_ref.node_evals` per
-//!   `rtl_dirty.node_evals`) — how much of the reference engine's node
-//!   work the compiled engine avoids on a dense streaming workload.
+//!   `rtl_vm.node_evals`) — reference node evaluations per VM
+//!   instruction on a dense streaming workload.
 //!
 //! Wall-clock throughput for both engines is measured at the phase edges
 //! and reported in the rendered text and the `timing` section only; the
@@ -55,13 +56,13 @@ pub fn e12_report() -> RunReport {
         std::hint::black_box(sink);
     });
 
-    let dirty_rec = MemoryRecorder::shared();
-    let mut rtl_dirty = RtlFir::new();
-    rtl_dirty.set_recorder(dirty_rec.clone());
-    let dirty_sink = rep.phase("rtl_dirty", || {
+    let vm_rec = MemoryRecorder::shared();
+    let mut rtl_vm = RtlFir::new();
+    rtl_vm.set_recorder(vm_rec.clone());
+    let vm_sink = rep.phase("rtl_vm", || {
         let mut sink = 0i64;
         for seed in 0..BLOCKS {
-            sink ^= rtl_dirty.run(&sample_block(seed))[0];
+            sink ^= rtl_vm.run(&sample_block(seed))[0];
         }
         sink
     });
@@ -76,7 +77,7 @@ pub fn e12_report() -> RunReport {
         }
         sink
     });
-    assert_eq!(dirty_sink, ref_sink, "engines diverged on the FIR workload");
+    assert_eq!(vm_sink, ref_sink, "engines diverged on the FIR workload");
 
     rep.add_counters(
         slm_rec
@@ -86,20 +87,20 @@ pub fn e12_report() -> RunReport {
             .iter()
             .map(|(k, v)| (*k, *v)),
     );
-    add_prefixed(&mut rep, "rtl_dirty", &dirty_rec);
+    add_prefixed(&mut rep, "rtl_vm", &vm_rec);
     add_prefixed(&mut rep, "rtl_ref", &ref_rec);
 
     rep.set_value("blocks", Json::UInt(BLOCKS));
     let slm_work = rep.counter("slm.activations").max(1);
-    let dirty_work = rep.counter("rtl_dirty.node_evals");
+    let vm_work = rep.counter("rtl_vm.node_evals");
     let ref_work = rep.counter("rtl_ref.node_evals");
     rep.set_value(
         "work_ratio_rtl_over_slm_x100",
-        Json::UInt(dirty_work * 100 / slm_work),
+        Json::UInt(vm_work * 100 / slm_work),
     );
     rep.set_value(
-        "engine_work_ratio_ref_over_dirty_x100",
-        Json::UInt(ref_work * 100 / dirty_work.max(1)),
+        "engine_work_ratio_ref_over_vm_x100",
+        Json::UInt(ref_work * 100 / vm_work.max(1)),
     );
     rep
 }
@@ -108,13 +109,13 @@ pub fn e12_report() -> RunReport {
 pub fn e12_sim_engine() -> String {
     let rep = e12_report();
     let mut out = String::from(
-        "E12 — compiled simulation engine: dirty-cone vs full-reevaluation reference\non the FIR workload, with E10's SLM-vs-RTL work ratio re-taken\n\n",
+        "E12 — compiled simulation engine: bytecode VM vs full-reevaluation reference\non the FIR workload, with E10's SLM-vs-RTL work ratio re-taken\n\n",
     );
     let rows: Vec<Vec<String>> = [
         "slm.activations",
-        "rtl_dirty.steps",
-        "rtl_dirty.eval_passes",
-        "rtl_dirty.node_evals",
+        "rtl_vm.steps",
+        "rtl_vm.eval_passes",
+        "rtl_vm.node_evals",
         "rtl_ref.eval_passes",
         "rtl_ref.node_evals",
     ]
@@ -128,32 +129,32 @@ pub fn e12_sim_engine() -> String {
         .and_then(Json::as_u64)
         .unwrap_or(0);
     let engine_x100 = rep
-        .value("engine_work_ratio_ref_over_dirty_x100")
+        .value("engine_work_ratio_ref_over_vm_x100")
         .and_then(Json::as_u64)
         .unwrap_or(0);
     out.push_str(&format!(
-        "\nwork ratio vs SLM (deterministic): the compiled RTL engine evaluates {:.2}\nIR nodes per SLM process activation for the same {} blocks (E10 measured the\nsame metric on the pre-compilation engine).\n",
+        "\nwork ratio vs SLM (deterministic): the compiled RTL engine executes {:.2}\nVM instructions per SLM process activation for the same {} blocks (E10 measured\nIR node evaluations on the pre-compilation engine).\n",
         work_x100 as f64 / 100.0,
         BLOCKS
     ));
     out.push_str(&format!(
-        "engine work ratio (deterministic): the reference engine evaluates {:.2}x the\nnodes the dirty-cone engine does on this dense workload.\n",
+        "engine work ratio (deterministic): the reference engine evaluates {:.2} nodes\nper instruction the VM executes on this dense workload.\n",
         engine_x100 as f64 / 100.0
     ));
-    let (mut dirty_us, mut ref_us) = (0u128, 0u128);
+    let (mut vm_us, mut ref_us) = (0u128, 0u128);
     for p in rep.phases() {
         match p.name.as_str() {
-            "rtl_dirty" => dirty_us += p.wall.as_micros(),
+            "rtl_vm" => vm_us += p.wall.as_micros(),
             "rtl_reference" => ref_us += p.wall.as_micros(),
             _ => {}
         }
     }
-    if dirty_us > 0 {
+    if vm_us > 0 {
         out.push_str(&format!(
-            "engine wall speedup (measured at the phase edges): {:.2}x\n({} us reference vs {} us dirty-cone) — timing section only.\n",
-            ref_us as f64 / dirty_us as f64,
+            "engine wall speedup (measured at the phase edges): {:.2}x\n({} us reference vs {} us bytecode VM) — timing section only.\n",
+            ref_us as f64 / vm_us as f64,
             ref_us,
-            dirty_us
+            vm_us
         ));
     }
     out.push_str("\ncanonical JSON (byte-reproducible; timing lives only in the full report):\n");
@@ -174,11 +175,11 @@ mod tests {
         let parsed = dfv_obs::parse_json(&j1).unwrap();
         let engine = parsed
             .get("values")
-            .and_then(|v| v.get("engine_work_ratio_ref_over_dirty_x100"))
+            .and_then(|v| v.get("engine_work_ratio_ref_over_vm_x100"))
             .and_then(Json::as_u64)
             .unwrap();
-        // The reference engine re-evaluates every node per pass; the
-        // dirty-cone engine never does more than that.
+        // The reference engine re-evaluates every node per pass; the VM
+        // emits at most one instruction per node and skips stable cones.
         assert!(engine >= 100, "engine ratio_x100 = {engine}");
         assert!(!j1.contains("wall_us"));
         let full = dfv_obs::parse_json(&e12_report().full_json()).unwrap();

@@ -3,10 +3,10 @@
 //!
 //! Two halves, one report:
 //!
-//! * **RTL** — the three standard workloads run on the dirty-cone
-//!   interpreter, the bytecode VM ([`dfv_rtl::EvalMode::Bytecode`]), and
-//!   the full-reevaluation reference oracle, with every engine's output
-//!   hash asserted against the oracle before any counter lands (the
+//! * **RTL** — the three standard workloads run on the bytecode VM
+//!   ([`dfv_rtl::EvalMode::Bytecode`], the default engine) and the
+//!   full-reevaluation reference oracle, with the VM's output hash
+//!   asserted against the oracle's before any counter lands (the
 //!   [`crate::simbench::add_engine_sweep`] counters);
 //! * **SLM** — a scalar-heavy SLM-C mixing loop runs on the tree-walking
 //!   interpreter ([`dfv_slmir::Interp::new`]) and on the
@@ -53,12 +53,12 @@ const MIX_SRC: &str = r#"
 ///
 /// # Panics
 ///
-/// Panics if any RTL engine's output hash diverges from the reference
+/// Panics if the VM's output hash diverges from the reference
 /// oracle, or if the compiled SLM interpreter's `RunResult` differs from
 /// the tree-walking oracle's in any field.
 pub fn e16_report() -> RunReport {
     let mut rep = RunReport::new("e16_bytecode_vm");
-    simbench::add_engine_sweep(&mut rep, RTL_CYCLES, &simbench::ALL_ENGINES);
+    simbench::add_engine_sweep(&mut rep, RTL_CYCLES);
 
     let prog = parse(MIX_SRC).expect("mix kernel parses");
     let u32ty = ScalarTy {
@@ -160,11 +160,12 @@ mod tests {
         // The mixing loop must actually engage the segment compiler.
         assert!(a.counter("e16.slm.segments") >= 1);
         // And the vm rows must be present with the same step counters as
-        // the interpreter rows (same stimulus, same schedule).
+        // the reference rows (same stimulus).
         for w in ["fir_dense", "conv_stream", "memsys_sparse"] {
+            assert!(a.counter(&format!("sim.{w}.vm.steps")) > 0);
             assert_eq!(
                 a.counter(&format!("sim.{w}.vm.steps")),
-                a.counter(&format!("sim.{w}.dirty.steps"))
+                a.counter(&format!("sim.{w}.reference.steps"))
             );
         }
     }

@@ -150,7 +150,7 @@ pub struct RtlFir {
 }
 
 impl RtlFir {
-    /// Builds the simulator (compiled dirty-cone engine).
+    /// Builds the simulator (default bytecode engine).
     pub fn new() -> Self {
         RtlFir {
             sim: Simulator::new(dfv_designs::fir::rtl()).expect("fir rtl builds"),

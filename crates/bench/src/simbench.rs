@@ -1,32 +1,34 @@
 //! The deterministic simulator workload sweep behind `bench sim` and E16,
-//! plus the 64-lane batched sweep behind `bench sim --batch` and E15.
+//! plus the 64-lane batched sweep behind `bench sim` and E15.
 //!
 //! Three seeded workloads from `dfv-designs` — a dense FIR stream, a
 //! valid-gated convolution stream, and a mostly-idle memory system — each
-//! run on the scalar evaluation engines: the compiled dirty-cone
-//! interpreter ([`dfv_rtl::EvalMode::DirtyCone`]), the register-bytecode
-//! VM ([`dfv_rtl::EvalMode::Bytecode`]), and the full-reevaluation
-//! reference oracle. The oracle always runs — every other engine's output
-//! hash is asserted against it before any number lands in the report.
-//! The comparable payload is the deterministic counter set (`steps`,
-//! `eval_passes`, `node_evals`, and a cross-engine output hash);
-//! wall-clock lives only in the report's timing section, so the canonical
-//! JSON reproduces byte-for-byte across runs and machines while the full
-//! JSON still carries the measured speedup.
+//! run on both scalar evaluation engines: the default register-bytecode
+//! VM ([`dfv_rtl::EvalMode::Bytecode`]) and the full-reevaluation
+//! reference oracle ([`dfv_rtl::EvalMode::FullOracle`]). The VM's output
+//! hash is asserted against the oracle's before any number lands in the
+//! report. The comparable payload is the deterministic counter set
+//! (`steps`, `eval_passes`, `node_evals`, and a cross-engine output
+//! hash); wall-clock lives only in the report's timing section, so the
+//! canonical JSON reproduces byte-for-byte across runs and machines while
+//! the full JSON still carries the measured speedup.
 //!
-//! `node_evals` means "work units dispatched" per engine: IR nodes for
-//! the interpreters, VM instructions for the bytecode engine (fusion can
-//! make it smaller than the node count at equal coverage). Cross-engine
-//! work ratios are therefore approximate; the hashes are exact.
+//! `node_evals` means "work units dispatched" per engine: VM
+//! instructions for the bytecode engine (fusion can make it smaller than
+//! the node count at equal coverage), IR nodes for the oracle. The
+//! cross-engine work ratio is therefore approximate; the hashes are
+//! exact.
 //!
 //! The batched sweep ([`add_batch_sweep`]) measures campaign throughput
 //! instead of single-stream latency: 64 independently-seeded copies of
-//! each workload run once per engine — 64 scalar simulators versus one
+//! each workload run once per engine — 64 scalar VM simulators versus one
 //! 64-lane [`dfv_rtl::LaneSim`] carrying one stream per lane — with the
 //! per-lane output hashes asserted identical before any counter is
-//! reported. `node_evals` counts kernel dispatches, so the lane engine's
-//! ~1/64 dispatch count (plus its per-lane fallback evaluations for
-//! division-class ops) is the honest work ratio.
+//! reported. `node_evals` counts kernel dispatches (VM instructions on
+//! the scalar side, lane kernels on the other), so the lane engine's
+//! dispatch count (plus its per-lane fallback evaluations for
+//! division-class ops) against the scalar instruction count is the
+//! honest work ratio.
 
 use dfv_bits::{Bv, SplitMix64};
 use dfv_designs::{conv, fir, memsys};
@@ -85,8 +87,8 @@ fn drive_conv(rng: &mut SplitMix64, _cycle: u64, out: &mut Vec<(&'static str, Bv
     out.push(("pix_in", Bv::from_u64(8, r >> 8)));
 }
 
-/// Sparse: one request every 16th cycle, idle otherwise — the dirty-cone
-/// engine's best case.
+/// Sparse: one request every 16th cycle, idle otherwise — the best case for
+/// dirty-cone scheduling.
 fn drive_memsys(rng: &mut SplitMix64, cycle: u64, out: &mut Vec<(&'static str, Bv)>) {
     // Drive only edges: raise req_valid on request cycles, drop it the
     // cycle after. Ports hold their value in between, so the effective
@@ -145,8 +147,7 @@ fn fnv_fold(hash: u64, limb: u64) -> u64 {
 fn run_workload(w: &Workload, mode: EvalMode, seed: u64, cycles: u64) -> (SimStats, u64) {
     let module = (w.module)();
     let mut sim = match mode {
-        EvalMode::DirtyCone => Simulator::new(module),
-        EvalMode::Bytecode => Simulator::new_vm(module),
+        EvalMode::Bytecode => Simulator::new(module),
         EvalMode::FullOracle => Simulator::new_reference(module),
     }
     .expect("workload module builds");
@@ -219,57 +220,45 @@ fn run_workload_lanes(w: &Workload, cycles: u64) -> (dfv_rtl::LaneStats, Vec<u64
 
 fn engine_tag(mode: EvalMode) -> &'static str {
     match mode {
-        EvalMode::DirtyCone => "dirty",
         EvalMode::Bytecode => "vm",
         EvalMode::FullOracle => "reference",
     }
 }
 
-/// All scalar engines, reference last (its hash anchors the parity
-/// asserts, and "compiled engines first" keeps the table order stable).
-pub const ALL_ENGINES: [EvalMode; 3] = [
-    EvalMode::DirtyCone,
-    EvalMode::Bytecode,
-    EvalMode::FullOracle,
-];
+/// Both scalar engines, reference last (its hash anchors the parity
+/// assert, and "compiled engine first" keeps the table order stable).
+const ENGINES: [EvalMode; 2] = [EvalMode::Bytecode, EvalMode::FullOracle];
 
-/// Runs the full sweep over all three engines; see
-/// [`sim_bench_report_engines`].
-pub fn sim_bench_report(cycles: u64) -> RunReport {
-    sim_bench_report_engines(cycles, &ALL_ENGINES)
-}
-
-/// Runs the workload sweep on the requested `engines` and reduces it to a
-/// [`RunReport`]. The full-reevaluation reference always runs (it is
-/// appended if absent) — it is the oracle every other engine's output
-/// hash is checked against.
+/// Runs the whole `bench sim` sweep and reduces it to a [`RunReport`]:
+/// the scalar engine sweep at `cycles` cycles per workload
+/// ([`add_engine_sweep`]), then the batched sweep at `batch_cycles`
+/// cycles per stream ([`add_batch_sweep`]).
 ///
 /// Counters and values are a pure function of the fixed seeds (the
-/// canonical JSON is byte-reproducible); one timing phase per
-/// workload/engine pair carries the wall-clock measurements.
+/// canonical JSON is byte-reproducible); timing phases carry the
+/// wall-clock measurements.
 ///
 /// # Panics
 ///
-/// Panics if any engine disagrees with the reference oracle on any
-/// workload's output stream — that would be a simulator bug, not a
-/// measurement. The assert fires before the report (and thus any timing)
-/// is returned.
-pub fn sim_bench_report_engines(cycles: u64, engines: &[EvalMode]) -> RunReport {
+/// Panics if the VM disagrees with the reference oracle, or a lane with
+/// its scalar run, on any workload's output stream — that would be a
+/// simulator bug, not a measurement. The asserts fire before the report
+/// (and thus any timing) is returned.
+pub fn sim_bench_report(cycles: u64, batch_cycles: u64) -> RunReport {
     let mut rep = RunReport::new("sim_engine_sweep");
-    add_engine_sweep(&mut rep, cycles, engines);
+    add_engine_sweep(&mut rep, cycles);
+    add_batch_sweep(&mut rep, batch_cycles);
     rep
 }
 
-/// Appends the scalar engine sweep to an existing report (the body of
-/// [`sim_bench_report_engines`], reused by E16). Same counters, same
-/// oracle-anchored parity asserts.
-pub fn add_engine_sweep(rep: &mut RunReport, cycles: u64, engines: &[EvalMode]) {
-    let mut modes: Vec<EvalMode> = Vec::new();
-    for &m in engines.iter().chain([EvalMode::FullOracle].iter()) {
-        if !modes.contains(&m) {
-            modes.push(m);
-        }
-    }
+/// Appends the scalar engine sweep (VM and reference oracle, every
+/// workload) to a report; also the body of E16. One timing phase per
+/// workload/engine pair.
+///
+/// # Panics
+///
+/// Panics if the VM's output hash differs from the oracle's.
+pub fn add_engine_sweep(rep: &mut RunReport, cycles: u64) {
     rep.set_value("cycles_per_workload", Json::UInt(cycles));
     for w in &WORKLOADS {
         // Best-of-N wall clock, engines interleaved within each
@@ -279,67 +268,52 @@ pub fn add_engine_sweep(rep: &mut RunReport, cycles: u64, engines: &[EvalMode]) 
         // skew their *ratio*. The counters and hash are a pure function
         // of the seed — identical across repetitions — so only the
         // minimum wall time per engine is recorded.
-        let mut best = vec![std::time::Duration::MAX; modes.len()];
-        let mut outs: Vec<Option<(SimStats, u64)>> = vec![None; modes.len()];
+        let mut best = [std::time::Duration::MAX; ENGINES.len()];
+        let mut outs: [Option<(SimStats, u64)>; ENGINES.len()] = [None; ENGINES.len()];
         for _ in 0..TIMING_REPS {
-            for (k, &mode) in modes.iter().enumerate() {
+            for (k, &mode) in ENGINES.iter().enumerate() {
                 let t = std::time::Instant::now();
                 let r = run_workload(w, mode, base_seed(w), cycles);
                 best[k] = best[k].min(t.elapsed());
                 outs[k].get_or_insert(r);
             }
         }
-        let mut results = Vec::new();
-        for (k, &mode) in modes.iter().enumerate() {
-            rep.push_phase(format!("{}.{}", w.name, engine_tag(mode)), best[k]);
-            let (stats, hash) = outs[k].take().expect("at least one timing rep");
+        for (k, &mode) in ENGINES.iter().enumerate() {
+            let tag = engine_tag(mode);
+            rep.push_phase(format!("{}.{tag}", w.name), best[k]);
+            let (stats, _) = outs[k].expect("at least one timing rep");
+            rep.set_counter(format!("sim.{}.{tag}.steps", w.name), stats.steps);
             rep.set_counter(
-                format!("sim.{}.{}.steps", w.name, engine_tag(mode)),
-                stats.steps,
-            );
-            rep.set_counter(
-                format!("sim.{}.{}.eval_passes", w.name, engine_tag(mode)),
+                format!("sim.{}.{tag}.eval_passes", w.name),
                 stats.eval_passes,
             );
-            rep.set_counter(
-                format!("sim.{}.{}.node_evals", w.name, engine_tag(mode)),
-                stats.node_evals,
-            );
-            results.push((mode, stats, hash));
+            rep.set_counter(format!("sim.{}.{tag}.node_evals", w.name), stats.node_evals);
         }
-        let &(_, ref ref_stats, ref_hash) = results
-            .iter()
-            .find(|(m, ..)| *m == EvalMode::FullOracle)
-            .expect("reference always runs");
-        for (mode, stats, hash) in &results {
-            if *mode == EvalMode::FullOracle {
-                continue;
-            }
-            assert_eq!(
-                *hash,
-                ref_hash,
-                "{} engine diverged from the reference oracle on workload {}",
-                engine_tag(*mode),
-                w.name
-            );
-            rep.set_value(
-                format!("node_evals_ref_over_{}_x100.{}", engine_tag(*mode), w.name),
-                Json::UInt(ref_stats.node_evals * 100 / stats.node_evals.max(1)),
-            );
-        }
+        let [(vm_stats, vm_hash), (ref_stats, ref_hash)] =
+            outs.map(|o| o.expect("at least one timing rep"));
+        assert_eq!(
+            vm_hash, ref_hash,
+            "vm engine diverged from the reference oracle on workload {}",
+            w.name
+        );
+        rep.set_value(
+            format!("node_evals_ref_over_vm_x100.{}", w.name),
+            Json::UInt(ref_stats.node_evals * 100 / vm_stats.node_evals.max(1)),
+        );
         rep.set_counter(format!("sim.{}.out_hash", w.name), ref_hash);
     }
 }
 
-/// Appends the 64-lane batched sweep to a report (`bench sim --batch`,
-/// E15): for each workload, 64 independently-seeded streams on 64 scalar
-/// dirty-cone simulators versus the same 64 streams on one [`LaneSim`].
+/// Appends the 64-lane batched sweep to a report (`bench sim`, E15): for
+/// each workload, 64 independently-seeded streams on 64 scalar VM
+/// simulators versus the same 64 streams on one [`LaneSim`].
 /// Counters land under `sim_batch.*`; the per-lane output hashes must
 /// agree or this panics (a lane/scalar divergence is a simulator bug).
 ///
-/// `node_evals` counts kernel dispatches on both engines, and the lane
-/// engine's per-lane fallback evaluations (division-class ops) are
-/// reported — and charged — separately, so
+/// `node_evals` counts kernel dispatches on both engines (VM
+/// instructions on the scalar side), and the lane engine's per-lane
+/// fallback evaluations (division-class ops) are reported — and charged —
+/// separately, so
 /// `sim_batch.<w>.scalar.node_evals` versus
 /// `sim_batch.<w>.lanes.node_evals + sim_batch.<w>.lanes.fallback_evals`
 /// is an apples-to-apples work comparison.
@@ -350,12 +324,8 @@ pub fn add_batch_sweep(rep: &mut RunReport, cycles: u64) {
             let mut evals = 0u64;
             let mut hashes = Vec::with_capacity(BATCH_LANES);
             for lane in 0..BATCH_LANES {
-                let (stats, hash) = run_workload(
-                    w,
-                    EvalMode::DirtyCone,
-                    lane_seed(base_seed(w), lane),
-                    cycles,
-                );
+                let (stats, hash) =
+                    run_workload(w, EvalMode::Bytecode, lane_seed(base_seed(w), lane), cycles);
                 evals += stats.node_evals;
                 hashes.push(hash);
             }
@@ -403,21 +373,18 @@ fn phase_us(rep: &RunReport, workload: &str, tag: &str) -> u128 {
         .sum()
 }
 
-/// Renders the sweep as a table — one row per workload x engine that ran
-/// — plus the measured wall-clock speedups against the reference oracle.
+/// Renders the scalar sweep as a table — one row per workload x engine —
+/// plus the measured wall-clock speedups against the reference oracle.
 pub fn render_sim_bench(rep: &RunReport) -> String {
     let mut out = String::from(
-        "simulator workload sweep: compiled engines (dirty-cone interpreter, bytecode VM)\nvs the full-reevaluation reference oracle\n\n",
+        "simulator workload sweep: bytecode VM vs the full-reevaluation reference oracle\n\n",
     );
     let mut rows = Vec::new();
     for w in &WORKLOADS {
         let ref_evals = rep.counter(&format!("sim.{}.reference.node_evals", w.name));
         let ref_us = phase_us(rep, w.name, "reference");
-        for mode in ALL_ENGINES {
+        for mode in ENGINES {
             let tag = engine_tag(mode);
-            if rep.counter(&format!("sim.{}.{tag}.steps", w.name)) == 0 {
-                continue; // engine not part of this run
-            }
             let evals = rep.counter(&format!("sim.{}.{tag}.node_evals", w.name));
             let us = phase_us(rep, w.name, tag);
             rows.push(vec![
@@ -446,7 +413,7 @@ pub fn render_sim_bench(rep: &RunReport) -> String {
         &rows,
     ));
     out.push_str(
-        "\nnode_evals are deterministic work units per engine (IR nodes for the\ninterpreters, VM instructions for the bytecode engine) and form the canonical\nJSON payload; the us / speedup columns are measured wall-clock and live only\nin the full JSON's timing section. Every engine's output hash is asserted\nagainst the reference oracle before the report exists.\n",
+        "\nnode_evals are deterministic work units per engine (VM instructions for the\nbytecode engine, IR nodes for the reference) and form the canonical JSON\npayload; the us / speedup columns are measured wall-clock and live only in the\nfull JSON's timing section. The VM's output hash is asserted against the\nreference oracle before the report exists.\n",
     );
     out
 }
@@ -508,40 +475,40 @@ pub fn render_sim_batch(rep: &RunReport) -> String {
 mod tests {
     use super::*;
 
+    fn engine_report(cycles: u64) -> RunReport {
+        let mut rep = RunReport::new("engines_only");
+        add_engine_sweep(&mut rep, cycles);
+        rep
+    }
+
     #[test]
     fn canonical_json_reproduces_and_sparse_workload_wins() {
-        let a = sim_bench_report(200);
-        let b = sim_bench_report(200);
+        let a = engine_report(200);
+        let b = engine_report(200);
         assert_eq!(a.canonical_json(), b.canonical_json());
-        // On the sparse workload the dirty-cone engine must do strictly
-        // less node work than the reference.
-        let dirty = a.counter("sim.memsys_sparse.dirty.node_evals");
+        // On the sparse workload the VM's dirty-cone scheduling must do
+        // strictly less work than the reference.
+        let vm = a.counter("sim.memsys_sparse.vm.node_evals");
         let reference = a.counter("sim.memsys_sparse.reference.node_evals");
-        assert!(dirty > 0);
-        assert!(dirty < reference, "dirty {dirty} vs reference {reference}");
+        assert!(vm > 0);
+        assert!(vm < reference, "vm {vm} vs reference {reference}");
         // Timing never leaks into the canonical form.
         assert!(!a.canonical_json().contains("wall_us"));
     }
 
     #[test]
-    fn vm_rows_present_and_engine_subsets_reproduce() {
-        let a = sim_bench_report(200);
+    fn vm_and_reference_rows_present() {
+        let a = engine_report(150);
         for w in ["fir_dense", "conv_stream", "memsys_sparse"] {
-            // The default sweep carries a vm row whose step/pass counters
-            // match the interpreter's (same stimulus, same schedule).
+            // Same stimulus on both engines: equal step counts.
             assert_eq!(
                 a.counter(&format!("sim.{w}.vm.steps")),
-                a.counter(&format!("sim.{w}.dirty.steps"))
+                a.counter(&format!("sim.{w}.reference.steps"))
             );
+            assert!(a.counter(&format!("sim.{w}.vm.steps")) > 0);
             assert!(a.counter(&format!("sim.{w}.vm.node_evals")) > 0);
         }
-        // A vm-only run appends the reference oracle automatically, skips
-        // the interpreter, and reproduces byte-for-byte.
-        let v1 = sim_bench_report_engines(150, &[EvalMode::Bytecode]);
-        let v2 = sim_bench_report_engines(150, &[EvalMode::Bytecode]);
-        assert_eq!(v1.canonical_json(), v2.canonical_json());
-        assert!(v1.counter("sim.fir_dense.reference.steps") > 0);
-        assert_eq!(v1.counter("sim.fir_dense.dirty.steps"), 0);
+        assert!(!a.canonical_json().contains(".dirty."));
     }
 
     #[test]

@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn evaluation_engines_agree_through_transactors() {
-        // The same serialized transactions through the dirty-cone engine
+        // The same serialized transactions through the bytecode engine
         // and the full-reevaluation reference must produce identical
         // transaction-level outputs and cycle counts.
         let run = |sim: Simulator| {

@@ -1,21 +1,20 @@
 //! Differential property suite for the compiled simulation engines.
 //!
-//! Every seeded design runs through **four** engines under seeded
+//! Every seeded design runs through **three** engines under seeded
 //! constrained-random stimulus (in-tree SplitMix64, no external deps):
 //!
-//! * the dirty-cone compiled engine ([`Simulator::new`]),
-//! * the register-bytecode VM engine ([`Simulator::new_vm`]),
+//! * the default register-bytecode VM engine ([`Simulator::new`]),
 //! * the reference full-reevaluation interpreter
 //!   ([`Simulator::new_reference`]), and
 //! * the 64-lane batched engine ([`LaneSim`]), each lane driven with its
 //!   own independent stimulus stream.
 //!
-//! The three scalar engines are compared on per-cycle outputs, recorded
+//! The two scalar engines are compared on per-cycle outputs, recorded
 //! traces, and rendered VCD dumps — byte for byte. The batched engine is
 //! compared per lane: lane `l`'s outputs and trace must be bit-identical
 //! to a scalar run of lane `l`'s stimulus.
 //!
-//! Regression tests then pin down the point of each engine: the
+//! Regression tests then pin down the point of each engine: the VM's
 //! dirty-cone `node_evals` counter must come in strictly below the
 //! reference engine's full-pass count on a sparse workload, and the
 //! batched engine must cover 64 scenarios for well under 1/8th (in
@@ -44,7 +43,7 @@ fn lane_seed(seed: u64, lane: usize) -> u64 {
     seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Drives all four engines with seeded stimulus for `cycles` cycles.
+/// Drives all three engines with seeded stimulus for `cycles` cycles.
 /// The scalar engines share lane 0's stream and are held bit-identical
 /// on every output, the traces, and the VCDs; the 64-lane batched engine
 /// gets an independent stream per lane and every lane in `check_lanes`
@@ -52,20 +51,17 @@ fn lane_seed(seed: u64, lane: usize) -> u64 {
 /// scalar run of that lane's stream.
 fn assert_engines_agree_lanes(module: Module, seed: u64, cycles: u32, check_lanes: &[usize]) {
     let name = module.name.clone();
-    let mut fast = Simulator::new(module.clone()).unwrap();
-    let mut vm = Simulator::new_vm(module.clone()).unwrap();
+    let mut vm = Simulator::new(module.clone()).unwrap();
     let mut oracle = Simulator::new_reference(module.clone()).unwrap();
     let mut lanes = LaneSim::new(module.clone()).unwrap();
-    assert_eq!(fast.eval_mode(), EvalMode::DirtyCone);
     assert_eq!(vm.eval_mode(), EvalMode::Bytecode);
     assert_eq!(oracle.eval_mode(), EvalMode::FullOracle);
     for p in &module.outputs {
-        fast.watch_output(&p.name);
         vm.watch_output(&p.name);
         oracle.watch_output(&p.name);
         lanes.watch_output(&p.name);
     }
-    // Scalar checkers for the sampled lanes (lane 0 is covered by `fast`).
+    // Scalar checkers for the sampled lanes (lane 0 is covered by `vm`).
     let mut checkers: Vec<(usize, Simulator, SplitMix64)> = check_lanes
         .iter()
         .filter(|&&l| l != 0)
@@ -77,7 +73,6 @@ fn assert_engines_agree_lanes(module: Module, seed: u64, cycles: u32, check_lane
             (l, sim, SplitMix64::new(lane_seed(seed, l)))
         })
         .collect();
-    let mut rng_a = SplitMix64::new(seed);
     let mut rng_v = SplitMix64::new(seed);
     let mut rng_b = SplitMix64::new(seed);
     let mut lane_rngs: Vec<SplitMix64> = (0..LANES)
@@ -85,7 +80,6 @@ fn assert_engines_agree_lanes(module: Module, seed: u64, cycles: u32, check_lane
         .collect();
     for cycle in 0..cycles {
         for p in &module.inputs {
-            fast.poke(&p.name, random_bv(&mut rng_a, p.width));
             vm.poke(&p.name, random_bv(&mut rng_v, p.width));
             oracle.poke(&p.name, random_bv(&mut rng_b, p.width));
             for (l, rng) in lane_rngs.iter_mut().enumerate() {
@@ -95,7 +89,6 @@ fn assert_engines_agree_lanes(module: Module, seed: u64, cycles: u32, check_lane
                 sim.poke(&p.name, random_bv(rng, p.width));
             }
         }
-        fast.step();
         vm.step();
         oracle.step();
         lanes.step();
@@ -103,17 +96,11 @@ fn assert_engines_agree_lanes(module: Module, seed: u64, cycles: u32, check_lane
             sim.step();
         }
         for p in &module.outputs {
-            let f = fast.output(&p.name);
+            let f = vm.output(&p.name);
             assert_eq!(
                 f,
                 oracle.output(&p.name),
                 "{name}: output {:?} diverged at cycle {cycle} (seed {seed:#x})",
-                p.name
-            );
-            assert_eq!(
-                vm.output(&p.name),
-                f,
-                "{name}: vm output {:?} diverged at cycle {cycle} (seed {seed:#x})",
                 p.name
             );
             if check_lanes.contains(&0) {
@@ -134,22 +121,16 @@ fn assert_engines_agree_lanes(module: Module, seed: u64, cycles: u32, check_lane
             }
         }
     }
-    assert_eq!(fast.trace(), oracle.trace(), "{name}: traces diverged");
-    assert_eq!(vm.trace(), oracle.trace(), "{name}: vm trace diverged");
-    assert_eq!(
-        trace_to_vcd(&fast, "tb"),
-        trace_to_vcd(&oracle, "tb"),
-        "{name}: VCD dumps diverged"
-    );
+    assert_eq!(vm.trace(), oracle.trace(), "{name}: traces diverged");
     assert_eq!(
         trace_to_vcd(&vm, "tb"),
         trace_to_vcd(&oracle, "tb"),
-        "{name}: vm VCD dump diverged"
+        "{name}: VCD dumps diverged"
     );
     if check_lanes.contains(&0) {
         assert_eq!(
             &lanes.trace_lane(0)[..],
-            fast.trace(),
+            vm.trace(),
             "{name}: lane 0 trace diverged"
         );
     }
@@ -345,8 +326,7 @@ fn shift_kernels_agree_at_limb_boundaries() {
             .chain([w as u64 - 1, w as u64, w as u64 + 1, 1000])
             .collect();
 
-        let mut fast = Simulator::new(module.clone()).unwrap();
-        let mut vm = Simulator::new_vm(module.clone()).unwrap();
+        let mut vm = Simulator::new(module.clone()).unwrap();
         let mut oracle = Simulator::new_reference(module.clone()).unwrap();
         let mut lanes = LaneSim::new(module.clone()).unwrap();
         // Lane-chunk the (value, amount) grid; every case also runs the
@@ -362,8 +342,6 @@ fn shift_kernels_agree_at_limb_boundaries() {
             }
             for (lane, (v, m)) in chunk.iter().enumerate() {
                 let amt_bv = Bv::from_u64(16, *m);
-                fast.poke("a", v.clone());
-                fast.poke("amt", amt_bv.clone());
                 vm.poke("a", v.clone());
                 vm.poke("amt", amt_bv.clone());
                 oracle.poke("a", v.clone());
@@ -374,11 +352,6 @@ fn shift_kernels_agree_at_limb_boundaries() {
                     ("ashr", dfv_rtl::ir::BinOp::AShr),
                 ] {
                     let expect = eval_bin(op, v, &amt_bv);
-                    assert_eq!(
-                        fast.output(port),
-                        expect,
-                        "compiled {port} w={w} amt={m} a={v:?}"
-                    );
                     assert_eq!(vm.output(port), expect, "vm {port} w={w} amt={m} a={v:?}");
                     assert_eq!(
                         oracle.output(port),
@@ -398,7 +371,7 @@ fn shift_kernels_agree_at_limb_boundaries() {
 
 /// The batched engine's reason to exist: 64 scenarios on the sparse
 /// memsys workload cost one lane run — well under 1/8th (measured
-/// ~1/64th) of what 64 scalar dirty-cone runs dispatch.
+/// ~1/64th) of what 64 scalar VM runs dispatch.
 #[test]
 fn lane_batching_cuts_node_evals_on_sparse_workload() {
     let table: [u8; 16] = [0; 16];
@@ -444,13 +417,14 @@ fn lane_batching_cuts_node_evals_on_sparse_workload() {
 }
 
 /// The engine's reason to exist: on a sparse workload (one request, then a
-/// long idle stretch) the dirty-cone engine evaluates strictly fewer nodes
-/// than the full-reevaluation reference under identical stimulus.
+/// long idle stretch) the VM's dirty-cone scheduling executes strictly
+/// fewer instructions than the full-reevaluation reference evaluates
+/// nodes under identical stimulus.
 #[test]
 fn dirty_cone_beats_full_reeval_on_sparse_workload() {
     let table: [u8; 16] = [0; 16];
     let m = memsys::rtl(&table);
-    let mut fast = Simulator::new(m.clone()).unwrap();
+    let mut vm = Simulator::new(m.clone()).unwrap();
     let mut oracle = Simulator::new_reference(m).unwrap();
     let drive = |sim: &mut Simulator| {
         sim.step_with(&[
@@ -464,14 +438,14 @@ fn dirty_cone_beats_full_reeval_on_sparse_workload() {
         }
         sim.output("resp0_valid")
     };
-    let a = drive(&mut fast);
+    let a = drive(&mut vm);
     let b = drive(&mut oracle);
     assert_eq!(a, b);
-    let (f, o) = (fast.stats(), oracle.stats());
+    let (f, o) = (vm.stats(), oracle.stats());
     assert_eq!(f.steps, o.steps);
     assert!(
         f.node_evals < o.node_evals,
-        "dirty-cone did {} node evals, reference {} — expected strictly less",
+        "vm executed {} instructions, reference {} node evals — expected strictly less",
         f.node_evals,
         o.node_evals
     );

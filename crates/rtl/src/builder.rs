@@ -275,7 +275,7 @@ impl ModuleBuilder {
             .push(WritePort { en, addr, data });
     }
 
-    fn bin(&mut self, op: BinOp, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn bin(&mut self, op: BinOp, a: NodeId, b: NodeId) -> NodeId {
         let (wa, wb) = (self.width(a), self.width(b));
         let out_width = if op.is_shift() {
             wa

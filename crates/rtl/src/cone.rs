@@ -97,8 +97,8 @@ pub fn fanin_cone(
 /// The static node-to-node fanout map of a module's combinational DAG, in
 /// compressed (CSR) form: for every node, which nodes read its value as an
 /// operand. This is the forward counterpart of [`fanin_cone`]'s backward
-/// traversal, and what the simulator's dirty-cone scheduler walks to find
-/// the nodes a change can reach.
+/// traversal, and what the bytecode and lane engines' dirty-cone
+/// schedulers walk to find the nodes a change can reach.
 ///
 /// Sequential edges (a node feeding a register D/enable, a memory port, or
 /// an output) are *not* included — those are crossed at the clock edge, not

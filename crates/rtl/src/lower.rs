@@ -1,5 +1,5 @@
 //! Lowering of a [`SimSchedule`] into `dfv-vm` bytecode — the
-//! [`crate::EvalMode::Bytecode`] engine behind [`crate::Simulator::new_vm`].
+//! [`crate::EvalMode::Bytecode`] engine behind [`crate::Simulator::new`].
 //!
 //! Each combinational node becomes (at most) one [`Instr`] with every
 //! operand resolved to an absolute limb-arena offset, emitted in

@@ -6,22 +6,17 @@
 //! * a **flat limb arena layout** — every register, memory read register,
 //!   and combinational node gets a fixed `u64`-limb slot, so evaluation
 //!   writes values in place with zero per-node allocation;
-//! * **compiled kernels** — one [`Kernel`] per node with operand slot
-//!   offsets and widths resolved at build time, with single-limb
-//!   (`width <= 64`) fast paths for every operator that skip the generic
-//!   limb loops ([`crate::eval_bin`] / [`crate::eval_un`] remain the
-//!   semantic oracle; the fast paths are differential-tested against
-//!   them);
 //! * a **levelized order plus static fanout map** (the forward complement
 //!   of [`crate::cone`]'s fan-in traversal) so evaluation can walk just
 //!   the fanout cone of what actually changed, in dependency order.
+//!
+//! The bytecode lowering (`lower.rs`) and the 64-lane engine
+//! (`lanes.rs`) both compile their kernels from this layout and order.
 
-use dfv_bits::limbs::{self, limbs_for};
-use dfv_bits::Bv;
+use dfv_bits::limbs::limbs_for;
 
 use crate::cone::FanoutMap;
-use crate::ir::{BinOp, Module, Node, NodeId, UnOp};
-use crate::sim::eval_bin;
+use crate::ir::{Module, Node, NodeId};
 
 /// One fixed arena slot.
 #[derive(Debug, Clone, Copy)]
@@ -34,58 +29,6 @@ pub(crate) struct Slot {
     pub limbs: u32,
 }
 
-/// A compiled evaluation kernel: the node's operator with every operand
-/// resolved to an arena slot offset.
-#[derive(Debug, Clone)]
-enum Kernel {
-    /// Copy the current value of input port `.0`.
-    Input(usize),
-    /// Nothing to do — the constant is written into its slot at reset and
-    /// never changes.
-    Const,
-    /// Copy from another slot of the same width (register Q, memory read
-    /// data).
-    Copy {
-        a: u32,
-    },
-    Un {
-        op: UnOp,
-        a: u32,
-        aw: u32,
-    },
-    Bin {
-        op: BinOp,
-        a: u32,
-        aw: u32,
-        b: u32,
-        bw: u32,
-    },
-    Mux {
-        sel: u32,
-        t: u32,
-        f: u32,
-    },
-    Slice {
-        a: u32,
-        aw: u32,
-        lo: u32,
-    },
-    Concat {
-        a: u32,
-        aw: u32,
-        b: u32,
-        bw: u32,
-    },
-    Zext {
-        a: u32,
-        aw: u32,
-    },
-    Sext {
-        a: u32,
-        aw: u32,
-    },
-}
-
 /// The precompiled evaluation schedule of one flat [`Module`]. Built once
 /// by [`crate::Simulator::new`]; immutable afterwards and shared by every
 /// evaluation pass.
@@ -93,8 +36,6 @@ enum Kernel {
 pub struct SimSchedule {
     /// Arena slot per node, indexed by node id.
     slots: Vec<Slot>,
-    /// Compiled kernel per node.
-    kernels: Vec<Kernel>,
     /// Topological level per node (sources at 0; every operand has a
     /// strictly smaller level than its consumer).
     level: Vec<u32>,
@@ -182,8 +123,7 @@ impl SimSchedule {
         }
         let mem_arena_len = mem_off as usize;
 
-        // Kernels, source maps, and levels in one pass over the nodes.
-        let mut kernels = Vec::with_capacity(n);
+        // Source maps and levels in one pass over the nodes.
         let mut level = vec![0u32; n];
         let mut input_nodes = vec![Vec::new(); module.inputs.len()];
         let mut reg_nodes = vec![Vec::new(); module.regs.len()];
@@ -192,93 +132,16 @@ impl SimSchedule {
             .iter()
             .map(|m| vec![Vec::new(); m.read_ports.len()])
             .collect();
-        let so = |id: &NodeId| slots[id.index()].off;
-        let sw = |id: &NodeId| slots[id.index()].width;
         for (i, node) in module.nodes.iter().enumerate() {
-            let mut lvl = 0u32;
-            let mut dep = |id: &NodeId| lvl = lvl.max(level[id.index()] + 1);
-            let kernel = match node {
-                Node::Input(idx) => {
-                    input_nodes[*idx].push(i as u32);
-                    Kernel::Input(*idx)
-                }
-                Node::Const(_) => Kernel::Const,
-                Node::RegQ(r) => {
-                    reg_nodes[r.index()].push(i as u32);
-                    Kernel::Copy {
-                        a: reg_slots[r.index()].off,
-                    }
-                }
-                Node::MemReadData(m, p) => {
-                    mem_read_nodes[m.index()][*p].push(i as u32);
-                    Kernel::Copy {
-                        a: mem_rd_slots[m.index()][*p].off,
-                    }
-                }
+            match node {
+                Node::Input(idx) => input_nodes[*idx].push(i as u32),
+                Node::RegQ(r) => reg_nodes[r.index()].push(i as u32),
+                Node::MemReadData(m, p) => mem_read_nodes[m.index()][*p].push(i as u32),
                 Node::InstOut(..) => unreachable!("schedule requires a flat module"),
-                Node::Un(op, a) => {
-                    dep(a);
-                    Kernel::Un {
-                        op: *op,
-                        a: so(a),
-                        aw: sw(a),
-                    }
-                }
-                Node::Bin(op, a, b) => {
-                    dep(a);
-                    dep(b);
-                    Kernel::Bin {
-                        op: *op,
-                        a: so(a),
-                        aw: sw(a),
-                        b: so(b),
-                        bw: sw(b),
-                    }
-                }
-                Node::Mux { sel, t, f } => {
-                    dep(sel);
-                    dep(t);
-                    dep(f);
-                    Kernel::Mux {
-                        sel: so(sel),
-                        t: so(t),
-                        f: so(f),
-                    }
-                }
-                Node::Slice { src, lo, .. } => {
-                    dep(src);
-                    Kernel::Slice {
-                        a: so(src),
-                        aw: sw(src),
-                        lo: *lo,
-                    }
-                }
-                Node::Concat(a, b) => {
-                    dep(a);
-                    dep(b);
-                    Kernel::Concat {
-                        a: so(a),
-                        aw: sw(a),
-                        b: so(b),
-                        bw: sw(b),
-                    }
-                }
-                Node::Zext(a, _) => {
-                    dep(a);
-                    Kernel::Zext {
-                        a: so(a),
-                        aw: sw(a),
-                    }
-                }
-                Node::Sext(a, _) => {
-                    dep(a);
-                    Kernel::Sext {
-                        a: so(a),
-                        aw: sw(a),
-                    }
-                }
-            };
-            kernels.push(kernel);
+                _ => {}
+            }
+            let mut lvl = 0u32;
+            node.for_each_operand(|id| lvl = lvl.max(level[id.index()] + 1));
             level[i] = lvl;
         }
         let num_levels = level.iter().max().map_or(0, |&m| m + 1);
@@ -287,7 +150,6 @@ impl SimSchedule {
 
         SimSchedule {
             slots,
-            kernels,
             level,
             num_levels,
             order,
@@ -376,342 +238,12 @@ impl SimSchedule {
     pub(crate) fn max_limbs(&self) -> usize {
         self.max_limbs
     }
-
-    /// Evaluates node `n` in place, reading operands from and writing the
-    /// result into `arena`. Returns whether the node's value changed.
-    ///
-    /// `inputs` are the current input-port values; `scratch` is a reusable
-    /// buffer for multi-limb intermediate results (no allocation once it
-    /// has grown to the widest slot).
-    pub(crate) fn eval_node(
-        &self,
-        n: usize,
-        arena: &mut [u64],
-        inputs: &[Bv],
-        scratch: &mut Vec<u64>,
-    ) -> bool {
-        let slot = self.slots[n];
-        let ow = slot.width;
-        let (lo, hi) = arena.split_at_mut(slot.off as usize);
-        let out = &mut hi[..slot.limbs as usize];
-        let rd = |off: u32, nl: u32| &lo[off as usize..(off + nl) as usize];
-        match &self.kernels[n] {
-            Kernel::Input(idx) => write_diff(out, inputs[*idx].limbs()),
-            Kernel::Const => false,
-            Kernel::Copy { a } => write_diff(out, rd(*a, slot.limbs)),
-            Kernel::Un { op, a, aw } => {
-                let al = limbs_for(*aw) as u32;
-                if al == 1 && slot.limbs == 1 {
-                    return write1(out, eval_un1(*op, lo[*a as usize], *aw));
-                }
-                let av = rd(*a, al);
-                match op {
-                    UnOp::Not => {
-                        sized(scratch, slot.limbs);
-                        limbs::not(scratch, av, ow);
-                        write_diff(out, scratch)
-                    }
-                    UnOp::Neg => {
-                        sized(scratch, slot.limbs);
-                        limbs::neg(scratch, av, ow);
-                        write_diff(out, scratch)
-                    }
-                    UnOp::RedAnd => write1(out, limbs::is_ones(av, *aw) as u64),
-                    UnOp::RedOr => write1(out, !limbs::is_zero(av) as u64),
-                    UnOp::RedXor => write1(out, limbs::red_xor(av) as u64),
-                }
-            }
-            Kernel::Bin { op, a, aw, b, bw } => {
-                let (al, bl) = (limbs_for(*aw) as u32, limbs_for(*bw) as u32);
-                if al == 1 && bl == 1 && slot.limbs == 1 {
-                    return write1(
-                        out,
-                        eval_bin1(*op, lo[*a as usize], *aw, lo[*b as usize], *bw),
-                    );
-                }
-                let (av, bv) = (
-                    &lo[*a as usize..(*a + al) as usize],
-                    &lo[*b as usize..(*b + bl) as usize],
-                );
-                match op {
-                    BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Add | BinOp::Sub => {
-                        sized(scratch, slot.limbs);
-                        match op {
-                            BinOp::And => limbs::and(scratch, av, bv),
-                            BinOp::Or => limbs::or(scratch, av, bv),
-                            BinOp::Xor => limbs::xor(scratch, av, bv),
-                            BinOp::Add => limbs::add(scratch, av, bv, ow),
-                            BinOp::Sub => limbs::sub(scratch, av, bv, ow),
-                            _ => unreachable!(),
-                        }
-                        write_diff(out, scratch)
-                    }
-                    BinOp::Eq => write1(out, (av == bv) as u64),
-                    BinOp::Ne => write1(out, (av != bv) as u64),
-                    BinOp::ULt => write1(out, limbs::ult(av, bv) as u64),
-                    BinOp::ULe => write1(out, !limbs::ult(bv, av) as u64),
-                    BinOp::SLt => write1(out, limbs::slt(av, bv, *aw) as u64),
-                    BinOp::SLe => write1(out, !limbs::slt(bv, av, *aw) as u64),
-                    // The rare wide hard ops go through the Bv oracle — the
-                    // only remaining allocating path, kept deliberately
-                    // identical to the reference semantics.
-                    BinOp::Mul
-                    | BinOp::UDiv
-                    | BinOp::URem
-                    | BinOp::SDiv
-                    | BinOp::SRem
-                    | BinOp::Shl
-                    | BinOp::LShr
-                    | BinOp::AShr => {
-                        let r = eval_bin(*op, &Bv::from_limbs(*aw, av), &Bv::from_limbs(*bw, bv));
-                        write_diff(out, r.limbs())
-                    }
-                }
-            }
-            Kernel::Mux { sel, t, f } => {
-                let src = if lo[*sel as usize] & 1 == 1 { *t } else { *f };
-                write_diff(out, rd(src, slot.limbs))
-            }
-            Kernel::Slice { a, aw, lo: low } => {
-                let al = limbs_for(*aw) as u32;
-                if al == 1 && slot.limbs == 1 {
-                    return write1(out, (lo[*a as usize] >> low) & mask64(ow));
-                }
-                sized(scratch, slot.limbs);
-                limbs::slice(scratch, rd(*a, al), low + ow - 1, *low);
-                write_diff(out, scratch)
-            }
-            Kernel::Concat { a, aw, b, bw } => {
-                let (al, bl) = (limbs_for(*aw) as u32, limbs_for(*bw) as u32);
-                if slot.limbs == 1 {
-                    return write1(out, (lo[*a as usize] << bw) | lo[*b as usize]);
-                }
-                sized(scratch, slot.limbs);
-                limbs::concat(
-                    scratch,
-                    rd(*a, al),
-                    *aw,
-                    &lo[*b as usize..(*b + bl) as usize],
-                    *bw,
-                );
-                write_diff(out, scratch)
-            }
-            Kernel::Zext { a, aw } => {
-                let al = limbs_for(*aw) as u32;
-                if slot.limbs == 1 {
-                    return write1(out, lo[*a as usize]);
-                }
-                sized(scratch, slot.limbs);
-                limbs::zext(scratch, rd(*a, al));
-                write_diff(out, scratch)
-            }
-            Kernel::Sext { a, aw } => {
-                let al = limbs_for(*aw) as u32;
-                if slot.limbs == 1 {
-                    return write1(out, (sext_u64(lo[*a as usize], *aw) as u64) & mask64(ow));
-                }
-                sized(scratch, slot.limbs);
-                limbs::sext(scratch, rd(*a, al), *aw, ow);
-                write_diff(out, scratch)
-            }
-        }
-    }
-}
-
-fn sized(scratch: &mut Vec<u64>, limbs: u32) {
-    scratch.clear();
-    scratch.resize(limbs as usize, 0);
-}
-
-fn write_diff(out: &mut [u64], new: &[u64]) -> bool {
-    if out == new {
-        false
-    } else {
-        out.copy_from_slice(new);
-        true
-    }
-}
-
-fn write1(out: &mut [u64], new: u64) -> bool {
-    if out[0] == new {
-        false
-    } else {
-        out[0] = new;
-        true
-    }
-}
-
-/// The low-`w` mask (`w <= 64`).
-fn mask64(w: u32) -> u64 {
-    if w >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << w) - 1
-    }
-}
-
-/// Sign-extends the low `w` bits of `v` to all 64 (`1 <= w <= 64`).
-fn sext_u64(v: u64, w: u32) -> i64 {
-    let shift = 64 - w;
-    ((v << shift) as i64) >> shift
-}
-
-/// Single-limb fast path of [`crate::eval_bin`]: both operands and the
-/// result fit in one limb. `a`/`b` hold masked `aw`/`bw`-bit values.
-pub(crate) fn eval_bin1(op: BinOp, a: u64, aw: u32, b: u64, bw: u32) -> u64 {
-    match op {
-        BinOp::Add => a.wrapping_add(b) & mask64(aw),
-        BinOp::Sub => a.wrapping_sub(b) & mask64(aw),
-        BinOp::Mul => a.wrapping_mul(b) & mask64(aw),
-        BinOp::UDiv => a.checked_div(b).unwrap_or(mask64(aw)),
-        BinOp::URem => a.checked_rem(b).unwrap_or(a),
-        BinOp::SDiv => {
-            if b == 0 {
-                mask64(aw)
-            } else {
-                (sext_u64(a, aw).wrapping_div(sext_u64(b, bw)) as u64) & mask64(aw)
-            }
-        }
-        BinOp::SRem => {
-            if b == 0 {
-                a
-            } else {
-                (sext_u64(a, aw).wrapping_rem(sext_u64(b, bw)) as u64) & mask64(aw)
-            }
-        }
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => {
-            if b >= aw as u64 {
-                0
-            } else {
-                (a << b) & mask64(aw)
-            }
-        }
-        BinOp::LShr => {
-            if b >= aw as u64 {
-                0
-            } else {
-                a >> b
-            }
-        }
-        BinOp::AShr => {
-            let s = sext_u64(a, aw);
-            let amt = b.min(63);
-            ((s >> amt) as u64) & mask64(aw)
-        }
-        BinOp::Eq => (a == b) as u64,
-        BinOp::Ne => (a != b) as u64,
-        BinOp::ULt => (a < b) as u64,
-        BinOp::ULe => (a <= b) as u64,
-        BinOp::SLt => (sext_u64(a, aw) < sext_u64(b, bw)) as u64,
-        BinOp::SLe => (sext_u64(a, aw) <= sext_u64(b, bw)) as u64,
-    }
-}
-
-/// Single-limb fast path of [`crate::eval_un`].
-pub(crate) fn eval_un1(op: UnOp, a: u64, aw: u32) -> u64 {
-    match op {
-        UnOp::Not => !a & mask64(aw),
-        UnOp::Neg => a.wrapping_neg() & mask64(aw),
-        UnOp::RedAnd => (a == mask64(aw)) as u64,
-        UnOp::RedOr => (a != 0) as u64,
-        UnOp::RedXor => (a.count_ones() & 1) as u64,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::sim::eval_un;
-    use dfv_bits::SplitMix64;
-
-    const BIN_OPS: [BinOp; 19] = [
-        BinOp::Add,
-        BinOp::Sub,
-        BinOp::Mul,
-        BinOp::UDiv,
-        BinOp::URem,
-        BinOp::SDiv,
-        BinOp::SRem,
-        BinOp::And,
-        BinOp::Or,
-        BinOp::Xor,
-        BinOp::Shl,
-        BinOp::LShr,
-        BinOp::AShr,
-        BinOp::Eq,
-        BinOp::Ne,
-        BinOp::ULt,
-        BinOp::ULe,
-        BinOp::SLt,
-        BinOp::SLe,
-    ];
-    const UN_OPS: [UnOp; 5] = [
-        UnOp::Not,
-        UnOp::Neg,
-        UnOp::RedAnd,
-        UnOp::RedOr,
-        UnOp::RedXor,
-    ];
-
-    /// The single-limb kernels against the `Bv` oracle, over every
-    /// operator, a width ladder, and seeded + adversarial values.
-    #[test]
-    fn single_limb_kernels_match_oracle() {
-        let mut rng = SplitMix64::new(0xFA57);
-        for &w in &[1u32, 2, 7, 8, 31, 32, 33, 63, 64] {
-            let mut values = vec![0u64, 1, mask64(w), mask64(w) >> 1, 1u64 << (w - 1) >> 1];
-            values.push(1u64 << (w - 1)); // sign bit alone (INT_MIN)
-            for _ in 0..40 {
-                values.push(rng.next_u64() & mask64(w));
-            }
-            for &a in &values {
-                for &b in &values {
-                    let (av, bv) = (Bv::from_u64(w, a), Bv::from_u64(w, b));
-                    for op in BIN_OPS {
-                        let expect = eval_bin(op, &av, &bv);
-                        let got = eval_bin1(op, a, w, b, w);
-                        assert_eq!(
-                            got,
-                            expect.to_u64(),
-                            "{op:?} w={w} a={a:#x} b={b:#x} (oracle {expect:?})"
-                        );
-                    }
-                    for op in UN_OPS {
-                        let expect = eval_un(op, &av);
-                        assert_eq!(eval_un1(op, a, w), expect.to_u64(), "{op:?} w={w} a={a:#x}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shift amounts live on a differently-sized right operand; sweep the
-    /// boundary around the data width, including amounts above 64.
-    #[test]
-    fn single_limb_shift_amount_boundaries() {
-        for &w in &[1u32, 8, 63, 64] {
-            for amt in [0u64, 1, w as u64 - 1, w as u64, w as u64 + 1, 64, 65, 1000] {
-                let bw = 16;
-                if amt > mask64(bw) {
-                    continue;
-                }
-                for a in [1u64, mask64(w), 1u64 << (w - 1)] {
-                    let (av, bv) = (Bv::from_u64(w, a), Bv::from_u64(bw, amt));
-                    for op in [BinOp::Shl, BinOp::LShr, BinOp::AShr] {
-                        assert_eq!(
-                            eval_bin1(op, a, w, amt, bw),
-                            eval_bin(op, &av, &bv).to_u64(),
-                            "{op:?} w={w} a={a:#x} amt={amt}"
-                        );
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn schedule_levels_respect_dependencies() {

@@ -8,29 +8,25 @@
 //!
 //! # Evaluation engines
 //!
-//! The simulator carries three interchangeable combinational engines:
+//! The simulator carries two interchangeable combinational engines:
 //!
-//! * [`EvalMode::DirtyCone`] (the default, [`Simulator::new`]) — a
-//!   precompiled engine built on [`SimSchedule`]: all values live in one
-//!   flat limb arena at fixed offsets, each node evaluates through a
-//!   compiled kernel with single-limb fast paths, and a pass walks only
-//!   the levelized fanout cone of inputs and state that actually changed.
-//!   Zero heap allocation per node per pass.
-//! * [`EvalMode::Bytecode`] ([`Simulator::new_vm`]) — the schedule
-//!   lowered further into flat `dfv-vm` register bytecode (see
-//!   `lower.rs`): every operand offset is pre-resolved, constant
+//! * [`EvalMode::Bytecode`] (the default, [`Simulator::new`]) — the
+//!   levelized [`SimSchedule`] lowered into flat `dfv-vm` register
+//!   bytecode (see `lower.rs`). All values live in one flat limb arena
+//!   at fixed offsets; every operand offset is pre-resolved, constant
 //!   operands fold into immediate forms, common compare→mux and
 //!   add→slice pairs fuse into one instruction, and the clock edge
 //!   commits through a compiled offset plan. Small programs run dense
 //!   (whole-program straight-line passes, zero tracking overhead);
 //!   larger ones keep dirty-cone scheduling at instruction granularity
-//!   with whole-level straight-line blocks when a level is mostly
-//!   dirty.
+//!   — a pass runs only the fanout cone of inputs and state that
+//!   actually changed — with whole-level straight-line blocks when a
+//!   level is mostly dirty. Zero heap allocation per instruction.
 //! * [`EvalMode::FullOracle`] ([`Simulator::new_reference`]) — the
 //!   reference interpreter: every pass re-evaluates every node in id
 //!   order through [`eval_bin`]/[`eval_un`] on freshly materialized
-//!   [`Bv`]s. Slow but maximally simple; the differential test suite
-//!   holds both compiled engines bit-identical to it, and its
+//!   [`Bv`]s. Slow but maximally simple; the differential test suites
+//!   hold the bytecode engine bit-identical to it, and its
 //!   [`SimStats::node_evals`] keeps the historical
 //!   `eval_passes * node_count` invariant.
 
@@ -86,12 +82,9 @@ pub fn eval_un(op: UnOp, a: &Bv) -> Bv {
 /// Which combinational evaluation engine a [`Simulator`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalMode {
-    /// Compiled levelized engine with dirty-cone scheduling (the default).
-    /// A pass evaluates only the fanout cone of what changed, so
-    /// [`SimStats::node_evals`] measures actual work.
-    DirtyCone,
-    /// The schedule lowered to flat register bytecode executed by the
-    /// `dfv-vm` interpreter loop: no per-node enum dispatch, constant
+    /// The default: the schedule lowered to flat register bytecode
+    /// executed by the `dfv-vm` interpreter loop: no per-node enum
+    /// dispatch, constant
     /// operands folded into immediates, common pairs fused, and the clock
     /// edge committed through a compiled offset plan. Small programs run
     /// *dense* — every pass executes the whole program straight-line with
@@ -113,15 +106,18 @@ pub enum EvalMode {
 /// measure the work of a bounded stretch of simulation. `node_evals`
 /// is the deterministic RTL work metric the speed-ratio experiment
 /// compares against the SLM kernel's activation counts. Under
-/// [`EvalMode::DirtyCone`] it counts only nodes actually re-evaluated;
-/// under [`EvalMode::FullOracle`] every pass counts every node.
+/// [`EvalMode::Bytecode`] it counts VM instructions actually executed
+/// (a fused instruction covers two nodes, a dense pass counts the whole
+/// program); under [`EvalMode::FullOracle`] it counts nodes, every pass
+/// every node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Completed clock cycles ([`Simulator::step`] calls).
     pub steps: u64,
     /// Combinational evaluation passes actually run (dirty evals).
     pub eval_passes: u64,
-    /// Total node evaluations across all passes.
+    /// Total work units across all passes: VM instructions under
+    /// [`EvalMode::Bytecode`], IR nodes under [`EvalMode::FullOracle`].
     pub node_evals: u64,
     /// Watched-signal value changes observed while recording the trace.
     pub value_changes: u64,
@@ -164,8 +160,8 @@ pub struct TraceStep {
 pub struct Simulator {
     module: Module,
     sched: SimSchedule,
-    mode: EvalMode,
-    /// The bytecode engine (`Some` iff `mode == EvalMode::Bytecode`).
+    /// The bytecode engine; `None` runs the [`EvalMode::FullOracle`]
+    /// reference interpreter.
     vm: Option<VmEngine>,
     /// Flat value arena: `[reg slots][mem read reg slots][node slots]`,
     /// offsets fixed by `sched`.
@@ -174,9 +170,9 @@ pub struct Simulator {
     mem_arena: Vec<u64>,
     /// Current input values.
     input_vals: Vec<Bv>,
-    /// Per-level dirty buckets (indexed by topological level).
+    /// Per-level dirty instruction buckets (indexed by topological level).
     dirty_levels: Vec<Vec<u32>>,
-    /// Whether a node currently sits in a dirty bucket.
+    /// Whether an instruction currently sits in a dirty bucket.
     in_dirty: Vec<bool>,
     /// Force the next pass to evaluate everything (set at reset).
     full_dirty: bool,
@@ -192,7 +188,7 @@ pub struct Simulator {
     /// [`Simulator::step`] skips the commit walk entirely (the quiescence
     /// short-circuit; idle cycles cost two flag checks).
     vm_quiet: bool,
-    /// Reusable multi-limb intermediate buffer.
+    /// Reusable multi-limb intermediate buffer of the VM.
     scratch: Vec<u64>,
     cycle: u64,
     watches: Vec<Watch>,
@@ -214,22 +210,33 @@ fn node_limbs(nodes: &[u64], base: usize, off: u32, l: u32) -> &[u64] {
     &nodes[off as usize - base..][..l as usize]
 }
 
+/// Queues the instructions `ids` in their level buckets, each at most
+/// once per pass.
+fn mark(vm: &VmEngine, ids: &[u32], in_dirty: &mut [bool], buckets: &mut [Vec<u32>]) {
+    for &i in ids {
+        if !in_dirty[i as usize] {
+            in_dirty[i as usize] = true;
+            buckets[vm.instr_level(i) as usize].push(i);
+        }
+    }
+}
+
 impl Simulator {
     /// Creates a simulator for `module`, validating it first. The module
     /// must be flat (no instances) — flatten a hierarchy with
     /// [`crate::flatten`] first. State starts at the reset values. Uses
-    /// the compiled [`EvalMode::DirtyCone`] engine.
+    /// the [`EvalMode::Bytecode`] engine.
     ///
     /// # Errors
     ///
     /// Returns [`RtlError`] if validation fails or the module has
     /// instances.
     pub fn new(module: Module) -> Result<Self, RtlError> {
-        Self::with_mode(module, EvalMode::DirtyCone)
+        Self::with_mode(module, EvalMode::Bytecode)
     }
 
     /// Creates a simulator running the [`EvalMode::FullOracle`] reference
-    /// interpreter — the baseline the compiled engine is differential-
+    /// interpreter — the baseline the bytecode engine is differential-
     /// tested against.
     ///
     /// # Errors
@@ -237,18 +244,6 @@ impl Simulator {
     /// As [`Simulator::new`].
     pub fn new_reference(module: Module) -> Result<Self, RtlError> {
         Self::with_mode(module, EvalMode::FullOracle)
-    }
-
-    /// Creates a simulator running the [`EvalMode::Bytecode`] engine:
-    /// the schedule lowered to flat register bytecode with constant
-    /// folding, instruction fusion, and instruction-level dirty-cone
-    /// scheduling. Bit-identical to the other two engines.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::new`].
-    pub fn new_vm(module: Module) -> Result<Self, RtlError> {
-        Self::with_mode(module, EvalMode::Bytecode)
     }
 
     fn with_mode(module: Module, mode: EvalMode) -> Result<Self, RtlError> {
@@ -278,7 +273,6 @@ impl Simulator {
             trace: Vec::new(),
             stats: SimStats::default(),
             obs: ObsHook::none(),
-            mode,
             sched,
             module,
         };
@@ -298,7 +292,11 @@ impl Simulator {
 
     /// Which evaluation engine this simulator runs.
     pub fn eval_mode(&self) -> EvalMode {
-        self.mode
+        if self.vm.is_some() {
+            EvalMode::Bytecode
+        } else {
+            EvalMode::FullOracle
+        }
     }
 
     /// The current cycle count (number of completed [`Simulator::step`]s
@@ -324,7 +322,7 @@ impl Simulator {
                     .copy_from_slice(w.limbs());
             }
         }
-        // Constants are written once here; their kernels are no-ops.
+        // Constants are written once here; no engine ever rewrites them.
         for (i, node) in self.module.nodes.iter().enumerate() {
             if let Node::Const(c) = node {
                 let s = self.sched.node_slot(i);
@@ -347,7 +345,7 @@ impl Simulator {
     }
 
     /// Sets an input port for the current cycle. Under
-    /// [`EvalMode::DirtyCone`], re-poking the value a port already holds
+    /// [`EvalMode::Bytecode`], re-poking the value a port already holds
     /// is free: nothing is marked dirty.
     ///
     /// # Panics
@@ -376,37 +374,26 @@ impl Simulator {
             "poke width mismatch on {:?}",
             self.module.inputs[idx].name
         );
-        if self.mode != EvalMode::FullOracle && self.input_vals[idx] == value {
+        if self.vm.is_some() && self.input_vals[idx] == value {
             return;
         }
         self.input_vals[idx] = value;
-        let (in_dirty, buckets, sched) = (&mut self.in_dirty, &mut self.dirty_levels, &self.sched);
-        match &self.vm {
-            Some(vm) => {
-                // The VM has no input instructions: write the port value
-                // straight into the input nodes' slots and (unless the
-                // program runs dense) dirty the consuming instructions.
-                let v = &self.input_vals[idx];
-                for &n in sched.input_nodes(idx) {
-                    let s = sched.node_slot(n as usize);
-                    self.arena[s.off as usize..][..s.limbs as usize].copy_from_slice(v.limbs());
-                }
-                if !vm.dense() {
-                    for &i in vm.input_succ(idx) {
-                        if !in_dirty[i as usize] {
-                            in_dirty[i as usize] = true;
-                            buckets[vm.instr_level(i) as usize].push(i);
-                        }
-                    }
-                }
+        if let Some(vm) = &self.vm {
+            // The VM has no input instructions: write the port value
+            // straight into the input nodes' slots and (unless the
+            // program runs dense) dirty the consuming instructions.
+            let v = &self.input_vals[idx];
+            for &n in self.sched.input_nodes(idx) {
+                let s = self.sched.node_slot(n as usize);
+                self.arena[s.off as usize..][..s.limbs as usize].copy_from_slice(v.limbs());
             }
-            None => {
-                for &n in sched.input_nodes(idx) {
-                    if !in_dirty[n as usize] {
-                        in_dirty[n as usize] = true;
-                        buckets[sched.level_raw(n) as usize].push(n);
-                    }
-                }
+            if !vm.dense() {
+                mark(
+                    vm,
+                    vm.input_succ(idx),
+                    &mut self.in_dirty,
+                    &mut self.dirty_levels,
+                );
             }
         }
         self.dirty = true;
@@ -420,27 +407,10 @@ impl Simulator {
         if !self.dirty {
             return;
         }
-        let evaled = match self.mode {
-            EvalMode::FullOracle => self.oracle_pass(),
-            EvalMode::DirtyCone => {
-                if self.full_dirty {
-                    self.full_pass()
-                } else {
-                    self.dirty_pass()
-                }
-            }
-            EvalMode::Bytecode => {
-                let dense = self
-                    .vm
-                    .as_ref()
-                    .expect("Bytecode mode has an engine")
-                    .dense();
-                if dense || self.full_dirty {
-                    self.vm_full_pass()
-                } else {
-                    self.vm_dirty_pass()
-                }
-            }
+        let evaled = match &self.vm {
+            None => self.oracle_pass(),
+            Some(vm) if vm.dense() || self.full_dirty => self.vm_full_pass(),
+            Some(_) => self.vm_dirty_pass(),
         };
         self.dirty = false;
         self.stats.eval_passes += 1;
@@ -478,69 +448,6 @@ impl Simulator {
             self.arena[s.off as usize..][..s.limbs as usize].copy_from_slice(v.limbs());
         }
         self.module.nodes.len() as u64
-    }
-
-    /// Compiled full pass: every node, in level order, through its kernel.
-    /// Used for the first pass after a reset; also drains stale dirty
-    /// marks.
-    fn full_pass(&mut self) -> u64 {
-        for &n in self.sched.order() {
-            self.sched.eval_node(
-                n as usize,
-                &mut self.arena,
-                &self.input_vals,
-                &mut self.scratch,
-            );
-        }
-        let in_dirty = &mut self.in_dirty;
-        for b in &mut self.dirty_levels {
-            for &n in b.iter() {
-                in_dirty[n as usize] = false;
-            }
-            b.clear();
-        }
-        self.full_dirty = false;
-        self.module.nodes.len() as u64
-    }
-
-    /// Incremental pass: walk only the dirty fanout cone, level by level.
-    /// A node's consumers always sit at a strictly higher level, so each
-    /// node is visited at most once per pass.
-    fn dirty_pass(&mut self) -> u64 {
-        let mut evaled = 0u64;
-        for lvl in 0..self.dirty_levels.len() {
-            if self.dirty_levels[lvl].is_empty() {
-                continue;
-            }
-            let mut bucket = std::mem::take(&mut self.dirty_levels[lvl]);
-            // Deterministic, cache-friendly order regardless of poke order.
-            bucket.sort_unstable();
-            for &n in &bucket {
-                self.in_dirty[n as usize] = false;
-                evaled += 1;
-                let changed = self.sched.eval_node(
-                    n as usize,
-                    &mut self.arena,
-                    &self.input_vals,
-                    &mut self.scratch,
-                );
-                if changed {
-                    let (in_dirty, buckets, sched) =
-                        (&mut self.in_dirty, &mut self.dirty_levels, &self.sched);
-                    for f in sched.fanouts(n) {
-                        let fi = f.index();
-                        if !in_dirty[fi] {
-                            in_dirty[fi] = true;
-                            buckets[sched.level_raw(fi as u32) as usize].push(fi as u32);
-                        }
-                    }
-                }
-            }
-            bucket.clear();
-            // Hand the emptied Vec back so its capacity is reused.
-            self.dirty_levels[lvl] = bucket;
-        }
-        evaled
     }
 
     /// Bytecode full pass: the whole program as one straight-line block.
@@ -594,13 +501,7 @@ impl Simulator {
                         vm.prog()
                             .exec_one(i as usize, &mut self.arena, &mut self.scratch);
                     if changed {
-                        let (in_dirty, buckets) = (&mut self.in_dirty, &mut self.dirty_levels);
-                        for &s in vm.succs(i) {
-                            if !in_dirty[s as usize] {
-                                in_dirty[s as usize] = true;
-                                buckets[vm.instr_level(s) as usize].push(s);
-                            }
-                        }
+                        mark(vm, vm.succs(i), &mut self.in_dirty, &mut self.dirty_levels);
                     }
                 }
             } else {
@@ -614,13 +515,7 @@ impl Simulator {
                         vm.prog()
                             .exec_one(i as usize, &mut self.arena, &mut self.scratch);
                     if changed {
-                        let (in_dirty, buckets) = (&mut self.in_dirty, &mut self.dirty_levels);
-                        for &s in vm.succs(i) {
-                            if !in_dirty[s as usize] {
-                                in_dirty[s as usize] = true;
-                                buckets[vm.instr_level(s) as usize].push(s);
-                            }
-                        }
+                        mark(vm, vm.succs(i), &mut self.in_dirty, &mut self.dirty_levels);
                     }
                 }
             }
@@ -746,30 +641,17 @@ impl Simulator {
         assert_eq!(value.width(), self.module.regs[ri].width);
         let s = self.sched.reg_slot(ri);
         let cur = &mut self.arena[s.off as usize..][..s.limbs as usize];
-        if self.mode != EvalMode::FullOracle && cur == value.limbs() {
+        if self.vm.is_some() && cur == value.limbs() {
             return;
         }
         cur.copy_from_slice(value.limbs());
-        let (in_dirty, buckets, sched) = (&mut self.in_dirty, &mut self.dirty_levels, &self.sched);
-        match &self.vm {
-            Some(vm) => {
-                if !vm.dense() {
-                    for &i in vm.reg_succ(ri) {
-                        if !in_dirty[i as usize] {
-                            in_dirty[i as usize] = true;
-                            buckets[vm.instr_level(i) as usize].push(i);
-                        }
-                    }
-                }
-            }
-            None => {
-                for &n in sched.reg_nodes(ri) {
-                    if !in_dirty[n as usize] {
-                        in_dirty[n as usize] = true;
-                        buckets[sched.level_raw(n) as usize].push(n);
-                    }
-                }
-            }
+        if let Some(vm) = self.vm.as_ref().filter(|vm| !vm.dense()) {
+            mark(
+                vm,
+                vm.reg_succ(ri),
+                &mut self.in_dirty,
+                &mut self.dirty_levels,
+            );
         }
         self.dirty = true;
         self.since_commit = true;
@@ -796,56 +678,39 @@ impl Simulator {
     }
 
     /// Advances one clock cycle: evaluates, then commits registers and
-    /// memories at the rising edge. Under [`EvalMode::DirtyCone`] only
-    /// state that actually changed marks its readers dirty, so the next
-    /// pass walks just the affected cone.
+    /// memories at the rising edge. Under [`EvalMode::Bytecode`] only
+    /// state that actually changed marks its reader instructions dirty,
+    /// so the next pass runs just the affected cone.
     pub fn step(&mut self) {
         self.eval();
         self.record_trace();
-        let any = if self.vm.is_some() {
+        if self.vm.is_some() {
             // Quiescence short-circuit: if nothing was poked or injected
             // since the last commit, and that commit neither changed
             // state nor fired a memory write, the node region is
             // bit-identical to what it saw — this edge is a no-op.
-            if !self.since_commit && self.vm_quiet {
-                false
-            } else {
+            if self.since_commit || !self.vm_quiet {
                 let (any, wrote) = self.vm_commit();
                 self.vm_quiet = !any && !wrote;
-                any
+                self.dirty |= any;
             }
         } else {
-            self.generic_commit()
-        };
-        self.since_commit = false;
-        self.cycle += 1;
-        if self.mode == EvalMode::FullOracle || any {
+            self.oracle_commit();
             self.dirty = true;
         }
+        self.since_commit = false;
+        self.cycle += 1;
         self.stats.steps += 1;
         self.obs.add("rtl.steps", 1);
     }
 
-    /// Clock-edge commit through the interpreter's module walk (the
-    /// dirty-cone and reference engines). Returns whether any state
-    /// changed.
-    fn generic_commit(&mut self) -> bool {
+    /// Clock-edge commit of the reference engine: a plain walk of the
+    /// module's registers and memories. The next pass re-evaluates
+    /// everything, so nothing is marked.
+    fn oracle_commit(&mut self) {
         let base = self.sched.state_len();
         let (state, nodes) = self.arena.split_at_mut(base);
         let sched = &self.sched;
-        let track = self.mode != EvalMode::FullOracle;
-        let in_dirty = &mut self.in_dirty;
-        let buckets = &mut self.dirty_levels;
-        let mut any = false;
-        let mut mark_all = |ids: &[u32], any: &mut bool| {
-            for &n in ids {
-                if !in_dirty[n as usize] {
-                    in_dirty[n as usize] = true;
-                    buckets[sched.level_raw(n) as usize].push(n);
-                }
-            }
-            *any = true;
-        };
         // Registers: sample D (respecting enables). D and enable values
         // live in the node region, register values in the state region —
         // disjoint, so the commit order across registers is irrelevant.
@@ -859,15 +724,9 @@ impl Simulator {
             }
             let next = reg.next.expect("checked: connected");
             let ns = sched.node_slot(next.index());
-            let d = node_limbs(nodes, base, ns.off, ns.limbs);
             let rs = sched.reg_slot(i);
-            let cur = &mut state[rs.off as usize..][..rs.limbs as usize];
-            if cur != d {
-                cur.copy_from_slice(d);
-                if track {
-                    mark_all(sched.reg_nodes(i), &mut any);
-                }
-            }
+            state[rs.off as usize..][..rs.limbs as usize]
+                .copy_from_slice(node_limbs(nodes, base, ns.off, ns.limbs));
         }
         // Memories: sample read addresses (read-first), then write.
         for (mi, mem) in self.module.mems.iter().enumerate() {
@@ -876,15 +735,9 @@ impl Simulator {
             for (pi, rp) in mem.read_ports.iter().enumerate() {
                 let a = node_limbs(nodes, base, sched.node_slot(rp.addr.index()).off, 1)[0];
                 let addr = a as usize % mem.depth;
-                let word = &self.mem_arena[mbase + addr * stride..][..stride];
                 let rs = sched.mem_rd_slot(mi, pi);
-                let cur = &mut state[rs.off as usize..][..rs.limbs as usize];
-                if cur != word {
-                    cur.copy_from_slice(word);
-                    if track {
-                        mark_all(sched.mem_read_nodes(mi, pi), &mut any);
-                    }
-                }
+                state[rs.off as usize..][..rs.limbs as usize]
+                    .copy_from_slice(&self.mem_arena[mbase + addr * stride..][..stride]);
             }
             for wp in &mem.write_ports {
                 if node_limbs(nodes, base, sched.node_slot(wp.en.index()).off, 1)[0] & 1 == 1 {
@@ -896,7 +749,6 @@ impl Simulator {
                 }
             }
         }
-        any
     }
 
     /// Clock-edge commit through the bytecode engine's compiled plan:
@@ -904,8 +756,8 @@ impl Simulator {
     /// ([`crate::lower::RegPlan`] / [`crate::lower::MemPlan`]), so this
     /// walks flat tables with a single-limb fast path instead of the
     /// module. Dense programs skip dirty marking entirely (their next
-    /// pass reruns everything); tracked programs mark the same successor
-    /// instructions the generic walk would. Returns whether any state
+    /// pass reruns everything); tracked programs mark the reader
+    /// instructions of every state element that changed. Returns whether any state
     /// changed and whether any memory write port fired (the pair feeding
     /// the quiescence short-circuit in [`Simulator::step`]).
     fn vm_commit(&mut self) -> (bool, bool) {
@@ -917,14 +769,7 @@ impl Simulator {
         let buckets = &mut self.dirty_levels;
         let mut any = false;
         let mut wrote = false;
-        let mut mark_all = |ids: &[u32]| {
-            for &i in ids {
-                if !in_dirty[i as usize] {
-                    in_dirty[i as usize] = true;
-                    buckets[vm.instr_level(i) as usize].push(i);
-                }
-            }
-        };
+        let mut mark_all = |ids: &[u32]| mark(vm, ids, in_dirty, buckets);
         let node1 = |off: u32| nodes[off as usize - base];
         for rp in vm.reg_plans() {
             if rp.en_off != crate::lower::NO_EN && node1(rp.en_off) & 1 == 0 {
@@ -1259,8 +1104,8 @@ mod tests {
         let s = sim.stats();
         assert_eq!(s.steps, 2);
         assert!(s.eval_passes >= 2);
-        // Dirty-cone: node_evals counts actual work, bounded by the full
-        // re-evaluation the interpreter used to do.
+        // Dirty-cone bytecode: node_evals counts instructions executed,
+        // bounded by the full re-evaluation the reference does.
         let node_count = sim.module().nodes.len() as u64;
         assert!(s.node_evals > 0);
         assert!(s.node_evals <= s.eval_passes * node_count);
@@ -1292,10 +1137,11 @@ mod tests {
     }
 
     #[test]
-    fn dirty_cone_skips_stable_logic() {
+    fn idle_cycles_and_repeat_pokes_are_free() {
         // A disabled counter after one settled pass: stepping commits no
-        // state change, so subsequent evals touch nothing.
+        // state change, so subsequent evals execute nothing.
         let mut sim = Simulator::new(counter_with_enable()).unwrap();
+        assert_eq!(sim.eval_mode(), EvalMode::Bytecode);
         sim.poke("en", Bv::from_bool(false));
         assert_eq!(sim.output("count").to_u64(), 0);
         let settled = sim.stats().node_evals;
@@ -1306,7 +1152,7 @@ mod tests {
         assert_eq!(
             sim.stats().node_evals,
             settled,
-            "idle cycles must not re-evaluate the cone"
+            "idle cycles must not execute instructions"
         );
         // Re-poking the same input value is also free.
         sim.poke("en", Bv::from_bool(false));
@@ -1501,40 +1347,19 @@ mod tests {
     }
 
     #[test]
-    fn bytecode_engine_matches_scalar_and_oracle_on_op_soup() {
+    fn bytecode_engine_matches_oracle_on_op_soup() {
         let module = op_soup();
         for seed in [1u64, 0xDEAD_BEEF, 42] {
-            let scalar = run_random(Simulator::new(module.clone()).unwrap(), seed, 48);
-            let vm = run_random(Simulator::new_vm(module.clone()).unwrap(), seed, 48);
+            let vm = run_random(Simulator::new(module.clone()).unwrap(), seed, 48);
             let oracle = run_random(Simulator::new_reference(module.clone()).unwrap(), seed, 48);
-            assert_eq!(vm, scalar, "vm vs scalar diverged (seed {seed})");
             assert_eq!(vm, oracle, "vm vs oracle diverged (seed {seed})");
         }
     }
 
     #[test]
-    fn bytecode_engine_counts_and_counter_match() {
-        let mut sim = Simulator::new_vm(counter_with_enable()).unwrap();
-        assert_eq!(sim.eval_mode(), EvalMode::Bytecode);
-        sim.poke("en", Bv::from_bool(true));
-        sim.step();
-        sim.step();
-        assert_eq!(sim.output("count").to_u64(), 2);
-        sim.poke("en", Bv::from_bool(false));
-        sim.step();
-        assert_eq!(sim.output("count").to_u64(), 2);
-        // Fused and folded instructions mean at most one instruction per
-        // node, so the dirty-cone bound still holds.
-        let s = sim.stats();
-        let node_count = sim.module().nodes.len() as u64;
-        assert!(s.node_evals > 0);
-        assert!(s.node_evals <= s.eval_passes * node_count);
-    }
-
-    #[test]
     fn bytecode_fused_pairs_keep_intermediates_observable() {
         // The compare and the add are absorbed into their consumers, but
-        // their slots must still hold exactly the values the scalar
+        // their slots must still hold exactly the values the reference
         // engine computes — peeks and watches read them.
         let mut b = ModuleBuilder::new("fused");
         let x = b.input("x", 32);
@@ -1546,7 +1371,7 @@ mod tests {
         b.output("max", mx);
         b.output("mid", sl);
         let module = b.finish().unwrap();
-        let mut vm = Simulator::new_vm(module.clone()).unwrap();
+        let mut vm = Simulator::new(module.clone()).unwrap();
         let mut oracle = Simulator::new_reference(module).unwrap();
         let mut rng = dfv_bits::SplitMix64::new(9);
         for _ in 0..64 {
@@ -1565,28 +1390,10 @@ mod tests {
     }
 
     #[test]
-    fn bytecode_idle_cycles_and_repeat_pokes_are_free() {
-        let mut sim = Simulator::new_vm(counter_with_enable()).unwrap();
-        sim.poke("en", Bv::from_bool(false));
-        assert_eq!(sim.output("count").to_u64(), 0);
-        let settled = sim.stats().node_evals;
-        for _ in 0..100 {
-            sim.step();
-        }
-        sim.poke("en", Bv::from_bool(false));
-        assert_eq!(sim.output("count").to_u64(), 0);
-        assert_eq!(
-            sim.stats().node_evals,
-            settled,
-            "idle cycles must not execute instructions"
-        );
-    }
-
-    #[test]
     fn bytecode_node_evals_deterministic_under_poke_order() {
         let module = op_soup();
-        let mut fwd = Simulator::new_vm(module.clone()).unwrap();
-        let mut rev = Simulator::new_vm(module).unwrap();
+        let mut fwd = Simulator::new(module.clone()).unwrap();
+        let mut rev = Simulator::new(module).unwrap();
         let mut rng = dfv_bits::SplitMix64::new(77);
         let inputs: Vec<(String, u32)> = fwd
             .module()
@@ -1615,7 +1422,7 @@ mod tests {
 
     #[test]
     fn bytecode_set_reg_marks_cone() {
-        let mut vm = Simulator::new_vm(counter_with_enable()).unwrap();
+        let mut vm = Simulator::new(counter_with_enable()).unwrap();
         let mut oracle = Simulator::new_reference(counter_with_enable()).unwrap();
         for sim in [&mut vm, &mut oracle] {
             sim.poke("en", Bv::from_bool(true));
@@ -1625,5 +1432,124 @@ mod tests {
         }
         assert_eq!(vm.output("count").to_u64(), 201);
         assert_eq!(oracle.output("count").to_u64(), 201);
+    }
+
+    const BIN_OPS: [BinOp; 19] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::UDiv,
+        BinOp::URem,
+        BinOp::SDiv,
+        BinOp::SRem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::LShr,
+        BinOp::AShr,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::ULt,
+        BinOp::ULe,
+        BinOp::SLt,
+        BinOp::SLe,
+    ];
+    const UN_OPS: [UnOp; 5] = [
+        UnOp::Not,
+        UnOp::Neg,
+        UnOp::RedAnd,
+        UnOp::RedOr,
+        UnOp::RedXor,
+    ];
+
+    /// The low-`w` mask (`w <= 64`).
+    fn mask64(w: u32) -> u64 {
+        if w >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << w) - 1
+        }
+    }
+
+    /// Inputs `a` (`w` bits) and `b` (`bw` bits), one output per binary
+    /// op in `ops` over `(a, b)`, then one per unary op over `a`.
+    fn every_op(w: u32, bw: u32, ops: &[BinOp]) -> (Module, Vec<NodeId>) {
+        let mut b = ModuleBuilder::new("ops");
+        let x = b.input("a", w);
+        let y = b.input("b", bw);
+        let mut outs: Vec<NodeId> = ops.iter().map(|&op| b.bin(op, x, y)).collect();
+        for op in UN_OPS {
+            outs.push(match op {
+                UnOp::Not => b.not(x),
+                UnOp::Neg => b.neg(x),
+                UnOp::RedAnd => b.red_and(x),
+                UnOp::RedOr => b.red_or(x),
+                UnOp::RedXor => b.red_xor(x),
+            });
+        }
+        for (i, &o) in outs.iter().enumerate() {
+            b.output(format!("o{i}"), o);
+        }
+        (b.finish().unwrap(), outs)
+    }
+
+    /// The default engine's single-limb instructions against the `Bv`
+    /// oracle, over every operator, a width ladder, and seeded +
+    /// adversarial values (every pair of them for the binary ops).
+    #[test]
+    fn single_limb_ops_match_oracle_on_width_ladder() {
+        let mut rng = dfv_bits::SplitMix64::new(0xFA57);
+        for &w in &[1u32, 2, 7, 8, 31, 32, 33, 63, 64] {
+            let mut values = vec![0u64, 1, mask64(w), mask64(w) >> 1, 1u64 << (w - 1) >> 1];
+            values.push(1u64 << (w - 1)); // sign bit alone (INT_MIN)
+            for _ in 0..40 {
+                values.push(rng.next_u64() & mask64(w));
+            }
+            let (module, outs) = every_op(w, w, &BIN_OPS);
+            let mut sim = Simulator::new(module).unwrap();
+            for &a in &values {
+                let av = Bv::from_u64(w, a);
+                sim.poke("a", av.clone());
+                for &b in &values {
+                    let bv = Bv::from_u64(w, b);
+                    sim.poke("b", bv.clone());
+                    for (k, op) in BIN_OPS.into_iter().enumerate() {
+                        let expect = eval_bin(op, &av, &bv);
+                        assert_eq!(sim.peek(outs[k]), expect, "{op:?} w={w} a={a:#x} b={b:#x}");
+                    }
+                }
+                for (k, op) in UN_OPS.into_iter().enumerate() {
+                    let got = sim.peek(outs[BIN_OPS.len() + k]);
+                    assert_eq!(got, eval_un(op, &av), "{op:?} w={w} a={a:#x}");
+                }
+            }
+        }
+    }
+
+    /// Shift amounts live on a differently-sized right operand; sweep the
+    /// boundary around the data width, including amounts above 64.
+    #[test]
+    fn single_limb_shift_amount_boundaries() {
+        const SHIFTS: [BinOp; 3] = [BinOp::Shl, BinOp::LShr, BinOp::AShr];
+        let bw = 16;
+        for &w in &[1u32, 8, 63, 64] {
+            let (module, outs) = every_op(w, bw, &SHIFTS);
+            let mut sim = Simulator::new(module).unwrap();
+            for amt in [0u64, 1, w as u64 - 1, w as u64, w as u64 + 1, 64, 65, 1000] {
+                for a in [1u64, mask64(w), 1u64 << (w - 1)] {
+                    let (av, bv) = (Bv::from_u64(w, a), Bv::from_u64(bw, amt));
+                    sim.poke("a", av.clone());
+                    sim.poke("b", bv.clone());
+                    for (k, op) in SHIFTS.into_iter().enumerate() {
+                        assert_eq!(
+                            sim.peek(outs[k]),
+                            eval_bin(op, &av, &bv),
+                            "{op:?} w={w} a={a:#x} amt={amt}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

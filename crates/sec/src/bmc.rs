@@ -284,7 +284,7 @@ fn extract_trace(
         .collect();
     // Replay to find (and validate) the first violation. The constructors
     // cannot fail: the module already passed `check_module`.
-    let mut sim = Simulator::new_vm(module.clone()).expect("checked");
+    let mut sim = Simulator::new(module.clone()).expect("checked");
     let mut oracle = Simulator::new_reference(module.clone()).expect("checked");
     let mut violation_cycle = None;
     for (t, cycle_inputs) in inputs.iter().enumerate() {

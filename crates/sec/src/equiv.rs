@@ -680,67 +680,85 @@ fn concretize_rtl_inputs(
         .collect()
 }
 
-/// Concretely replays one transaction on both simulators and collects the
-/// compare-point mismatches (empty = the models agreed on this input).
-///
-/// `Simulator::new` only fails on malformed modules; both modules were
-/// already accepted by `check_module` in `build_miter`, so the `expect`s
-/// are invariant-protected.
-fn replay_mismatches(
-    slm: &Module,
-    rtl: &Module,
-    spec: &EquivSpec,
-    slm_inputs: &[(String, Bv)],
-    rtl_inputs: &[Vec<(String, Bv)>],
-    initial_regs: &[(String, Bv)],
-) -> Vec<Mismatch> {
-    // Replay the SLM.
-    let mut slm_sim = Simulator::new(slm.clone()).expect("validated slm");
-    let slm_in_refs: Vec<(&str, Bv)> = slm_inputs
-        .iter()
-        .map(|(n, v)| (n.as_str(), v.clone()))
-        .collect();
-    let slm_outs = slm_sim.eval_comb(&slm_in_refs);
+/// The simulator pair counterexample replay runs on: built once per
+/// check, [`Simulator::reset`] before every transaction, so replaying
+/// many transactions pays for one lowering of each model.
+struct Replayer {
+    slm: Simulator,
+    rtl: Simulator,
+}
 
-    // Replay the RTL.
-    let mut rtl_sim = Simulator::new(rtl.clone()).expect("validated rtl");
-    if spec.init == InitState::Free {
-        for (name, v) in initial_regs {
-            rtl_sim.set_reg(name, v.clone());
+impl Replayer {
+    /// `Simulator::new` only fails on malformed modules; both modules were
+    /// already accepted by `check_module` in `build_miter`, so the
+    /// `expect`s are invariant-protected.
+    fn new(slm: &Module, rtl: &Module) -> Self {
+        Replayer {
+            slm: Simulator::new(slm.clone()).expect("validated slm"),
+            rtl: Simulator::new(rtl.clone()).expect("validated rtl"),
         }
     }
-    let mut sampled: HashMap<(String, u32), Bv> = HashMap::new();
-    for (t, cycle_inputs) in rtl_inputs.iter().enumerate() {
-        for (name, v) in cycle_inputs {
-            rtl_sim.poke(name, v.clone());
-        }
-        for cp in &spec.compares {
-            if cp.rtl_cycle == t as u32 {
-                let v = rtl_sim.output(&cp.rtl_output);
-                sampled.insert((cp.rtl_output.clone(), cp.rtl_cycle), v);
+
+    /// Concretely replays one transaction on both simulators and collects
+    /// the compare-point mismatches (empty = the models agreed on this
+    /// input).
+    fn mismatches(
+        &mut self,
+        spec: &EquivSpec,
+        slm_inputs: &[(String, Bv)],
+        rtl_inputs: &[Vec<(String, Bv)>],
+        initial_regs: &[(String, Bv)],
+    ) -> Vec<Mismatch> {
+        // Replay the SLM.
+        let slm_sim = &mut self.slm;
+        slm_sim.reset();
+        let slm_in_refs: Vec<(&str, Bv)> = slm_inputs
+            .iter()
+            .map(|(n, v)| (n.as_str(), v.clone()))
+            .collect();
+        let slm_outs = slm_sim.eval_comb(&slm_in_refs);
+
+        // Replay the RTL.
+        let rtl_sim = &mut self.rtl;
+        rtl_sim.reset();
+        if spec.init == InitState::Free {
+            for (name, v) in initial_regs {
+                rtl_sim.set_reg(name, v.clone());
             }
         }
-        rtl_sim.step();
-    }
+        let mut sampled: HashMap<(String, u32), Bv> = HashMap::new();
+        for (t, cycle_inputs) in rtl_inputs.iter().enumerate() {
+            for (name, v) in cycle_inputs {
+                rtl_sim.poke(name, v.clone());
+            }
+            for cp in &spec.compares {
+                if cp.rtl_cycle == t as u32 {
+                    let v = rtl_sim.output(&cp.rtl_output);
+                    sampled.insert((cp.rtl_output.clone(), cp.rtl_cycle), v);
+                }
+            }
+            rtl_sim.step();
+        }
 
-    let mut mismatches = Vec::new();
-    for cp in &spec.compares {
-        let mut sv = slm_outs[&cp.slm_output].clone();
-        if let Some((hi, lo)) = cp.slm_slice {
-            sv = sv.slice(hi, lo);
+        let mut mismatches = Vec::new();
+        for cp in &spec.compares {
+            let mut sv = slm_outs[&cp.slm_output].clone();
+            if let Some((hi, lo)) = cp.slm_slice {
+                sv = sv.slice(hi, lo);
+            }
+            let rv = sampled[&(cp.rtl_output.clone(), cp.rtl_cycle)].clone();
+            if sv != rv {
+                mismatches.push(Mismatch {
+                    slm_output: cp.slm_output.clone(),
+                    rtl_output: cp.rtl_output.clone(),
+                    rtl_cycle: cp.rtl_cycle,
+                    slm_value: sv,
+                    rtl_value: rv,
+                });
+            }
         }
-        let rv = sampled[&(cp.rtl_output.clone(), cp.rtl_cycle)].clone();
-        if sv != rv {
-            mismatches.push(Mismatch {
-                slm_output: cp.slm_output.clone(),
-                rtl_output: cp.rtl_output.clone(),
-                rtl_cycle: cp.rtl_cycle,
-                slm_value: sv,
-                rtl_value: rv,
-            });
-        }
+        mismatches
     }
-    mismatches
 }
 
 /// Reads the SAT model, replays it concretely on both models, and verifies
@@ -770,7 +788,8 @@ fn extract_and_replay(
         .map(|(r, w)| (r.name.clone(), model_word(solver, w)))
         .collect();
 
-    let mismatches = replay_mismatches(slm, rtl, spec, &slm_inputs, &rtl_inputs, &initial_regs);
+    let mismatches =
+        Replayer::new(slm, rtl).mismatches(spec, &slm_inputs, &rtl_inputs, &initial_regs);
     // Not invariant-protected so much as soundness-checked: a SAT model
     // that fails to replay means the bit-blasted encoding diverged from the
     // simulators, which must never be reported as a "counterexample".
@@ -841,6 +860,7 @@ fn simulate_falsify(
         .iter()
         .map(|c| Simulator::new(c.clone()).expect("validated constraint"))
         .collect();
+    let mut replayer = Replayer::new(slm, rtl);
 
     let mut replayed = 0u64;
     let max_draws = transactions.saturating_mul(16);
@@ -883,7 +903,7 @@ fn simulate_falsify(
         } else {
             Vec::new()
         };
-        let mismatches = replay_mismatches(slm, rtl, spec, &slm_inputs, &rtl_inputs, &initial_regs);
+        let mismatches = replayer.mismatches(spec, &slm_inputs, &rtl_inputs, &initial_regs);
         if !mismatches.is_empty() {
             return Falsification::Found(Box::new(Counterexample {
                 slm_inputs,

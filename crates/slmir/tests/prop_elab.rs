@@ -1,16 +1,23 @@
 //! The elaborated hardware model must agree with the interpreter on every
 //! input — the two independent implementations of SLM-C semantics. This is
 //! the property that makes the elaborator trustworthy as the SLM side of
-//! sequential equivalence checking.
-// Gated: property-based tests depend on the external `proptest` crate,
-// which offline builds cannot fetch. Enable with `--features proptest-tests`
-// in an environment that can resolve crates.io dependencies.
-#![cfg(feature = "proptest-tests")]
+//! sequential equivalence checking. The elaborated module runs on both RTL
+//! engines — the default bytecode VM and the reference oracle — so the
+//! interpreter is also an oracle for the simulator, independent of the
+//! RTL crate's own differential suites.
+//!
+//! Uses the in-tree `SplitMix64` so the suite runs offline; the seed is
+//! fixed, making every run reproducible.
 
-use dfv_bits::Bv;
+use std::collections::HashMap;
+
+use dfv_bits::{Bv, SplitMix64};
 use dfv_rtl::Simulator;
 use dfv_slmir::{elaborate, parse, Interp, ScalarTy, Ty, Value};
-use proptest::prelude::*;
+
+/// Random cases; case `i` runs corpus entry `i % CORPUS.len()`, so every
+/// entry is covered.
+const CASES: usize = 40;
 
 /// Conditioned SLM-C programs exercising distinct language features. Each
 /// entry is (source, entry function).
@@ -146,12 +153,8 @@ fn make_inputs(
             }
             Ty::Array(s, n) => {
                 let words: Vec<Bv> = (0..n).map(|_| next(s.width)).collect();
-                let mut packed = words[0].clone();
-                for w in &words[1..] {
-                    packed = w.concat(&packed);
-                }
+                pokes.push((p.name.clone(), pack(&words)));
                 vals.push(Value::Array(words, s));
-                pokes.push((p.name.clone(), packed));
             }
             _ => unreachable!("corpus is pointer-free"),
         }
@@ -159,45 +162,53 @@ fn make_inputs(
     (vals, pokes)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+/// Packs array words into one port value, element 0 in the low bits.
+fn pack(words: &[Bv]) -> Bv {
+    let mut packed = words[0].clone();
+    for w in &words[1..] {
+        packed = w.concat(&packed);
+    }
+    packed
+}
 
-    #[test]
-    fn interpreter_and_hardware_agree(
-        case in 0usize..CORPUS.len(),
-        seeds in proptest::collection::vec(any::<u64>(), 4)
-    ) {
-        let (src, entry) = CORPUS[case];
+/// Asserts the hardware outputs `outs` carry the interpreter's return
+/// value and out parameters.
+fn assert_matches_interp(run: &dfv_slmir::RunResult, outs: &HashMap<String, Bv>, what: &str) {
+    if let Value::Scalar(expect, _) = &run.ret {
+        assert_eq!(&outs["return"], expect, "{what}: return mismatch");
+    }
+    for (name, v) in &run.outs {
+        match v {
+            Value::Scalar(b, _) => assert_eq!(&outs[name], b, "{what}: out {name}"),
+            Value::Array(ws, _) => assert_eq!(outs[name], pack(ws), "{what}: out {name}"),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn interpreter_and_hardware_agree() {
+    let mut rng = SplitMix64::new(0xE1AB_0001);
+    for i in 0..CASES {
+        let (src, entry) = CORPUS[i % CORPUS.len()];
+        let seeds: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
         let prog = parse(src).unwrap();
         let module = elaborate(&prog, entry).unwrap();
         let (vals, pokes) = make_inputs(&prog, entry, &seeds);
 
         let run = Interp::new(&prog).run(entry, &vals).unwrap();
-        let mut sim = Simulator::new(module).unwrap();
         let poke_refs: Vec<(&str, Bv)> =
             pokes.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-        let outs = sim.eval_comb(&poke_refs);
-
-        // Return value.
-        if let Value::Scalar(expect, _) = &run.ret {
-            prop_assert_eq!(
-                &outs["return"], expect,
-                "{}: return mismatch for seeds {:?}", entry, seeds
+        for (engine, sim) in [
+            ("vm", Simulator::new(module.clone())),
+            ("reference", Simulator::new_reference(module.clone())),
+        ] {
+            let outs = sim.unwrap().eval_comb(&poke_refs);
+            assert_matches_interp(
+                &run,
+                &outs,
+                &format!("{entry} on {engine}, seeds {seeds:?}"),
             );
-        }
-        // Out parameters.
-        for (name, v) in &run.outs {
-            match v {
-                Value::Scalar(b, _) => prop_assert_eq!(&outs[name], b),
-                Value::Array(ws, _) => {
-                    let mut packed = ws[0].clone();
-                    for w in &ws[1..] {
-                        packed = w.concat(&packed);
-                    }
-                    prop_assert_eq!(&outs[name], &packed);
-                }
-                _ => {}
-            }
         }
     }
 }

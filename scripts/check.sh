@@ -42,8 +42,10 @@ run env DFV_WORKERS=1 cargo run --release --example parallel_campaign -- "$obs_d
 run env DFV_WORKERS=4 cargo run --release --example parallel_campaign -- "$obs_dir/camp_w4.json"
 run cmp "$obs_dir/camp_w1.json" "$obs_dir/camp_w4.json"
 run cargo run --release -q -p dfv-bench --bin experiments -- e11 > /dev/null
-# Offline smoke test: the compiled simulation engine. The workload sweep
-# runs both evaluation engines and panics on any output divergence; the
+# Offline smoke test: the simulation engines. The workload sweep runs
+# the bytecode VM against the reference oracle, then 64 scalar VM
+# simulators against one 64-lane LaneSim per workload, and panics on any
+# output divergence (VM vs oracle hash, per-lane vs scalar hashes); the
 # canonical JSON (deterministic counters, no wall-clock) must be
 # byte-identical across two separate processes.
 run cargo run --release -q -p dfv-bench --bin bench -- sim --smoke \
@@ -115,31 +117,13 @@ run "$serve_demo" drain "$obs_dir/serve_crash" > /dev/null
 run wait "$resume_pid"
 run cmp "$obs_dir/serve_base.json" "$obs_dir/serve_resumed.json"
 run cargo run --release -q -p dfv-bench --bin experiments -- e14 > /dev/null
-# Offline smoke test: the 64-lane batched engine. The batched sweep runs
-# 64 scalar simulators against one LaneSim per workload, asserts the
-# per-lane output hashes identical, and its canonical JSON (kernel
-# dispatches + fallback counts, no wall-clock) must be byte-identical
-# across two separate processes. The lane-parity property suite then
-# pins scalar vs LaneSim vs full-oracle 3-way equivalence.
-run cargo run --release -q -p dfv-bench --bin bench -- sim --smoke --batch \
-    --out "$obs_dir/bench_batch1_full.json" --canonical "$obs_dir/bench_batch1.json" > /dev/null
-run cargo run --release -q -p dfv-bench --bin bench -- sim --smoke --batch \
-    --out "$obs_dir/bench_batch2_full.json" --canonical "$obs_dir/bench_batch2.json" > /dev/null
-run cmp "$obs_dir/bench_batch1.json" "$obs_dir/bench_batch2.json"
+# The 64-lane batched engine (its sweep rides in `bench sim` above): the
+# lane-parity property suite pins VM vs LaneSim vs full-oracle 3-way
+# equivalence in release.
 run cargo test -q --release -p dfv-designs --test prop_sim_diff
 run cargo run --release -q -p dfv-bench --bin experiments -- e15 > /dev/null
-# Offline smoke test: the register-bytecode VM. The sweep restricted to
-# the VM engine (the reference oracle always rides along; every engine's
-# output hash is asserted against it before the report exists) must
-# produce byte-identical canonical JSON across two separate processes.
-# The VM instruction suite and the 3-way scalar/VM/oracle parity
-# properties then run in release — the same optimization level the
-# benchmarks use.
-run cargo run --release -q -p dfv-bench --bin bench -- sim --smoke --engine vm \
-    --out "$obs_dir/bench_vm1_full.json" --canonical "$obs_dir/bench_vm1.json" > /dev/null
-run cargo run --release -q -p dfv-bench --bin bench -- sim --smoke --engine vm \
-    --out "$obs_dir/bench_vm2_full.json" --canonical "$obs_dir/bench_vm2.json" > /dev/null
-run cmp "$obs_dir/bench_vm1.json" "$obs_dir/bench_vm2.json"
+# The register-bytecode VM's instruction suite runs in release — the
+# same optimization level the benchmarks use.
 run cargo test -q --release -p dfv-vm
 run cargo run --release -q -p dfv-bench --bin experiments -- e16 > /dev/null
 # Stress the determinism property tests with the test harness itself
@@ -162,8 +146,10 @@ run cmp "$obs_dir/bench_sec1.json" "$obs_dir/bench_sec2.json"
 # Counters as the regression gate: a full-size run's deterministic
 # counters (SAT conflicts, CNF vars and clauses, every sweep.* counter,
 # sweep off and on) must equal the ones checked in with BENCH_sec.json,
-# and the CDCL solver's full search counters (conflicts, decisions,
-# propagations, restarts, reductions) the ones in BENCH_sat.json. Only
+# the CDCL solver's full search counters (conflicts, decisions,
+# propagations, restarts, reductions) the ones in BENCH_sat.json, and
+# the simulators' (steps, passes, node_evals, output hashes, VM and
+# oracle, scalar and batched) the ones in BENCH_sim.json. Only
 # the timing sections may move; a change that means to move a counter
 # regenerates the file and the diff is reviewed.
 counters() { grep -o '"counters":{[^}]*}' "$1" | tr ',' '\n'; }
@@ -180,6 +166,9 @@ gate_counters sec BENCH_sec.json "$obs_dir/bench_sec.json"
 run cargo run --release -q -p dfv-bench --bin bench -- sat \
     --out "$obs_dir/bench_sat_full.json" --canonical "$obs_dir/bench_sat.json" > /dev/null
 gate_counters sat BENCH_sat.json "$obs_dir/bench_sat.json"
+run cargo run --release -q -p dfv-bench --bin bench -- sim \
+    --out "$obs_dir/bench_sim_full.json" --canonical "$obs_dir/bench_sim.json" > /dev/null
+gate_counters sim BENCH_sim.json "$obs_dir/bench_sim.json"
 run cargo test -q --release -p dfv-sec --test prop_sweep
 run cargo test -q --release -p dfv-sec --test prop_bitblast
 run cargo test -q --release -p dfv-sat --test prop_solver

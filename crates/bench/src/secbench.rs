@@ -15,8 +15,10 @@
 //! models can be made to disagree — and each counterexample has already
 //! been replayed concretely by the checker before it reaches this module.
 
+use dfv_bits::Bv;
+use dfv_designs::{conv, fir};
 use dfv_obs::{Json, RunReport};
-use dfv_rtl::{Module, ModuleBuilder};
+use dfv_rtl::{flatten, Design, Module, ModuleBuilder};
 use dfv_sec::{check_equivalence_with, Binding, CheckOptions, EquivOutcome, EquivSpec};
 
 /// Wall-clock repetitions per workload; off/on runs are interleaved
@@ -116,10 +118,10 @@ fn madd_comm(smoke: bool) -> (Module, Module, EquivSpec) {
     (slm, rtl, spec)
 }
 
-/// `(a+b)+c` versus `(c+a)+b`: associativity, which the word-level GVN
-/// deliberately does *not* rewrite. Here the structural collapse fails
-/// and the sweep has to earn its merges with budgeted SAT proofs — the
-/// honest cost model for the fraiging stage.
+/// `(a+b)+c` versus `(c+a)+b`: associativity, which the sweep's
+/// word-level GVN deliberately does *not* rewrite. The checker's word DAG
+/// flattens both sums into one linear form, so the point closes before
+/// any literal exists.
 fn add_assoc(smoke: bool) -> (Module, Module, EquivSpec) {
     let w = if smoke { 8 } else { 16 };
     let mut sb = ModuleBuilder::new("slm_assoc");
@@ -206,22 +208,105 @@ fn fpu_slice(smoke: bool) -> (Module, Module, EquivSpec) {
     (slm, rtl, spec)
 }
 
+/// Elaborates SLM-C `src` at `entry`.
+fn elaborate(src: &str, entry: &str) -> Module {
+    dfv_slmir::elaborate(&dfv_slmir::parse(src).unwrap(), entry).unwrap()
+}
+
+/// The int-promoted three-operand add: the SLM's `(uint<5>)(a + b + c +
+/// k)` is evaluated in 32-bit `int` and truncated, the RTL adds
+/// `((c + a) + b) + k` at 5 bits. Reassociation, an extension and a
+/// truncation the word DAG has to see through together.
+fn add3_promoted(_smoke: bool) -> (Module, Module, EquivSpec) {
+    let (w, k) = (5, 12_345u64);
+    let slm = elaborate(
+        &format!(
+            "uint<{w}> add3(uint<{w}> a, uint<{w}> b, uint<{w}> c) {{\n    \
+             return (uint<{w}>)(a + b + c + {k});\n}}\n"
+        ),
+        "add3",
+    );
+    let mut b = ModuleBuilder::new("add3_rtl");
+    let a = b.input("a", w);
+    let bi = b.input("b", w);
+    let c = b.input("c", w);
+    let t = b.add(c, a);
+    let t = b.add(t, bi);
+    let kk = b.lit(w, k % (1 << w));
+    let y = b.add(t, kk);
+    b.output("y", y);
+    let rtl = b.finish().unwrap();
+    let spec = EquivSpec::new(1)
+        .bind("a", 0, Binding::Slm("a".into()))
+        .bind("b", 0, Binding::Slm("b".into()))
+        .bind("c", 0, Binding::Slm("c".into()))
+        .compare("return", "y", 0);
+    (slm, rtl, spec)
+}
+
+/// The streaming FIR with seeded coefficients: the SLM accumulates
+/// sign-extended samples in 32-bit `int` and truncates to 18 bits, the
+/// RTL multiply-accumulates at 18 bits over its tap registers.
+fn fir_seeded(_smoke: bool) -> (Module, Module, EquivSpec) {
+    let c = [5, 101, 64, 127];
+    let slm = elaborate(&fir::slm_source_with_coeffs(c), "fir");
+    (slm, fir::rtl_with_coeffs(c), fir::equiv_spec())
+}
+
+/// The blur tile with an offset added to every output pixel: in 32-bit
+/// `int` after the arithmetic shift in the SLM, at 8 bits after the
+/// logical shift and truncation in the RTL. Constant shifts and the RTL's
+/// constant-index output mux are on the path.
+fn conv_offset(_smoke: bool) -> (Module, Module, EquivSpec) {
+    let k = 77u64;
+    let src = conv::slm_source().replace(
+        "res[y * 4 + x] = (uint8)(acc >> 4);",
+        &format!("res[y * 4 + x] = (uint8)((acc >> 4) + {k});"),
+    );
+    assert!(
+        src.contains(&format!("+ {k})")),
+        "blur source changed shape"
+    );
+    let slm = elaborate(&src, "blur");
+
+    // The RTL tile inside a wrapper that adds `k` to `pix_out`, flattened.
+    let inner = conv::rtl();
+    let mut b = ModuleBuilder::new("blur_k");
+    let ins: Vec<_> = inner
+        .inputs
+        .iter()
+        .map(|p| b.input(p.name.clone(), p.width))
+        .collect();
+    let outs = b.instantiate("u", &inner, &ins);
+    for (p, &o) in inner.outputs.iter().zip(&outs) {
+        let o = if p.name == "pix_out" {
+            let kk = b.constant(Bv::from_u64(p.width, k));
+            b.add(o, kk)
+        } else {
+            o
+        };
+        b.output(p.name.clone(), o);
+    }
+    let top = b.finish().unwrap();
+    let mut d = Design::new();
+    d.add_module(inner);
+    d.add_module(top);
+    let rtl = flatten(&d, "blur_k").unwrap();
+    (slm, rtl, conv::equiv_spec())
+}
+
 /// The memory-system design's fast bank (1-cycle ROM latency), SLM
 /// elaborated from its conditioned C source — a sequential miter with
 /// real memories and `Free` tag pins, measuring sweep overhead on a
 /// workload the raw path already handles well.
 fn memsys_fast(_smoke: bool) -> (Module, Module, EquivSpec) {
     let table = [3u8, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3];
-    let slm = dfv_slmir::elaborate(
-        &dfv_slmir::parse(&dfv_designs::memsys::slm_source(&table)).unwrap(),
-        "lookup",
-    )
-    .unwrap();
+    let slm = elaborate(&dfv_designs::memsys::slm_source(&table), "lookup");
     let rtl = dfv_designs::memsys::rtl(&table);
     (slm, rtl, dfv_designs::memsys::equiv_spec_fast())
 }
 
-const WORKLOADS: [SecWorkload; 6] = [
+const WORKLOADS: [SecWorkload; 9] = [
     SecWorkload {
         name: "mul_comm",
         build: mul_comm,
@@ -251,6 +336,21 @@ const WORKLOADS: [SecWorkload; 6] = [
         name: "mul_bug",
         build: mul_bug,
         equivalent: false,
+    },
+    SecWorkload {
+        name: "add3_promoted",
+        build: add3_promoted,
+        equivalent: true,
+    },
+    SecWorkload {
+        name: "fir_seeded",
+        build: fir_seeded,
+        equivalent: true,
+    },
+    SecWorkload {
+        name: "conv_offset",
+        build: conv_offset,
+        equivalent: true,
     },
 ];
 
@@ -367,6 +467,10 @@ pub fn sec_bench_report(smoke: bool) -> RunReport {
                 format!("sec.{}.{tag}.clauses", w.name),
                 r.cnf_clauses as u64,
             );
+            rep.set_counter(
+                format!("sec.{}.{tag}.word_closed", w.name),
+                r.word_closed as u64,
+            );
         }
         let sw = on.sweep.expect("sweep-on run carries sweep stats");
         rep.set_counter(format!("sec.{}.sweep.classes", w.name), sw.classes);
@@ -457,21 +561,14 @@ mod tests {
         let b = sec_bench_report(true);
         assert_eq!(a.canonical_json(), b.canonical_json());
         assert!(!a.canonical_json().contains("wall_us"));
-        // Reassociation is the row the sweep still has to earn: the
-        // word-level rewriter leaves it alone and the bit-blaster's
-        // canonical operand order does not apply, so only the merge
-        // proofs can cut the search. At full width they must show an
-        // integer-factor conflict drop. (The commutativity rows once
-        // showed it too; the unswept encoder now closes them at zero
-        // conflicts by itself.)
+        // Reassociation was the row only the sweep's merge proofs could
+        // cut. The word DAG now flattens both sums into one linear form,
+        // so the unswept check closes it at word level with no search;
+        // at full width too.
         let (slm, rtl, spec) = add_assoc(false);
         let off = check_equivalence_with(&slm, &rtl, &spec, &CheckOptions::default()).unwrap();
-        let on = check_equivalence_with(&slm, &rtl, &spec, &CheckOptions::swept()).unwrap();
-        let (c_off, c_on) = (off.solver_stats.conflicts, on.solver_stats.conflicts);
-        assert!(
-            c_off >= 2 * c_on.max(1),
-            "add_assoc: conflicts off {c_off} vs on {c_on} — sweep lost its edge"
-        );
+        assert_eq!(off.solver_stats.conflicts, 0, "add_assoc");
+        assert_eq!(off.word_closed, 1, "add_assoc");
         for w in ["mul_comm", "madd_comm"] {
             assert_eq!(a.counter(&format!("sec.{w}.off.conflicts")), 0, "{w}");
         }

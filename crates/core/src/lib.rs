@@ -250,7 +250,8 @@ pub struct BlockResult {
     /// [`BlockResult::lint_findings`] this *count* survives the checkpoint
     /// journal, so a resumed run's canonical report matches the original.
     pub lint_count: usize,
-    /// The equivalence report, when the check ran in this process. For an
+    /// The equivalence report, when the check ran in this run (`None` for
+    /// verdicts served from a cache, the store or the journal). For an
     /// inconclusive block this is the *last* attempt's report.
     pub equiv: Option<EquivReport>,
     /// Journal-survivable solver statistics (see [`SolverTotals`]).
@@ -968,6 +969,9 @@ impl Campaign {
                     let mut r = cached.clone();
                     r.from_cache = true;
                     r.duration = Duration::ZERO;
+                    // No proof ran for this verdict in this run.
+                    r.attempts = 0;
+                    r.equiv = None;
                     return (Some(hash), r);
                 }
             }

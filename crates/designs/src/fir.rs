@@ -40,11 +40,29 @@ pub fn slm_source() -> &'static str {
     "#
 }
 
+/// [`slm_source`] with the coefficients `c` in place of [`COEFFS`].
+pub fn slm_source_with_coeffs(c: [i64; TAPS]) -> String {
+    let fixed = "c[0] = 3; c[1] = 17; c[2] = 17; c[3] = 3;";
+    assert!(slm_source().contains(fixed), "FIR source changed shape");
+    slm_source().replace(
+        fixed,
+        &format!(
+            "c[0] = {}; c[1] = {}; c[2] = {}; c[3] = {};",
+            c[0], c[1], c[2], c[3]
+        ),
+    )
+}
+
 /// The streaming RTL: one sample per cycle on `x` gated by `in_valid`,
 /// `y`/`out_valid` one cycle later; `stall` freezes the whole pipeline
 /// (§3.2's "external stall conditions ... typically not modeled in the
 /// SLM").
 pub fn rtl() -> Module {
+    rtl_with_coeffs(COEFFS)
+}
+
+/// [`rtl`] with the coefficients `c` in place of [`COEFFS`].
+pub fn rtl_with_coeffs(coeffs: [i64; TAPS]) -> Module {
     let mut b = ModuleBuilder::new("fir_rtl");
     let in_valid = b.input("in_valid", 1);
     let x = b.input("x", 8);
@@ -70,7 +88,7 @@ pub fn rtl() -> Module {
     // MAC: y = sum c[k] * h[k] — but h is *post-edge*, so compute from the
     // pre-edge values: tap 0 uses the live input x, tap k uses h[k-1].
     let mut acc = b.lit(OUT_WIDTH, 0);
-    for (k, &c) in COEFFS.iter().enumerate() {
+    for (k, &c) in coeffs.iter().enumerate() {
         let sample = if k == 0 { x } else { b.reg_q(taps_q[k - 1]) };
         let sw = b.sext(sample, OUT_WIDTH);
         let cw = b.constant(Bv::from_i64(OUT_WIDTH, c));

@@ -1,6 +1,12 @@
 //! Bit-blasting: word-level IR operators to CNF via Tseitin encoding.
 //!
-//! Every word-level value becomes a vector of SAT literals (LSB first).
+//! The checker builds its words in a [`WordDag`] and lowers here only the
+//! words it must reason about ([`BitBlaster::lower`]): the cones of the
+//! compare points the DAG left open, and their constraints. Lowering is
+//! memoized per [`WordId`], so a leaf gets variables only when a lowered
+//! cone reaches it and a shared word is encoded once.
+//!
+//! Every lowered word becomes a vector of SAT literals (LSB first).
 //! Gate encoders allocate a fresh variable per gate output and record the
 //! gate in a log; its defining clauses reach the [`Solver`] only when a
 //! solve depends on it. [`BitBlaster::solve`] first emits the cone of the
@@ -16,20 +22,38 @@ use dfv_bits::Bv;
 use dfv_rtl::ir::{BinOp, UnOp};
 use dfv_sat::{Budget, Lit, SolveResult, Solver};
 
-/// An FxHash-style hasher for the gate caches. Their keys are two literal
-/// indices packed into one `u64`, so one multiply mixes every key bit
-/// into the high half, and the final rotate brings that half down to the
-/// low bits the table indexes by. It has no random seed, so lookups cost
+use crate::word::{Word, WordDag, WordId};
+
+/// An FxHash-style hasher for the gate caches and the word DAG. Gate keys
+/// are two literal indices packed into one `u64`, so one multiply mixes
+/// every key bit into the high half, and the final rotate brings that
+/// half down to the low bits the table indexes by. It has no random seed, so lookups cost
 /// the same on every run, and it is far cheaper than the default SipHash
 /// for keys this small.
 #[derive(Debug, Default, Clone, Copy)]
-struct FxHasher(u64);
+pub(crate) struct FxHasher(u64);
 
 impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8 bytes")));
+        }
+        for &b in chunks.remainder() {
             self.write_u64(u64::from(b));
         }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
     }
 
     fn write_u64(&mut self, x: u64) {
@@ -99,6 +123,15 @@ pub struct BitBlaster {
     /// and the gates found.
     stack: Vec<u32>,
     cone: Vec<u32>,
+    /// The literals of each lowered word of the DAG this blaster lowers,
+    /// indexed by [`WordId`]; empty while the word is not lowered.
+    words: Vec<Vec<Lit>>,
+    /// Scratch for [`BitBlaster::lower`]: the words left to visit and the
+    /// unlowered cone found, and a per-word mark of the current walk.
+    word_stack: Vec<WordId>,
+    word_cone: Vec<WordId>,
+    seen: Vec<u32>,
+    walk: u32,
 }
 
 impl Default for BitBlaster {
@@ -125,6 +158,11 @@ impl BitBlaster {
             pending_asserts: Vec::new(),
             stack: Vec::new(),
             cone: Vec::new(),
+            words: Vec::new(),
+            word_stack: Vec::new(),
+            word_cone: Vec::new(),
+            seen: Vec::new(),
+            walk: 0,
         }
     }
 
@@ -670,6 +708,158 @@ impl BitBlaster {
                 let gt = self.slt_word(b, a);
                 vec![!gt]
             }
+        }
+    }
+
+    /// The literals of word `id` of `dag`, lowering first every word of
+    /// its cone not lowered yet. Lowering is memoized per word, so a word
+    /// shared by several cones is encoded once, and a variable is
+    /// allocated only when a leaf (or a gate) lands in a lowered cone.
+    ///
+    /// A blaster lowers the words of one DAG: the memo is indexed by
+    /// [`WordId`].
+    pub fn lower(&mut self, dag: &WordDag, id: WordId) -> Vec<Lit> {
+        if !self.is_lowered(id) {
+            self.lower_cone(dag, id);
+        }
+        self.words[id.index()].clone()
+    }
+
+    fn is_lowered(&self, id: WordId) -> bool {
+        self.words.get(id.index()).is_some_and(|w| !w.is_empty())
+    }
+
+    /// Lowers the unlowered cone of `root` in id order, which puts every
+    /// operand before the words built from it.
+    fn lower_cone(&mut self, dag: &WordDag, root: WordId) {
+        if self.words.len() < dag.len() {
+            self.words.resize(dag.len(), Vec::new());
+            self.seen.resize(dag.len(), 0);
+        }
+        self.walk += 1;
+        let mut stack = std::mem::take(&mut self.word_stack);
+        let mut cone = std::mem::take(&mut self.word_cone);
+        stack.push(root);
+        while let Some(v) = stack.pop() {
+            if self.seen[v.index()] == self.walk || self.is_lowered(v) {
+                continue;
+            }
+            self.seen[v.index()] = self.walk;
+            cone.push(v);
+            dag.word(v).for_each_operand(|o| stack.push(o));
+        }
+        cone.sort_unstable();
+        for &v in &cone {
+            let lits = self.lower_word(dag, v);
+            debug_assert_eq!(lits.len(), dag.width(v) as usize);
+            self.words[v.index()] = lits;
+        }
+        cone.clear();
+        self.word_stack = stack;
+        self.word_cone = cone;
+    }
+
+    /// Encodes one word whose operands are all lowered.
+    fn lower_word(&mut self, dag: &WordDag, v: WordId) -> Vec<Lit> {
+        let lits = |bb: &Self, o: &WordId| bb.words[o.index()].clone();
+        match dag.word(v) {
+            Word::Leaf(_) => self.fresh_word(dag.width(v)),
+            Word::Const(c) => self.constant(c),
+            Word::Un(op, a) => {
+                let a = lits(self, a);
+                self.un_op(*op, &a)
+            }
+            Word::Bin(op, a, b) => {
+                let (a, b) = (lits(self, a), lits(self, b));
+                self.bin_op(*op, &a, &b)
+            }
+            Word::Mux(s, t, f) => {
+                let s = self.words[s.index()][0];
+                let (t, f) = (lits(self, t), lits(self, f));
+                self.mux_word(s, &t, &f)
+            }
+            Word::Slice(a, hi, lo) => self.words[a.index()][*lo as usize..=*hi as usize].to_vec(),
+            Word::Concat(h, l) => {
+                let mut c = lits(self, l);
+                c.extend_from_slice(&self.words[h.index()]);
+                c
+            }
+            Word::Zext(a, w) => {
+                let mut c = lits(self, a);
+                c.resize(*w as usize, self.false_lit());
+                c
+            }
+            Word::Sext(a, w) => {
+                let mut c = lits(self, a);
+                let sign = *c.last().expect("nonzero width");
+                c.resize(*w as usize, sign);
+                c
+            }
+            Word::Linear(k, terms) => self.linear_word(k, terms),
+        }
+    }
+
+    /// Encodes `k + Σ c·t`: the terms whose coefficient has fewer set
+    /// bits than its negation are added (a constant multiple costs one
+    /// shifted adder row per set bit), the others subtracted at their
+    /// negated coefficient, so `a - b` costs one subtractor.
+    fn linear_word(&mut self, k: &Bv, terms: &[(WordId, Bv)]) -> Vec<Lit> {
+        let mut acc: Option<Vec<Lit>> = None;
+        let mut subtracted = Vec::new();
+        for (t, c) in terms {
+            let n = c.wrapping_neg();
+            if n.count_ones() < c.count_ones() {
+                subtracted.push((*t, n));
+                continue;
+            }
+            let x = self.scaled(*t, c);
+            acc = Some(match acc {
+                None => x,
+                Some(a) => self.add_word(&a, &x, self.false_lit()),
+            });
+        }
+        if !k.is_zero() {
+            let x = self.constant(k);
+            acc = Some(match acc {
+                None => x,
+                Some(a) => self.add_word(&a, &x, self.false_lit()),
+            });
+        }
+        for (t, n) in subtracted {
+            let x = self.scaled(t, &n);
+            acc = Some(match acc {
+                None => self.neg_word(&x),
+                Some(a) => self.sub_word(&a, &x),
+            });
+        }
+        acc.expect("a linear word has a term")
+    }
+
+    /// `c·t` for a lowered term `t`.
+    fn scaled(&mut self, t: WordId, c: &Bv) -> Vec<Lit> {
+        let x = self.words[t.index()].clone();
+        if c.count_ones() == 1 && c.bit(0) {
+            return x;
+        }
+        let k = self.constant(c);
+        self.mul_word(&x, &k)
+    }
+
+    /// Replaces the literals of a lowered word: the sweep's merges, so
+    /// every word lowered later reads the representative literals.
+    pub(crate) fn relower(&mut self, id: WordId, lits: Vec<Lit>) {
+        debug_assert!(self.is_lowered(id) && self.words[id.index()].len() == lits.len());
+        self.words[id.index()] = lits;
+    }
+
+    /// The model value of word `id` after a satisfiable
+    /// [`BitBlaster::solve`]. A word no lowered cone reached is
+    /// unconstrained and reads as 0.
+    pub fn model_value(&self, dag: &WordDag, id: WordId) -> Bv {
+        if self.is_lowered(id) {
+            model_word(&self.solver, &self.words[id.index()])
+        } else {
+            Bv::zero(dag.width(id))
         }
     }
 }

@@ -10,11 +10,12 @@ use std::time::{Duration, Instant};
 use dfv_bits::Bv;
 use dfv_obs::{ObsHook, SharedRecorder};
 use dfv_rtl::{Module, Simulator};
-use dfv_sat::{Budget, ExhaustedReason, Lit, SolveResult, Solver};
+use dfv_sat::{Budget, ExhaustedReason, SolveResult};
 
-use crate::bitblast::{model_word, BitBlaster};
+use crate::bitblast::BitBlaster;
 use crate::spec::{InitState, SecError};
 use crate::unroll::SymbolicSim;
+use crate::word::{WordDag, WordId};
 
 /// A violating trace found by [`check_property`].
 #[derive(Debug, Clone, PartialEq)]
@@ -67,23 +68,20 @@ pub fn check_property(module: &Module, property: &str, bound: u32) -> Result<Bmc
     let start = Instant::now();
     validate_property(module, property, bound)?;
 
+    let mut dag = WordDag::new();
     let mut bb = BitBlaster::new();
-    let mut sym = SymbolicSim::new(&mut bb, module, InitState::Reset)?;
-    let mut input_words: Vec<Vec<Vec<Lit>>> = Vec::new();
-    let mut violated_at: Vec<Lit> = Vec::new();
+    let mut sym = SymbolicSim::new(&mut dag, module, InitState::Reset)?;
+    let mut input_words: Vec<Vec<WordId>> = Vec::new();
+    let mut props: Vec<WordId> = Vec::new();
     for _ in 0..bound {
-        let inputs: Vec<Vec<Lit>> = module
-            .inputs
-            .iter()
-            .map(|p| bb.fresh_word(p.width))
-            .collect();
-        let cyc = sym.step(&mut bb, &inputs);
-        let prop = cyc.output(module, property);
-        violated_at.push(!prop[0]);
+        let inputs: Vec<WordId> = module.inputs.iter().map(|p| dag.leaf(p.width)).collect();
+        let cyc = sym.step(&mut dag, &inputs);
+        props.push(cyc.output(module, property));
         input_words.push(inputs);
     }
     let mut any = bb.false_lit();
-    for &v in &violated_at {
+    for &p in &props {
+        let v = !bb.lower(&dag, p)[0];
         any = bb.or_gate(any, v);
     }
     bb.assert_lit(any);
@@ -92,7 +90,8 @@ pub fn check_property(module: &Module, property: &str, bound: u32) -> Result<Bmc
     let outcome = match bb.solve(&[], &Budget::unlimited()) {
         SolveResult::Unsat => BmcOutcome::HoldsUpTo(bound),
         SolveResult::Sat => BmcOutcome::Violated(Box::new(extract_trace(
-            bb.solver(),
+            &bb,
+            &dag,
             module,
             property,
             &input_words,
@@ -170,29 +169,26 @@ fn check_property_budgeted_inner(
     }
 
     obs.begin_span("sec.bmc");
+    let mut dag = WordDag::new();
     let mut bb = BitBlaster::new();
     if let Some(rec) = obs.recorder() {
         bb.set_recorder(rec);
     }
-    let mut sym = match SymbolicSim::new(&mut bb, module, InitState::Reset) {
+    let mut sym = match SymbolicSim::new(&mut dag, module, InitState::Reset) {
         Ok(s) => s,
         Err(e) => {
             obs.end_span("sec.bmc");
             return Err(e);
         }
     };
-    let mut input_words: Vec<Vec<Vec<Lit>>> = Vec::new();
+    let mut input_words: Vec<Vec<WordId>> = Vec::new();
     let mut outcome = None;
     let mut holds_up_to = 0u32;
     for depth in 0..bound {
-        let inputs: Vec<Vec<Lit>> = module
-            .inputs
-            .iter()
-            .map(|p| bb.fresh_word(p.width))
-            .collect();
-        let cyc = sym.step(&mut bb, &inputs);
+        let inputs: Vec<WordId> = module.inputs.iter().map(|p| dag.leaf(p.width)).collect();
+        let cyc = sym.step(&mut dag, &inputs);
         let prop = cyc.output(module, property);
-        let violated = !prop[0];
+        let violated = !bb.lower(&dag, prop)[0];
         input_words.push(inputs);
         let result = bb.solve(&[violated], &budget);
         obs.add("sec.depths", 1);
@@ -209,7 +205,8 @@ fn check_property_budgeted_inner(
             SolveResult::Unsat => holds_up_to += 1,
             SolveResult::Sat => {
                 outcome = Some(BmcOutcome::Violated(Box::new(extract_trace(
-                    bb.solver(),
+                    &bb,
+                    &dag,
                     module,
                     property,
                     &input_words,
@@ -266,10 +263,11 @@ fn validate_property(module: &Module, property: &str, bound: u32) -> Result<(), 
 /// and every output asserted identical each cycle, so a counterexample
 /// can never be an artifact of the compiled engine.
 fn extract_trace(
-    solver: &Solver,
+    bb: &BitBlaster,
+    dag: &WordDag,
     module: &Module,
     property: &str,
-    input_words: &[Vec<Vec<Lit>>],
+    input_words: &[Vec<WordId>],
 ) -> PropertyTrace {
     let inputs: Vec<Vec<(String, Bv)>> = input_words
         .iter()
@@ -278,7 +276,7 @@ fn extract_trace(
                 .inputs
                 .iter()
                 .zip(cycle)
-                .map(|(p, w)| (p.name.clone(), model_word(solver, w)))
+                .map(|(p, &w)| (p.name.clone(), bb.model_value(dag, w)))
                 .collect()
         })
         .collect();

@@ -9,12 +9,13 @@ use dfv_bits::Bv;
 use dfv_cosim::{FieldSpec, StimulusGen};
 use dfv_obs::{ObsHook, SharedRecorder};
 use dfv_rtl::{Module, Simulator};
-use dfv_sat::{Budget, ExhaustedReason, Lit, SolveResult, Solver, SolverStats};
+use dfv_sat::{Budget, ExhaustedReason, Lit, SolveResult, SolverStats};
 
-use crate::bitblast::{model_word, BitBlaster};
+use crate::bitblast::BitBlaster;
 use crate::spec::{Binding, EquivSpec, InitState, SecError};
-use crate::sweep::{rtl_site, SweepOptions, SweepStats, Sweeper, SLM_SITE};
-use crate::unroll::{eval_comb_symbolic, eval_comb_symbolic_hooked, SymbolicSim};
+use crate::sweep::{SweepOptions, SweepStats, Sweeper};
+use crate::unroll::{eval_comb_symbolic, SymbolicSim};
+use crate::word::{WordDag, WordId};
 
 /// One output disagreement within a counterexample.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,7 +179,15 @@ impl CheckOptions {
 pub struct EquivReport {
     /// The verdict.
     pub outcome: EquivOutcome,
-    /// CNF variables allocated.
+    /// Compare points proved at word level: their SLM and RTL sides are
+    /// the same node of the normalized word DAG, so they cost no SAT
+    /// work.
+    pub word_closed: usize,
+    /// CNF variables allocated. Only the cones of lowered words allocate
+    /// any: the open compare points, the constraints they are checked
+    /// under, and (with the sweep on) every node word the sweep visits.
+    /// A check whose compare points all close at word level allocates
+    /// none beyond the constant.
     pub cnf_vars: usize,
     /// CNF clauses emitted: the final solve's cone (gate definitions
     /// reachable from the difference assertion and the constraints) plus
@@ -305,13 +314,26 @@ fn check_equivalence_inner(
     if let Some(rec) = obs.recorder() {
         ctx.bb.set_recorder(rec);
     }
-    // Assert that *some* compare point differs: one clause over the diffs.
-    // Emitting its cone now, rather than inside the solve, lets the
-    // counters below report the CNF the final solve runs on.
-    ctx.bb.assert_clause(&ctx.diffs);
-    ctx.bb.emit_cone(&[]);
+    let word_closed = ctx.diffs.iter().filter(|d| d.is_none()).count();
+    // The open points whose difference did not fold to false while
+    // lowering. With none left there is nothing to solve.
+    let open: Vec<Lit> = ctx
+        .diffs
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|&d| d != ctx.bb.false_lit())
+        .collect();
+    if !open.is_empty() {
+        // Assert that *some* compare point differs: one clause over the
+        // diffs. Emitting its cone now, rather than inside the solve,
+        // lets the counters below report the CNF the final solve runs on.
+        ctx.bb.assert_clause(&open);
+        ctx.bb.emit_cone(&[]);
+    }
     let cnf_vars = ctx.bb.solver().num_vars();
     let cnf_clauses = ctx.bb.solver().num_clauses();
+    obs.add("sec.word_closed", word_closed as u64);
     obs.add("sec.cnf_vars", cnf_vars as u64);
     obs.add("sec.cnf_clauses", cnf_clauses as u64);
     if let Some(s) = &ctx.sweep {
@@ -323,16 +345,20 @@ fn check_equivalence_inner(
         obs.add("sec.sweep.proof_conflicts", s.proof_conflicts);
         obs.add("sec.sweep.nodes_removed", s.nodes_before - s.nodes_after);
     }
-    let outcome = match ctx.bb.solve(&[], &opts.budget) {
+    let result = if open.is_empty() {
+        SolveResult::Unsat
+    } else {
+        ctx.bb.solve(&[], &opts.budget)
+    };
+    let outcome = match result {
         SolveResult::Unsat => EquivOutcome::Equivalent,
         SolveResult::Sat => EquivOutcome::NotEquivalent(Box::new(extract_and_replay(
-            ctx.bb.solver(),
+            &mut ctx,
             slm,
             rtl,
             spec,
-            &ctx.slm_words,
-            &ctx.free_words,
-            &ctx.initial_reg_words,
+            &[],
+            &opts.budget,
         ))),
         SolveResult::Unknown(reason) => {
             if opts.fallback_transactions == 0 {
@@ -376,6 +402,7 @@ fn check_equivalence_inner(
     obs.end_span("sec.equiv");
     Ok(EquivReport {
         outcome,
+        word_closed,
         cnf_vars,
         cnf_clauses,
         solver_stats: ctx.bb.solver().stats(),
@@ -436,7 +463,8 @@ pub fn check_equivalence_per_output(
 }
 
 /// Like [`check_equivalence_per_output`], but each per-output solve runs
-/// under `opts.budget`. The budget's conflict/propagation caps apply to
+/// under `opts.budget`. A compare point the word DAG closes is
+/// [`EquivOutcome::Equivalent`] without a solve. The budget's conflict/propagation caps apply to
 /// each output separately; an absolute `deadline` naturally bounds the
 /// whole sweep. An exhausted output gets an
 /// [`EquivOutcome::Inconclusive`] verdict (without the simulation fallback
@@ -456,18 +484,25 @@ pub fn check_equivalence_per_output_with(
     let mut ctx = build_miter(slm, rtl, spec, &opts.sweep)?;
     let cnf_vars = ctx.bb.solver().num_vars();
     let mut verdicts = Vec::with_capacity(spec.compares.len());
-    for (cp, &diff) in spec.compares.iter().zip(&ctx.diffs) {
+    for (cp, diff) in spec.compares.iter().zip(ctx.diffs.clone()) {
         let t0 = Instant::now();
-        let outcome = match ctx.bb.solve(&[diff], &opts.budget) {
+        let Some(d) = diff else {
+            verdicts.push(OutputVerdict {
+                compare: cp.clone(),
+                outcome: EquivOutcome::Equivalent,
+                duration: t0.elapsed(),
+            });
+            continue;
+        };
+        let outcome = match ctx.bb.solve(&[d], &opts.budget) {
             SolveResult::Unsat => EquivOutcome::Equivalent,
             SolveResult::Sat => EquivOutcome::NotEquivalent(Box::new(extract_and_replay(
-                ctx.bb.solver(),
+                &mut ctx,
                 slm,
                 rtl,
                 spec,
-                &ctx.slm_words,
-                &ctx.free_words,
-                &ctx.initial_reg_words,
+                &[d],
+                &opts.budget,
             ))),
             SolveResult::Unknown(reason) => EquivOutcome::Inconclusive {
                 reason,
@@ -489,26 +524,35 @@ pub fn check_equivalence_per_output_with(
 }
 
 /// Everything shared between the one-shot and per-output checkers: the
-/// bit-blaster holding the recorded miter (only the cones earlier sweep
-/// proofs needed are emitted yet), one difference literal per compare
-/// point (unasserted), and the words needed for counterexample extraction.
+/// word DAG of both sides, the bit-blaster holding the lowered cones
+/// (only the cones earlier sweep proofs needed are emitted yet), one
+/// difference literal per compare point (unasserted; `None` where the
+/// DAG closed the point), and the words needed for counterexample
+/// extraction.
 struct MiterCtx {
+    dag: WordDag,
     bb: BitBlaster,
-    diffs: Vec<Lit>,
-    slm_words: HashMap<String, Vec<Lit>>,
-    free_words: HashMap<(usize, u32), Vec<Lit>>,
-    initial_reg_words: Vec<Vec<Lit>>,
+    diffs: Vec<Option<Lit>>,
+    slm_words: HashMap<String, WordId>,
+    free_words: HashMap<(usize, u32), WordId>,
+    initial_reg_words: Vec<WordId>,
     sweep: Option<SweepStats>,
 }
 
-/// Encodes the miter. With sweeping enabled, both modules are first
-/// canonicalized by `dfv_rtl::optimize` and the *optimized* modules are
-/// encoded, with the [`Sweeper`]'s per-node hook proving and merging
-/// candidate-equal bits as the encoding proceeds (deterministic order:
-/// SLM nodes, then RTL cycles 0..k). The optimizer preserves ports,
-/// registers, and memories by name and order, so counterexample
-/// extraction and concrete replay keep using the caller's original
-/// modules.
+/// Builds the miter. Both sides are evaluated into one [`WordDag`]: the
+/// SLM once, the RTL cycle by cycle. A compare point whose two words are
+/// the same node is closed; only the open points' cones, and the
+/// constraints they are checked under, are lowered into the
+/// [`BitBlaster`].
+///
+/// With sweeping enabled, both modules are first canonicalized by
+/// `dfv_rtl::optimize` and the *optimized* modules are encoded; every
+/// node word of every site is then lowered in order (SLM nodes, then RTL
+/// cycles 0..k), and the [`Sweeper`] proves and merges candidate-equal
+/// bits of each before later words are lowered from it. The optimizer
+/// preserves ports, registers, and memories by name and order, so
+/// counterexample extraction and concrete replay keep using the caller's
+/// original modules.
 fn build_miter(
     slm: &Module,
     rtl: &Module,
@@ -519,62 +563,50 @@ fn build_miter(
     dfv_rtl::check_module(slm)?;
     dfv_rtl::check_module(rtl)?;
 
-    // Sweeping stages 1 (word-level rewriting) and 2 (signature classes).
-    let mut sweeper = None;
-    let optimized = if sweep.enabled {
-        let (slm_o, _, _) = dfv_rtl::optimize(slm);
-        let (rtl_o, _, _) = dfv_rtl::optimize(rtl);
-        let mut sw = Sweeper::analyze(&slm_o, &rtl_o, spec, sweep)?;
-        sw.add_opt_stats(
-            slm.nodes.len() + rtl.nodes.len(),
-            slm_o.nodes.len() + rtl_o.nodes.len(),
-        );
-        sweeper = Some(sw);
-        Some((slm_o, rtl_o))
-    } else {
-        None
-    };
+    // Sweeping stage 1 (word-level rewriting).
+    let optimized = sweep
+        .enabled
+        .then(|| (dfv_rtl::optimize(slm).0, dfv_rtl::optimize(rtl).0));
+    let nodes_before = slm.nodes.len() + rtl.nodes.len();
     let (slm, rtl) = match &optimized {
         Some((s, r)) => (s, r),
         None => (slm, rtl),
     };
 
+    let mut dag = WordDag::new();
     let mut bb = BitBlaster::new();
 
     // Symbolic SLM inputs.
-    let mut slm_words: HashMap<String, Vec<Lit>> = HashMap::new();
-    for p in &slm.inputs {
-        let w = bb.fresh_word(p.width);
-        slm_words.insert(p.name.clone(), w);
-    }
-    let slm_input_vec: Vec<Vec<Lit>> = slm
+    let slm_words: HashMap<String, WordId> = slm
         .inputs
         .iter()
-        .map(|p| slm_words[&p.name].clone())
+        .map(|p| (p.name.clone(), dag.leaf(p.width)))
         .collect();
+    let slm_input_vec: Vec<WordId> = slm.inputs.iter().map(|p| slm_words[&p.name]).collect();
 
-    // Environment constraints. Encoded (and asserted) before any sweep
-    // proof runs, so every proof emits them and merges are sound relative
-    // to the constrained input space — exactly the space the verdict
-    // quantifies over.
-    for c in &spec.constraints {
-        let ins: Vec<Vec<Lit>> = c
-            .inputs
-            .iter()
-            .map(|p| slm_words[&p.name].clone())
-            .collect();
-        let cyc = eval_comb_symbolic(&mut bb, c, &ins);
-        let ok = cyc.output(c, &c.outputs[0].name);
-        bb.assert_lit(ok[0]);
-    }
-
-    // SLM evaluation.
-    let slm_cycle = match sweeper.as_mut() {
-        Some(sw) => eval_comb_symbolic_hooked(&mut bb, slm, &slm_input_vec, &mut |bb, n, w| {
-            sw.process_word(bb, SLM_SITE, n, w)
-        }),
-        None => eval_comb_symbolic(&mut bb, slm, &slm_input_vec),
+    // Environment constraints.
+    let constraints: Vec<WordId> = spec
+        .constraints
+        .iter()
+        .map(|c| {
+            let ins: Vec<WordId> = c.inputs.iter().map(|p| slm_words[&p.name]).collect();
+            eval_comb_symbolic(&mut dag, c, &ins).output(c, &c.outputs[0].name)
+        })
+        .collect();
+    let assert_constraints = |dag: &WordDag, bb: &mut BitBlaster| {
+        for &ok in &constraints {
+            let l = bb.lower(dag, ok)[0];
+            bb.assert_lit(l);
+        }
     };
+
+    // SLM evaluation. With the sweep on, every site's node words are kept
+    // for it: the SLM's, then each RTL cycle's.
+    let slm_cycle = eval_comb_symbolic(&mut dag, slm, &slm_input_vec);
+    let mut sites = Vec::new();
+    if sweep.enabled {
+        sites.push(slm_cycle.nodes.clone());
+    }
 
     // RTL unrolling.
     let mut binding_at: HashMap<(usize, u32), &Binding> = HashMap::new();
@@ -582,62 +614,100 @@ fn build_miter(
         let idx = rtl.input_index(port).expect("validated");
         binding_at.insert((idx, *cycle), b);
     }
-    let mut sym = SymbolicSim::new(&mut bb, rtl, spec.init)?;
-    let initial_reg_words: Vec<Vec<Lit>> = sym.reg_state().to_vec();
+    let mut sym = SymbolicSim::new(&mut dag, rtl, spec.init)?;
+    let initial_reg_words = sym.reg_state().to_vec();
     // Free-binding words, recorded for counterexample extraction.
-    let mut free_words: HashMap<(usize, u32), Vec<Lit>> = HashMap::new();
+    let mut free_words: HashMap<(usize, u32), WordId> = HashMap::new();
     // The RTL words the compare points read, captured as each cycle is
-    // unrolled; no other node word outlives its cycle.
-    let mut rtl_outs: Vec<Vec<Lit>> = vec![Vec::new(); spec.compares.len()];
+    // unrolled.
+    let mut rtl_outs: Vec<Option<WordId>> = vec![None; spec.compares.len()];
     for t in 0..spec.rtl_cycles {
-        let inputs: Vec<Vec<Lit>> = rtl
+        let inputs: Vec<WordId> = rtl
             .inputs
             .iter()
             .enumerate()
             .map(|(i, p)| match binding_at.get(&(i, t)) {
-                Some(Binding::Slm(name)) => slm_words[name].clone(),
-                Some(Binding::SlmSlice { name, hi, lo }) => {
-                    slm_words[name][*lo as usize..=*hi as usize].to_vec()
-                }
-                Some(Binding::Const(v)) => bb.constant(v),
+                Some(Binding::Slm(name)) => slm_words[name],
+                Some(Binding::SlmSlice { name, hi, lo }) => dag.slice(slm_words[name], *hi, *lo),
+                Some(Binding::Const(v)) => dag.constant(v),
                 Some(Binding::Free) => {
-                    let w = bb.fresh_word(p.width);
-                    free_words.insert((i, t), w.clone());
+                    let w = dag.leaf(p.width);
+                    free_words.insert((i, t), w);
                     w
                 }
-                None => bb.constant(&Bv::zero(p.width)),
+                None => dag.constant(&Bv::zero(p.width)),
             })
             .collect();
-        let cycle = match sweeper.as_mut() {
-            Some(sw) => sym.step_hooked(&mut bb, &inputs, &mut |bb, n, w| {
-                sw.process_word(bb, rtl_site(t), n, w)
-            }),
-            None => sym.step(&mut bb, &inputs),
-        };
+        let cycle = sym.step(&mut dag, &inputs);
+        if sweep.enabled {
+            sites.push(cycle.nodes.clone());
+        }
         for (cp, out) in spec.compares.iter().zip(&mut rtl_outs) {
             if cp.rtl_cycle == t {
-                *out = cycle.output(rtl, &cp.rtl_output);
+                *out = Some(cycle.output(rtl, &cp.rtl_output));
             }
         }
     }
 
-    // One (unasserted) difference literal per compare point.
-    let mut diffs = Vec::with_capacity(spec.compares.len());
-    for (cp, r) in spec.compares.iter().zip(&rtl_outs) {
-        let mut s = slm_cycle.output(slm, &cp.slm_output);
-        if let Some((hi, lo)) = cp.slm_slice {
-            s = s[lo as usize..=hi as usize].to_vec();
-        }
-        let eq = bb.eq_word(&s, r);
-        diffs.push(!eq);
+    // The two words of each compare point; a point whose words are one
+    // node is closed.
+    let sides: Vec<(WordId, WordId)> = spec
+        .compares
+        .iter()
+        .zip(rtl_outs)
+        .map(|(cp, r)| {
+            let mut s = slm_cycle.output(slm, &cp.slm_output);
+            if let Some((hi, lo)) = cp.slm_slice {
+                s = dag.slice(s, hi, lo);
+            }
+            (s, r.expect("validated compare cycle"))
+        })
+        .collect();
+    // Nothing is lowered unless some point is open. The constraints are
+    // lowered first, so their assertions are emitted before the gates
+    // they constrain and the solver simplifies those gates' clauses
+    // against them; with the sweep on, they are asserted before any sweep
+    // proof runs, so every proof emits them and merges are sound relative
+    // to the constrained input space — exactly the space the verdict
+    // quantifies over.
+    let open = sides.iter().any(|(s, r)| s != r);
+    if open {
+        assert_constraints(&dag, &mut bb);
     }
+    // Sweeping stages 2 (signature classes) and 3 (merge proofs), site by
+    // site in encoding order, when the DAG left something to prove.
+    let mut sweep_stats = None;
+    if let Some((slm_o, rtl_o)) = &optimized {
+        let mut stats = SweepStats::default();
+        if open {
+            let mut sw = Sweeper::analyze(slm_o, rtl_o, spec, sweep)?;
+            for (site, nodes) in sites.iter().enumerate() {
+                sw.process_site(&dag, &mut bb, site, nodes);
+            }
+            stats = sw.stats();
+        }
+        stats.nodes_before = nodes_before as u64;
+        stats.nodes_after = (slm_o.nodes.len() + rtl_o.nodes.len()) as u64;
+        sweep_stats = Some(stats);
+    }
+    // One (unasserted) difference literal per open compare point.
+    let diffs = sides
+        .into_iter()
+        .map(|(s, r)| {
+            (s != r).then(|| {
+                let (ls, lr) = (bb.lower(&dag, s), bb.lower(&dag, r));
+                !bb.eq_word(&ls, &lr)
+            })
+        })
+        .collect();
     Ok(MiterCtx {
+        dag,
         bb,
         diffs,
         slm_words,
         free_words,
         initial_reg_words,
-        sweep: sweeper.map(|s| s.stats()),
+        sweep: sweep_stats,
     })
 }
 
@@ -699,16 +769,15 @@ impl Replayer {
         }
     }
 
-    /// Concretely replays one transaction on both simulators and collects
-    /// the compare-point mismatches (empty = the models agreed on this
-    /// input).
+    /// Concretely replays one transaction on both simulators: per compare
+    /// point, in spec order, the mismatch if the models disagree there.
     fn mismatches(
         &mut self,
         spec: &EquivSpec,
         slm_inputs: &[(String, Bv)],
         rtl_inputs: &[Vec<(String, Bv)>],
         initial_regs: &[(String, Bv)],
-    ) -> Vec<Mismatch> {
+    ) -> Vec<Option<Mismatch>> {
         // Replay the SLM.
         let slm_sim = &mut self.slm;
         slm_sim.reset();
@@ -740,56 +809,108 @@ impl Replayer {
             rtl_sim.step();
         }
 
-        let mut mismatches = Vec::new();
-        for cp in &spec.compares {
-            let mut sv = slm_outs[&cp.slm_output].clone();
-            if let Some((hi, lo)) = cp.slm_slice {
-                sv = sv.slice(hi, lo);
-            }
-            let rv = sampled[&(cp.rtl_output.clone(), cp.rtl_cycle)].clone();
-            if sv != rv {
-                mismatches.push(Mismatch {
+        spec.compares
+            .iter()
+            .map(|cp| {
+                let mut sv = slm_outs[&cp.slm_output].clone();
+                if let Some((hi, lo)) = cp.slm_slice {
+                    sv = sv.slice(hi, lo);
+                }
+                let rv = sampled[&(cp.rtl_output.clone(), cp.rtl_cycle)].clone();
+                (sv != rv).then(|| Mismatch {
                     slm_output: cp.slm_output.clone(),
                     rtl_output: cp.rtl_output.clone(),
                     rtl_cycle: cp.rtl_cycle,
                     slm_value: sv,
                     rtl_value: rv,
-                });
-            }
-        }
-        mismatches
+                })
+            })
+            .collect()
     }
 }
 
-/// Reads the SAT model, replays it concretely on both models, and verifies
-/// that the replay reproduces a mismatch.
+/// The concrete inputs of one transaction: SLM inputs, per-cycle RTL
+/// inputs, and (for free-init checks) initial register values.
+struct Witness {
+    slm_inputs: Vec<(String, Bv)>,
+    rtl_inputs: Vec<Vec<(String, Bv)>>,
+    initial_regs: Vec<(String, Bv)>,
+}
+
+impl Witness {
+    /// Reads the transaction from the solver's current model. Inputs no
+    /// lowered cone reached cannot affect an open point and read as 0.
+    fn from_model(ctx: &MiterCtx, slm: &Module, rtl: &Module, spec: &EquivSpec) -> Witness {
+        let value = |w: WordId| ctx.bb.model_value(&ctx.dag, w);
+        let slm_inputs: Vec<(String, Bv)> = slm
+            .inputs
+            .iter()
+            .map(|p| (p.name.clone(), value(ctx.slm_words[&p.name])))
+            .collect();
+        let slm_map: HashMap<&str, &Bv> = slm_inputs.iter().map(|(n, v)| (n.as_str(), v)).collect();
+        let rtl_inputs = concretize_rtl_inputs(rtl, spec, &slm_map, |i, t, _| {
+            value(ctx.free_words[&(i, t)])
+        });
+        let initial_regs: Vec<(String, Bv)> = rtl
+            .regs
+            .iter()
+            .zip(&ctx.initial_reg_words)
+            .map(|(r, &w)| (r.name.clone(), value(w)))
+            .collect();
+        Witness {
+            slm_inputs,
+            rtl_inputs,
+            initial_regs,
+        }
+    }
+
+    /// Replays the transaction: per compare point, the mismatch if any.
+    fn replay(&self, replayer: &mut Replayer, spec: &EquivSpec) -> Vec<Option<Mismatch>> {
+        replayer.mismatches(spec, &self.slm_inputs, &self.rtl_inputs, &self.initial_regs)
+    }
+}
+
+/// Turns a satisfiable miter into a replay-validated counterexample whose
+/// mismatch *locations* do not depend on which model the solver found.
+/// `required` are the difference literals the last (satisfiable) solve
+/// assumed. Walking the open compare points in spec order, each one joins
+/// the assumptions if the models can disagree there together with every
+/// point already joined: for free when the current witness already
+/// disagrees there, else by a solve, whose model then becomes the
+/// witness. A point left out cannot disagree alongside the points kept,
+/// so the final witness mismatches exactly at the kept points: the
+/// lexicographically first maximal set of jointly falsifiable points, a
+/// function of the two models' semantics alone, not of the encoding. A
+/// budget that runs out leaves the point out.
 fn extract_and_replay(
-    solver: &Solver,
+    ctx: &mut MiterCtx,
     slm: &Module,
     rtl: &Module,
     spec: &EquivSpec,
-    slm_words: &HashMap<String, Vec<Lit>>,
-    free_words: &HashMap<(usize, u32), Vec<Lit>>,
-    initial_reg_words: &[Vec<Lit>],
+    required: &[Lit],
+    budget: &Budget,
 ) -> Counterexample {
-    let slm_inputs: Vec<(String, Bv)> = slm
-        .inputs
-        .iter()
-        .map(|p| (p.name.clone(), model_word(solver, &slm_words[&p.name])))
-        .collect();
-    let slm_map: HashMap<&str, &Bv> = slm_inputs.iter().map(|(n, v)| (n.as_str(), v)).collect();
-    let rtl_inputs = concretize_rtl_inputs(rtl, spec, &slm_map, |i, t, _| {
-        model_word(solver, &free_words[&(i, t)])
-    });
-    let initial_regs: Vec<(String, Bv)> = rtl
-        .regs
-        .iter()
-        .zip(initial_reg_words)
-        .map(|(r, w)| (r.name.clone(), model_word(solver, w)))
-        .collect();
-
-    let mismatches =
-        Replayer::new(slm, rtl).mismatches(spec, &slm_inputs, &rtl_inputs, &initial_regs);
+    let mut replayer = Replayer::new(slm, rtl);
+    let mut witness = Witness::from_model(ctx, slm, rtl, spec);
+    let mut replayed = witness.replay(&mut replayer, spec);
+    let mut chosen = required.to_vec();
+    for (k, d) in ctx.diffs.clone().into_iter().enumerate() {
+        let Some(d) = d else { continue };
+        if chosen.contains(&d) || d == ctx.bb.false_lit() {
+            continue;
+        }
+        chosen.push(d);
+        if replayed[k].is_some() {
+            continue;
+        }
+        if ctx.bb.solve(&chosen, budget) == SolveResult::Sat {
+            witness = Witness::from_model(ctx, slm, rtl, spec);
+            replayed = witness.replay(&mut replayer, spec);
+        } else {
+            chosen.pop();
+        }
+    }
+    let mismatches: Vec<Mismatch> = replayed.into_iter().flatten().collect();
     // Not invariant-protected so much as soundness-checked: a SAT model
     // that fails to replay means the bit-blasted encoding diverged from the
     // simulators, which must never be reported as a "counterexample".
@@ -797,6 +918,11 @@ fn extract_and_replay(
         !mismatches.is_empty(),
         "SAT model did not replay to a concrete mismatch: bit-blasting soundness bug"
     );
+    let Witness {
+        slm_inputs,
+        rtl_inputs,
+        initial_regs,
+    } = witness;
     Counterexample {
         slm_inputs,
         rtl_inputs,
@@ -903,7 +1029,11 @@ fn simulate_falsify(
         } else {
             Vec::new()
         };
-        let mismatches = replayer.mismatches(spec, &slm_inputs, &rtl_inputs, &initial_regs);
+        let mismatches: Vec<Mismatch> = replayer
+            .mismatches(spec, &slm_inputs, &rtl_inputs, &initial_regs)
+            .into_iter()
+            .flatten()
+            .collect();
         if !mismatches.is_empty() {
             return Falsification::Found(Box::new(Counterexample {
                 slm_inputs,
@@ -1011,6 +1141,7 @@ mod tests {
         let m = rec.lock().unwrap();
         assert_eq!(m.counter("sec.cnf_vars"), report.cnf_vars as u64);
         assert_eq!(m.counter("sec.cnf_clauses"), report.cnf_clauses as u64);
+        assert_eq!(m.counter("sec.word_closed"), 1);
         assert_eq!(m.events_of("sec.outcome"), vec!["equivalent"]);
         // The forwarded recorder also sees the solver itself: any counter
         // deltas it records are bounded by the solver's cumulative stats
@@ -1280,16 +1411,21 @@ mod tests {
     }
 
     #[test]
-    fn folded_miter_emits_no_clauses() {
+    fn word_closed_miter_allocates_nothing() {
         // Fig 1 in the golden order: the RTL's registers carry the SLM's
-        // own words into cycle 1, so structural hashing folds the
-        // difference to constant false. The final solve then depends on
-        // no gate, although the encoder recorded every adder gate.
+        // own words into cycle 1, so both sides build the same word and
+        // the compare point closes in the DAG. Nothing is lowered: no
+        // variable beyond the constant, no clause, no search.
         let report = check_equivalence(&fig1_slm(false), &fig1_rtl(), &fig1_spec()).unwrap();
         assert!(report.outcome.is_equivalent());
+        assert_eq!(report.word_closed, 1);
+        assert_eq!(report.cnf_vars, 1);
         assert_eq!(report.cnf_clauses, 0);
         assert_eq!(report.solver_stats.decisions, 0);
-        assert!(report.cnf_vars > 1, "the adders were encoded");
+        // The reassociated order stays open and is lowered.
+        let report = check_equivalence(&fig1_slm(true), &fig1_rtl(), &fig1_spec()).unwrap();
+        assert_eq!(report.word_closed, 0);
+        assert!(report.cnf_vars > 1);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! source by `dfv-slmir`'s elaborator) is compared against a sequential RTL
 //! module over one *transaction* — `k` RTL cycles with an explicit input
 //! mapping and output sample points ([`EquivSpec`]). Both sides are
-//! symbolically evaluated into SAT literals (`dfv-sat`), a miter asserts
-//! some compare point differs, and:
+//! symbolically evaluated into one hash-consed, normalizing word DAG
+//! ([`WordDag`]); a compare point whose two sides are the same word is
+//! proved there. The others are bit-blasted into SAT literals
+//! (`dfv-sat`), a miter asserts some compare point differs, and:
 //!
 //! * **UNSAT** proves the models equivalent for *all* inputs satisfying the
 //!   constraints — the paper's "transfer the high level of confidence in
@@ -29,6 +31,7 @@ mod equiv;
 mod spec;
 mod sweep;
 mod unroll;
+mod word;
 
 pub use bitblast::{model_word, BitBlaster};
 pub use bmc::{
@@ -42,9 +45,8 @@ pub use equiv::{
 };
 pub use spec::{Binding, ComparePoint, EquivSpec, InitState, SecError};
 pub use sweep::{SweepOptions, SweepStats};
-pub use unroll::{
-    eval_comb_symbolic, eval_comb_symbolic_hooked, SymbolicCycle, SymbolicSim, MEM_BLAST_LIMIT,
-};
+pub use unroll::{eval_comb_symbolic, SymbolicCycle, SymbolicSim, MEM_BLAST_LIMIT};
+pub use word::{Word, WordDag, WordId};
 
 // Re-exported so budgeted callers don't need a direct `dfv-sat` dependency.
 pub use dfv_sat::{Budget, ExhaustedReason};

@@ -17,13 +17,14 @@
 //!    with no per-lane extraction. Bits whose signatures still collide
 //!    after every round become merge candidates; everything else is
 //!    provably distinguishable and never reaches the solver.
-//! 3. **SAT sweeping proper** — during miter encoding, each candidate
-//!    bit is proved equal to its class representative with a small
-//!    budgeted incremental `solve(&[xor], …)` call, which first emits the
-//!    cones of both literals; proven bits are *replaced* by the
-//!    representative literal before any consumer encodes, so downstream
-//!    cones collapse and the final difference check sees a fraigged
-//!    miter.
+//! 3. **SAT sweeping proper** — after each site (the SLM evaluation, each
+//!    RTL cycle) is built in the word DAG, every node word is lowered in
+//!    node order and each candidate bit is proved equal to its class
+//!    representative with a small budgeted incremental `solve(&[xor], …)`
+//!    call, which first emits the cones of both literals; proven bits are
+//!    *replaced* by the representative literal in the word's lowering
+//!    before any later word is lowered from it, so downstream cones
+//!    collapse and the final difference check sees a fraigged miter.
 //!
 //! # Soundness
 //!
@@ -53,6 +54,7 @@ use dfv_sat::{Budget, Lit, SolveResult};
 
 use crate::bitblast::BitBlaster;
 use crate::spec::{Binding, EquivSpec, InitState, SecError};
+use crate::word::{WordDag, WordId};
 
 /// Configuration of the sweeping front-end, carried inside
 /// [`crate::CheckOptions`]. Disabled by default: sweeping changes no
@@ -150,7 +152,7 @@ enum ClassKind {
 }
 
 /// The sweep engine: signature classes from the analysis phase plus the
-/// mutable proof state threaded through the encoding hooks.
+/// mutable proof state threaded through the lowering of each site.
 pub(crate) struct Sweeper {
     opts: SweepOptions,
     /// `class_of[site][node][bit]` — `u32::MAX` marks a singleton class
@@ -308,7 +310,7 @@ impl Sweeper {
         })
     }
 
-    /// The encoding hook body: inspects one freshly computed node word at
+    /// One word of a sweep: inspects a freshly lowered node word at
     /// `site`, proves candidate bits against their class representative,
     /// and rewrites proven bits in place.
     pub(crate) fn process_word(
@@ -364,13 +366,26 @@ impl Sweeper {
         }
     }
 
-    pub(crate) fn stats(&self) -> SweepStats {
-        self.stats
+    /// Sweeps one site: lowers every node word in node order, runs
+    /// [`Sweeper::process_word`] on it, and stores the rewritten literals
+    /// as the word's lowering, so the words lowered after it (later
+    /// nodes, later cycles) read the representatives.
+    pub(crate) fn process_site(
+        &mut self,
+        dag: &WordDag,
+        bb: &mut BitBlaster,
+        site: usize,
+        nodes: &[WordId],
+    ) {
+        for (node, &id) in nodes.iter().enumerate() {
+            let mut word = bb.lower(dag, id);
+            self.process_word(bb, site, node, &mut word);
+            bb.relower(id, word);
+        }
     }
 
-    pub(crate) fn add_opt_stats(&mut self, before: usize, after: usize) {
-        self.stats.nodes_before += before as u64;
-        self.stats.nodes_after += after as u64;
+    pub(crate) fn stats(&self) -> SweepStats {
+        self.stats
     }
 }
 

@@ -1,12 +1,14 @@
-//! Soundness fuzz: on random expression DAGs, the bit-blaster must agree
-//! with the concrete cycle simulator — the two independent implementations
-//! of the IR semantics. The sequential cases unroll random modules with
-//! registers, enables and a memory over several cycles, holding inputs
-//! for runs of cycles so the unroller's cross-cycle word reuse is on the
-//! tested path, and check every cycle's outputs. On narrow inputs, an
+//! Soundness fuzz: on random expression DAGs, the word DAG lowered by the
+//! bit-blaster must agree with the concrete cycle simulator — the two
+//! independent implementations of the IR semantics. The sequential cases
+//! unroll random modules with registers, enables and a memory over
+//! several cycles, holding inputs for runs of cycles so unchanged logic
+//! is rebuilt from the same words (and hash-consed to the same nodes),
+//! and check every cycle's outputs. On narrow inputs, an
 //! exhaustive-enumeration oracle checks the verdicts of whole equivalence
 //! checks (sequential pairs, constraints, `Free` bindings, per-output
-//! checks, sweep on and off) and of bounded model checks, depth by depth.
+//! checks, sweep on and off), of word-level rewrite-rule pairs and their
+//! near-miss mutants, and of bounded model checks, depth by depth.
 //!
 //! Uses the repo's own `SplitMix64` so the suite runs offline; the seeds
 //! are fixed, making every run reproducible.
@@ -15,10 +17,10 @@ use std::collections::HashMap;
 
 use dfv_bits::{Bv, SplitMix64};
 use dfv_rtl::{Module, ModuleBuilder, NodeId, Simulator};
-use dfv_sat::{Budget, Lit, SolveResult, Solver};
+use dfv_sat::{Budget, Lit, SolveResult};
 use dfv_sec::{
-    check_equivalence_per_output_with, check_equivalence_with, model_word, Binding, BitBlaster,
-    BmcOutcome, CheckOptions, EquivOutcome, EquivSpec, InitState, SymbolicSim,
+    check_equivalence_per_output_with, check_equivalence_with, Binding, BitBlaster, BmcOutcome,
+    CheckOptions, EquivOutcome, EquivSpec, InitState, SymbolicSim, WordDag, WordId,
 };
 
 /// Number of operator selectors [`push_op`] understands.
@@ -209,17 +211,27 @@ fn bitblast_matches_simulator() {
             .map(|(n, v)| (n.as_str(), v.clone()))
             .collect();
         let expect = sim.eval_comb(&refs)["out"].clone();
-        // Symbolic evaluation with the same constants.
+        // Symbolic evaluation over free leaves, lowered, with every input
+        // bit pinned to the same constants by unit clauses (constant
+        // leaves would fold in the DAG and never reach the bit-blaster).
+        let mut dag = WordDag::new();
         let mut bb = BitBlaster::new();
-        let words: Vec<Vec<Lit>> = inputs.iter().map(|(_, v)| bb.constant(v)).collect();
-        let cyc = dfv_sec::eval_comb_symbolic(&mut bb, &module, &words);
-        let out = cyc.output(&module, "out");
+        let words: Vec<WordId> = module.inputs.iter().map(|p| dag.leaf(p.width)).collect();
+        let cyc = dfv_sec::eval_comb_symbolic(&mut dag, &module, &words);
+        let out = bb.lower(&dag, cyc.output(&module, "out"));
+        for (&w, (_, v)) in words.iter().zip(&inputs) {
+            pin(&mut bb, &dag, w, v);
+        }
         assert_eq!(
             solve_reading(&mut bb, &out),
             SolveResult::Sat,
             "case {case}"
         );
-        assert_eq!(model_word(bb.solver(), &out), expect, "case {case}");
+        assert_eq!(
+            bb.model_value(&dag, cyc.output(&module, "out")),
+            expect,
+            "case {case}"
+        );
     }
 }
 
@@ -235,6 +247,16 @@ fn self_equivalence_holds() {
         }
         let report = dfv_sec::check_equivalence(&module, &module, &spec).unwrap();
         assert!(report.outcome.is_equivalent(), "case {case}");
+        // Both sides build the same words, so hash-consing alone closes
+        // the point.
+        assert_eq!(report.word_closed, 1, "case {case}");
+    }
+}
+
+/// Asserts unit clauses pinning leaf `w` to `v`.
+fn pin(bb: &mut BitBlaster, dag: &WordDag, w: WordId, v: &Bv) {
+    for (bit, l) in bb.lower(dag, w).into_iter().enumerate() {
+        bb.assert_lit(if v.bit(bit as u32) { l } else { !l });
     }
 }
 
@@ -247,24 +269,24 @@ fn solve_reading(bb: &mut BitBlaster, read: &[Lit]) -> SolveResult {
 
 /// Per-cycle input words for `cycles` cycles: each input keeps its word
 /// for a run of cycles (often several) before switching to a new one.
-/// With `symbolic`, a new word is a fresh symbolic word; otherwise a
-/// random constant.
+/// With `symbolic`, a new word is a fresh leaf; otherwise a random
+/// constant.
 fn held_inputs(
-    bb: &mut BitBlaster,
+    dag: &mut WordDag,
     m: &Module,
     rng: &mut SplitMix64,
     cycles: usize,
     symbolic: bool,
-) -> Vec<Vec<Vec<Lit>>> {
-    let mut cur: Vec<Vec<Lit>> = Vec::new();
+) -> Vec<Vec<WordId>> {
+    let mut cur: Vec<WordId> = Vec::new();
     let mut out = Vec::with_capacity(cycles);
     for t in 0..cycles {
         for (i, p) in m.inputs.iter().enumerate() {
             if t == 0 || rng.below(3) == 0 {
                 let w = if symbolic {
-                    bb.fresh_word(p.width)
+                    dag.leaf(p.width)
                 } else {
-                    bb.constant(&Bv::from_u64(p.width, rng.next_u64()))
+                    dag.constant(&Bv::from_u64(p.width, rng.next_u64()))
                 };
                 if t == 0 {
                     cur.push(w);
@@ -280,12 +302,12 @@ fn held_inputs(
 
 /// Unrolls `m` over `inputs` from reset, returning every output word of
 /// every cycle (cycle-major, output-port order).
-fn unroll(bb: &mut BitBlaster, m: &Module, inputs: &[Vec<Vec<Lit>>]) -> Vec<Vec<Vec<Lit>>> {
-    let mut sym = SymbolicSim::new(bb, m, InitState::Reset).unwrap();
+fn unroll(dag: &mut WordDag, m: &Module, inputs: &[Vec<WordId>]) -> Vec<Vec<WordId>> {
+    let mut sym = SymbolicSim::new(dag, m, InitState::Reset).unwrap();
     inputs
         .iter()
         .map(|ins| {
-            let cyc = sym.step(bb, ins);
+            let cyc = sym.step(dag, ins);
             m.outputs.iter().map(|p| cyc.output(m, &p.name)).collect()
         })
         .collect()
@@ -294,20 +316,21 @@ fn unroll(bb: &mut BitBlaster, m: &Module, inputs: &[Vec<Vec<Lit>>]) -> Vec<Vec<
 /// Replays concrete per-cycle input values on the simulator and checks
 /// each cycle's outputs against the model values of the unrolled words.
 fn check_against_simulator(
-    solver: &Solver,
+    bb: &BitBlaster,
+    dag: &WordDag,
     m: &Module,
-    inputs: &[Vec<Vec<Lit>>],
-    outputs: &[Vec<Vec<Lit>>],
+    inputs: &[Vec<WordId>],
+    outputs: &[Vec<WordId>],
     case: usize,
 ) {
     let mut sim = Simulator::new(m.clone()).unwrap();
     for (t, (ins, outs)) in inputs.iter().zip(outputs).enumerate() {
-        for (p, w) in m.inputs.iter().zip(ins) {
-            sim.poke(&p.name, model_word(solver, w));
+        for (p, &w) in m.inputs.iter().zip(ins) {
+            sim.poke(&p.name, bb.model_value(dag, w));
         }
-        for (p, w) in m.outputs.iter().zip(outs) {
+        for (p, &w) in m.outputs.iter().zip(outs) {
             assert_eq!(
-                model_word(solver, w),
+                bb.model_value(dag, w),
                 sim.output(&p.name),
                 "case {case}: output {} at cycle {t}",
                 p.name
@@ -324,19 +347,26 @@ fn unrolled_sequential_modules_match_simulator() {
         let module = random_seq(&mut rng);
         let cycles = rng.range_u64(4, 10) as usize;
         for symbolic in [false, true] {
+            let mut dag = WordDag::new();
             let mut bb = BitBlaster::new();
-            let inputs = held_inputs(&mut bb, &module, &mut rng, cycles, symbolic);
-            let outputs = unroll(&mut bb, &module, &inputs);
+            let inputs = held_inputs(&mut dag, &module, &mut rng, cycles, symbolic);
+            let outputs = unroll(&mut dag, &module, &inputs);
             // Unconstrained fresh inputs: any model is a valid stimulus,
-            // and the output literals' model values must be what the
-            // simulator computes from it.
-            let read: Vec<Lit> = outputs.iter().flatten().flatten().copied().collect();
+            // and the output words' model values must be what the
+            // simulator computes from it. Every input word is lowered, so
+            // the model fixes inputs the outputs do not read too.
+            let read: Vec<Lit> = outputs
+                .iter()
+                .chain(&inputs)
+                .flatten()
+                .flat_map(|&w| bb.lower(&dag, w))
+                .collect();
             assert_eq!(
                 solve_reading(&mut bb, &read),
                 SolveResult::Sat,
                 "case {case}"
             );
-            check_against_simulator(bb.solver(), &module, &inputs, &outputs, case);
+            check_against_simulator(&bb, &dag, &module, &inputs, &outputs, case);
         }
     }
 }
@@ -352,21 +382,20 @@ fn symbolic_outputs_are_forced_by_inputs() {
     for case in 0..60 {
         let module = random_seq(&mut rng);
         let cycles = rng.range_u64(4, 8) as usize;
+        let mut dag = WordDag::new();
         let mut bb = BitBlaster::new();
-        let inputs = held_inputs(&mut bb, &module, &mut rng, cycles, true);
-        let outputs = unroll(&mut bb, &module, &inputs);
+        let inputs = held_inputs(&mut dag, &module, &mut rng, cycles, true);
+        let outputs = unroll(&mut dag, &module, &inputs);
         let mut sim = Simulator::new(module.clone()).unwrap();
         // The constant each input word is pinned to; a held word keeps it.
-        let mut pinned: HashMap<Vec<Lit>, Bv> = HashMap::new();
+        let mut pinned: HashMap<WordId, Bv> = HashMap::new();
         let mut flipped = None;
         let target_cycle = rng.below(cycles as u64) as usize;
         for (t, ins) in inputs.iter().enumerate() {
-            for (p, w) in module.inputs.iter().zip(ins) {
-                let v = pinned.entry(w.clone()).or_insert_with(|| {
+            for (p, &w) in module.inputs.iter().zip(ins) {
+                let v = pinned.entry(w).or_insert_with(|| {
                     let v = Bv::from_u64(p.width, rng.next_u64());
-                    for (bit, &l) in w.iter().enumerate() {
-                        bb.assert_lit(if v.bit(bit as u32) { l } else { !l });
-                    }
+                    pin(&mut bb, &dag, w, &v);
                     v
                 });
                 sim.poke(&p.name, v.clone());
@@ -376,7 +405,7 @@ fn symbolic_outputs_are_forced_by_inputs() {
                 let idx = module.output_index(&p.name).unwrap();
                 let expect = sim.output(&p.name);
                 let bit = rng.below(u64::from(p.width)) as u32;
-                let l = outputs[t][idx][bit as usize];
+                let l = bb.lower(&dag, outputs[t][idx])[bit as usize];
                 flipped = Some((l, expect.bit(bit)));
             }
             sim.step();
@@ -392,63 +421,51 @@ fn symbolic_outputs_are_forced_by_inputs() {
 }
 
 #[test]
-fn reused_words_equal_fresh_encoding() {
-    // Every word the unroller produced — reused from an earlier cycle or
-    // not — must be exactly what encoding that node afresh from its
-    // operand words gives, and encoding afresh must record nothing: the
-    // reuse may skip work, never change the formula. Register updates are
-    // recomputed the same way from the recorded states.
+fn rebuilt_words_are_hash_consed() {
+    // Every word the unroller produced must be exactly what building that
+    // node afresh from its operand words gives, and building afresh must
+    // add no node: a cycle that recomputes unchanged logic costs hash
+    // lookups, never new words, and so never new variables or gates.
+    // Register updates are rebuilt the same way from the recorded states.
     use dfv_rtl::ir::Node;
     let mut rng = SplitMix64::new(0xB17_0005);
     for case in 0..150 {
         let m = random_seq(&mut rng);
         let cycles = rng.range_u64(4, 10) as usize;
-        let mut bb = BitBlaster::new();
-        let inputs = held_inputs(&mut bb, &m, &mut rng, cycles, true);
-        let mut sym = SymbolicSim::new(&mut bb, &m, InitState::Reset).unwrap();
+        let mut dag = WordDag::new();
+        let inputs = held_inputs(&mut dag, &m, &mut rng, cycles, true);
+        let mut sym = SymbolicSim::new(&mut dag, &m, InitState::Reset).unwrap();
         let mut states = vec![sym.reg_state().to_vec()];
         let mut words = Vec::new();
         for ins in &inputs {
-            words.push(sym.step(&mut bb, ins).nodes.clone());
+            words.push(sym.step(&mut dag, ins).nodes.clone());
             states.push(sym.reg_state().to_vec());
         }
-        let vars = bb.solver().num_vars();
-        let gates = bb.num_gates();
+        let size = dag.len();
         for (t, nodes) in words.iter().enumerate() {
+            let w = |n: &NodeId| nodes[n.index()];
             for (i, node) in m.nodes.iter().enumerate() {
                 let fresh = match node {
-                    Node::Input(idx) => inputs[t][*idx].clone(),
-                    Node::RegQ(r) => states[t][r.index()].clone(),
+                    Node::Input(idx) => inputs[t][*idx],
+                    Node::RegQ(r) => states[t][r.index()],
                     Node::MemReadData(..) => continue,
-                    Node::Const(c) => bb.constant(c),
-                    Node::Un(op, a) => bb.un_op(*op, &nodes[a.index()]),
-                    Node::Bin(op, a, b) => bb.bin_op(*op, &nodes[a.index()], &nodes[b.index()]),
-                    Node::Mux { sel, t: x, f } => {
-                        bb.mux_word(nodes[sel.index()][0], &nodes[x.index()], &nodes[f.index()])
-                    }
-                    Node::Slice { src, hi, lo } => {
-                        nodes[src.index()][*lo as usize..=*hi as usize].to_vec()
-                    }
-                    Node::Concat(hi, lo) => [&nodes[lo.index()][..], &nodes[hi.index()]].concat(),
-                    Node::Zext(a, w) => {
-                        let mut v = nodes[a.index()].clone();
-                        v.resize(*w as usize, bb.false_lit());
-                        v
-                    }
-                    Node::Sext(a, w) => {
-                        let mut v = nodes[a.index()].clone();
-                        v.resize(*w as usize, *v.last().unwrap());
-                        v
-                    }
+                    Node::Const(c) => dag.constant(c),
+                    Node::Un(op, a) => dag.un(*op, w(a)),
+                    Node::Bin(op, a, b) => dag.bin(*op, w(a), w(b)),
+                    Node::Mux { sel, t: x, f } => dag.mux(w(sel), w(x), w(f)),
+                    Node::Slice { src, hi, lo } => dag.slice(w(src), *hi, *lo),
+                    Node::Concat(hi, lo) => dag.concat(w(hi), w(lo)),
+                    Node::Zext(a, width) => dag.zext(w(a), *width),
+                    Node::Sext(a, width) => dag.sext(w(a), *width),
                     Node::InstOut(..) => unreachable!("flat module"),
                 };
                 assert_eq!(fresh, nodes[i], "case {case}: node {i} at cycle {t}");
             }
             for (r, reg) in m.regs.iter().enumerate() {
-                let next = &nodes[reg.next.unwrap().index()];
+                let next = w(&reg.next.unwrap());
                 let fresh = match reg.en {
-                    None => next.clone(),
-                    Some(en) => bb.mux_word(nodes[en.index()][0], next, &states[t][r]),
+                    None => next,
+                    Some(en) => dag.mux(w(&en), next, states[t][r]),
                 };
                 assert_eq!(
                     fresh,
@@ -457,16 +474,7 @@ fn reused_words_equal_fresh_encoding() {
                 );
             }
         }
-        assert_eq!(
-            bb.solver().num_vars(),
-            vars,
-            "case {case}: fresh encoding added variables"
-        );
-        assert_eq!(
-            bb.num_gates(),
-            gates,
-            "case {case}: fresh encoding recorded gates"
-        );
+        assert_eq!(dag.len(), size, "case {case}: rebuilding added words");
     }
 }
 
@@ -827,4 +835,289 @@ fn bmc_depths_match_exhaustive_oracle() {
         }
     }
     assert!(holds >= 10 && violated >= 10, "{holds} / {violated}");
+}
+
+// ---------------------------------------------------------------------
+// The word DAG's rewrite rules against enumeration. Narrow pairs (at most
+// 6 input bits in all) that compute one function through the shapes the
+// DAG normalizes — an int-promoted wide sum truncated to the output,
+// against a narrow one with its terms reordered, constant multiples as
+// shifts, negated terms as subtractions, a commuted product, a window
+// above a constant right shift, a mux around it — and near-miss mutants
+// of each: swapped extension kinds, a truncation moved across a
+// widening, a dropped term, a coefficient off by one. Every verdict must
+// equal what enumeration establishes.
+// ---------------------------------------------------------------------
+
+/// One term `coef · ext(input)` of a generated sum.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    input: usize,
+    signed: bool,
+    coef: i64,
+}
+
+/// A generated sum `konst + Σ terms (+ product)`, observed as bits
+/// `[shift + out_w - 1 : shift]`, optionally behind a mux on an input
+/// bit.
+#[derive(Debug, Clone)]
+struct SumPair {
+    widths: Vec<u32>,
+    terms: Vec<Term>,
+    /// `ext(a) · ext(b)`, both extended by the flag's kind.
+    product: Option<(usize, usize, bool)>,
+    konst: i64,
+    out_w: u32,
+    shift: u32,
+    /// Select the sum when this (input, bit) is set, else a plain input.
+    mux: Option<(usize, u32)>,
+    /// Mutant: the first two terms are summed at the wider input width
+    /// and then extended, instead of extended and then summed.
+    early_sum: bool,
+}
+
+/// The width the SLM side promotes everything to, like C's `int`.
+const PROMOTED: u32 = 16;
+
+fn random_sum_pair(rng: &mut SplitMix64) -> SumPair {
+    let mut widths = Vec::new();
+    let mut total = 0;
+    for _ in 0..rng.range_u64(2, 3) {
+        let w = (rng.range_u64(1, 3) as u32).min(6 - total);
+        if w == 0 {
+            break;
+        }
+        widths.push(w);
+        total += w;
+    }
+    let n = widths.len() as u64;
+    let terms = (0..rng.range_u64(1, 4))
+        .map(|_| Term {
+            input: rng.below(n) as usize,
+            signed: rng.next_bool(),
+            coef: [1, 1, -1, 2, 4, -2, 3, 5, -3, 6][rng.below(10) as usize],
+        })
+        .collect();
+    let product = (rng.below(3) == 0).then(|| {
+        (
+            rng.below(n) as usize,
+            rng.below(n) as usize,
+            rng.next_bool(),
+        )
+    });
+    let mux = (rng.below(3) == 0).then(|| {
+        let i = rng.below(n) as usize;
+        (i, rng.below(u64::from(widths[i])) as u32)
+    });
+    SumPair {
+        konst: rng.range_u64(0, 40) as i64 - 20,
+        out_w: rng.range_u64(1, 6) as u32,
+        shift: if rng.below(3) == 0 {
+            rng.range_u64(1, 3) as u32
+        } else {
+            0
+        },
+        widths,
+        terms,
+        product,
+        mux,
+        early_sum: false,
+    }
+}
+
+/// `x` brought to `w` bits: extended by the given kind, or truncated.
+fn fit(b: &mut ModuleBuilder, x: NodeId, signed: bool, w: u32) -> NodeId {
+    match (b.node_width(x).cmp(&w), signed) {
+        (std::cmp::Ordering::Greater, _) => b.trunc(x, w),
+        (_, true) => b.resize_sext(x, w),
+        (_, false) => b.resize_zext(x, w),
+    }
+}
+
+/// The output driver around a sum node: the observed window, then the
+/// optional mux against a plain input.
+fn finish_sum(mut b: ModuleBuilder, p: &SumPair, ins: &[NodeId], window: NodeId) -> Module {
+    let y = match p.mux {
+        Some((i, bit)) => {
+            let sel = b.bit(ins[i], bit);
+            let other = fit(&mut b, ins[(i + 1) % ins.len()], false, p.out_w);
+            b.mux(sel, window, other)
+        }
+        None => window,
+    };
+    b.output("y", y);
+    b.finish().unwrap()
+}
+
+/// The SLM side: every operand promoted to [`PROMOTED`] bits, summed in
+/// generation order, shifted right (arithmetically) by `shift` and
+/// truncated to `out_w`.
+fn build_promoted(p: &SumPair) -> Module {
+    let mut b = ModuleBuilder::new("slm_sum");
+    let ins: Vec<NodeId> = p
+        .widths
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| b.input(format!("i{i}"), w))
+        .collect();
+    let mut acc = b.constant(Bv::from_i64(PROMOTED, p.konst));
+    for t in &p.terms {
+        let x = fit(&mut b, ins[t.input], t.signed, PROMOTED);
+        let c = b.constant(Bv::from_i64(PROMOTED, t.coef));
+        let cx = b.mul(c, x);
+        acc = b.add(acc, cx);
+    }
+    if let Some((x, y, signed)) = p.product {
+        let (xw, yw) = (
+            fit(&mut b, ins[x], signed, PROMOTED),
+            fit(&mut b, ins[y], signed, PROMOTED),
+        );
+        let xy = b.mul(xw, yw);
+        acc = b.add(acc, xy);
+    }
+    let amt = b.lit(4, u64::from(p.shift));
+    let shifted = b.ashr(acc, amt);
+    let window = b.trunc(shifted, p.out_w);
+    finish_sum(b, p, &ins, window)
+}
+
+/// The RTL side: the sum computed at `shift + out_w` bits in reverse term
+/// order, `±1` terms as adds and subtractions, powers of two as shifts,
+/// the product commuted, and the window sliced out directly.
+fn build_narrow(p: &SumPair) -> Module {
+    let v = p.shift + p.out_w;
+    let mut b = ModuleBuilder::new("rtl_sum");
+    let ins: Vec<NodeId> = p
+        .widths
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| b.input(format!("i{i}"), w))
+        .collect();
+    let mut terms = p.terms.clone();
+    let mut acc = b.constant(Bv::from_i64(v, p.konst));
+    if p.early_sum && terms.len() >= 2 {
+        // The bug shape of Fig 1: the partial sum wraps at the operands'
+        // width before it is widened.
+        let (t0, t1) = (terms[0], terms[1]);
+        let w = p.widths[t0.input].max(p.widths[t1.input]);
+        let x0 = fit(&mut b, ins[t0.input], t0.signed, w);
+        let x1 = fit(&mut b, ins[t1.input], t1.signed, w);
+        let c0 = b.constant(Bv::from_i64(w, t0.coef));
+        let c1 = b.constant(Bv::from_i64(w, t1.coef));
+        let (p0, p1) = (b.mul(x0, c0), b.mul(x1, c1));
+        let partial = b.add(p0, p1);
+        let widened = fit(&mut b, partial, t0.signed, v);
+        acc = b.add(acc, widened);
+        terms.drain(..2);
+    }
+    for t in terms.iter().rev() {
+        let x = fit(&mut b, ins[t.input], t.signed, v);
+        acc = match t.coef {
+            1 => b.add(x, acc),
+            -1 => b.sub(acc, x),
+            c if c > 0 && (c as u64).is_power_of_two() => {
+                let s = b.lit(3, u64::from(c.trailing_zeros()));
+                let sx = b.shl(x, s);
+                b.add(acc, sx)
+            }
+            c if c < 0 => {
+                let k = b.constant(Bv::from_i64(v, -c));
+                let kx = b.mul(x, k);
+                b.sub(acc, kx)
+            }
+            c => {
+                let k = b.constant(Bv::from_i64(v, c));
+                let kx = b.mul(k, x);
+                b.add(kx, acc)
+            }
+        };
+    }
+    if let Some((x, y, signed)) = p.product {
+        let (xv, yv) = (
+            fit(&mut b, ins[x], signed, v),
+            fit(&mut b, ins[y], signed, v),
+        );
+        let yx = b.mul(yv, xv);
+        acc = b.add(yx, acc);
+    }
+    let window = b.slice(acc, v - 1, p.shift);
+    finish_sum(b, p, &ins, window)
+}
+
+/// The near-miss mutants of a pair (each may or may not still be
+/// equivalent; enumeration decides).
+fn sum_mutants(p: &SumPair, rng: &mut SplitMix64) -> Vec<SumPair> {
+    let mut out = Vec::new();
+    let k = rng.below(p.terms.len() as u64) as usize;
+    let mut m = p.clone();
+    m.terms[k].signed = !m.terms[k].signed;
+    out.push(m);
+    if let Some((x, y, s)) = p.product {
+        let mut m = p.clone();
+        m.product = Some((x, y, !s));
+        out.push(m);
+    }
+    if p.terms.len() >= 2 {
+        let mut m = p.clone();
+        m.early_sum = true;
+        out.push(m);
+    }
+    let mut m = p.clone();
+    m.terms.remove(k);
+    if m.terms.is_empty() {
+        m.konst += 1;
+        m.terms.push(p.terms[k]);
+        m.terms[0].coef = 0;
+    }
+    out.push(m);
+    let mut m = p.clone();
+    m.terms[k].coef += 1;
+    out.push(m);
+    out
+}
+
+#[test]
+fn rewrite_rule_pairs_and_mutants_match_exhaustive_oracle() {
+    let mut rng = SplitMix64::new(0xB17_0008);
+    let (mut closed, mut equivalent, mut falsified) = (0, 0, 0);
+    for case in 0..120 {
+        let pair = random_sum_pair(&mut rng);
+        let mut spec = EquivSpec::new(1).compare("y", "y", 0);
+        for i in 0..pair.widths.len() {
+            spec = spec.bind(&format!("i{i}"), 0, Binding::Slm(format!("i{i}")));
+        }
+        let slm = build_promoted(&pair);
+        let mutants = sum_mutants(&pair, &mut rng);
+        for (v, rtl_pair) in std::iter::once(&pair).chain(&mutants).enumerate() {
+            let rtl = build_narrow(rtl_pair);
+            let bad = oracle_mismatches(&slm, &rtl, &spec)[0];
+            if v == 0 {
+                assert!(!bad, "case {case}: generated pair differs: {pair:?}");
+            }
+            if bad {
+                falsified += 1;
+            } else {
+                equivalent += 1;
+            }
+            for opts in [CheckOptions::default(), CheckOptions::swept()] {
+                let report = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
+                assert_eq!(
+                    !report.outcome.is_equivalent(),
+                    bad,
+                    "case {case} variant {v}: {rtl_pair:?} -> {:?}",
+                    report.outcome
+                );
+                if v == 0 && report.word_closed == 1 {
+                    closed += 1;
+                }
+            }
+        }
+    }
+    // Every generated pair is an instance of the normalization rules, so
+    // the DAG must close it outright, sweep on and off.
+    assert_eq!(closed, 240, "pairs left open at word level");
+    assert!(
+        equivalent >= 150 && falsified >= 150,
+        "{equivalent} / {falsified}"
+    );
 }

@@ -5,6 +5,12 @@ use std::fmt;
 use crate::ast::*;
 use crate::token::{lex, LexError, Span, Tok, Token};
 
+/// The longest array the language accepts. Elaboration builds one node
+/// per element (and an array parameter one port bit per element bit), so
+/// an unbounded length from hostile source would exhaust memory before
+/// any limit downstream could see it.
+const MAX_ARRAY_LEN: usize = 1 << 16;
+
 /// A parse error with location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -150,6 +156,17 @@ impl Parser {
         }
     }
 
+    /// An array length: an integer in `1..=MAX_ARRAY_LEN`.
+    fn array_len(&mut self) -> Result<usize, ParseError> {
+        let n = self.expect_int()?;
+        match usize::try_from(n) {
+            Ok(n) if (1..=MAX_ARRAY_LEN).contains(&n) => Ok(n),
+            _ => self.err(format!(
+                "unsupported array length {n} (1..={MAX_ARRAY_LEN})"
+            )),
+        }
+    }
+
     fn expr_id(&mut self) -> u32 {
         let id = self.next_expr_id;
         self.next_expr_id += 1;
@@ -247,7 +264,9 @@ impl Parser {
                 if next_is(3, ">") {
                     return Some((
                         ScalarTy {
-                            width: *w as u32,
+                            // Out-of-range widths saturate, so `scalar_ty`
+                            // rejects them instead of a wrapped value.
+                            width: u32::try_from(*w).unwrap_or(u32::MAX),
                             signed: name == "int",
                         },
                         4,
@@ -306,7 +325,7 @@ impl Parser {
                 } else {
                     let (pname, _) = self.expect_ident()?;
                     let ty = if self.eat_punct("[") {
-                        let n = self.expect_int()? as usize;
+                        let n = self.array_len()?;
                         self.expect_punct("]")?;
                         Ty::Array(s, n)
                     } else {
@@ -380,7 +399,7 @@ impl Parser {
             }
             let (name, _) = self.expect_ident()?;
             if self.eat_punct("[") {
-                let n = self.expect_int()? as usize;
+                let n = self.array_len()?;
                 self.expect_punct("]")?;
                 self.expect_punct(";")?;
                 return Ok(Stmt {
@@ -841,6 +860,22 @@ mod tests {
         );
         assert_eq!(f.params.len(), 1);
         assert!(matches!(f.body[0].kind, StmtKind::Return(Some(_))));
+    }
+
+    #[test]
+    fn rejects_out_of_range_array_lengths_and_widths() {
+        // A zero-length or oversized array once reached the elaborator and
+        // built a zero-width port (a panic) or a multi-gigabyte node list.
+        for src in [
+            "uint8 f(uint8 xs[0]) { return xs[0]; }",
+            "uint8 f(uint8 xs[4294967296]) { return xs[0]; }",
+            "uint8 f(uint8 a) { uint8 t[65537]; return a; }",
+            // A width past u32 once wrapped to `uint<1>`.
+            "uint8 f(uint<4294967297> a) { return (uint8) a; }",
+        ] {
+            assert!(parse(src).is_err(), "{src}");
+        }
+        assert!(parse("uint8 f(uint8 a) { uint8 t[65536]; return a; }").is_ok());
     }
 
     #[test]

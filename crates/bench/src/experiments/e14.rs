@@ -15,8 +15,19 @@
 //! *transient* `ServiceBusy` rejections with exact counter accounting
 //! and a queue pinned at its cap — refused work costs the daemon
 //! nothing, and the client knows it may retry.
+//!
+//! **Warm resubmit.** One client submits a plan of real design blocks,
+//! then the same plan again on the same connection. The second request
+//! carries every block as a connection-scoped ref instead of its content,
+//! so its frame is a small fraction of the first, and every block is a
+//! store hit. Both frame sizes are deterministic byte counts.
+
+use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dfv_core::BlockPair;
+use dfv_designs::{alu, conv, fir, memsys};
 use dfv_obs::{kinds, Json, RunReport};
 use dfv_rtl::ModuleBuilder;
 use dfv_sec::{Binding, EquivSpec};
@@ -60,6 +71,59 @@ fn submit_spec(blocks: Vec<BlockPair>) -> JobSpec {
             deadline_ms: None,
             journal: None,
         },
+    }
+}
+
+/// The warm-resubmit plan: real design blocks, a few KB of netlist each.
+fn design_plan() -> Vec<BlockPair> {
+    let table: [u8; 16] = std::array::from_fn(|i| (i as u8).wrapping_mul(29) ^ 0x3c);
+    vec![
+        BlockPair {
+            name: "alu".into(),
+            slm_source: alu::slm_bit_accurate().into(),
+            slm_entry: "alu".into(),
+            rtl: alu::rtl(8, 8),
+            spec: alu::equiv_spec(),
+        },
+        BlockPair {
+            name: "fir".into(),
+            slm_source: fir::slm_source().into(),
+            slm_entry: "fir".into(),
+            rtl: fir::rtl(),
+            spec: fir::equiv_spec(),
+        },
+        BlockPair {
+            name: "memf".into(),
+            slm_source: memsys::slm_source(&table),
+            slm_entry: "lookup".into(),
+            rtl: memsys::rtl(&table),
+            spec: memsys::equiv_spec_fast(),
+        },
+        BlockPair {
+            name: "blur".into(),
+            slm_source: conv::slm_source().into(),
+            slm_entry: "blur".into(),
+            rtl: conv::rtl(),
+            spec: conv::equiv_spec(),
+        },
+    ]
+}
+
+/// A writer that counts the bytes it passes on.
+struct Counted<W> {
+    inner: W,
+    bytes: Arc<AtomicU64>,
+}
+
+impl<W: Write> Write for Counted<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.bytes.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
     }
 }
 
@@ -160,6 +224,46 @@ pub fn e14_report() -> RunReport {
     let serve_rejected = server.counter(kinds::SERVE_REJECTED);
     server.stop();
 
+    // Phase 3 — warm resubmit: the same plan twice on one connection,
+    // counting the request bytes of each submission.
+    let mut cfg = ServeConfig::new(state_dir("warm"));
+    cfg.executors = 1;
+    let server = Server::start(cfg);
+    let warm_blocks = design_plan().len();
+    let (full_bytes, ref_bytes, warm_hits) = rep.phase("warm_resubmit", || {
+        let ((cr, cw), (sr, sw)) = duplex();
+        let conn = server.attach(sr, sw);
+        let sent = Arc::new(AtomicU64::new(0));
+        let mut client = Client::new(
+            cr,
+            Counted {
+                inner: cw,
+                bytes: sent.clone(),
+            },
+        );
+        let mut submit = || {
+            let before = sent.load(Ordering::Relaxed);
+            let outcome = client
+                .submit(&submit_spec(design_plan()), |_, _| {})
+                .expect("submission survives");
+            let SubmitOutcome::Report { report, .. } = outcome else {
+                panic!("unexpected {outcome:?}");
+            };
+            let hits = report
+                .get("counters")
+                .and_then(|c| c.get("campaign.cache_hits"))
+                .and_then(Json::as_u64)
+                .unwrap_or(0);
+            (sent.load(Ordering::Relaxed) - before, hits)
+        };
+        let (full, _) = submit();
+        let (refs, hits) = submit();
+        drop(client);
+        conn.join();
+        (full, refs, hits)
+    });
+    server.stop();
+
     rep.set_value("clients", Json::UInt(CLIENTS as u64));
     rep.set_value("blocks_per_client", Json::UInt(blocks as u64));
     rep.set_value("proofs_computed", Json::UInt(computed));
@@ -169,10 +273,21 @@ pub fn e14_report() -> RunReport {
     rep.set_value("overload_rejected", Json::UInt(rejected));
     rep.set_value("overload_queue_at_cap", Json::UInt(queued_at_cap));
     rep.set_value("serve_rejected_counter", Json::UInt(serve_rejected));
+    rep.set_value("warm_blocks", Json::UInt(warm_blocks as u64));
+    rep.set_value("warm_full_frame_bytes", Json::UInt(full_bytes));
+    rep.set_value("warm_ref_frame_bytes", Json::UInt(ref_bytes));
+    rep.set_value("warm_hits", Json::UInt(warm_hits));
     rep.set_value(
         "table",
         Json::Str(render_table(
-            &["phase", "submitted", "computed", "dedup hits", "rejected"],
+            &[
+                "phase",
+                "submitted",
+                "computed",
+                "dedup hits",
+                "rejected",
+                "request bytes",
+            ],
             &[
                 vec![
                     format!("dedup ×{CLIENTS} clients"),
@@ -180,6 +295,7 @@ pub fn e14_report() -> RunReport {
                     format!("{computed}"),
                     format!("{dedup_hits}"),
                     "0".into(),
+                    "-".into(),
                 ],
                 vec![
                     "overload flood".into(),
@@ -187,6 +303,23 @@ pub fn e14_report() -> RunReport {
                     "0".into(),
                     "0".into(),
                     format!("{rejected}"),
+                    "-".into(),
+                ],
+                vec![
+                    "cold submit".into(),
+                    format!("{warm_blocks}"),
+                    format!("{warm_blocks}"),
+                    "0".into(),
+                    "0".into(),
+                    format!("{full_bytes}"),
+                ],
+                vec![
+                    "warm resubmit (refs)".into(),
+                    format!("{warm_blocks}"),
+                    "0".into(),
+                    format!("{warm_hits}"),
+                    "0".into(),
+                    format!("{ref_bytes}"),
                 ],
             ],
         )),
@@ -199,7 +332,8 @@ pub fn e14_serve() -> String {
     let rep = e14_report();
     let mut out = String::from(
         "E14 — verification as a service: N clients against the dfv-serve\n\
-         daemon, measuring cross-client proof dedup and overload refusal\n\n",
+         daemon, measuring cross-client proof dedup, overload refusal and\n\
+         what a warm resubmission sends\n\n",
     );
     if let Some(Json::Str(table)) = rep.value("table") {
         out.push_str(table);
@@ -207,7 +341,9 @@ pub fn e14_serve() -> String {
     out.push_str(
         "\nthe shared content-hash store means a fleet submitting overlapping\n\
          block sets pays for each proof once; admission limits turn overload\n\
-         into typed transient rejections instead of unbounded queue growth.\n",
+         into typed transient rejections instead of unbounded queue growth;\n\
+         a warm resubmission names what the connection already proved by\n\
+         ref and sends only what the daemon lacks.\n",
     );
     out.push_str("\ncanonical JSON (byte-reproducible; wall time lives only in `timing`):\n");
     out.push_str(&rep.canonical_json());
@@ -242,6 +378,19 @@ mod tests {
         assert_eq!(rep.value("overload_rejected"), Some(&Json::UInt(12)));
         assert_eq!(rep.value("serve_rejected_counter"), Some(&Json::UInt(12)));
         assert_eq!(rep.value("overload_queue_at_cap"), Some(&Json::UInt(4)));
+        // The warm resubmission is all store hits over a request frame
+        // under a twentieth of the cold one.
+        let uint = |k: &str| match rep.value(k) {
+            Some(Json::UInt(n)) => *n,
+            other => panic!("missing {k}: {other:?}"),
+        };
+        assert_eq!(uint("warm_hits"), uint("warm_blocks"));
+        assert!(
+            uint("warm_ref_frame_bytes") * 20 < uint("warm_full_frame_bytes"),
+            "ref frame {} B vs full frame {} B",
+            uint("warm_ref_frame_bytes"),
+            uint("warm_full_frame_bytes")
+        );
         assert!(!rep.canonical_json().contains("wall_us"));
     }
 }

@@ -79,6 +79,17 @@ pub mod kinds {
     /// outbound queue was full (slow reader; reports are never dropped
     /// this way, only progress).
     pub const SERVE_PROGRESS_DROPPED: &str = "serve.progress_dropped";
+    /// Counter: `known` block refs a submission resolved to a stored
+    /// verdict at admission.
+    pub const SERVE_REFS_RESOLVED: &str = "serve.refs_resolved";
+    /// Counter: `known` block refs a connection could not resolve
+    /// (answered with `MissingRefs`, each ref once per submission).
+    pub const SERVE_REFS_MISSED: &str = "serve.refs_missed";
+    /// Counter: block refs a connection's bounded ref table forgot to
+    /// make room for newer ones.
+    pub const SERVE_REFS_EVICTED: &str = "serve.refs_evicted";
+    /// Counter: verdicts the daemon's bounded shared store evicted.
+    pub const SERVE_STORE_EVICTED: &str = "serve.store_evicted";
 }
 
 pub use divergence::{combined_vcd, first_divergence, Divergence, WatchedTrace};

@@ -21,9 +21,9 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-use dfv_core::CancelToken;
+use dfv_core::{CancelToken, FaultBlock, PlanEntry};
 
-use crate::proto::{JobSpec, RetryClass};
+use crate::proto::{RetryClass, SubmitOptions};
 
 /// Queue capacity limits. Every limit is inclusive ("at most N queued").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,13 +46,41 @@ impl Default for Limits {
     }
 }
 
+/// What an admitted job runs: a submission after admission resolved its
+/// block refs.
+#[derive(Debug)]
+pub enum Job {
+    /// A campaign, each entry a full block or a stored verdict.
+    Campaign {
+        /// The plan, in order.
+        plan: Vec<PlanEntry>,
+        /// Submission knobs.
+        options: SubmitOptions,
+    },
+    /// A seeded fault-injection sweep.
+    FaultSweep {
+        /// Campaign seed.
+        seed: u64,
+        /// The stream blocks.
+        blocks: Vec<FaultBlock>,
+        /// Submission knobs.
+        options: SubmitOptions,
+    },
+}
+
+impl Job {
+    fn is_campaign(&self) -> bool {
+        matches!(self, Job::Campaign { .. })
+    }
+}
+
 /// One admitted job, queued for an executor.
 #[derive(Debug)]
 pub struct QueuedJob {
     /// Server-assigned id.
     pub id: u64,
     /// What to run.
-    pub spec: JobSpec,
+    pub job: Job,
     /// The job's cancel latch (shared with the connection that owns it).
     pub cancel: CancelToken,
     /// Where results go: the owning connection's outbound channel.
@@ -78,6 +106,17 @@ struct QueueState {
     queued_sweeps: usize,
     draining: bool,
     shutdown: bool,
+}
+
+impl QueueState {
+    /// Gives back one per-class slot.
+    fn release(&mut self, is_campaign: bool) {
+        if is_campaign {
+            self.queued_campaigns = self.queued_campaigns.saturating_sub(1);
+        } else {
+            self.queued_sweeps = self.queued_sweeps.saturating_sub(1);
+        }
+    }
 }
 
 /// A capacity slot held between the admission check and the moment the
@@ -113,11 +152,9 @@ impl Drop for Reservation<'_> {
         if !self.committed {
             let mut st = self.queue.state.lock().expect("queue lock");
             st.total = st.total.saturating_sub(1);
-            if self.is_campaign {
-                st.queued_campaigns = st.queued_campaigns.saturating_sub(1);
-            } else {
-                st.queued_sweeps = st.queued_sweeps.saturating_sub(1);
-            }
+            st.release(self.is_campaign);
+            // A draining pool may have been waiting on this slot.
+            self.queue.ready.notify_all();
         }
     }
 }
@@ -140,11 +177,11 @@ impl AdmissionQueue {
         }
     }
 
-    /// Reserves an admission slot for a job of `spec`'s class, or
+    /// Reserves an admission slot for a job of `job`'s class, or
     /// refuses with a typed, transient `Busy`. The caller answers the
     /// client and then [`commit`](Reservation::commit)s the job (or
     /// drops the reservation, releasing the slot).
-    pub fn reserve(&self, spec: &JobSpec) -> Result<Reservation<'_>, Busy> {
+    pub fn reserve(&self, job: &Job) -> Result<Reservation<'_>, Busy> {
         let mut st = self.state.lock().expect("queue lock");
         if st.draining || st.shutdown {
             return Err(Busy {
@@ -158,7 +195,7 @@ impl AdmissionQueue {
                 class: RetryClass::Transient,
             });
         }
-        let is_campaign = matches!(spec, JobSpec::Campaign { .. });
+        let is_campaign = job.is_campaign();
         let (count, limit, what) = if is_campaign {
             (&mut st.queued_campaigns, self.limits.campaigns, "campaign")
         } else {
@@ -193,14 +230,14 @@ impl AdmissionQueue {
             }
             if let Some(job) = st.jobs.pop_front() {
                 st.total -= 1;
-                match job.spec {
-                    JobSpec::Campaign { .. } => st.queued_campaigns -= 1,
-                    JobSpec::FaultSweep { .. } => st.queued_sweeps -= 1,
-                }
+                st.release(job.job.is_campaign());
                 return Some(job);
             }
-            if st.draining {
-                return None; // drained dry: executors may exit
+            // Drained dry: nothing queued and nothing reserved. A job
+            // reserved before the drain (its `Accepted` already on the
+            // wire) is still owed an executor.
+            if st.draining && st.total == 0 {
+                return None;
             }
             st = self.ready.wait(st).expect("queue lock");
         }
@@ -236,10 +273,7 @@ impl AdmissionQueue {
         while let Some(job) = st.jobs.pop_front() {
             if ids.contains(&job.id) {
                 st.total -= 1;
-                match job.spec {
-                    JobSpec::Campaign { .. } => st.queued_campaigns -= 1,
-                    JobSpec::FaultSweep { .. } => st.queued_sweeps -= 1,
-                }
+                st.release(job.job.is_campaign());
                 removed.push(job);
             } else {
                 kept.push_back(job);
@@ -257,5 +291,51 @@ impl AdmissionQueue {
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn campaign() -> Job {
+        Job::Campaign {
+            plan: Vec::new(),
+            options: SubmitOptions::default(),
+        }
+    }
+
+    #[test]
+    fn a_drain_waits_for_jobs_reserved_before_it() {
+        let q = AdmissionQueue::new(Limits::default());
+        // Reserved (its `Accepted` on the wire), then the drain, then an
+        // executor asks for work before the commit lands: the executor
+        // must wait for the job, not exit and strand it.
+        let r = q.reserve(&campaign()).expect("slot");
+        q.drain();
+        std::thread::scope(|s| {
+            let exec = s.spawn(|| q.pop().map(|j| j.id));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!exec.is_finished(), "executor gave up on a reserved job");
+            r.commit(QueuedJob {
+                id: 7,
+                job: campaign(),
+                cancel: CancelToken::new(),
+                outbound: crate::server::Outbound::detached(),
+            });
+            assert_eq!(exec.join().unwrap(), Some(7));
+        });
+        assert!(q.pop().is_none(), "drained dry");
+        // A reservation given back uncommitted releases a waiting executor.
+        let q = AdmissionQueue::new(Limits::default());
+        let r = q.reserve(&campaign()).expect("slot");
+        q.drain();
+        std::thread::scope(|s| {
+            let exec = s.spawn(|| q.pop().is_none());
+            std::thread::sleep(Duration::from_millis(50));
+            drop(r);
+            assert!(exec.join().unwrap());
+        });
     }
 }

@@ -4,8 +4,10 @@
 //! are: a shared daemon that accepts lint + sequential-equivalence
 //! campaigns and fault-injection sweeps from many clients, shards them
 //! across `dfv-core`'s deterministic scheduler, and deduplicates
-//! identical blocks across clients through a content-hash verdict store
+//! identical blocks across clients through a content-keyed verdict store
 //! — a fleet verifying overlapping block sets pays for each proof once.
+//! A client resubmitting a plan on one connection sends only the blocks
+//! the daemon lacks; the rest travel as connection-scoped refs.
 //!
 //! The crate is organized as concentric trust layers:
 //!
@@ -22,7 +24,8 @@
 //!   panic quarantine (inherited from `dfv-core::sched`), journal-backed
 //!   kill-9 recovery, and graceful drain;
 //! - [`client`] — a blocking client whose retry loop honors the server's
-//!   transient/permanent classification on a deterministic backoff;
+//!   transient/permanent classification on a deterministic backoff, and
+//!   which replaces blocks the connection already proved with refs;
 //! - [`pipe`] — an in-process duplex byte stream, so every robustness
 //!   property above is tested hermetically (and composes with
 //!   [`dfv_core::ChaosWire`] for wire-fault injection).
@@ -45,5 +48,8 @@ pub use admission::Limits;
 pub use client::{Admission, Backoff, Client, ClientError, SubmitOutcome};
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME};
 pub use pipe::{duplex, pipe, PipeReader, PipeWriter};
-pub use proto::{JobSpec, ProtoError, Request, Response, RetryClass, SubmitOptions};
+pub use proto::{
+    JobSpec, ProtoError, Request, Response, RetryClass, SubmitOptions, WireBlock,
+    REF_TABLE_CAPACITY,
+};
 pub use server::{ConnHandle, Counters, Outbound, ServeConfig, Server};

@@ -4,19 +4,29 @@
 //! value or a typed error (`RtlError`, `FrameError`, `ProtoError`), never
 //! as a panic.
 //!
+//! Block refs are exercised against a live daemon: unknown, malformed,
+//! duplicated and conflicting refs, refs where none belong, and mutated
+//! ref frames must each end in `Accepted`, `MissingRefs`, or a typed
+//! `Error` or `Rejected`, never in a panic or a hang.
+//!
 //! Uses the repo's own `SplitMix64`, so the suite runs offline; the seeds
 //! are fixed, making every run reproducible.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 use dfv_bits::SplitMix64;
-use dfv_core::BlockPair;
+use dfv_core::{BlockPair, ContentKey};
 use dfv_designs::{alu, fir, memsys};
 use dfv_obs::Json;
-use dfv_rtl::{parse_module, write_module, RtlError, MAX_MEM_DEPTH, MAX_WIDTH};
+use dfv_rtl::{parse_module, write_module, ModuleBuilder, RtlError, MAX_MEM_DEPTH, MAX_WIDTH};
+use dfv_sec::{Binding, EquivSpec};
 use dfv_serve::frame::{fnv1a, MAGIC};
-use dfv_serve::proto::{decode_request, encode_request};
-use dfv_serve::{read_frame, write_frame, FrameError, JobSpec, Request, SubmitOptions};
+use dfv_serve::proto::{decode_request, decode_response, encode_request};
+use dfv_serve::{
+    duplex, read_frame, write_frame, FrameError, JobSpec, PipeReader, PipeWriter, Request,
+    Response, RetryClass, ServeConfig, Server, SubmitOptions, WireBlock,
+};
 
 /// Bytes a mutation writes: half of the time one that means something to
 /// the netlist or JSON grammar, otherwise any byte at all.
@@ -263,4 +273,334 @@ fn mutated_submit_payloads_decode_or_fail_typed() {
     // Every layer is reached: broken JSON, refused submissions (bad
     // netlists among them), and harmless edits that still decode.
     assert!(bad_json > 0 && refused > 0 && decoded > 0);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile block refs against a live daemon
+// ---------------------------------------------------------------------------
+
+/// Runs `f` on a thread of its own and fails the test if it takes more
+/// than `secs` seconds: a hang is a failure, not a stuck suite.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(Ok(v)) => v,
+        Ok(Err(panic)) => std::panic::resume_unwind(panic),
+        Err(_) => panic!("no answer within {secs} s: the daemon hung"),
+    }
+}
+
+/// How one submission ended.
+#[derive(Debug, PartialEq)]
+enum End {
+    /// Admitted; its report's `(status, from_cache)` rows.
+    Accepted(Vec<(String, bool)>),
+    Missing(Vec<ContentKey>),
+    Error(RetryClass),
+    Rejected,
+    /// The daemon closed the connection without an answer (only a torn
+    /// frame, which the client then gave up on, may end this way).
+    Closed,
+}
+
+/// A tiny equivalent block, `y = x + k`.
+fn add_block(name: &str, k: u64) -> BlockPair {
+    let mut b = ModuleBuilder::new("add_rtl");
+    let x = b.input("x", 8);
+    let c = b.lit(8, k);
+    let y = b.add(x, c);
+    b.output("y", y);
+    BlockPair {
+        name: name.into(),
+        slm_source: format!("uint8 f(uint8 x) {{ return x + {k}; }}"),
+        slm_entry: "f".into(),
+        rtl: b.finish().expect("add rtl builds"),
+        spec: EquivSpec::new(1)
+            .bind("x", 0, Binding::Slm("x".into()))
+            .compare("return", "y", 0),
+    }
+}
+
+struct Conn {
+    r: PipeReader,
+    w: Option<PipeWriter>,
+    handle: dfv_serve::ConnHandle,
+}
+
+fn open(server: &Server) -> Conn {
+    let ((r, w), (sr, sw)) = duplex();
+    Conn {
+        r,
+        w: Some(w),
+        handle: server.attach(sr, sw),
+    }
+}
+
+impl Conn {
+    /// Sends raw frame bytes and reads how the submission ended: the
+    /// first answer, and for an admitted job its report too.
+    fn send_bytes(&mut self, bytes: &[u8]) -> End {
+        use std::io::Write as _;
+        let w = self.w.as_mut().expect("write half open");
+        if w.write_all(bytes).is_err() {
+            return End::Closed;
+        }
+        self.read_end()
+    }
+
+    /// Sends raw bytes that may be a torn frame, then closes the write
+    /// half, so the daemon sees the end of the stream instead of waiting
+    /// for the rest of the frame.
+    fn send_bytes_and_hang_up(&mut self, bytes: &[u8]) -> End {
+        use std::io::Write as _;
+        let mut w = self.w.take().expect("write half open");
+        let _ = w.write_all(bytes);
+        drop(w);
+        self.read_end()
+    }
+
+    fn read_end(&mut self) -> End {
+        let mut job = None;
+        loop {
+            let Ok(msg) = read_frame(&mut self.r) else {
+                // An admitted job of a client that hung up is cancelled,
+                // and its report has nobody to go to.
+                return match job {
+                    Some(_) => End::Accepted(Vec::new()),
+                    None => End::Closed,
+                };
+            };
+            match decode_response(&msg).expect("the daemon answers in protocol") {
+                Response::Accepted { job: id } => job = Some(id),
+                Response::Progress { .. } if job.is_some() => {}
+                Response::Report { job: id, report } if Some(id) == job => {
+                    let rows = report
+                        .get("values")
+                        .and_then(|v| v.get("blocks"))
+                        .and_then(Json::as_arr)
+                        .expect("report rows")
+                        .iter()
+                        .map(|b| {
+                            (
+                                b.get("status").and_then(Json::as_str).unwrap().to_string(),
+                                b.get("from_cache") == Some(&Json::Bool(true)),
+                            )
+                        })
+                        .collect();
+                    return End::Accepted(rows);
+                }
+                Response::MissingRefs { refs } => return End::Missing(refs),
+                Response::Error { class, .. } => return End::Error(class),
+                Response::Rejected { .. } => return End::Rejected,
+                other => panic!("unexpected answer {other:?}"),
+            }
+        }
+    }
+
+    fn send(&mut self, msg: &Json) -> End {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, msg).expect("frame writes");
+        self.send_bytes(&bytes)
+    }
+
+    fn send_text(&mut self, text: &str) -> End {
+        self.send(&dfv_obs::parse_json(text).expect("test JSON parses"))
+    }
+
+    /// Closes the client end and waits for the daemon's threads.
+    fn close(self) {
+        drop((self.r, self.w));
+        self.handle.join();
+    }
+}
+
+fn refs_request(blocks: Vec<WireBlock>) -> Json {
+    encode_request(&Request::SubmitRefs {
+        blocks,
+        options: SubmitOptions::default(),
+    })
+    .expect("ref request encodes")
+}
+
+fn full(block: BlockPair, id: u128) -> WireBlock {
+    WireBlock::Full {
+        block: Box::new(block),
+        ref_id: Some(ContentKey(id)),
+    }
+}
+
+fn known(name: &str, id: u128) -> WireBlock {
+    WireBlock::Known {
+        name: name.into(),
+        ref_id: ContentKey(id),
+    }
+}
+
+fn hostile_daemon(tag: &str) -> Server {
+    let mut cfg = ServeConfig::new(
+        std::env::temp_dir().join(format!("dfv-hostile-{tag}-{}", std::process::id())),
+    );
+    cfg.executors = 1;
+    Server::start(cfg)
+}
+
+#[test]
+fn hostile_refs_end_typed() {
+    within(120, || {
+        let server = hostile_daemon("refs");
+        let mut c = open(&server);
+        let permanent = End::Error(RetryClass::Permanent);
+
+        // Unknown ids, each reported once however often it is named.
+        let mut rng = SplitMix64::new(0x7265_6673);
+        let stranger = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+        assert_eq!(
+            c.send(&refs_request(vec![
+                known("a", stranger),
+                known("b", stranger),
+                known("c", 9)
+            ])),
+            End::Missing(vec![ContentKey(stranger), ContentKey(9)])
+        );
+
+        // Malformed `known` and `ref` values.
+        let good = refs_request(vec![full(add_block("g", 1), 1)]).render();
+        let hex = format!("\"{:032x}\"", 1);
+        for bad in [
+            "\"abc\"",
+            "\"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz\"",
+            "17",
+            "null",
+            "\"\"",
+        ] {
+            let text = format!(
+                r#"{{"type":"submit","job_kind":"campaign","options":{{}},"blocks":[{{"name":"k","known":{bad}}}]}}"#
+            );
+            assert_eq!(c.send_text(&text), permanent, "known {bad}");
+            assert_eq!(
+                c.send_text(&good.replace(&hex, bad)),
+                permanent,
+                "ref {bad}"
+            );
+        }
+        // A `known` block that also carries content.
+        let both = good.replace(&format!("\"ref\":{hex}"), &format!("\"known\":{hex}"));
+        assert_ne!(both, good);
+        assert_eq!(c.send_text(&both), permanent);
+
+        // Register content under ref 1, then name it twice in one plan:
+        // two store hits with the same verdict.
+        assert_eq!(
+            c.send_text(&good),
+            End::Accepted(vec![("PASS".into(), false)])
+        );
+        assert_eq!(
+            c.send(&refs_request(vec![known("x", 1), known("y", 1)])),
+            End::Accepted(vec![("PASS".into(), true), ("PASS".into(), true)])
+        );
+
+        // One ref id on two different contents, across submissions and
+        // within one.
+        assert_eq!(
+            c.send(&refs_request(vec![full(add_block("h", 2), 1)])),
+            permanent
+        );
+        assert_eq!(
+            c.send(&refs_request(vec![
+                full(add_block("p", 3), 2),
+                full(add_block("q", 4), 2)
+            ])),
+            permanent
+        );
+        // The conflicts changed nothing: ref 1 still resolves.
+        assert_eq!(
+            c.send(&refs_request(vec![known("z", 1)])),
+            End::Accepted(vec![("PASS".into(), true)])
+        );
+
+        // Refs inside a fault sweep.
+        for field in ["ref", "known"] {
+            let text = format!(
+                r#"{{"type":"submit","job_kind":"fault_sweep","seed":1,"options":{{}},"blocks":[
+                    {{"name":"s","policy":{{"kind":"exact"}},"expected":[],"actual":[],"{field}":{hex}}}]}}"#
+            );
+            assert_eq!(c.send_text(&text), permanent, "{field}");
+        }
+        c.close();
+
+        // Another connection cannot use this one's ref.
+        let mut other = open(&server);
+        assert_eq!(
+            other.send(&refs_request(vec![known("z", 1)])),
+            End::Missing(vec![ContentKey(1)])
+        );
+        other.close();
+        server.stop();
+    });
+}
+
+#[test]
+fn mutated_ref_frames_end_typed() {
+    within(300, || {
+        let server = hostile_daemon("mutated");
+        let register = refs_request(vec![full(add_block("r", 7), 0xabc)]);
+        let payload = refs_request(vec![
+            full(add_block("n", 8), 0xdef),
+            known("r2", 0xabc),
+            known("r3", 0xabc),
+        ])
+        .render()
+        .into_bytes();
+        let mut frame = Vec::new();
+        write_frame(
+            &mut frame,
+            &dfv_obs::parse_json(std::str::from_utf8(&payload).unwrap()).unwrap(),
+        )
+        .unwrap();
+        let mut rng = SplitMix64::new(0x6d75_7472);
+        let mut seen = std::collections::BTreeMap::<&str, u32>::new();
+        for case in 0..400u64 {
+            let mut c = open(&server);
+            // Each case starts with ref 0xabc registered and proved.
+            assert!(matches!(c.send(&register), End::Accepted(_)));
+            // Even cases: a re-checksummed payload, always a whole frame,
+            // so every one must be answered. Odd cases: raw frame bytes,
+            // where a torn frame may leave nothing to answer.
+            let mut bytes = if case % 2 == 0 {
+                payload.clone()
+            } else {
+                frame.clone()
+            };
+            mutate(&mut rng, &mut bytes);
+            let end = if case % 2 == 0 {
+                let sent = framed(&bytes);
+                no_panic(case, &sent, || c.send_bytes(&sent))
+            } else {
+                no_panic(case, &bytes, || c.send_bytes_and_hang_up(&bytes))
+            };
+            let kind = match end {
+                End::Accepted(_) => "accepted",
+                End::Missing(_) => "missing",
+                End::Error(_) => "error",
+                End::Rejected => "rejected",
+                End::Closed => {
+                    assert!(case % 2 == 1, "case {case}: a whole frame went unanswered");
+                    "closed"
+                }
+            };
+            *seen.entry(kind).or_default() += 1;
+            c.close();
+        }
+        // Every ending is reached, and the daemon still serves.
+        for kind in ["accepted", "missing", "error"] {
+            assert!(seen.contains_key(kind), "{kind} never reached: {seen:?}");
+        }
+        let mut c = open(&server);
+        assert!(matches!(c.send(&register), End::Accepted(_)));
+        c.close();
+        server.stop();
+    });
 }

@@ -30,6 +30,7 @@
 //! division-class ops) against the scalar instruction count is the
 //! honest work ratio.
 
+use dfv_bits::limbs::limbs_for;
 use dfv_bits::{Bv, SplitMix64};
 use dfv_designs::{conv, fir, memsys};
 use dfv_obs::{Json, RunReport};
@@ -161,25 +162,12 @@ fn run_workload(w: &Workload, mode: EvalMode, seed: u64, cycles: u64) -> (SimSta
     let mut rng = SplitMix64::new(seed);
     let mut hash = 0xcbf29ce484222325u64; // FNV-1a
     let mut stim = Vec::new();
-    // Tiny name→index cache for driven ports (drive reuses the same
-    // `'static` literals each cycle, so the pointer comparison hits);
-    // resolves each port name once instead of scanning it every poke.
-    let mut in_idx: Vec<(&'static str, usize)> = Vec::new();
+    let mut ports = PortCache::default();
     for cycle in 0..cycles {
         stim.clear();
         (w.drive)(&mut rng, cycle, &mut stim);
         for (port, value) in stim.drain(..) {
-            let idx = match in_idx
-                .iter()
-                .find(|(p, _)| std::ptr::eq(*p, port) || *p == port)
-            {
-                Some(&(_, i)) => i,
-                None => {
-                    let i = sim.module().input_index(port).expect("workload input port");
-                    in_idx.push((port, i));
-                    i
-                }
-            };
+            let idx = ports.input(sim.module(), port);
             sim.poke_at(idx, value);
         }
         sim.step();
@@ -188,28 +176,76 @@ fn run_workload(w: &Workload, mode: EvalMode, seed: u64, cycles: u64) -> (SimSta
     (sim.stats(), hash)
 }
 
+/// A name→index cache for driven ports: drivers reuse the same
+/// `'static` literals each cycle, so the pointer comparison hits and
+/// each port name is resolved once instead of scanned every poke.
+#[derive(Default)]
+struct PortCache(Vec<(&'static str, usize)>);
+
+impl PortCache {
+    fn input(&mut self, module: &Module, port: &'static str) -> usize {
+        if let Some(&(_, i)) = self
+            .0
+            .iter()
+            .find(|(p, _)| std::ptr::eq(*p, port) || *p == port)
+        {
+            return i;
+        }
+        let i = module.input_index(port).expect("workload input port");
+        self.0.push((port, i));
+        i
+    }
+}
+
 /// Runs 64 independently-seeded streams of one workload on a single
 /// [`LaneSim`]; returns the lane engine's counters and the per-lane
-/// output hashes (same fold as [`run_workload`]).
+/// output hashes (same fold as [`run_workload`]). Ports move as planes,
+/// as the scalar side moves them by index: each lane's drives land in
+/// per-port planes kept across cycles (an undriven lane holds its value,
+/// as a scalar port does), each port driven this cycle is poked with one
+/// call, and hashes fold from the output planes.
 fn run_workload_lanes(w: &Workload, cycles: u64) -> (dfv_rtl::LaneStats, Vec<u64>) {
     let mut sim = LaneSim::new((w.module)()).expect("workload module builds");
+    let module = sim.module().clone();
+    let out_idx: Vec<usize> = w
+        .hash_outputs
+        .iter()
+        .map(|p| module.output_index(p).expect("workload output port"))
+        .collect();
+    let mut planes: Vec<Vec<u64>> = module
+        .inputs
+        .iter()
+        .map(|p| vec![0; BATCH_LANES * limbs_for(p.width)])
+        .collect();
+    let mut driven = vec![false; planes.len()];
     let mut rngs: Vec<SplitMix64> = (0..BATCH_LANES)
         .map(|lane| SplitMix64::new(lane_seed(base_seed(w), lane)))
         .collect();
     let mut hashes = vec![0xcbf29ce484222325u64; BATCH_LANES];
     let mut stim = Vec::new();
+    let mut ports = PortCache::default();
     for cycle in 0..cycles {
         for (lane, rng) in rngs.iter_mut().enumerate() {
             stim.clear();
             (w.drive)(rng, cycle, &mut stim);
             for (port, value) in stim.drain(..) {
-                sim.poke_lane(port, lane, value);
+                let idx = ports.input(&module, port);
+                let n = value.limbs().len();
+                planes[idx][lane * n..][..n].copy_from_slice(value.limbs());
+                driven[idx] = true;
+            }
+        }
+        for (idx, plane) in planes.iter().enumerate() {
+            if std::mem::take(&mut driven[idx]) {
+                sim.poke_plane(idx, plane);
             }
         }
         sim.step();
-        for (lane, hash) in hashes.iter_mut().enumerate() {
-            for port in w.hash_outputs {
-                for &limb in sim.output_lane(port, lane).limbs() {
+        for &o in &out_idx {
+            let n = limbs_for(module.outputs[o].width);
+            let plane = sim.output_plane(o);
+            for (lane, hash) in hashes.iter_mut().enumerate() {
+                for &limb in &plane[lane * n..][..n] {
                     *hash = fnv_fold(*hash, limb);
                 }
             }

@@ -482,6 +482,8 @@ mod tests {
         assert_eq!(limbs_for(0), 0);
     }
 
+    // Asserts a `debug_assert!`, so it only runs where those are on.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "msb: zero-width value has no sign bit")]
     fn msb_of_zero_width_asserts_in_debug() {
@@ -489,6 +491,8 @@ mod tests {
         let _ = msb(&empty, 0);
     }
 
+    // Asserts a `debug_assert!`, so it only runs where those are on.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "is_ones: a/width mismatch")]
     fn is_ones_rejects_overlong_slice_in_debug() {
@@ -497,6 +501,8 @@ mod tests {
         let _ = is_ones(&[u64::MAX, 0xDEAD], 64);
     }
 
+    // Asserts a `debug_assert!`, so it only runs where those are on.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "mask_top: dst/width mismatch")]
     fn mask_top_rejects_overlong_slice_in_debug() {

@@ -26,7 +26,8 @@
 //! excludes the engine-dependent work counters, so it is byte-identical
 //! for every `lanes` and worker count.
 
-use dfv_bits::{limbs::LANES, Bv, SplitMix64};
+use dfv_bits::limbs::{limbs_for, LANES};
+use dfv_bits::{Bv, SplitMix64};
 use dfv_cosim::{FieldSpec, StimulusGen};
 use dfv_obs::{Json, RunReport};
 use dfv_rtl::{LaneSim, Module, Simulator};
@@ -205,24 +206,49 @@ impl StimulusSweep {
     /// One lane group on the batched engine: a single [`LaneSim`] carries
     /// the whole group, scenario *i* on lane *i*, each lane fed by its own
     /// generator — the same per-scenario streams the scalar path draws.
+    /// Ports move as whole planes: each cycle every lane's fields are
+    /// drawn in field order straight into per-field planes (the draws
+    /// [`StimulusGen::next_transaction`] makes, with no map built), each
+    /// plane is poked with one call, and each lane's digest is folded
+    /// from the output planes in the bytes [`hash_bv`] writes.
     fn run_group_lanes(&self, module: &Module, group: &[usize]) -> Result<GroupRun, String> {
-        let mut run = GroupRun::default();
         let mut sim = LaneSim::new(module.clone()).map_err(|e| e.to_string())?;
-        let mut gens: Vec<StimulusGen> = group.iter().map(|&s| self.gen_for(s)).collect();
+        // `run` has checked that every field names an input of its width.
+        let ports: Vec<usize> = self
+            .fields
+            .iter()
+            .map(|(name, _)| module.input_index(name).expect("field port checked by run"))
+            .collect();
+        let mut planes: Vec<Vec<u64>> = self
+            .fields
+            .iter()
+            .map(|(_, spec)| vec![0; LANES * limbs_for(field_width(spec))])
+            .collect();
+        let mut gens: Vec<StimulusGen> = group
+            .iter()
+            .map(|&s| StimulusGen::new(self.scenario_seed(s)))
+            .collect();
         let mut hashers: Vec<Fnv> = group.iter().map(|_| Fnv::new()).collect();
         for _ in 0..self.cycles {
             for (lane, gen) in gens.iter_mut().enumerate() {
-                for (name, value) in gen.next_transaction() {
-                    sim.poke_lane(&name, lane, value);
+                for ((_, spec), plane) in self.fields.iter().zip(&mut planes) {
+                    let n = plane.len() / LANES;
+                    gen.draw_into(spec, &mut plane[lane * n..][..n]);
                 }
             }
+            for (&port, plane) in ports.iter().zip(&planes) {
+                sim.poke_plane(port, plane);
+            }
             sim.step();
-            for (lane, h) in hashers.iter_mut().enumerate() {
-                for port in &module.outputs {
-                    hash_bv(h, &sim.output_lane(&port.name, lane));
+            for (o, port) in module.outputs.iter().enumerate() {
+                let n = limbs_for(port.width);
+                let plane = sim.output_plane(o);
+                for (lane, h) in hashers.iter_mut().enumerate() {
+                    hash_limbs(h, port.width, &plane[lane * n..][..n]);
                 }
             }
         }
+        let mut run = GroupRun::default();
         for (&scenario, h) in group.iter().zip(&hashers) {
             run.hashes.push(ScenarioOutcome {
                 scenario,
@@ -257,8 +283,13 @@ fn field_width(spec: &FieldSpec) -> u32 {
 /// Folds one output value into a scenario digest: width then limbs,
 /// little-endian — identical bytes whichever engine produced the `Bv`.
 fn hash_bv(h: &mut Fnv, v: &Bv) {
-    h.write(&v.width().to_le_bytes());
-    for limb in v.limbs() {
+    hash_limbs(h, v.width(), v.limbs());
+}
+
+/// [`hash_bv`] over a value given as its width and limbs.
+fn hash_limbs(h: &mut Fnv, width: u32, limbs: &[u64]) {
+    h.write(&width.to_le_bytes());
+    for limb in limbs {
         h.write(&limb.to_le_bytes());
     }
 }
@@ -367,24 +398,81 @@ mod tests {
             .cycles(40)
     }
 
+    /// A sweep over every field kind: a 100-bit uniform field, a
+    /// zero-extended 70-bit corners field, range and exclusion fields,
+    /// and one input with no field (held at zero). 70 scenarios leave a
+    /// partial last lane group.
+    fn mixed_sweep() -> (Module, StimulusSweep) {
+        let mut b = dfv_rtl::ModuleBuilder::new("mixed");
+        let wide = b.input("wide", 100);
+        let c = b.input("c", 70);
+        let r = b.input("r", 12);
+        let e = b.input("e", 4);
+        let idle = b.input("idle", 8);
+        let acc = b.reg("acc", 100, Bv::zero(100));
+        let q = b.reg_q(acc);
+        let mut mix = b.add(q, wide);
+        for (port, op) in [(c, 0), (r, 1), (e, 0), (idle, 2)] {
+            let z = b.zext(port, 100);
+            mix = match op {
+                0 => b.xor(mix, z),
+                1 => b.add(mix, z),
+                _ => b.or(mix, z),
+            };
+        }
+        b.connect_reg(acc, mix);
+        b.output("acc", q);
+        b.output("mix", mix);
+        b.output("r_out", r);
+        let sweep = StimulusSweep::new(0x5EED)
+            .field("wide", FieldSpec::Uniform { width: 100 })
+            .field(
+                "c",
+                FieldSpec::Corners {
+                    width: 70,
+                    corner_percent: 30,
+                },
+            )
+            .field(
+                "r",
+                FieldSpec::Range {
+                    width: 12,
+                    lo: 100,
+                    hi: 3000,
+                },
+            )
+            .field(
+                "e",
+                FieldSpec::Excluding {
+                    width: 4,
+                    exclude: vec![0, 7, 15],
+                },
+            )
+            .scenarios(70)
+            .cycles(24);
+        (b.finish().unwrap(), sweep)
+    }
+
     #[test]
     fn scalar_and_lane_reports_are_byte_identical_at_any_geometry() {
-        let module = dfv_designs::fir::rtl();
-        let base = fir_sweep(0xF12)
-            .run(&module)
-            .unwrap()
-            .to_run_report()
-            .canonical_json();
-        for workers in [1usize, 4] {
-            for lanes in [1usize, 5, 64] {
-                let j = fir_sweep(0xF12)
-                    .with_workers(workers)
-                    .with_lanes(lanes)
-                    .run(&module)
-                    .unwrap()
-                    .to_run_report()
-                    .canonical_json();
-                assert_eq!(j, base, "diverged at workers={workers} lanes={lanes}");
+        for (module, sweep) in [(dfv_designs::fir::rtl(), fir_sweep(0xF12)), mixed_sweep()] {
+            let base = sweep.run(&module).unwrap().to_run_report().canonical_json();
+            for workers in [1usize, 4] {
+                for lanes in [1usize, 5, 64] {
+                    let j = sweep
+                        .clone()
+                        .with_workers(workers)
+                        .with_lanes(lanes)
+                        .run(&module)
+                        .unwrap()
+                        .to_run_report()
+                        .canonical_json();
+                    assert_eq!(
+                        j, base,
+                        "{} diverged at workers={workers} lanes={lanes}",
+                        module.name
+                    );
+                }
             }
         }
     }

@@ -4,7 +4,7 @@
 //! generated under constraints (ranges, interesting corner values, excluded
 //! values) and replayed on both the SLM and the wrapped-RTL.
 
-use dfv_bits::{Bv, SplitMix64};
+use dfv_bits::{limbs::limbs_for, Bv, SplitMix64};
 
 use crate::wrapped::Transaction;
 
@@ -91,81 +91,91 @@ impl StimulusGen {
 
     /// Draws one value for a spec.
     pub fn draw(&mut self, spec: &FieldSpec) -> Bv {
-        let width = spec.width();
-        if let FieldSpec::Uniform { .. } = spec {
-            // Uniform fields are random across their *entire* width, 64
-            // bits at a time — wide fields (packed arrays, image rows) get
-            // full-entropy stimulus.
-            return uniform_bv(&mut self.rng, width);
-        }
-        let mask = if width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        let raw = match spec {
-            FieldSpec::Uniform { .. } => unreachable!("handled above"),
-            FieldSpec::Range { lo, hi, .. } => self.rng.range_u64(*lo, *hi),
-            FieldSpec::Corners { corner_percent, .. } => {
-                if self.rng.below(100) < u64::from(*corner_percent) {
-                    let corners = [
-                        0u64,
-                        mask,
-                        1,
-                        mask >> 1,       // max signed
-                        (mask >> 1) + 1, // min signed
-                    ];
-                    corners[self.rng.below(corners.len() as u64) as usize]
-                } else {
-                    self.rng.bits(width.min(64))
-                }
-            }
-            FieldSpec::Excluding { exclude, .. } => loop {
-                let v = self.rng.bits(width.min(64));
-                if !exclude.contains(&v) {
-                    break v;
-                }
-            },
-        };
-        // Non-uniform specs above 64 bits zero-extend; the interesting
-        // action is in the low bits for ranges/corners/exclusions.
-        Bv::from_u64(width, raw)
+        draw_bv(&mut self.rng, spec)
     }
 
-    /// Generates the next transaction.
+    /// Draws one value for a spec into `dst` (`limbs_for(width)` limbs,
+    /// little-endian): the allocation-free form of
+    /// [`StimulusGen::draw`], consuming the same random numbers and
+    /// writing the same limbs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not `limbs_for(width)` limbs long.
+    pub fn draw_into(&mut self, spec: &FieldSpec, dst: &mut [u64]) {
+        draw_limbs(&mut self.rng, spec, dst);
+    }
+
+    /// Generates the next transaction: one draw per field, in field order.
     pub fn next_transaction(&mut self) -> Transaction {
-        let fields = self.fields.clone();
+        let StimulusGen { rng, fields } = self;
         fields
             .iter()
-            .map(|(name, spec)| (name.clone(), self.draw(spec)))
+            .map(|(name, spec)| (name.clone(), draw_bv(rng, spec)))
             .collect()
-    }
-
-    /// Generates the next `n` transactions in one call — one fuzz
-    /// *round*. Round `r`'s transactions map onto lanes `0..n` of a
-    /// batched 64-lane evaluation, so a campaign that chunks scenarios
-    /// into lane groups draws exactly the same stream a scalar sweep
-    /// would (the batch is just `n` consecutive
-    /// [`StimulusGen::next_transaction`] draws).
-    pub fn next_batch(&mut self, n: usize) -> Vec<Transaction> {
-        (0..n).map(|_| self.next_transaction()).collect()
     }
 }
 
-/// A uniformly random `Bv` of arbitrary width, drawn 64 bits per chunk
-/// LSB-first.
-fn uniform_bv(rng: &mut SplitMix64, width: u32) -> Bv {
-    if width <= 64 {
-        return Bv::from_u64(width, rng.bits(width));
+/// [`StimulusGen::draw`] over a borrowed generator state.
+fn draw_bv(rng: &mut SplitMix64, spec: &FieldSpec) -> Bv {
+    let width = spec.width();
+    let (mut one, mut many) = ([0u64], Vec::new());
+    let limbs: &mut [u64] = if width <= 64 {
+        &mut one
+    } else {
+        many.resize(limbs_for(width), 0);
+        &mut many
+    };
+    draw_limbs(rng, spec, limbs);
+    Bv::from_limbs(width, limbs)
+}
+
+/// [`StimulusGen::draw_into`] over a borrowed generator state.
+fn draw_limbs(rng: &mut SplitMix64, spec: &FieldSpec, dst: &mut [u64]) {
+    let width = spec.width();
+    assert_eq!(dst.len(), limbs_for(width), "draw_into: dst/width mismatch");
+    if let FieldSpec::Uniform { .. } = spec {
+        // Uniform fields are random across their *entire* width, 64 bits
+        // at a time LSB-first — wide fields (packed arrays, image rows)
+        // get full-entropy stimulus.
+        for (k, d) in dst.iter_mut().enumerate() {
+            *d = rng.bits((width - 64 * k as u32).min(64));
+        }
+        return;
     }
-    let mut v = Bv::from_u64(64, rng.next_u64());
-    let mut remaining = width - 64;
-    while remaining > 0 {
-        let w = remaining.min(64);
-        v = Bv::from_u64(w, rng.bits(w)).concat(&v);
-        remaining -= w;
-    }
-    v
+    let mask = if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    };
+    let raw = match spec {
+        FieldSpec::Uniform { .. } => unreachable!("handled above"),
+        FieldSpec::Range { lo, hi, .. } => rng.range_u64(*lo, *hi),
+        FieldSpec::Corners { corner_percent, .. } => {
+            if rng.below(100) < u64::from(*corner_percent) {
+                let corners = [
+                    0u64,
+                    mask,
+                    1,
+                    mask >> 1,       // max signed
+                    (mask >> 1) + 1, // min signed
+                ];
+                corners[rng.below(corners.len() as u64) as usize]
+            } else {
+                rng.bits(width.min(64))
+            }
+        }
+        FieldSpec::Excluding { exclude, .. } => loop {
+            let v = rng.bits(width.min(64));
+            if !exclude.contains(&v) {
+                break v;
+            }
+        },
+    };
+    // Non-uniform specs above 64 bits zero-extend; the interesting action
+    // is in the low bits for ranges/corners/exclusions.
+    dst.fill(0);
+    dst[0] = raw & mask;
 }
 
 #[cfg(test)]
@@ -192,23 +202,51 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_consecutive_draws() {
-        let mk = || {
-            StimulusGen::new(11)
-                .field("x", FieldSpec::Uniform { width: 16 })
-                .field(
-                    "y",
-                    FieldSpec::Range {
-                        width: 8,
-                        lo: 2,
-                        hi: 9,
-                    },
-                )
-        };
-        let mut one_by_one = mk();
-        let singles: Vec<_> = (0..64).map(|_| one_by_one.next_transaction()).collect();
-        let batch = mk().next_batch(64);
-        assert_eq!(batch, singles);
+    fn draw_into_writes_the_limbs_draw_returns() {
+        let specs = [
+            FieldSpec::Uniform { width: 1 },
+            FieldSpec::Uniform { width: 64 },
+            FieldSpec::Uniform { width: 100 },
+            FieldSpec::Uniform { width: 200 },
+            FieldSpec::Range {
+                width: 70,
+                lo: 5,
+                hi: u64::MAX,
+            },
+            FieldSpec::Range {
+                width: 6,
+                lo: 0,
+                hi: 1000,
+            },
+            FieldSpec::Corners {
+                width: 130,
+                corner_percent: 50,
+            },
+            FieldSpec::Excluding {
+                width: 3,
+                exclude: vec![0, 7],
+            },
+        ];
+        let (mut a, mut b) = (StimulusGen::new(5), StimulusGen::new(5));
+        for _ in 0..50 {
+            for spec in &specs {
+                let v = a.draw(spec);
+                let mut limbs = vec![!0u64; limbs_for(spec.width())];
+                b.draw_into(spec, &mut limbs);
+                assert_eq!(limbs, v.limbs(), "{spec:?}");
+            }
+        }
+        // A wide uniform value is 64-bit draws, least significant first;
+        // a wide non-uniform one is zero-extended.
+        let mut rng = SplitMix64::new(9);
+        let want: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        let got = StimulusGen::new(9).draw(&FieldSpec::Uniform { width: 200 });
+        assert_eq!(got.limbs(), [want[0], want[1], want[2], want[3] & 0xFF]);
+        let corner = StimulusGen::new(9).draw(&FieldSpec::Corners {
+            width: 130,
+            corner_percent: 0,
+        });
+        assert_eq!(corner.limbs()[1..], [0, 0]);
     }
 
     #[test]

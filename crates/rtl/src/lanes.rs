@@ -33,6 +33,22 @@
 //! remainder) by construction. [`LaneStats::lane_fallback_evals`] is
 //! retained for report compatibility and is now always zero.
 //!
+//! # Ports as planes
+//!
+//! Inputs and outputs cross the lane boundary a whole port at a time. Each
+//! input port owns a *staging plane*: its value on all 64 lanes in value
+//! form, lane-major (`64 * limbs_for(width)` limbs, lane `l` at
+//! `plane[l * limbs_for(width)..]`). [`LaneSim::poke_lane`] copies one
+//! lane's limbs into it, [`LaneSim::poke_splat`] and
+//! [`LaneSim::poke_plane`] fill all of it, and [`LaneSim::eval`] packs each
+//! port poked since the last evaluation with one
+//! `dfv_bits::limbs::lane_pack` transpose. A port is marked dirty only if
+//! its packed group changed, so re-poking held values stays free. On the
+//! way out, the first read of an output after an evaluation pass unpacks
+//! its group once (`lane_unpack`) into a per-output plane of the same
+//! layout; [`LaneSim::output_lane`] and [`LaneSim::output_plane`] serve
+//! every lane from it until the next pass.
+//!
 //! # Determinism
 //!
 //! Evaluation order is the schedule's levelized order; lanes never
@@ -42,7 +58,9 @@
 //! bit-identical to a scalar [`crate::Simulator`] run of that stimulus —
 //! the differential property suite in `crates/designs` pins this.
 
-use dfv_bits::limbs::{lane_extract, lane_insert, lane_splat, limbs_for, LANES};
+use dfv_bits::limbs::{
+    lane_extract, lane_insert, lane_pack, lane_splat, lane_unpack, limbs_for, LANES,
+};
 use dfv_bits::Bv;
 
 use crate::check::check_module;
@@ -445,6 +463,10 @@ struct LaneTraceStep {
 /// }
 /// assert_eq!(sim.output_lane("s", 63).to_u64(), 163);
 /// assert_eq!(sim.stats().node_evals, sim.module().nodes.len() as u64);
+/// // A whole port at once: lane l's value sits at plane[l * limbs..].
+/// let xs: Vec<u64> = (0..64).map(|l| 2 * l).collect();
+/// sim.poke_plane(0, &xs);
+/// assert_eq!(sim.output_plane(0)[5], 110);
 /// # Ok(())
 /// # }
 /// ```
@@ -458,8 +480,21 @@ pub struct LaneSim {
     arena: Vec<u64>,
     /// Per-lane memory contents, value form, lane-major.
     mem_arena: Vec<u64>,
-    /// Current input values, lane form (`width` limbs per port).
+    /// Current input values, lane form (`width` limbs per port): what the
+    /// `Input` kernels read.
     input_vals: Vec<Vec<u64>>,
+    /// Per input port, its staging plane: all 64 lanes' values in value
+    /// form, lane-major. Packed into `input_vals` by `eval`.
+    stage: Vec<Vec<u64>>,
+    /// Per input port: poked since the last `eval`.
+    staged: Vec<bool>,
+    any_staged: bool,
+    /// Per output port, its value on all 64 lanes in value form,
+    /// lane-major; valid while the matching `out_fresh` flag is set.
+    out_cache: Vec<Vec<u64>>,
+    /// Per output port: `out_cache` matches the arena. Cleared by every
+    /// evaluation pass.
+    out_fresh: Vec<bool>,
     dirty_levels: Vec<Vec<u32>>,
     in_dirty: Vec<bool>,
     full_dirty: bool,
@@ -496,10 +531,16 @@ impl LaneSim {
             .iter()
             .map(|p| vec![0u64; p.width as usize])
             .collect();
+        let plane = |width: u32| vec![0u64; LANES * limbs_for(width)];
         let mut sim = LaneSim {
             arena: vec![0; prog.arena_len],
             mem_arena: vec![0; prog.mem_arena_len],
             input_vals,
+            stage: module.inputs.iter().map(|p| plane(p.width)).collect(),
+            staged: vec![false; module.inputs.len()],
+            any_staged: false,
+            out_cache: module.outputs.iter().map(|p| plane(p.width)).collect(),
+            out_fresh: vec![false; module.outputs.len()],
             dirty_levels: vec![Vec::new(); sched.num_levels() as usize],
             in_dirty: vec![false; module.nodes.len()],
             full_dirty: true,
@@ -573,9 +614,11 @@ impl LaneSim {
                 );
             }
         }
-        for v in &mut self.input_vals {
+        for v in self.input_vals.iter_mut().chain(&mut self.stage) {
             v.fill(0);
         }
+        self.staged.fill(false);
+        self.any_staged = false;
         for b in &mut self.dirty_levels {
             b.clear();
         }
@@ -586,27 +629,21 @@ impl LaneSim {
         self.trace.clear();
     }
 
-    /// Sets an input port for one lane. Re-poking the value the lane
-    /// already holds is free: nothing is marked dirty.
+    /// Sets an input port for one lane: a copy into the port's staging
+    /// plane, packed at the next evaluation. Re-poking the value the lane
+    /// already holds is free: a port whose packed group did not change is
+    /// not marked dirty.
     ///
     /// # Panics
     ///
     /// Panics if the port does not exist, the width differs, or
     /// `lane >= 64`.
     pub fn poke_lane(&mut self, port: &str, lane: usize, value: Bv) {
+        assert!(lane < LANES, "lane {lane} out of range");
         let idx = self.input_index(port, &value);
-        let w = self.module.inputs[idx].width;
-        lane_extract(
-            &self.input_vals[idx],
-            w,
-            lane,
-            &mut self.val_buf[..limbs_for(w)],
-        );
-        if self.val_buf[..limbs_for(w)] == *value.limbs() {
-            return;
-        }
-        lane_insert(&mut self.input_vals[idx], w, lane, value.limbs());
-        self.mark_input_dirty(idx);
+        let stride = value.limbs().len();
+        self.stage[idx][lane * stride..][..stride].copy_from_slice(value.limbs());
+        self.mark_staged(idx);
     }
 
     /// Sets an input port to the same value on every lane.
@@ -616,14 +653,53 @@ impl LaneSim {
     /// Panics if the port does not exist or the width differs.
     pub fn poke_splat(&mut self, port: &str, value: Bv) {
         let idx = self.input_index(port, &value);
-        let w = self.module.inputs[idx].width;
-        sized(&mut self.scratch, w);
-        lane_splat(&mut self.scratch, w, value.limbs());
-        if self.input_vals[idx] == self.scratch {
-            return;
+        for lane in self.stage[idx].chunks_exact_mut(value.limbs().len()) {
+            lane.copy_from_slice(value.limbs());
         }
-        self.input_vals[idx].copy_from_slice(&self.scratch);
-        self.mark_input_dirty(idx);
+        self.mark_staged(idx);
+    }
+
+    /// Sets input port `input` (an index into `module().inputs`) on all
+    /// 64 lanes from a plane: lane `l`'s value is
+    /// `plane[l * limbs_for(width)..][..limbs_for(width)]`, little-endian.
+    /// Bits at or above the port's width are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no such input or `plane` is not
+    /// `64 * limbs_for(width)` limbs long.
+    pub fn poke_plane(&mut self, input: usize, plane: &[u64]) {
+        let stage = &mut self.stage[input];
+        assert_eq!(
+            plane.len(),
+            stage.len(),
+            "plane length mismatch on input {input}"
+        );
+        stage.copy_from_slice(plane);
+        self.mark_staged(input);
+    }
+
+    fn mark_staged(&mut self, idx: usize) {
+        self.staged[idx] = true;
+        self.any_staged = true;
+    }
+
+    /// Packs every port poked since the last evaluation into its lane
+    /// group, one transpose per port; marks only changed ports dirty.
+    fn pack_staged(&mut self) {
+        self.any_staged = false;
+        for idx in 0..self.staged.len() {
+            if !std::mem::take(&mut self.staged[idx]) {
+                continue;
+            }
+            let w = self.module.inputs[idx].width;
+            sized(&mut self.scratch, w);
+            lane_pack(&mut self.scratch, w, &self.stage[idx]);
+            if self.input_vals[idx] != self.scratch {
+                self.input_vals[idx].copy_from_slice(&self.scratch);
+                self.mark_input_dirty(idx);
+            }
+        }
     }
 
     fn input_index(&self, port: &str, value: &Bv) -> usize {
@@ -653,9 +729,15 @@ impl LaneSim {
     /// Evaluates combinational logic if any lane's inputs or state changed
     /// since the last evaluation.
     pub fn eval(&mut self) {
+        if self.any_staged {
+            self.pack_staged();
+        }
         if !self.dirty {
             return;
         }
+        // Only a pass writes node values (reset forces one before any
+        // read), so this is where cached output planes go stale.
+        self.out_fresh.fill(false);
         let (evaled, fallbacks) = if self.full_dirty {
             self.full_pass()
         } else {
@@ -728,8 +810,8 @@ impl LaneSim {
         (evaled, fallbacks)
     }
 
-    fn node_lane_bv(&mut self, n: usize, lane: usize) -> Bv {
-        let s = self.prog.node_slots[n];
+    /// One lane of an arena slot's group, as a `Bv`.
+    fn slot_lane_bv(&mut self, s: LaneSlot, lane: usize) -> Bv {
         lane_extract(
             &self.arena[s.off as usize..][..s.width as usize],
             s.width,
@@ -739,7 +821,8 @@ impl LaneSim {
         Bv::from_limbs(s.width, &self.val_buf[..limbs_for(s.width)])
     }
 
-    /// Reads an output port's value on one lane (after evaluating).
+    /// Reads an output port's value on one lane (after evaluating), from
+    /// the port's cached plane (see [`LaneSim::output_plane`]).
     ///
     /// # Panics
     ///
@@ -750,15 +833,38 @@ impl LaneSim {
             .module
             .output_index(port)
             .unwrap_or_else(|| panic!("no output port named {port:?}"));
+        let w = self.module.outputs[idx].width;
+        let stride = limbs_for(w);
+        Bv::from_limbs(w, &self.output_plane(idx)[lane * stride..][..stride])
+    }
+
+    /// Output port `output` (an index into `module().outputs`) on all 64
+    /// lanes, after evaluating: lane `l`'s value is
+    /// `plane[l * limbs_for(width)..][..limbs_for(width)]`. The group is
+    /// unpacked at most once per evaluation pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no such output.
+    pub fn output_plane(&mut self, output: usize) -> &[u64] {
         self.eval();
-        self.node_lane_bv(self.module.output_drivers[idx].index(), lane)
+        if !self.out_fresh[output] {
+            let s = self.prog.node_slots[self.module.output_drivers[output].index()];
+            lane_unpack(
+                &self.arena[s.off as usize..][..s.width as usize],
+                s.width,
+                &mut self.out_cache[output],
+            );
+            self.out_fresh[output] = true;
+        }
+        &self.out_cache[output]
     }
 
     /// Reads an arbitrary node's value on one lane (after evaluating).
     pub fn peek_lane(&mut self, node: NodeId, lane: usize) -> Bv {
         assert!(lane < LANES, "lane {lane} out of range");
         self.eval();
-        self.node_lane_bv(node.index(), lane)
+        self.slot_lane_bv(self.prog.node_slots[node.index()], lane)
     }
 
     /// Reads a register's current value on one lane.
@@ -772,14 +878,7 @@ impl LaneSim {
             .module
             .reg_index(name)
             .unwrap_or_else(|| panic!("no register named {name:?}"));
-        let s = self.prog.reg_slots[r.index()];
-        lane_extract(
-            &self.arena[s.off as usize..][..s.width as usize],
-            s.width,
-            lane,
-            &mut self.val_buf[..limbs_for(s.width)],
-        );
-        Bv::from_limbs(s.width, &self.val_buf[..limbs_for(s.width)])
+        self.slot_lane_bv(self.prog.reg_slots[r.index()], lane)
     }
 
     /// Overrides a register's current value on one lane — the batched
@@ -1461,6 +1560,14 @@ mod tests {
                 "lane {lane}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 64 out of range")]
+    fn poke_lane_rejects_lane_64() {
+        // Must panic in release builds too, not only under debug asserts.
+        let mut sim = LaneSim::new(counter_with_enable()).unwrap();
+        sim.poke_lane("en", LANES, Bv::from_bool(true));
     }
 
     #[test]

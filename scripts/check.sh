@@ -121,6 +121,12 @@ run cargo run --release -q -p dfv-bench --bin experiments -- e14 > /dev/null
 # lane-parity property suite pins VM vs LaneSim vs full-oracle 3-way
 # equivalence in release.
 run cargo test -q --release -p dfv-designs --test prop_sim_diff
+# Every crate on the lane path, in release: the transposes (dfv-bits),
+# LaneSim (dfv-rtl), stimulus draws (dfv-cosim), StimulusSweep
+# (dfv-core) and the designs' parity suites. Release builds compile
+# debug_assert! out, so a bound checked only by one (such as a lane
+# index) goes unchecked only here.
+run cargo test -q --release -p dfv-bits -p dfv-rtl -p dfv-cosim -p dfv-core -p dfv-designs
 run cargo run --release -q -p dfv-bench --bin experiments -- e15 > /dev/null
 # The register-bytecode VM's instruction suite runs in release — the
 # same optimization level the benchmarks use.

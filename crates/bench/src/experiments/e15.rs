@@ -108,9 +108,9 @@ pub fn e15_report() -> RunReport {
             }
             if workers == 1 {
                 if lanes == 64 {
-                    lane_evals = r.total_evals();
+                    lane_evals = r.node_evals;
                 } else {
-                    scalar_evals = r.total_evals();
+                    scalar_evals = r.node_evals;
                 }
             }
         }
@@ -160,14 +160,11 @@ pub fn e15_lane_batching() -> String {
     for w in ["fir_dense", "conv_stream", "memsys_sparse"] {
         let scalar = rep.counter(&format!("sim_batch.{w}.scalar.node_evals"));
         let lanes = rep.counter(&format!("sim_batch.{w}.lanes.node_evals"));
-        let fallback = rep.counter(&format!("sim_batch.{w}.lanes.fallback_evals"));
-        let lane_work = lanes + fallback;
         rows.push(vec![
             w.to_string(),
             scalar.to_string(),
             lanes.to_string(),
-            fallback.to_string(),
-            format!("{:.2}x", scalar as f64 / lane_work.max(1) as f64),
+            format!("{:.2}x", scalar as f64 / lanes.max(1) as f64),
         ]);
     }
     out.push_str(&render_table(
@@ -175,7 +172,6 @@ pub fn e15_lane_batching() -> String {
             "workload",
             "scalar64 node_evals",
             "lane dispatches",
-            "lane fallbacks",
             "work ratio",
         ],
         &rows,
@@ -220,11 +216,7 @@ mod tests {
             let lane_work = counters
                 .get(&format!("sim_batch.{w}.lanes.node_evals"))
                 .and_then(Json::as_u64)
-                .unwrap()
-                + counters
-                    .get(&format!("sim_batch.{w}.lanes.fallback_evals"))
-                    .and_then(Json::as_u64)
-                    .unwrap();
+                .unwrap();
             assert!(
                 lane_work * 8 <= scalar,
                 "{w}: lane work {lane_work} vs scalar {scalar}"

@@ -28,8 +28,10 @@ pub fn untimed_fir(xs: &[i64; BLOCK]) -> [i64; BLOCK] {
     ys
 }
 
-/// Level 1 — **interpreted SLM-C**: the same untimed model executed by the
-/// `dfv-slmir` interpreter (an interpreted, rather than compiled, C model).
+/// Level 1 — **SLM-C**: the same untimed model executed by `dfv-slmir`,
+/// either on the tree-walking interpreter ([`InterpFir::run`]) or compiled
+/// to `dfv-vm` bytecode once and run on that ([`run_block`] over
+/// [`Interp::new_compiled`] of [`InterpFir::program`]).
 pub struct InterpFir {
     prog: Program,
 }
@@ -42,25 +44,34 @@ impl InterpFir {
         }
     }
 
-    /// Processes one block.
-    pub fn run(&self, xs: &[i64; BLOCK]) -> [i64; BLOCK] {
-        let s8 = ScalarTy {
-            width: 8,
-            signed: true,
-        };
-        let arr = Value::Array(xs.iter().map(|&x| Bv::from_i64(8, x)).collect(), s8);
-        let r = Interp::new(&self.prog)
-            .run("fir", &[arr])
-            .expect("fir executes");
-        let (_, Value::Array(ys, _)) = &r.outs[0] else {
-            panic!("fir has one out array")
-        };
-        let mut out = [0i64; BLOCK];
-        for (o, y) in out.iter_mut().zip(ys) {
-            *o = y.to_i64();
-        }
-        out
+    /// The parsed model.
+    pub fn program(&self) -> &Program {
+        &self.prog
     }
+
+    /// Processes one block on a fresh tree-walking interpreter.
+    pub fn run(&self, xs: &[i64; BLOCK]) -> [i64; BLOCK] {
+        run_block(&mut Interp::new(&self.prog), xs)
+    }
+}
+
+/// Processes one block of the FIR model on `interp`, whichever engine it
+/// runs.
+pub fn run_block(interp: &mut Interp, xs: &[i64; BLOCK]) -> [i64; BLOCK] {
+    let s8 = ScalarTy {
+        width: 8,
+        signed: true,
+    };
+    let arr = Value::Array(xs.iter().map(|&x| Bv::from_i64(8, x)).collect(), s8);
+    let r = interp.run("fir", &[arr]).expect("fir executes");
+    let (_, Value::Array(ys, _)) = &r.outs[0] else {
+        panic!("fir has one out array")
+    };
+    let mut out = [0i64; BLOCK];
+    for (o, y) in out.iter_mut().zip(ys) {
+        *o = y.to_i64();
+    }
+    out
 }
 
 impl Default for InterpFir {
@@ -211,12 +222,19 @@ mod tests {
     #[test]
     fn all_four_models_agree() {
         let interp = InterpFir::new();
+        let mut compiled = Interp::new_compiled(interp.program());
+        assert!(compiled.is_compiled("fir"));
         let mut cycle = CycleApproxFir::new();
         let mut rtl = RtlFir::new();
         for seed in 0..10 {
             let xs = sample_block(seed);
             let golden = untimed_fir(&xs);
             assert_eq!(interp.run(&xs), golden, "interp seed {seed}");
+            assert_eq!(
+                run_block(&mut compiled, &xs),
+                golden,
+                "compiled seed {seed}"
+            );
             assert_eq!(rtl.run(&xs), golden, "rtl seed {seed}");
         }
         // The cycle-approximate model keeps history across blocks (it has

@@ -26,9 +26,8 @@
 //! per-lane output hashes asserted identical before any counter is
 //! reported. `node_evals` counts kernel dispatches (VM instructions on
 //! the scalar side, lane kernels on the other), so the lane engine's
-//! dispatch count (plus its per-lane fallback evaluations for
-//! division-class ops) against the scalar instruction count is the
-//! honest work ratio.
+//! dispatch count against the scalar instruction count is the honest work
+//! ratio.
 
 use dfv_bits::limbs::limbs_for;
 use dfv_bits::{Bv, SplitMix64};
@@ -347,12 +346,10 @@ pub fn add_engine_sweep(rep: &mut RunReport, cycles: u64) {
 /// agree or this panics (a lane/scalar divergence is a simulator bug).
 ///
 /// `node_evals` counts kernel dispatches on both engines (VM
-/// instructions on the scalar side), and the lane engine's per-lane
-/// fallback evaluations (division-class ops) are reported — and charged —
-/// separately, so
-/// `sim_batch.<w>.scalar.node_evals` versus
-/// `sim_batch.<w>.lanes.node_evals + sim_batch.<w>.lanes.fallback_evals`
-/// is an apples-to-apples work comparison.
+/// instructions on the scalar side; every lane kernel, division included,
+/// runs in the lane domain), so `sim_batch.<w>.scalar.node_evals` versus
+/// `sim_batch.<w>.lanes.node_evals` is an apples-to-apples work
+/// comparison.
 pub fn add_batch_sweep(rep: &mut RunReport, cycles: u64) {
     rep.set_value("batch_lanes", Json::UInt(BATCH_LANES as u64));
     for w in &WORKLOADS {
@@ -378,7 +375,6 @@ pub fn add_batch_sweep(rep: &mut RunReport, cycles: u64) {
         let out_hash = scalar_hashes
             .iter()
             .fold(0xcbf29ce484222325u64, |h, &x| fnv_fold(h, x));
-        let lane_work = lane_stats.node_evals + lane_stats.lane_fallback_evals;
         rep.set_counter(
             format!("sim_batch.{}.scalar.node_evals", w.name),
             scalar_evals,
@@ -387,14 +383,10 @@ pub fn add_batch_sweep(rep: &mut RunReport, cycles: u64) {
             format!("sim_batch.{}.lanes.node_evals", w.name),
             lane_stats.node_evals,
         );
-        rep.set_counter(
-            format!("sim_batch.{}.lanes.fallback_evals", w.name),
-            lane_stats.lane_fallback_evals,
-        );
         rep.set_counter(format!("sim_batch.{}.out_hash", w.name), out_hash);
         rep.set_value(
             format!("node_evals_scalar_over_lanes_x100.{}", w.name),
-            Json::UInt(scalar_evals * 100 / lane_work.max(1)),
+            Json::UInt(scalar_evals * 100 / lane_stats.node_evals.max(1)),
         );
     }
 }
@@ -463,8 +455,6 @@ pub fn render_sim_batch(rep: &RunReport) -> String {
     for w in &WORKLOADS {
         let scalar = rep.counter(&format!("sim_batch.{}.scalar.node_evals", w.name));
         let lanes = rep.counter(&format!("sim_batch.{}.lanes.node_evals", w.name));
-        let fallback = rep.counter(&format!("sim_batch.{}.lanes.fallback_evals", w.name));
-        let lane_work = lanes + fallback;
         let (mut scalar_us, mut lanes_us) = (0u128, 0u128);
         for p in rep.phases() {
             if p.name == format!("{}.scalar64", w.name) {
@@ -477,8 +467,7 @@ pub fn render_sim_batch(rep: &RunReport) -> String {
             w.name.to_string(),
             scalar.to_string(),
             lanes.to_string(),
-            fallback.to_string(),
-            format!("{:.2}x", scalar as f64 / lane_work.max(1) as f64),
+            format!("{:.2}x", scalar as f64 / lanes.max(1) as f64),
             format!("{scalar_us}"),
             format!("{lanes_us}"),
             if lanes_us > 0 {
@@ -493,7 +482,6 @@ pub fn render_sim_batch(rep: &RunReport) -> String {
             "workload",
             "scalar64 node_evals",
             "lane dispatches",
-            "lane fallbacks",
             "work ratio",
             "scalar us",
             "lanes us",
@@ -502,7 +490,7 @@ pub fn render_sim_batch(rep: &RunReport) -> String {
         &rows,
     ));
     out.push_str(
-        "\nper-lane output hashes are asserted identical before any counter is reported;\nthe work ratio charges every per-lane fallback evaluation against the lane engine.\n",
+        "\nper-lane output hashes are asserted identical before any counter is reported.\n",
     );
     out
 }
@@ -558,8 +546,7 @@ mod tests {
         assert_eq!(a.canonical_json(), b.canonical_json());
         for w in ["fir_dense", "conv_stream", "memsys_sparse"] {
             let scalar = a.counter(&format!("sim_batch.{w}.scalar.node_evals"));
-            let lane_work = a.counter(&format!("sim_batch.{w}.lanes.node_evals"))
-                + a.counter(&format!("sim_batch.{w}.lanes.fallback_evals"));
+            let lane_work = a.counter(&format!("sim_batch.{w}.lanes.node_evals"));
             assert!(lane_work > 0, "{w}");
             assert!(
                 lane_work * 8 <= scalar,

@@ -161,19 +161,17 @@ impl StimulusSweep {
             }
         });
         let mut scenarios = Vec::with_capacity(self.scenarios);
-        let (mut node_evals, mut lane_fallback_evals) = (0u64, 0u64);
+        let mut node_evals = 0u64;
         for run in runs {
             let run = run?;
             scenarios.extend(run.hashes);
             node_evals += run.node_evals;
-            lane_fallback_evals += run.lane_fallback_evals;
         }
         Ok(StimulusSweepReport {
             seed: self.seed,
             cycles: self.cycles,
             scenarios,
             node_evals,
-            lane_fallback_evals,
         })
     }
 
@@ -255,9 +253,7 @@ impl StimulusSweep {
                 out_hash: h.finish(),
             });
         }
-        let stats = sim.stats();
-        run.node_evals = stats.node_evals;
-        run.lane_fallback_evals = stats.lane_fallback_evals;
+        run.node_evals = sim.stats().node_evals;
         Ok(run)
     }
 }
@@ -268,7 +264,6 @@ impl StimulusSweep {
 struct GroupRun {
     hashes: Vec<ScenarioOutcome>,
     node_evals: u64,
-    lane_fallback_evals: u64,
 }
 
 fn field_width(spec: &FieldSpec) -> u32 {
@@ -306,11 +301,10 @@ pub struct ScenarioOutcome {
 
 /// The result of one sweep.
 ///
-/// The work counters ([`Self::node_evals`], [`Self::lane_fallback_evals`])
-/// measure the engine, not the design's behaviour — they differ between
-/// scalar and batched execution by construction, so
-/// [`Self::to_run_report`] deliberately leaves them out of the canonical
-/// report.
+/// The work counter ([`Self::node_evals`]) measures the engine, not the
+/// design's behaviour — it differs between scalar and batched execution
+/// by construction, so [`Self::to_run_report`] deliberately leaves it out
+/// of the canonical report.
 #[derive(Debug, Clone)]
 pub struct StimulusSweepReport {
     /// The sweep seed everything derives from.
@@ -322,9 +316,6 @@ pub struct StimulusSweepReport {
     /// Kernel dispatches summed over every engine the sweep ran — the
     /// batched path's headline: one dispatch covers a whole lane group.
     pub node_evals: u64,
-    /// Per-lane scalar fallback evaluations (division and friends) the
-    /// batched engines performed. Always zero on the scalar path.
-    pub lane_fallback_evals: u64,
 }
 
 impl StimulusSweepReport {
@@ -338,11 +329,6 @@ impl StimulusSweepReport {
             h.write(&s.out_hash.to_le_bytes());
         }
         h.finish()
-    }
-
-    /// Total engine work: kernel dispatches plus per-lane fallbacks.
-    pub fn total_evals(&self) -> u64 {
-        self.node_evals + self.lane_fallback_evals
     }
 
     /// The sweep as a machine-readable [`RunReport`]. Only
@@ -508,13 +494,11 @@ mod tests {
         let scalar = sweep(1);
         let batched = sweep(64);
         assert_eq!(scalar.digest(), batched.digest());
-        assert_eq!(scalar.lane_fallback_evals, 0);
-        assert_eq!(batched.lane_fallback_evals, 0);
         assert!(
-            batched.total_evals() * 8 <= scalar.total_evals(),
+            batched.node_evals * 8 <= scalar.node_evals,
             "batched {} vs scalar {}",
-            batched.total_evals(),
-            scalar.total_evals()
+            batched.node_evals,
+            scalar.node_evals
         );
     }
 

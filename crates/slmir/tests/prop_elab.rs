@@ -6,6 +6,10 @@
 //! interpreter is also an oracle for the simulator, independent of the
 //! RTL crate's own differential suites.
 //!
+//! The same corpus pins the interpreter's two engines to each other: every
+//! entry compiles whole to `dfv-vm` bytecode, and the compiled run equals
+//! the tree-walk, result for result and error for error.
+//!
 //! Uses the in-tree `SplitMix64` so the suite runs offline; the seed is
 //! fixed, making every run reproducible.
 
@@ -106,6 +110,53 @@ fn interpreter_and_hardware_agree() {
                 &outs,
                 &format!("{entry} on {engine}, seeds {seeds:?}"),
             );
+        }
+    }
+}
+
+/// Seeded inputs per corpus entry for the engine-parity property.
+const PARITY_INPUTS: usize = 8;
+
+/// The compiled engine against the walker: identical `RunResult`s (return
+/// value, outs, exact step count) on seeded inputs, identical results or
+/// errors under every fuel budget from 1 to past the run's step count, and
+/// under call-depth budgets below and at the deepest call.
+#[test]
+fn compiled_engine_matches_the_walker() {
+    let mut rng = SplitMix64::new(0xE1AB_0002);
+    for &(src, entry) in CORPUS {
+        let prog = parse(src).unwrap();
+        let mut compiled = Interp::new_compiled(&prog);
+        assert!(compiled.is_compiled(entry), "{entry} must compile whole");
+        for k in 0..PARITY_INPUTS {
+            let seeds: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+            let (vals, _) = make_inputs(&prog, entry, &seeds);
+            let walked = Interp::new(&prog).run(entry, &vals).unwrap();
+            let what = format!("{entry}, seeds {seeds:?}");
+            assert_eq!(compiled.run(entry, &vals).unwrap(), walked, "{what}");
+            if k > 0 {
+                continue;
+            }
+            for fuel in 1..walked.steps + 3 {
+                assert_eq!(
+                    Interp::new_compiled(&prog)
+                        .with_fuel(fuel)
+                        .run(entry, &vals),
+                    Interp::new(&prog).with_fuel(fuel).run(entry, &vals),
+                    "{what}, fuel {fuel}"
+                );
+            }
+            for depth in 0..3 {
+                assert_eq!(
+                    Interp::new_compiled(&prog)
+                        .with_max_call_depth(depth)
+                        .run(entry, &vals),
+                    Interp::new(&prog)
+                        .with_max_call_depth(depth)
+                        .run(entry, &vals),
+                    "{what}, call depth {depth}"
+                );
+            }
         }
     }
 }

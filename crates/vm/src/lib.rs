@@ -4,7 +4,9 @@
 //! Both hot interpreters in the workspace lower into this one instruction
 //! set: `dfv-rtl` compiles its levelized [`SimSchedule`] into straight-line
 //! blocks of [`Instr`]s (one block per topological level), and `dfv-slmir`
-//! compiles the straight-line statement segments of SLM-C function bodies.
+//! compiles whole SLM-C functions, callees inlined, into basic blocks it
+//! drives with [`Program::run_range`] (control flow stays in its block
+//! table; array accesses are [`Instr::LoadIdx1`]/[`Instr::StoreIdx1`]).
 //! The original interpreters stay untouched as the semantic oracles — the
 //! simlin-engine recipe of pairing a bytecode VM with a reference
 //! interpreter kept as the spec.
@@ -24,8 +26,9 @@
 //!   slice — fuse into one instruction that writes *both* destination
 //!   slots, so peeking/tracing the intermediate value still works.
 //! * **No bounds checks in the hot loop.** [`Program::new`] validates
-//!   every operand offset against the declared arena length once;
-//!   execution then uses unchecked accesses. The only per-call check is a
+//!   every operand offset, and every indexed array's `base + len`, against
+//!   the declared arena length once; execution then uses unchecked
+//!   accesses (an index is reduced modulo `len` first). The only per-call check is a
 //!   single assert that the passed arena is big enough.
 //! * **Change detection.** Every instruction compares-before-write on its
 //!   final destination and reports whether the value changed, so the RTL
@@ -288,6 +291,21 @@ pub enum Instr {
         a: u32,
         sh: u8,
         w: u8,
+    },
+    /// `arena[dst] = arena[a + arena[i] % len]` — a read of the `len`-limb
+    /// array at `a` whose index wraps modulo the array length.
+    LoadIdx1 {
+        dst: u32,
+        a: u32,
+        len: u32,
+        i: u32,
+    },
+    /// `arena[a + arena[i] % len] = arena[src]`.
+    StoreIdx1 {
+        a: u32,
+        len: u32,
+        i: u32,
+        src: u32,
     },
     /// Sign-extend the `aw`-bit value to `ow` bits.
     Sext1 {
@@ -597,11 +615,6 @@ impl Program {
         Ok(Program { instrs, arena_len })
     }
 
-    /// The instruction sequence.
-    pub fn instrs(&self) -> &[Instr] {
-        &self.instrs
-    }
-
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.instrs.len()
@@ -815,6 +828,15 @@ unsafe fn exec(ins: &Instr, arena: &mut [u64], scratch: &mut Vec<u64>) -> bool {
             Sext1 { dst, a, aw, ow } => {
                 let v = (sx(rd(arena, a), aw) as u64) & mask(ow);
                 wr(arena, dst, v)
+            }
+            // The element is in bounds: `a + len <= arena_len` is validated.
+            LoadIdx1 { dst, a, len, i } => {
+                let v = rd(arena, a + (rd(arena, i) % len as u64) as u32);
+                wr(arena, dst, v)
+            }
+            StoreIdx1 { a, len, i, src } => {
+                let v = rd(arena, src);
+                wr(arena, a + (rd(arena, i) % len as u64) as u32, v)
             }
             Concat1 { dst, a, b, sh } => {
                 let v = (rd(arena, a) << sh) | rd(arena, b);
@@ -1208,6 +1230,11 @@ fn validate(ins: &Instr, arena_len: usize) -> Result<(), String> {
             } else {
                 Err(format!("slice sh {sh} + width {w} exceeds 64"))
             }
+        }
+        LoadIdx1 { dst: e, a, len, i } | StoreIdx1 { src: e, a, len, i } => {
+            limb(e, "element")?;
+            limb(i, "index")?;
+            span_l(a, len as usize, "array")
         }
         Sext1 { dst, a, aw, ow } => {
             limb(dst, "dst")?;

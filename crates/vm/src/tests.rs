@@ -950,3 +950,77 @@ fn exec_refuses_short_arena() {
     let mut arena = vec![0u64; 2];
     p.exec_one(0, &mut arena, &mut Vec::new());
 }
+
+#[test]
+fn indexed_load_store_wrap_modulo_the_array_length() {
+    // Array of 3 elements at slots 1..4; slot 0 is the index, slot 4 the
+    // value/destination. Every index, including huge ones, wraps mod 3.
+    for idx in [0u64, 1, 2, 3, 7, u64::MAX, 1 << 40] {
+        let mut arena = arena_of(&[idx, 10, 11, 12, 0]);
+        let load = Instr::LoadIdx1 {
+            dst: 4,
+            a: 1,
+            len: 3,
+            i: 0,
+        };
+        run1(load, &mut arena);
+        assert_eq!(arena[4], 10 + idx % 3, "load idx {idx}");
+
+        let mut arena = arena_of(&[idx, 10, 11, 12, 99]);
+        let store = Instr::StoreIdx1 {
+            a: 1,
+            len: 3,
+            i: 0,
+            src: 4,
+        };
+        assert!(run1(store, &mut arena));
+        let mut want = vec![idx, 10, 11, 12, 99];
+        want[1 + (idx % 3) as usize] = 99;
+        assert_eq!(arena, want, "store idx {idx}");
+        // Re-storing the same value reports no change.
+        assert!(!run1(store, &mut arena));
+    }
+}
+
+#[test]
+fn indexed_ops_validate_the_whole_array_range() {
+    let load = |a, len| Instr::LoadIdx1 {
+        dst: 0,
+        a,
+        len,
+        i: 0,
+    };
+    let store = |a, len| Instr::StoreIdx1 {
+        a,
+        len,
+        i: 0,
+        src: 0,
+    };
+    assert!(Program::new(vec![load(1, 3)], 4).is_ok());
+    assert!(Program::new(vec![store(1, 3)], 4).is_ok());
+    // base + len past the arena, a zero-length array, operands outside.
+    assert!(Program::new(vec![load(2, 3)], 4).is_err());
+    assert!(Program::new(vec![store(2, 3)], 4).is_err());
+    assert!(Program::new(vec![load(1, 0)], 4).is_err());
+    assert!(Program::new(vec![store(1, 0)], 4).is_err());
+    assert!(Program::new(
+        vec![Instr::LoadIdx1 {
+            dst: 4,
+            a: 0,
+            len: 1,
+            i: 0
+        }],
+        4
+    )
+    .is_err());
+    assert!(Program::new(
+        vec![Instr::StoreIdx1 {
+            a: 0,
+            len: 1,
+            i: 4,
+            src: 0
+        }],
+        4
+    )
+    .is_err());
+}

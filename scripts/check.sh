@@ -129,8 +129,11 @@ run cargo test -q --release -p dfv-designs --test prop_sim_diff
 run cargo test -q --release -p dfv-bits -p dfv-rtl -p dfv-cosim -p dfv-core -p dfv-designs
 run cargo run --release -q -p dfv-bench --bin experiments -- e15 > /dev/null
 # The register-bytecode VM's instruction suite runs in release — the
-# same optimization level the benchmarks use.
+# same optimization level the benchmarks use — and so does dfv-slmir's,
+# whose prop_elab pins compiled SLM-C functions to the tree-walker
+# (identical RunResults, and identical fuel and call-depth errors).
 run cargo test -q --release -p dfv-vm
+run cargo test -q --release -p dfv-slmir
 run cargo run --release -q -p dfv-bench --bin experiments -- e16 > /dev/null
 # Stress the determinism property tests with the test harness itself
 # running them concurrently (worker pools inside worker pools), and the

@@ -65,6 +65,7 @@ mod error;
 mod fixed;
 mod fmt;
 mod fourstate;
+mod hash;
 pub mod limbs;
 mod logic;
 mod rng;
@@ -73,4 +74,5 @@ pub use bv::Bv;
 pub use error::ParseBvError;
 pub use fixed::{Fx, OverflowMode, RoundingMode};
 pub use fourstate::Xv;
+pub use hash::FxHasher;
 pub use rng::SplitMix64;

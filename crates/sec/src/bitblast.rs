@@ -16,54 +16,13 @@
 //! gets exactly the CNF an eager encoder would have built.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
-use dfv_bits::Bv;
+use dfv_bits::{Bv, FxHasher};
 use dfv_rtl::ir::{BinOp, UnOp};
 use dfv_sat::{Budget, Lit, SolveResult, Solver};
 
 use crate::word::{Word, WordDag, WordId};
-
-/// An FxHash-style hasher for the gate caches and the word DAG. Gate keys
-/// are two literal indices packed into one `u64`, so one multiply mixes
-/// every key bit into the high half, and the final rotate brings that
-/// half down to the low bits the table indexes by. It has no random seed, so lookups cost
-/// the same on every run, and it is far cheaper than the default SipHash
-/// for keys this small.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.write_u64(u64::from_le_bytes(c.try_into().expect("8 bytes")));
-        }
-        for &b in chunks.remainder() {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
 
 /// Gate cache: packed operand pair to output literal.
 type GateCache = HashMap<u64, Lit, BuildHasherDefault<FxHasher>>;
@@ -853,14 +812,20 @@ impl BitBlaster {
     }
 
     /// The model value of word `id` after a satisfiable
-    /// [`BitBlaster::solve`]. A word no lowered cone reached is
-    /// unconstrained and reads as 0.
+    /// [`BitBlaster::solve`]. A word that was not lowered is evaluated
+    /// from its leaves; a leaf no lowered cone reached is unconstrained
+    /// and reads as 0.
     pub fn model_value(&self, dag: &WordDag, id: WordId) -> Bv {
         if self.is_lowered(id) {
-            model_word(&self.solver, &self.words[id.index()])
-        } else {
-            Bv::zero(dag.width(id))
+            return model_word(&self.solver, &self.words[id.index()]);
         }
+        dag.eval(id, &mut |leaf| {
+            if self.is_lowered(leaf) {
+                model_word(&self.solver, &self.words[leaf.index()])
+            } else {
+                Bv::zero(dag.width(leaf))
+            }
+        })
     }
 }
 

@@ -14,7 +14,7 @@ use dfv_sat::{Budget, ExhaustedReason, SolveResult};
 
 use crate::bitblast::BitBlaster;
 use crate::spec::{InitState, SecError};
-use crate::unroll::SymbolicSim;
+use crate::unroll::{output_driver, SymbolicSim};
 use crate::word::{WordDag, WordId};
 
 /// A violating trace found by [`check_property`].
@@ -71,11 +71,12 @@ pub fn check_property(module: &Module, property: &str, bound: u32) -> Result<Bmc
     let mut dag = WordDag::new();
     let mut bb = BitBlaster::new();
     let mut sym = SymbolicSim::new(&mut dag, module, InitState::Reset)?;
+    let demand = [output_driver(module, property)];
     let mut input_words: Vec<Vec<WordId>> = Vec::new();
     let mut props: Vec<WordId> = Vec::new();
     for _ in 0..bound {
         let inputs: Vec<WordId> = module.inputs.iter().map(|p| dag.leaf(p.width)).collect();
-        let cyc = sym.step(&mut dag, &inputs);
+        let cyc = sym.step(&mut dag, &inputs, &demand);
         props.push(cyc.output(module, property));
         input_words.push(inputs);
     }
@@ -181,12 +182,13 @@ fn check_property_budgeted_inner(
             return Err(e);
         }
     };
+    let demand = [output_driver(module, property)];
     let mut input_words: Vec<Vec<WordId>> = Vec::new();
     let mut outcome = None;
     let mut holds_up_to = 0u32;
     for depth in 0..bound {
         let inputs: Vec<WordId> = module.inputs.iter().map(|p| dag.leaf(p.width)).collect();
-        let cyc = sym.step(&mut dag, &inputs);
+        let cyc = sym.step(&mut dag, &inputs, &demand);
         let prop = cyc.output(module, property);
         let violated = !bb.lower(&dag, prop)[0];
         input_words.push(inputs);

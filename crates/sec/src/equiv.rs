@@ -8,14 +8,15 @@ use std::time::{Duration, Instant};
 use dfv_bits::Bv;
 use dfv_cosim::{FieldSpec, StimulusGen};
 use dfv_obs::{ObsHook, SharedRecorder};
-use dfv_rtl::{Module, Simulator};
+use dfv_rtl::ir::BinOp;
+use dfv_rtl::{Module, NodeId, Simulator};
 use dfv_sat::{Budget, ExhaustedReason, Lit, SolveResult, SolverStats};
 
 use crate::bitblast::BitBlaster;
 use crate::spec::{Binding, EquivSpec, InitState, SecError};
 use crate::sweep::{SweepOptions, SweepStats, Sweeper};
-use crate::unroll::{eval_comb_symbolic, SymbolicSim};
-use crate::word::{WordDag, WordId};
+use crate::unroll::{eval_comb_symbolic, output_driver, SymbolicCycle, SymbolicSim};
+use crate::word::{Word, WordDag, WordId};
 
 /// One output disagreement within a counterexample.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,6 +184,12 @@ pub struct EquivReport {
     /// the same node of the normalized word DAG, so they cost no SAT
     /// work.
     pub word_closed: usize,
+    /// Words in the miter's DAG: both sides, every unrolled cycle's
+    /// demanded logic, the bindings and the constraints.
+    pub dag_words: usize,
+    /// SLM inputs a constraint narrowed before the miter was built
+    /// (`x <u 2^k`, `2^w - 2^k <=u x` or `x == c`; see DESIGN.md §19).
+    pub constraint_facts: usize,
     /// CNF variables allocated. Only the cones of lowered words allocate
     /// any: the open compare points, the constraints they are checked
     /// under, and (with the sweep on) every node word the sweep visits.
@@ -334,6 +341,8 @@ fn check_equivalence_inner(
     let cnf_vars = ctx.bb.solver().num_vars();
     let cnf_clauses = ctx.bb.solver().num_clauses();
     obs.add("sec.word_closed", word_closed as u64);
+    obs.add("sec.dag_words", ctx.dag_words as u64);
+    obs.add("sec.constraint_facts", ctx.constraint_facts as u64);
     obs.add("sec.cnf_vars", cnf_vars as u64);
     obs.add("sec.cnf_clauses", cnf_clauses as u64);
     if let Some(s) = &ctx.sweep {
@@ -403,6 +412,8 @@ fn check_equivalence_inner(
     Ok(EquivReport {
         outcome,
         word_closed,
+        dag_words: ctx.dag_words,
+        constraint_facts: ctx.constraint_facts,
         cnf_vars,
         cnf_clauses,
         solver_stats: ctx.bb.solver().stats(),
@@ -536,14 +547,91 @@ struct MiterCtx {
     slm_words: HashMap<String, WordId>,
     free_words: HashMap<(usize, u32), WordId>,
     initial_reg_words: Vec<WordId>,
+    /// Words in the DAG once both sides are built.
+    dag_words: usize,
+    /// SLM inputs replaced by a constraint-derived form.
+    constraint_facts: usize,
     sweep: Option<SweepStats>,
 }
 
+/// Reads an exact input fact off a constraint word: if `ok` is one of
+///
+/// - `x <u 2^k`, the word `x` can be is `zext(y)` for a fresh `k`-bit `y`;
+/// - `2^w - 2^k <=u x`, it is `{ones, y}` for a fresh `k`-bit `y`;
+/// - `x == c`, it is `c`,
+///
+/// where `x` is `inputs[i]` and still the leaf `leaves[i]`, returns `i`
+/// and that form. The form ranges over exactly the values of `x` the
+/// constraint admits, so substituting it for `x` leaves the constrained
+/// input space unchanged. Every other constraint reaches only the solver.
+fn input_fact(
+    dag: &mut WordDag,
+    ok: WordId,
+    leaves: &[WordId],
+    inputs: &[WordId],
+) -> Option<(usize, WordId)> {
+    let free = |x: WordId| (0..leaves.len()).find(|&i| leaves[i] == x && inputs[i] == x);
+    match *dag.word(ok) {
+        Word::Bin(BinOp::ULt, x, k) => {
+            let i = free(x)?;
+            let c = dag.const_value(k)?;
+            if c.count_ones() != 1 {
+                return None;
+            }
+            let bits = (0..c.width()).find(|&b| c.bit(b)).expect("one bit set");
+            let w = dag.width(x);
+            Some((i, narrowed(dag, w, bits, false)))
+        }
+        Word::Bin(BinOp::ULe, k, x) => {
+            let i = free(x)?;
+            let c = dag.const_value(k)?;
+            let w = c.width();
+            let ones = c.count_ones();
+            let bits = w - ones;
+            if ones == 0 || !c.slice(w - 1, bits).is_ones() {
+                return None;
+            }
+            Some((i, narrowed(dag, w, bits, true)))
+        }
+        Word::Bin(BinOp::Eq, a, b) => {
+            let (i, c) = match (free(a), free(b)) {
+                (Some(i), _) if dag.const_value(b).is_some() => (i, b),
+                (_, Some(i)) if dag.const_value(a).is_some() => (i, a),
+                _ => return None,
+            };
+            Some((i, c))
+        }
+        _ => None,
+    }
+}
+
+/// A `w`-bit word whose low `bits` bits are a fresh leaf and whose high
+/// bits are all ones (`high`) or all zeros.
+fn narrowed(dag: &mut WordDag, w: u32, bits: u32, high: bool) -> WordId {
+    let fill = if high { Bv::ones(w) } else { Bv::zero(w) };
+    if bits == 0 {
+        return dag.constant(&fill);
+    }
+    let low = dag.leaf(bits);
+    if high {
+        let top = dag.constant(&Bv::ones(w - bits));
+        dag.concat(top, low)
+    } else {
+        dag.zext(low, w)
+    }
+}
+
 /// Builds the miter. Both sides are evaluated into one [`WordDag`]: the
-/// SLM once, the RTL cycle by cycle. A compare point whose two words are
-/// the same node is closed; only the open points' cones, and the
-/// constraints they are checked under, are lowered into the
-/// [`BitBlaster`].
+/// SLM once, the RTL cycle by cycle, each demanding only the outputs the
+/// compare points read. A compare point whose two words are the same
+/// node is closed; only the open points' cones, and the constraints they
+/// are checked under, are lowered into the [`BitBlaster`].
+///
+/// Before either side is built, each constraint is read for an exact
+/// input fact ([`input_fact`]), and an SLM input it narrows is replaced
+/// by the narrowed form everywhere, so the DAG's rewrites see the fact.
+/// The constraints themselves are re-evaluated over the replaced inputs
+/// and still asserted whenever a point is open.
 ///
 /// With sweeping enabled, both modules are first canonicalized by
 /// `dfv_rtl::optimize` and the *optimized* modules are encoded; every
@@ -576,22 +664,38 @@ fn build_miter(
     let mut dag = WordDag::new();
     let mut bb = BitBlaster::new();
 
-    // Symbolic SLM inputs.
+    // Symbolic SLM inputs, narrowed by the constraints' input facts.
+    let leaves: Vec<WordId> = slm.inputs.iter().map(|p| dag.leaf(p.width)).collect();
+    let mut slm_input_vec = leaves.clone();
+    let eval_constraints = |dag: &mut WordDag, inputs: &[WordId]| -> Vec<WordId> {
+        spec.constraints
+            .iter()
+            .map(|c| {
+                let ins: Vec<WordId> = c
+                    .inputs
+                    .iter()
+                    .map(|p| inputs[slm.input_index(&p.name).expect("validated")])
+                    .collect();
+                eval_comb_symbolic(dag, c, &ins).output(c, &c.outputs[0].name)
+            })
+            .collect()
+    };
+    let mut constraints = eval_constraints(&mut dag, &slm_input_vec);
+    let mut constraint_facts = 0;
+    for &ok in &constraints {
+        if let Some((i, form)) = input_fact(&mut dag, ok, &leaves, &slm_input_vec) {
+            slm_input_vec[i] = form;
+            constraint_facts += 1;
+        }
+    }
+    if constraint_facts > 0 {
+        constraints = eval_constraints(&mut dag, &slm_input_vec);
+    }
     let slm_words: HashMap<String, WordId> = slm
         .inputs
         .iter()
-        .map(|p| (p.name.clone(), dag.leaf(p.width)))
-        .collect();
-    let slm_input_vec: Vec<WordId> = slm.inputs.iter().map(|p| slm_words[&p.name]).collect();
-
-    // Environment constraints.
-    let constraints: Vec<WordId> = spec
-        .constraints
-        .iter()
-        .map(|c| {
-            let ins: Vec<WordId> = c.inputs.iter().map(|p| slm_words[&p.name]).collect();
-            eval_comb_symbolic(&mut dag, c, &ins).output(c, &c.outputs[0].name)
-        })
+        .zip(&slm_input_vec)
+        .map(|(p, &w)| (p.name.clone(), w))
         .collect();
     let assert_constraints = |dag: &WordDag, bb: &mut BitBlaster| {
         for &ok in &constraints {
@@ -600,20 +704,41 @@ fn build_miter(
         }
     };
 
-    // SLM evaluation. With the sweep on, every site's node words are kept
-    // for it: the SLM's, then each RTL cycle's.
-    let slm_cycle = eval_comb_symbolic(&mut dag, slm, &slm_input_vec);
+    // SLM evaluation: the compared outputs, or with the sweep on every
+    // node, whose words the sweep keeps per site: the SLM's, then each
+    // RTL cycle's.
+    let all_nodes = |m: &Module| m.node_ids().collect::<Vec<_>>();
+    let slm_demand: Vec<NodeId> = if sweep.enabled {
+        all_nodes(slm)
+    } else {
+        spec.compares
+            .iter()
+            .map(|cp| output_driver(slm, &cp.slm_output))
+            .collect()
+    };
+    let mut slm_sim = SymbolicSim::new(&mut dag, slm, InitState::Reset)?;
+    let slm_cycle = slm_sim.step(&mut dag, &slm_input_vec, &slm_demand);
     let mut sites = Vec::new();
+    let site_words = |cycle: &SymbolicCycle, m: &Module| -> Vec<WordId> {
+        m.node_ids()
+            .map(|id| cycle.node(id).expect("the sweep demands every node"))
+            .collect()
+    };
     if sweep.enabled {
-        sites.push(slm_cycle.nodes.clone());
+        sites.push(site_words(slm_cycle, slm));
     }
 
-    // RTL unrolling.
+    // RTL unrolling, each cycle demanding the outputs compared on it.
     let mut binding_at: HashMap<(usize, u32), &Binding> = HashMap::new();
     for (port, cycle, b) in &spec.bindings {
         let idx = rtl.input_index(port).expect("validated");
         binding_at.insert((idx, *cycle), b);
     }
+    let rtl_all = if sweep.enabled {
+        all_nodes(rtl)
+    } else {
+        Vec::new()
+    };
     let mut sym = SymbolicSim::new(&mut dag, rtl, spec.init)?;
     let initial_reg_words = sym.reg_state().to_vec();
     // Free-binding words, recorded for counterexample extraction.
@@ -621,6 +746,7 @@ fn build_miter(
     // The RTL words the compare points read, captured as each cycle is
     // unrolled.
     let mut rtl_outs: Vec<Option<WordId>> = vec![None; spec.compares.len()];
+    let mut demand = Vec::new();
     for t in 0..spec.rtl_cycles {
         let inputs: Vec<WordId> = rtl
             .inputs
@@ -638,9 +764,20 @@ fn build_miter(
                 None => dag.constant(&Bv::zero(p.width)),
             })
             .collect();
-        let cycle = sym.step(&mut dag, &inputs);
+        demand.clear();
         if sweep.enabled {
-            sites.push(cycle.nodes.clone());
+            demand.extend_from_slice(&rtl_all);
+        } else {
+            demand.extend(
+                spec.compares
+                    .iter()
+                    .filter(|cp| cp.rtl_cycle == t)
+                    .map(|cp| output_driver(rtl, &cp.rtl_output)),
+            );
+        }
+        let cycle = sym.step(&mut dag, &inputs, &demand);
+        if sweep.enabled {
+            sites.push(site_words(cycle, rtl));
         }
         for (cp, out) in spec.compares.iter().zip(&mut rtl_outs) {
             if cp.rtl_cycle == t {
@@ -663,6 +800,7 @@ fn build_miter(
             (s, r.expect("validated compare cycle"))
         })
         .collect();
+    let dag_words = dag.len();
     // Nothing is lowered unless some point is open. The constraints are
     // lowered first, so their assertions are emitted before the gates
     // they constrain and the solver simplifies those gates' clauses
@@ -707,6 +845,8 @@ fn build_miter(
         slm_words,
         free_words,
         initial_reg_words,
+        dag_words,
+        constraint_facts,
         sweep: sweep_stats,
     })
 }
@@ -750,23 +890,46 @@ fn concretize_rtl_inputs(
         .collect()
 }
 
-/// The simulator pair counterexample replay runs on: built once per
-/// check, [`Simulator::reset`] before every transaction, so replaying
-/// many transactions pays for one lowering of each model.
+/// The simulators counterexample replay runs on: the model pair and one
+/// per spec constraint, built once per check and reset before every
+/// transaction, so replaying many transactions pays for one lowering of
+/// each model.
 struct Replayer {
     slm: Simulator,
     rtl: Simulator,
+    constraints: Vec<Simulator>,
 }
 
 impl Replayer {
     /// `Simulator::new` only fails on malformed modules; both modules were
-    /// already accepted by `check_module` in `build_miter`, so the
-    /// `expect`s are invariant-protected.
-    fn new(slm: &Module, rtl: &Module) -> Self {
+    /// already accepted by `check_module` in `build_miter`, and
+    /// `spec.validate` checked the constraint modules, so the `expect`s are
+    /// invariant-protected.
+    fn new(slm: &Module, rtl: &Module, spec: &EquivSpec) -> Self {
         Replayer {
             slm: Simulator::new(slm.clone()).expect("validated slm"),
             rtl: Simulator::new(rtl.clone()).expect("validated rtl"),
+            constraints: spec
+                .constraints
+                .iter()
+                .map(|c| Simulator::new(c.clone()).expect("validated constraint"))
+                .collect(),
         }
+    }
+
+    /// Whether concrete SLM inputs satisfy every spec constraint.
+    fn admits(&mut self, spec: &EquivSpec, slm_map: &HashMap<&str, &Bv>) -> bool {
+        self.constraints
+            .iter_mut()
+            .zip(&spec.constraints)
+            .all(|(sim, c)| {
+                let ins: Vec<(&str, Bv)> = c
+                    .inputs
+                    .iter()
+                    .map(|p| (p.name.as_str(), (*slm_map[p.name.as_str()]).clone()))
+                    .collect();
+                sim.eval_comb(&ins)[&c.outputs[0].name].bit(0)
+            })
     }
 
     /// Concretely replays one transaction on both simulators: per compare
@@ -865,7 +1028,24 @@ impl Witness {
     }
 
     /// Replays the transaction: per compare point, the mismatch if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the SLM inputs violate a spec constraint. The solver
+    /// only answers under the asserted constraints, and an input a
+    /// constraint narrowed reads back through its narrowed form, so a
+    /// violating witness means the encoding or a substitution is unsound;
+    /// it must never be reported as a counterexample.
     fn replay(&self, replayer: &mut Replayer, spec: &EquivSpec) -> Vec<Option<Mismatch>> {
+        let slm_map: HashMap<&str, &Bv> = self
+            .slm_inputs
+            .iter()
+            .map(|(n, v)| (n.as_str(), v))
+            .collect();
+        assert!(
+            replayer.admits(spec, &slm_map),
+            "SAT model violates a spec constraint: encoding soundness bug"
+        );
         replayer.mismatches(spec, &self.slm_inputs, &self.rtl_inputs, &self.initial_regs)
     }
 }
@@ -890,7 +1070,7 @@ fn extract_and_replay(
     required: &[Lit],
     budget: &Budget,
 ) -> Counterexample {
-    let mut replayer = Replayer::new(slm, rtl);
+    let mut replayer = Replayer::new(slm, rtl, spec);
     let mut witness = Witness::from_model(ctx, slm, rtl, spec);
     let mut replayed = witness.replay(&mut replayer, spec);
     let mut chosen = required.to_vec();
@@ -980,13 +1160,7 @@ fn simulate_falsify(
             );
         }
     }
-    // Constraint modules are validated combinational by `spec.validate`.
-    let mut constraint_sims: Vec<Simulator> = spec
-        .constraints
-        .iter()
-        .map(|c| Simulator::new(c.clone()).expect("validated constraint"))
-        .collect();
-    let mut replayer = Replayer::new(slm, rtl);
+    let mut replayer = Replayer::new(slm, rtl, spec);
 
     let mut replayed = 0u64;
     let max_draws = transactions.saturating_mul(16);
@@ -1002,18 +1176,7 @@ fn simulate_falsify(
         let slm_map: HashMap<&str, &Bv> = slm_inputs.iter().map(|(n, v)| (n.as_str(), v)).collect();
 
         // Reject draws that violate an environment constraint.
-        let ok = constraint_sims
-            .iter_mut()
-            .zip(&spec.constraints)
-            .all(|(sim, c)| {
-                let ins: Vec<(&str, Bv)> = c
-                    .inputs
-                    .iter()
-                    .map(|p| (p.name.as_str(), (*slm_map[p.name.as_str()]).clone()))
-                    .collect();
-                sim.eval_comb(&ins)[&c.outputs[0].name].bit(0)
-            });
-        if !ok {
+        if !replayer.admits(spec, &slm_map) {
             continue;
         }
         replayed += 1;
@@ -1286,6 +1449,135 @@ mod tests {
         let spec = spec.constrain(constraint);
         let report = check_equivalence(&slm, &rtl, &spec).unwrap();
         assert!(report.outcome.is_equivalent());
+    }
+
+    /// A 4-bit `addr` constrained by `constraint(addr)` (a 1-bit output).
+    fn addr_constraint(name: &str, build: fn(&mut ModuleBuilder, NodeId) -> NodeId) -> Module {
+        let mut cb = ModuleBuilder::new(name);
+        let a = cb.input("addr", 4);
+        let ok = build(&mut cb, a);
+        cb.output("ok", ok);
+        cb.finish().unwrap()
+    }
+
+    #[test]
+    fn counterexample_satisfies_a_substituted_constraint_outside_its_cone() {
+        // The mismatch (`y` against `y ^ 1`) does not read `addr`, so no
+        // open point's cone reaches it; the constraint narrows it all the
+        // same, and the reported witness must read it back through its
+        // narrowed form and satisfy the constraint.
+        let mut sb = ModuleBuilder::new("slm");
+        let y = sb.input("y", 8);
+        sb.input("addr", 4);
+        sb.output("return", y);
+        let slm = sb.finish().unwrap();
+
+        let mut rb = ModuleBuilder::new("rtl");
+        let y = rb.input("y", 8);
+        let one = rb.lit(8, 1);
+        let out = rb.xor(y, one);
+        rb.output("out", out);
+        let rtl = rb.finish().unwrap();
+
+        // `8 <= addr` (read back through `{1, a'}`, which the asserted
+        // constraint lowers) and `addr == 11` (a constant, which nothing
+        // lowers).
+        let high: fn(&mut ModuleBuilder, NodeId) -> NodeId = |b, a| {
+            let eight = b.lit(4, 8);
+            b.ule(eight, a)
+        };
+        let eleven: fn(&mut ModuleBuilder, NodeId) -> NodeId = |b, a| {
+            let k = b.lit(4, 11);
+            b.eq(a, k)
+        };
+        for (build, admitted) in [(high, 8..16), (eleven, 11..12)] {
+            let spec = EquivSpec::new(1)
+                .bind("y", 0, Binding::Slm("y".into()))
+                .compare("return", "out", 0)
+                .constrain(addr_constraint("on_addr", build));
+            let report = check_equivalence(&slm, &rtl, &spec).unwrap();
+            assert_eq!(report.constraint_facts, 1);
+            let EquivOutcome::NotEquivalent(cex) = &report.outcome else {
+                panic!("expected a counterexample, got {:?}", report.outcome);
+            };
+            let addr = &cex.slm_inputs.iter().find(|(n, _)| n == "addr").unwrap().1;
+            assert!(admitted.contains(&addr.to_u64()), "addr = {addr}");
+            // The counterexample replays.
+            let mut sim = Simulator::new(rtl.clone()).unwrap();
+            let yv = &cex.slm_inputs.iter().find(|(n, _)| n == "y").unwrap().1;
+            sim.poke("y", yv.clone());
+            assert_eq!(sim.output("out"), cex.mismatches[0].rtl_value);
+            assert_eq!(*yv, cex.mismatches[0].slm_value);
+            assert_ne!(cex.mismatches[0].slm_value, cex.mismatches[0].rtl_value);
+        }
+    }
+
+    #[test]
+    fn constraint_facts_narrow_inputs_and_close_the_bank_lookup() {
+        // A 16-entry table read by a 4-bit address, against an 8-entry
+        // table read by its low 3 bits: equal exactly when the address
+        // is in the low half. The constraint narrows `addr` to
+        // `zext(a')`, the table's upper-half compares fold away, and both
+        // sides become one word.
+        let table: Vec<u64> = (0..16).map(|i| (i * 37 + 11) & 0xFF).collect();
+        let lookup = |b: &mut ModuleBuilder, idx: NodeId, entries: &[u64]| {
+            let w = b.node_width(idx);
+            let mut acc = b.lit(8, 0);
+            for (i, &v) in entries.iter().enumerate() {
+                let iv = b.lit(w, i as u64);
+                let hit = b.eq(idx, iv);
+                let val = b.lit(8, v);
+                acc = b.mux(hit, val, acc);
+            }
+            acc
+        };
+        let mut sb = ModuleBuilder::new("slm");
+        let a = sb.input("addr", 4);
+        let y = lookup(&mut sb, a, &table);
+        sb.output("return", y);
+        let slm = sb.finish().unwrap();
+        let mut rb = ModuleBuilder::new("rtl");
+        let a = rb.input("addr", 4);
+        let low = rb.trunc(a, 3);
+        let y = lookup(&mut rb, low, &table[..8]);
+        rb.output("out", y);
+        let rtl = rb.finish().unwrap();
+        let spec = EquivSpec::new(1)
+            .bind("addr", 0, Binding::Slm("addr".into()))
+            .compare("return", "out", 0);
+
+        // Unconstrained: the upper half differs.
+        let report = check_equivalence(&slm, &rtl, &spec).unwrap();
+        assert!(!report.outcome.is_equivalent());
+        assert_eq!(report.constraint_facts, 0);
+
+        for (k, bound) in [(1, 8u64), (0, 12)] {
+            let c = if bound == 8 {
+                addr_constraint("low_half", |b, a| {
+                    let k = b.lit(4, 8);
+                    b.ult(a, k)
+                })
+            } else {
+                // `addr < 12` is no power of two: solver only.
+                addr_constraint("below_12", |b, a| {
+                    let k = b.lit(4, 12);
+                    b.ult(a, k)
+                })
+            };
+            let report = check_equivalence(&slm, &rtl, &spec.clone().constrain(c)).unwrap();
+            assert_eq!(report.constraint_facts, k, "addr < {bound}");
+            if bound == 8 {
+                assert!(report.outcome.is_equivalent());
+                assert_eq!(report.word_closed, 1);
+                assert_eq!(report.cnf_vars, 1);
+            } else {
+                let EquivOutcome::NotEquivalent(cex) = &report.outcome else {
+                    panic!("addr in 8..12 differs");
+                };
+                let addr = cex.slm_inputs[0].1.to_u64();
+                assert!((8..12).contains(&addr), "addr = {addr}");
+            }
+        }
     }
 
     #[test]

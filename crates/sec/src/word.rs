@@ -20,7 +20,10 @@
 //! - a slice of a `zext`/`sext` becomes the operand, a slice of it, or
 //!   the same kind of extension of it;
 //! - `LShr`/`AShr` by a constant becomes a `zext`/`sext` of a slice of
-//!   the operand, so a later slice lands on the operand itself.
+//!   the operand, so a later slice lands on the operand itself;
+//! - `zext(y) == c` and `{h, y} == c` (`h` constant), and their `Ne`
+//!   forms, fold to a constant when `c`'s high bits disagree with the
+//!   known ones and compare `y` with `c`'s low bits otherwise.
 //!
 //! Each rule is an identity of modular bit-vector arithmetic. A product of
 //! two non-constant words stays one opaque term (operands in id order)
@@ -36,15 +39,13 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use dfv_bits::Bv;
+use dfv_bits::{Bv, FxHasher};
 use dfv_rtl::ir::{BinOp, UnOp};
 use dfv_rtl::{eval_bin, eval_un};
 
-use crate::bitblast::FxHasher;
-
 /// The id of a word in a [`WordDag`]. Operands always have smaller ids
 /// than the words built from them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WordId(u32);
 
 impl WordId {
@@ -265,12 +266,10 @@ impl WordDag {
         let w = self.width(a);
         match op {
             BinOp::Add | BinOp::Sub => {
-                let mut lin = self.lin_of(a);
-                let scale = if op == BinOp::Add {
-                    Bv::from_u64(w, 1)
-                } else {
-                    Bv::ones(w)
-                };
+                let one = Bv::from_u64(w, 1);
+                let mut lin = Lin::zero(w);
+                self.lin_add(&mut lin, a, &one);
+                let scale = if op == BinOp::Add { one } else { Bv::ones(w) };
                 self.lin_add(&mut lin, b, &scale);
                 self.finish_lin(lin)
             }
@@ -296,12 +295,43 @@ impl WordDag {
             },
             BinOp::And | BinOp::Or | BinOp::Xor => self.bitwise(op, a, b),
             BinOp::Eq | BinOp::Ne if a == b => self.constant(&Bv::from_bool(op == BinOp::Eq)),
-            BinOp::Eq | BinOp::Ne => self.intern(Word::Bin(op, a.min(b), a.max(b)), 1),
+            BinOp::Eq | BinOp::Ne => {
+                match self.eq_split(op, a, b).or_else(|| self.eq_split(op, b, a)) {
+                    Some(v) => v,
+                    None => self.intern(Word::Bin(op, a.min(b), a.max(b)), 1),
+                }
+            }
             BinOp::ULt | BinOp::SLt if a == b => self.constant(&Bv::from_bool(false)),
             BinOp::ULe | BinOp::SLe if a == b => self.constant(&Bv::from_bool(true)),
             _ if op.is_comparison() => self.intern(Word::Bin(op, a, b), 1),
             _ => self.intern(Word::Bin(op, a, b), w),
         }
+    }
+
+    /// `Eq`/`Ne` of a word with known high bits against the constant `k`:
+    /// `zext(y) == c` and `{h, y} == c` (`h` constant) fold to a constant
+    /// when the high bits of `c` disagree with the known ones, and compare
+    /// only the low part otherwise.
+    fn eq_split(&mut self, op: BinOp, x: WordId, k: WordId) -> Option<WordId> {
+        let c = self.const_value(k)?;
+        let w = c.width();
+        let (low, high) = match *self.word(x) {
+            Word::Zext(y, _) => (y, None),
+            Word::Concat(h, y) => (y, Some(self.const_value(h)?)),
+            _ => return None,
+        };
+        let wl = self.width(low);
+        let c_high = c.slice(w - 1, wl);
+        let agree = match high {
+            None => c_high.is_zero(),
+            Some(h) => *h == c_high,
+        };
+        if !agree {
+            return Some(self.constant(&Bv::from_bool(op == BinOp::Ne)));
+        }
+        let c_low = c.slice(wl - 1, 0);
+        let kl = self.constant(&c_low);
+        Some(self.bin(op, low, kl))
     }
 
     /// A shift of `a` by the constant `s <= width`.
@@ -570,59 +600,22 @@ impl WordDag {
         }
     }
 
-    /// The linear form of `a`: itself if it is one, a constant, or `1·a`.
-    fn lin_of(&self, a: WordId) -> Lin {
-        match self.word(a) {
-            Word::Const(c) => Lin {
-                konst: c.clone(),
-                terms: Vec::new(),
-            },
-            Word::Linear(k, terms) => Lin {
-                konst: k.clone(),
-                terms: terms.to_vec(),
-            },
-            _ => {
-                let w = self.width(a);
-                Lin {
-                    konst: Bv::zero(w),
-                    terms: vec![(a, Bv::from_u64(w, 1))],
-                }
-            }
-        }
-    }
-
-    /// `lin += scale · a`.
+    /// `lin += scale · a`: a constant joins the constant, a linear form
+    /// adds its terms, anything else is one term.
     fn lin_add(&self, lin: &mut Lin, a: WordId, scale: &Bv) {
         if scale.is_zero() {
             return;
         }
-        let x = self.lin_of(a);
-        lin.konst = lin.konst.wrapping_add(&x.konst.wrapping_mul(scale));
-        let old = std::mem::take(&mut lin.terms);
-        let mut merged = Vec::with_capacity(old.len() + x.terms.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < x.terms.len() {
-            let take_old = j == x.terms.len() || (i < old.len() && old[i].0 < x.terms[j].0);
-            let take_new = i == old.len() || (j < x.terms.len() && x.terms[j].0 < old[i].0);
-            let (t, c) = if take_old {
-                i += 1;
-                old[i - 1].clone()
-            } else if take_new {
-                j += 1;
-                (x.terms[j - 1].0, x.terms[j - 1].1.wrapping_mul(scale))
-            } else {
-                i += 1;
-                j += 1;
-                let c = old[i - 1]
-                    .1
-                    .wrapping_add(&x.terms[j - 1].1.wrapping_mul(scale));
-                (old[i - 1].0, c)
-            };
-            if !c.is_zero() {
-                merged.push((t, c));
+        match self.word(a) {
+            Word::Const(c) => lin.konst = lin.konst.wrapping_add(&c.wrapping_mul(scale)),
+            Word::Linear(k, terms) => {
+                lin.konst = lin.konst.wrapping_add(&k.wrapping_mul(scale));
+                for (t, c) in terms.iter() {
+                    lin.add_term(*t, c.wrapping_mul(scale));
+                }
             }
+            _ => lin.add_term(a, scale.clone()),
         }
-        lin.terms = merged;
     }
 
     /// Interns a linear form in normal form.
@@ -637,9 +630,9 @@ impl WordDag {
 
     /// Evaluates `id` with every leaf read from `leaf`: the concrete
     /// semantics of the DAG, the oracle the rewrite-rule tests check
-    /// normalization against.
-    #[cfg(test)]
-    fn eval(&self, id: WordId, leaf: &mut dyn FnMut(WordId) -> Bv) -> Bv {
+    /// normalization against, and how a counterexample reads a word no
+    /// cone lowered.
+    pub(crate) fn eval(&self, id: WordId, leaf: &mut dyn FnMut(WordId) -> Bv) -> Bv {
         let mut vals: HashMap<WordId, Bv> = HashMap::new();
         let mut stack = vec![(id, false)];
         while let Some((v, ready)) = stack.pop() {
@@ -682,6 +675,22 @@ impl Lin {
         Lin {
             konst: Bv::zero(width),
             terms: Vec::new(),
+        }
+    }
+
+    /// `+= c·t`, keeping the terms in id order with nonzero coefficients.
+    fn add_term(&mut self, t: WordId, c: Bv) {
+        match self.terms.binary_search_by_key(&t, |&(x, _)| x) {
+            Ok(i) => {
+                let sum = self.terms[i].1.wrapping_add(&c);
+                if sum.is_zero() {
+                    self.terms.remove(i);
+                } else {
+                    self.terms[i].1 = sum;
+                }
+            }
+            Err(i) if !c.is_zero() => self.terms.insert(i, (t, c)),
+            Err(_) => {}
         }
     }
 }
@@ -815,6 +824,45 @@ mod tests {
             d.bin(BinOp::Add, cw, tw)
         };
         assert_eq!(golden, again);
+    }
+
+    /// `zext(y) == c` and `{h, y} == c` compare only the low part, or
+    /// fold when the known high bits already disagree.
+    #[test]
+    fn equality_splits_known_high_bits() {
+        let mut d = WordDag::new();
+        let y = d.leaf(3);
+        let z = d.zext(y, 4);
+        let ones = lit(&mut d, 1, 1);
+        let h = d.concat(ones, y);
+        let (c5, c13) = (lit(&mut d, 4, 5), lit(&mut d, 4, 13));
+        let y5 = {
+            let k = lit(&mut d, 3, 5);
+            d.bin(BinOp::Eq, y, k)
+        };
+        assert_eq!(d.bin(BinOp::Eq, z, c5), y5);
+        assert_eq!(d.bin(BinOp::Eq, c13, h), y5);
+        let never = d.bin(BinOp::Eq, z, c13);
+        assert_eq!(d.const_value(never), Some(&Bv::from_bool(false)));
+        let always = d.bin(BinOp::Ne, h, c5);
+        assert_eq!(d.const_value(always), Some(&Bv::from_bool(true)));
+        let ne = d.bin(BinOp::Ne, z, c5);
+        let k = lit(&mut d, 3, 5);
+        assert_eq!(ne, d.bin(BinOp::Ne, y, k));
+        // Against every value of `y`, both rules agree with evaluation.
+        for v in 0..8u64 {
+            let yv = Bv::from_u64(3, v);
+            for c in 0..16u64 {
+                let k = lit(&mut d, 4, c);
+                for (x, xv) in [(z, yv.zext(4)), (h, Bv::from_u64(1, 1).concat(&yv))] {
+                    for op in [BinOp::Eq, BinOp::Ne] {
+                        let e = d.bin(op, x, k);
+                        let got = d.eval(e, &mut |_| yv.clone());
+                        assert_eq!(got, eval_bin(op, &xv, &Bv::from_u64(4, c)), "{op:?} {c}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

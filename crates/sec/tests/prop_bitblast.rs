@@ -7,8 +7,11 @@
 //! and check every cycle's outputs. On narrow inputs, an
 //! exhaustive-enumeration oracle checks the verdicts of whole equivalence
 //! checks (sequential pairs, constraints, `Free` bindings, per-output
-//! checks, sweep on and off), of word-level rewrite-rule pairs and their
-//! near-miss mutants, and of bounded model checks, depth by depth.
+//! checks, sweep on and off), of pairs under the constraint forms the
+//! checker turns into input facts and of near forms it must not, of
+//! word-level rewrite-rule pairs and their near-miss mutants, and of
+//! bounded model checks, depth by depth. Demand-driven stepping is
+//! checked against stepping with every node demanded.
 //!
 //! Uses the repo's own `SplitMix64` so the suite runs offline; the seeds
 //! are fixed, making every run reproducible.
@@ -307,7 +310,7 @@ fn unroll(dag: &mut WordDag, m: &Module, inputs: &[Vec<WordId>]) -> Vec<Vec<Word
     inputs
         .iter()
         .map(|ins| {
-            let cyc = sym.step(dag, ins);
+            let cyc = sym.step(dag, ins, &m.output_drivers);
             m.outputs.iter().map(|p| cyc.output(m, &p.name)).collect()
         })
         .collect()
@@ -436,9 +439,15 @@ fn rebuilt_words_are_hash_consed() {
         let inputs = held_inputs(&mut dag, &m, &mut rng, cycles, true);
         let mut sym = SymbolicSim::new(&mut dag, &m, InitState::Reset).unwrap();
         let mut states = vec![sym.reg_state().to_vec()];
-        let mut words = Vec::new();
+        let all: Vec<NodeId> = m.node_ids().collect();
+        let mut words: Vec<Vec<WordId>> = Vec::new();
         for ins in &inputs {
-            words.push(sym.step(&mut dag, ins).nodes.clone());
+            let cyc = sym.step(&mut dag, ins, &all);
+            words.push(
+                all.iter()
+                    .map(|&id| cyc.node(id).expect("demanded"))
+                    .collect(),
+            );
             states.push(sym.reg_state().to_vec());
         }
         let size = dag.len();
@@ -1120,4 +1129,159 @@ fn rewrite_rule_pairs_and_mutants_match_exhaustive_oracle() {
         equivalent >= 150 && falsified >= 150,
         "{equivalent} / {falsified}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Constraint-derived input facts, and demand-driven stepping.
+// ---------------------------------------------------------------------
+
+/// A constrained narrow pair over a 4-bit `a` and a 1..=3-bit `b`: the
+/// RTL computes the SLM's random program with `y` flipped wherever `a`
+/// lies in a random window, optionally through a register stage, and `a`
+/// is constrained by a random `a <u c`, `c <=u a`, `a == c`, `c == a` or
+/// `a <=u c` against a random constant. Returns the pair, its spec, and
+/// whether the constraint has one of the exact forms the checker turns
+/// into an input fact (a power-of-two `ult` bound, a `ule` bound with
+/// only its top bits set, or an equality).
+fn constrained_pair(rng: &mut SplitMix64) -> (Module, Module, EquivSpec, bool) {
+    let wb = rng.range_u64(1, 3) as u32;
+    let n_ops = rng.range_u64(2, 6);
+    let program = SplitMix64::new(rng.next_u64());
+    let build = |b: &mut ModuleBuilder, a: NodeId, bi: NodeId| {
+        let mut prog = program;
+        let mut nodes = vec![a, bi];
+        for _ in 0..n_ops {
+            let n = push_op(b, &nodes, &mut prog, true);
+            nodes.push(n);
+        }
+        nodes[nodes.len() - 1]
+    };
+    let mut sb = ModuleBuilder::new("slm");
+    let a = sb.input("a", 4);
+    let bi = sb.input("b", wb);
+    let y = build(&mut sb, a, bi);
+    sb.output("y", y);
+    let slm = sb.finish().unwrap();
+
+    let staged = rng.next_bool();
+    let mut rb = ModuleBuilder::new("rtl");
+    let a = rb.input("a", 4);
+    let bi = rb.input("b", wb);
+    let (a, bi) = if staged {
+        let ra = rb.reg("ra", 4, Bv::zero(4));
+        rb.connect_reg(ra, a);
+        let rbr = rb.reg("rb", wb, Bv::zero(wb));
+        rb.connect_reg(rbr, bi);
+        (rb.reg_q(ra), rb.reg_q(rbr))
+    } else {
+        (a, bi)
+    };
+    let y = build(&mut rb, a, bi);
+    let lo = rng.below(16);
+    let hi = rng.range_u64(lo, 15);
+    let in_window = {
+        let (l, h) = (rb.lit(4, lo), rb.lit(4, hi));
+        let above = rb.ule(l, a);
+        let below = rb.ule(a, h);
+        rb.and(above, below)
+    };
+    let flip = rb.resize_zext(in_window, rb.node_width(y));
+    let y = rb.xor(y, flip);
+    rb.output("y", y);
+    let rtl = rb.finish().unwrap();
+
+    let c = rng.below(16);
+    let kind = rng.below(5);
+    let mut cb = ModuleBuilder::new("constraint");
+    let ca = cb.input("a", 4);
+    let k = cb.lit(4, c);
+    let ok = match kind {
+        0 => cb.ult(ca, k),
+        1 => cb.ule(k, ca),
+        2 => cb.eq(ca, k),
+        3 => cb.eq(k, ca),
+        _ => cb.ule(ca, k),
+    };
+    cb.output("ok", ok);
+    let exact = match kind {
+        0 => c.is_power_of_two(),
+        1 => [8, 12, 14, 15].contains(&c),
+        2 | 3 => true,
+        _ => false,
+    };
+    let t = u32::from(staged);
+    let spec = EquivSpec::new(t + 1)
+        .bind("a", 0, Binding::Slm("a".into()))
+        .bind("b", 0, Binding::Slm("b".into()))
+        .compare("y", "y", t)
+        .constrain(cb.finish().unwrap());
+    (slm, rtl, spec, exact)
+}
+
+#[test]
+fn constrained_verdicts_match_exhaustive_oracle() {
+    let mut rng = SplitMix64::new(0xB17_000A);
+    let (mut equivalent, mut falsified, mut facts) = (0, 0, 0);
+    for case in 0..120 {
+        let (slm, rtl, spec, exact) = constrained_pair(&mut rng);
+        let bad = oracle_mismatches(&slm, &rtl, &spec)[0];
+        if bad {
+            falsified += 1;
+        } else {
+            equivalent += 1;
+        }
+        for opts in [CheckOptions::default(), CheckOptions::swept()] {
+            let report = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
+            assert_eq!(
+                report.constraint_facts,
+                usize::from(exact),
+                "case {case}: fact count"
+            );
+            assert_eq!(
+                !report.outcome.is_equivalent(),
+                bad,
+                "case {case}: {:?}",
+                report.outcome
+            );
+            if exact {
+                facts += 1;
+            }
+        }
+    }
+    assert!(
+        equivalent >= 20 && falsified >= 20 && facts >= 40,
+        "{equivalent} / {falsified} / {facts}"
+    );
+}
+
+#[test]
+fn demanded_words_equal_the_all_node_run() {
+    // Stepping with a random subset of nodes demanded must give each of
+    // them the word the all-node run gives it (one DAG, so equal words
+    // are equal ids), and must leave the same register state.
+    let mut rng = SplitMix64::new(0xB17_000B);
+    for case in 0..150 {
+        let m = random_seq(&mut rng);
+        let cycles = rng.range_u64(2, 6) as usize;
+        let mut dag = WordDag::new();
+        let inputs = held_inputs(&mut dag, &m, &mut rng, cycles, true);
+        let all: Vec<NodeId> = m.node_ids().collect();
+        let mut full = SymbolicSim::new(&mut dag, &m, InitState::Reset).unwrap();
+        let mut lazy = SymbolicSim::new(&mut dag, &m, InitState::Reset).unwrap();
+        for ins in &inputs {
+            let demand: Vec<NodeId> = all.iter().copied().filter(|_| rng.below(4) == 0).collect();
+            let expect: Vec<WordId> = {
+                let cyc = full.step(&mut dag, ins, &all);
+                all.iter().map(|&id| cyc.node(id).unwrap()).collect()
+            };
+            let cyc = lazy.step(&mut dag, ins, &demand);
+            for &id in &all {
+                match cyc.node(id) {
+                    Some(w) => assert_eq!(w, expect[id.index()], "case {case}: node {id:?}"),
+                    None => assert!(!demand.contains(&id), "case {case}: {id:?} demanded"),
+                }
+            }
+            assert_eq!(lazy.reg_state(), full.reg_state(), "case {case}");
+        }
+    }
 }

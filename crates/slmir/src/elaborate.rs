@@ -13,15 +13,20 @@
 //! Semantics match the interpreter ([`crate::interp`]) exactly (property
 //! tested): C-style integer promotion, wrap-on-overflow, array indices
 //! wrapping modulo the array length.
-
-use std::collections::HashMap;
+//!
+//! The cost follows what is emitted, not what is unrolled: nodes are
+//! built through [`Fold`], which folds constant guards and
+//! constant-operand nodes as they are built, and static expressions are
+//! evaluated on [`Static`] integers against a flat, borrowed variable
+//! stack.
 
 use dfv_bits::Bv;
-use dfv_rtl::{Module, ModuleBuilder, NodeId};
+use dfv_rtl::{Module, NodeId};
 
 use crate::ast::*;
-use crate::interp::{eval_binop, Value};
+use crate::fold::Fold;
 use crate::sema::{self, int_promote, literal_ty, promote};
+use crate::statics::Static;
 use crate::token::Span;
 use std::fmt;
 
@@ -117,7 +122,7 @@ pub fn elaborate_with(
     })?;
     let mut el = Elab {
         prog,
-        b: ModuleBuilder::new(entry),
+        b: Fold::new(entry),
         opts,
         call_stack: vec![entry.to_string()],
     };
@@ -209,30 +214,61 @@ enum Slot {
     Array { elems: Vec<NodeId>, ty: ScalarTy },
 }
 
+/// One inlined function's variables. Names borrow from the program, and
+/// both stacks are searched innermost-first by a linear scan: a
+/// conditioned function has a handful of live names, so a scan is
+/// cheaper than hashing a name once per scope.
 #[derive(Debug)]
-struct Frame {
-    scopes: Vec<HashMap<String, Slot>>,
-    /// Constant values of in-flight loop variables, for bound evaluation.
-    consts: HashMap<String, Value>,
+struct Frame<'p> {
+    /// Declared variables, innermost last.
+    vars: Vec<(&'p str, Slot)>,
+    /// Where each open block's declarations start in `vars`.
+    scopes: Vec<usize>,
+    /// Constant values of in-flight loop variables, for bound evaluation,
+    /// innermost last.
+    consts: Vec<(&'p str, Static)>,
     ret_ty: Option<ScalarTy>,
     ret_val: Option<NodeId>,
     returned: NodeId,
 }
 
-impl Frame {
-    fn declare(&mut self, name: &str, slot: Slot) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack nonempty")
-            .insert(name.to_string(), slot);
+impl<'p> Frame<'p> {
+    fn open(&mut self) {
+        self.scopes.push(self.vars.len());
+    }
+
+    fn close(&mut self) {
+        let start = self.scopes.pop().expect("scope stack nonempty");
+        self.vars.truncate(start);
+    }
+
+    fn declare(&mut self, name: &'p str, slot: Slot) {
+        self.vars.push((name, slot));
     }
 
     fn slot(&self, name: &str) -> Option<&Slot> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+        self.vars
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| s)
     }
 
     fn slot_mut(&mut self, name: &str) -> Option<&mut Slot> {
-        self.scopes.iter_mut().rev().find_map(|s| s.get_mut(name))
+        self.vars
+            .iter_mut()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| s)
+    }
+
+    /// The constant value of loop variable `name`, if it is one.
+    fn const_of(&self, name: &str) -> Option<&Static> {
+        self.consts
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v)
     }
 }
 
@@ -244,7 +280,7 @@ struct LoopCtx {
 
 struct Elab<'p> {
     prog: &'p Program,
-    b: ModuleBuilder,
+    b: Fold,
     opts: &'p ElabOptions,
     call_stack: Vec<String>,
 }
@@ -257,7 +293,7 @@ impl<'p> Elab<'p> {
         })
     }
 
-    fn new_frame(&mut self, f: &Func) -> Frame {
+    fn new_frame(&mut self, f: &Func) -> Frame<'p> {
         let ret_ty = match f.ret {
             Ty::Scalar(s) => Some(s),
             _ => None,
@@ -265,8 +301,9 @@ impl<'p> Elab<'p> {
         let returned = self.b.constant(Bv::from_bool(false));
         let ret_val = ret_ty.map(|s| self.b.constant(Bv::zero(s.width)));
         Frame {
-            scopes: vec![HashMap::new()],
-            consts: HashMap::new(),
+            vars: Vec::new(),
+            scopes: Vec::new(),
+            consts: Vec::new(),
             ret_ty,
             ret_val,
             returned,
@@ -297,7 +334,12 @@ impl<'p> Elab<'p> {
     }
 
     /// The effective guard: `guard & !returned [& !broke & !continued]`.
-    fn effective_guard(&mut self, fr: &Frame, guard: NodeId, loop_ctx: &Option<LoopCtx>) -> NodeId {
+    fn effective_guard(
+        &mut self,
+        fr: &Frame<'p>,
+        guard: NodeId,
+        loop_ctx: &Option<LoopCtx>,
+    ) -> NodeId {
         let nr = self.b.not(fr.returned);
         let mut g = self.b.and(guard, nr);
         if let Some(lc) = loop_ctx {
@@ -311,78 +353,37 @@ impl<'p> Elab<'p> {
 
     /// Constant evaluation over literals, loop variables, and pure
     /// operators — used for loop bounds (the "static" in static analysis).
-    fn const_eval(&self, fr: &Frame, e: &Expr) -> Option<Value> {
-        match &e.kind {
-            ExprKind::Int(v) => {
-                let t = literal_ty(*v);
-                Some(Value::Scalar(Bv::from_u64(t.width, *v), t.signed))
-            }
-            ExprKind::Var(n) => fr.consts.get(n).cloned(),
-            ExprKind::Un(op, a) => {
-                let Value::Scalar(b, s) = self.const_eval(fr, a)? else {
-                    return None;
-                };
-                Some(match op {
-                    UnOp::Neg => Value::Scalar(b.wrapping_neg(), s),
-                    UnOp::Not => Value::Scalar(b.not(), s),
-                    UnOp::LNot => Value::Scalar(Bv::from_bool(b.is_zero()), false),
-                })
-            }
+    fn const_eval(&self, fr: &Frame<'p>, e: &Expr) -> Option<Static> {
+        Some(match &e.kind {
+            ExprKind::Int(v) => Static::literal(*v),
+            ExprKind::Var(n) => *fr.const_of(n)?,
+            ExprKind::Un(op, a) => Static::un(*op, self.const_eval(fr, a)?),
             ExprKind::Bin(op, a, b) => {
-                let Value::Scalar(av, asig) = self.const_eval(fr, a)? else {
-                    return None;
-                };
-                let Value::Scalar(bv, bsig) = self.const_eval(fr, b)? else {
-                    return None;
-                };
-                Some(eval_binop(
-                    *op,
-                    &av,
-                    ScalarTy {
-                        width: av.width(),
-                        signed: asig,
-                    },
-                    &bv,
-                    ScalarTy {
-                        width: bv.width(),
-                        signed: bsig,
-                    },
-                ))
+                Static::bin(*op, self.const_eval(fr, a)?, self.const_eval(fr, b)?)
             }
             ExprKind::Ternary { cond, t, f } => {
-                let Value::Scalar(c, _) = self.const_eval(fr, cond)? else {
-                    return None;
-                };
-                if !c.is_zero() {
-                    self.const_eval(fr, t)
+                if self.const_eval(fr, cond)?.is_zero() {
+                    self.const_eval(fr, f)?
                 } else {
-                    self.const_eval(fr, f)
+                    self.const_eval(fr, t)?
                 }
             }
-            ExprKind::Cast(ty, a) => {
-                let Value::Scalar(b, s) = self.const_eval(fr, a)? else {
-                    return None;
-                };
-                Some(Value::Scalar(crate::interp::resize(&b, s, *ty), ty.signed))
-            }
-            _ => None,
-        }
+            ExprKind::Cast(ty, a) => self.const_eval(fr, a)?.cast(*ty),
+            _ => return None,
+        })
     }
 
     /// If `index` is statically constant, its value modulo `len`.
-    fn const_index(&self, fr: &Frame, index: &Expr, len: usize) -> Option<usize> {
-        match self.const_eval(fr, index)? {
-            Value::Scalar(b, _) => Some((b.to_u64() as usize) % len.max(1)),
-            _ => None,
-        }
+    fn const_index(&self, fr: &Frame<'p>, index: &Expr, len: usize) -> Option<usize> {
+        Some((self.const_eval(fr, index)?.low_u64() as usize) % len.max(1))
     }
 
     /// Builds the effective (wrapped) index node for an array of `len`
     /// elements.
     fn index_node(
         &mut self,
-        fr: &mut Frame,
-        index: &Expr,
+        fr: &mut Frame<'p>,
+        index: &'p Expr,
         len: usize,
         guard: NodeId,
         loop_ctx: &mut Option<LoopCtx>,
@@ -412,12 +413,12 @@ impl<'p> Elab<'p> {
 
     fn stmts(
         &mut self,
-        fr: &mut Frame,
-        body: &[Stmt],
+        fr: &mut Frame<'p>,
+        body: &'p [Stmt],
         guard: NodeId,
         loop_ctx: &mut Option<LoopCtx>,
     ) -> Result<(), ElabError> {
-        fr.scopes.push(HashMap::new());
+        fr.open();
         let mut result = Ok(());
         for s in body {
             result = self.stmt(fr, s, guard, loop_ctx);
@@ -425,14 +426,14 @@ impl<'p> Elab<'p> {
                 break;
             }
         }
-        fr.scopes.pop();
+        fr.close();
         result
     }
 
     fn stmt(
         &mut self,
-        fr: &mut Frame,
-        s: &Stmt,
+        fr: &mut Frame<'p>,
+        s: &'p Stmt,
         guard: NodeId,
         loop_ctx: &mut Option<LoopCtx>,
     ) -> Result<(), ElabError> {
@@ -472,7 +473,7 @@ impl<'p> Elab<'p> {
                 let (rv, rt) = self.expr(fr, rhs, guard, loop_ctx)?;
                 match lhs {
                     LValue::Var(n) => {
-                        if fr.consts.contains_key(n) {
+                        if fr.const_of(n).is_some() {
                             return self.err(
                                 s.span,
                                 format!(
@@ -493,37 +494,36 @@ impl<'p> Elab<'p> {
                         Ok(())
                     }
                     LValue::Index { base, index } => {
-                        let Some(slot) = fr.slot(base).cloned() else {
-                            return self.err(s.span, format!("undeclared variable {base:?}"));
-                        };
-                        let Slot::Array { elems, ty } = slot else {
-                            return self.err(s.span, format!("{base:?} is not an array"));
-                        };
-                        let nv = self.resize_node(rv, rt, ty);
-                        let new_elems = match self.const_index(fr, index, elems.len()) {
-                            Some(i) => {
-                                let mut es = elems;
-                                es[i] = self.b.mux(g, nv, es[i]);
-                                es
+                        let (len, ty) = match fr.slot(base) {
+                            Some(Slot::Array { elems, ty }) => (elems.len(), *ty),
+                            Some(_) => {
+                                return self.err(s.span, format!("{base:?} is not an array"))
                             }
                             None => {
-                                let idx =
-                                    self.index_node(fr, index, elems.len(), guard, loop_ctx)?;
-                                let iw = self.b.node_width(idx);
-                                let mut es = Vec::with_capacity(elems.len());
-                                for (i, &old) in elems.iter().enumerate() {
-                                    let iv = self.b.lit(iw, i as u64);
-                                    let hit = self.b.eq(idx, iv);
-                                    let strobe = self.b.and(g, hit);
-                                    es.push(self.b.mux(strobe, nv, old));
-                                }
-                                es
+                                return self.err(s.span, format!("undeclared variable {base:?}"))
                             }
                         };
-                        *fr.slot_mut(base).expect("exists") = Slot::Array {
-                            elems: new_elems,
-                            ty,
+                        let nv = self.resize_node(rv, rt, ty);
+                        if let Some(i) = self.const_index(fr, index, len) {
+                            let Some(Slot::Array { elems, .. }) = fr.slot_mut(base) else {
+                                unreachable!("an array above")
+                            };
+                            elems[i] = self.b.mux(g, nv, elems[i]);
+                            return Ok(());
+                        }
+                        let Some(Slot::Array { elems, .. }) = fr.slot(base).cloned() else {
+                            unreachable!("an array above")
                         };
+                        let idx = self.index_node(fr, index, len, guard, loop_ctx)?;
+                        let iw = self.b.node_width(idx);
+                        let mut es = Vec::with_capacity(len);
+                        for (i, &old) in elems.iter().enumerate() {
+                            let iv = self.b.lit(iw, i as u64);
+                            let hit = self.b.eq(idx, iv);
+                            let strobe = self.b.and(g, hit);
+                            es.push(self.b.mux(strobe, nv, old));
+                        }
+                        *fr.slot_mut(base).expect("exists") = Slot::Array { elems: es, ty };
                         Ok(())
                     }
                     LValue::Deref(n) => self.err(
@@ -543,7 +543,7 @@ impl<'p> Elab<'p> {
             } => {
                 // Statically decidable conditions avoid useless mux trees
                 // (and allow guard-independent loop bounds inside).
-                if let Some(Value::Scalar(c, _)) = self.const_eval(fr, cond) {
+                if let Some(c) = self.const_eval(fr, cond) {
                     return if !c.is_zero() {
                         self.stmts(fr, then_body, guard, loop_ctx)
                     } else {
@@ -565,22 +565,19 @@ impl<'p> Elab<'p> {
                 step,
                 body,
             } => {
-                let Some(mut v) = self.const_eval(fr, init) else {
+                // The loop variable is an `int`.
+                let Some(mut v) = self.const_eval(fr, init).map(|v| v.cast(ScalarTy::INT)) else {
                     return self.err(
                         init.span,
                         "loop initial value is not a static constant (DFV003)",
                     );
                 };
-                // Normalize the loop variable to `int`.
-                if let Value::Scalar(b, s) = &v {
-                    v = Value::Scalar(crate::interp::resize(b, *s, ScalarTy::INT), true);
-                }
-                let had_outer = fr.consts.contains_key(var);
                 let mut broke = self.b.constant(Bv::from_bool(false));
                 let mut iterations = 0u32;
+                fr.consts.push((var, v));
                 let result = loop {
-                    fr.consts.insert(var.clone(), v.clone());
-                    let Some(Value::Scalar(c, _)) = self.const_eval(fr, cond) else {
+                    fr.consts.last_mut().expect("pushed above").1 = v;
+                    let Some(c) = self.const_eval(fr, cond) else {
                         break self.err(
                             cond.span,
                             "loop bound is not static (DFV003); rewrite with a static \
@@ -609,11 +606,8 @@ impl<'p> Elab<'p> {
                         continued: cont,
                     });
                     // Bind the loop variable as a constant in a new scope.
-                    fr.scopes.push(HashMap::new());
-                    let Value::Scalar(vb, _) = v.clone() else {
-                        unreachable!("loop vars are scalar")
-                    };
-                    let vn = self.b.constant(vb);
+                    fr.open();
+                    let vn = self.b.constant(v.to_bv());
                     fr.declare(
                         var,
                         Slot::Scalar {
@@ -622,29 +616,23 @@ impl<'p> Elab<'p> {
                         },
                     );
                     let body_result = self.stmts(fr, body, guard, &mut inner);
-                    fr.scopes.pop();
+                    fr.close();
                     broke = inner.expect("still set").broke;
                     if let Err(e) = body_result {
                         break Err(e);
                     }
                     // Advance the loop variable statically.
-                    fr.consts.insert(var.clone(), v.clone());
                     let Some(nv) = self.const_eval(fr, step) else {
                         break self.err(step.span, "loop step is not static (DFV003)");
                     };
-                    let Value::Scalar(nb, ns) = nv else {
-                        break self.err(step.span, "loop step must be scalar");
-                    };
-                    v = Value::Scalar(crate::interp::resize(&nb, ns, ScalarTy::INT), true);
+                    v = nv.cast(ScalarTy::INT);
                 };
-                if !had_outer {
-                    fr.consts.remove(var);
-                }
+                fr.consts.pop();
                 result
             }
             StmtKind::While { cond, .. } => {
                 // A while with a statically false condition is dead code.
-                if let Some(Value::Scalar(c, _)) = self.const_eval(fr, cond) {
+                if let Some(c) = self.const_eval(fr, cond) {
                     if c.is_zero() {
                         return Ok(());
                     }
@@ -692,8 +680,8 @@ impl<'p> Elab<'p> {
 
     fn expr(
         &mut self,
-        fr: &mut Frame,
-        e: &Expr,
+        fr: &mut Frame<'p>,
+        e: &'p Expr,
         guard: NodeId,
         loop_ctx: &mut Option<LoopCtx>,
     ) -> Result<(NodeId, ScalarTy), ElabError> {
@@ -710,29 +698,36 @@ impl<'p> Elab<'p> {
                 None => self.err(e.span, format!("undeclared variable {n:?}")),
             },
             ExprKind::Index { base, index } => {
-                let Some(slot) = fr.slot(base).cloned() else {
-                    return self.err(e.span, format!("undeclared variable {base:?}"));
-                };
-                let Slot::Array { elems, ty } = slot else {
-                    return self.err(
-                        e.span,
-                        format!("{base:?} is not an array (pointer indexing is DFV002)"),
-                    );
-                };
-                match self.const_index(fr, index, elems.len()) {
-                    Some(i) => Ok((elems[i], ty)),
-                    None => {
-                        let idx = self.index_node(fr, index, elems.len(), guard, loop_ctx)?;
-                        let iw = self.b.node_width(idx);
-                        let mut acc = self.b.constant(Bv::zero(ty.width));
-                        for (i, &el) in elems.iter().enumerate() {
-                            let iv = self.b.lit(iw, i as u64);
-                            let hit = self.b.eq(idx, iv);
-                            acc = self.b.mux(hit, el, acc);
-                        }
-                        Ok((acc, ty))
+                let (len, ty) = match fr.slot(base) {
+                    Some(Slot::Array { elems, ty }) => (elems.len(), *ty),
+                    Some(_) => {
+                        return self.err(
+                            e.span,
+                            format!("{base:?} is not an array (pointer indexing is DFV002)"),
+                        )
                     }
+                    None => return self.err(e.span, format!("undeclared variable {base:?}")),
+                };
+                if let Some(i) = self.const_index(fr, index, len) {
+                    let Some(Slot::Array { elems, .. }) = fr.slot(base) else {
+                        unreachable!("an array above")
+                    };
+                    return Ok((elems[i], ty));
                 }
+                // The index may call a function that writes the array: read
+                // the elements as they were before it.
+                let Some(Slot::Array { elems, .. }) = fr.slot(base).cloned() else {
+                    unreachable!("an array above")
+                };
+                let idx = self.index_node(fr, index, len, guard, loop_ctx)?;
+                let iw = self.b.node_width(idx);
+                let mut acc = self.b.constant(Bv::zero(ty.width));
+                for (i, &el) in elems.iter().enumerate() {
+                    let iv = self.b.lit(iw, i as u64);
+                    let hit = self.b.eq(idx, iv);
+                    acc = self.b.mux(hit, el, acc);
+                }
+                Ok((acc, ty))
             }
             ExprKind::Call { callee, args } => {
                 self.inline_call(fr, e.span, callee, args, guard, loop_ctx)
@@ -852,10 +847,10 @@ impl<'p> Elab<'p> {
 
     fn inline_call(
         &mut self,
-        fr: &mut Frame,
+        fr: &mut Frame<'p>,
         span: Span,
         callee: &str,
-        args: &[Expr],
+        args: &'p [Expr],
         guard: NodeId,
         loop_ctx: &mut Option<LoopCtx>,
     ) -> Result<(NodeId, ScalarTy), ElabError> {
@@ -868,7 +863,8 @@ impl<'p> Elab<'p> {
         if self.call_stack.len() as u32 >= self.opts.max_call_depth {
             return self.err(span, "call inlining depth limit exceeded");
         }
-        let g = Self::err_to_elab(self.prog.func(callee), span, callee)?.clone();
+        let prog = self.prog;
+        let g = Self::err_to_elab(prog.func(callee), span, callee)?;
         // Evaluate arguments in the caller's frame.
         enum ArgVal {
             Scalar(NodeId, ScalarTy),
@@ -914,7 +910,7 @@ impl<'p> Elab<'p> {
         // caller's effective guard at the call site.
         let call_guard = self.effective_guard(fr, guard, loop_ctx);
         self.call_stack.push(callee.to_string());
-        let mut inner = self.new_frame(&g);
+        let mut inner = self.new_frame(g);
         for (p, v) in g.params.iter().zip(vals) {
             match v {
                 ArgVal::Scalar(node, ty) => inner.declare(&p.name, Slot::Scalar { node, ty }),

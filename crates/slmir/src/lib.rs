@@ -46,10 +46,12 @@
 pub mod ast;
 mod compile;
 mod elaborate;
+mod fold;
 pub mod interp;
 mod lint;
 mod parser;
 pub mod sema;
+mod statics;
 mod token;
 
 pub use ast::{Program, ScalarTy, Ty};

@@ -16,7 +16,21 @@ run() {
 }
 
 run cargo build --release
-run cargo test -q --workspace
+# Tier-1 verification is `cargo test -q` at the root; `default-members`
+# makes that every crate's tests. Both runs must pass, and tier-1 must
+# run at least as many tests as `--workspace` does.
+tests_log=$(mktemp -d)
+count_tests() { grep -o '[0-9]* passed' "$1" | awk '{ s += $1 } END { print s + 0 }'; }
+run cargo test -q --workspace 2>&1 | tee "$tests_log/workspace.txt"
+run cargo test -q 2>&1 | tee "$tests_log/tier1.txt"
+workspace_tests=$(count_tests "$tests_log/workspace.txt")
+tier1_tests=$(count_tests "$tests_log/tier1.txt")
+rm -rf "$tests_log"
+echo "==> tier-1 ran $tier1_tests tests, --workspace ran $workspace_tests"
+if [ "$tier1_tests" -lt "$workspace_tests" ]; then
+    echo "error: tier-1 (cargo test -q) runs fewer tests than the workspace has" >&2
+    exit 1
+fi
 # The benchmark is a workspace of its own (dfvbench/), so its self-tests
 # run separately. They assert, among other things, that generated blocks
 # have reproducible and distinct content hashes.

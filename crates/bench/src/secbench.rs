@@ -32,6 +32,9 @@ struct SecWorkload {
     name: &'static str,
     build: fn(smoke: bool) -> (Module, Module, EquivSpec),
     equivalent: bool,
+    /// The SLM-C source and entry function of a row whose SLM side is
+    /// elaborated from source; its elaboration is timed as `<row>.elab`.
+    source: Option<fn() -> (String, &'static str)>,
 }
 
 /// `a*b` versus `b*a`, zero-extended to the full product width. The
@@ -208,9 +211,23 @@ fn fpu_slice(smoke: bool) -> (Module, Module, EquivSpec) {
     (slm, rtl, spec)
 }
 
-/// Elaborates SLM-C `src` at `entry`.
-fn elaborate(src: &str, entry: &str) -> Module {
-    dfv_slmir::elaborate(&dfv_slmir::parse(src).unwrap(), entry).unwrap()
+/// Elaborates a row's SLM-C source at its entry.
+fn elaborate(source: fn() -> (String, &'static str)) -> Module {
+    let (src, entry) = source();
+    dfv_slmir::elaborate(&dfv_slmir::parse(&src).unwrap(), entry).unwrap()
+}
+
+/// Width and constant of the add3 row.
+const ADD3_W: u32 = 5;
+const ADD3_K: u64 = 12_345;
+
+fn add3_source() -> (String, &'static str) {
+    let (w, k) = (ADD3_W, ADD3_K);
+    let src = format!(
+        "uint<{w}> add3(uint<{w}> a, uint<{w}> b, uint<{w}> c) {{\n    \
+         return (uint<{w}>)(a + b + c + {k});\n}}\n"
+    );
+    (src, "add3")
 }
 
 /// The int-promoted three-operand add: the SLM's `(uint<5>)(a + b + c +
@@ -218,14 +235,8 @@ fn elaborate(src: &str, entry: &str) -> Module {
 /// `((c + a) + b) + k` at 5 bits. Reassociation, an extension and a
 /// truncation the word DAG has to see through together.
 fn add3_promoted(_smoke: bool) -> (Module, Module, EquivSpec) {
-    let (w, k) = (5, 12_345u64);
-    let slm = elaborate(
-        &format!(
-            "uint<{w}> add3(uint<{w}> a, uint<{w}> b, uint<{w}> c) {{\n    \
-             return (uint<{w}>)(a + b + c + {k});\n}}\n"
-        ),
-        "add3",
-    );
+    let (w, k) = (ADD3_W, ADD3_K);
+    let slm = elaborate(add3_source);
     let mut b = ModuleBuilder::new("add3_rtl");
     let a = b.input("a", w);
     let bi = b.input("b", w);
@@ -244,21 +255,26 @@ fn add3_promoted(_smoke: bool) -> (Module, Module, EquivSpec) {
     (slm, rtl, spec)
 }
 
+/// The seeded FIR coefficients.
+const FIR_COEFFS: [i64; 4] = [5, 101, 64, 127];
+
+fn fir_source() -> (String, &'static str) {
+    (fir::slm_source_with_coeffs(FIR_COEFFS), "fir")
+}
+
 /// The streaming FIR with seeded coefficients: the SLM accumulates
 /// sign-extended samples in 32-bit `int` and truncates to 18 bits, the
 /// RTL multiply-accumulates at 18 bits over its tap registers.
 fn fir_seeded(_smoke: bool) -> (Module, Module, EquivSpec) {
-    let c = [5, 101, 64, 127];
-    let slm = elaborate(&fir::slm_source_with_coeffs(c), "fir");
-    (slm, fir::rtl_with_coeffs(c), fir::equiv_spec())
+    let slm = elaborate(fir_source);
+    (slm, fir::rtl_with_coeffs(FIR_COEFFS), fir::equiv_spec())
 }
 
-/// The blur tile with an offset added to every output pixel: in 32-bit
-/// `int` after the arithmetic shift in the SLM, at 8 bits after the
-/// logical shift and truncation in the RTL. Constant shifts and the RTL's
-/// constant-index output mux are on the path.
-fn conv_offset(_smoke: bool) -> (Module, Module, EquivSpec) {
-    let k = 77u64;
+/// The offset the conv row adds to every output pixel.
+const CONV_K: u64 = 77;
+
+fn conv_source() -> (String, &'static str) {
+    let k = CONV_K;
     let src = conv::slm_source().replace(
         "res[y * 4 + x] = (uint8)(acc >> 4);",
         &format!("res[y * 4 + x] = (uint8)((acc >> 4) + {k});"),
@@ -267,7 +283,16 @@ fn conv_offset(_smoke: bool) -> (Module, Module, EquivSpec) {
         src.contains(&format!("+ {k})")),
         "blur source changed shape"
     );
-    let slm = elaborate(&src, "blur");
+    (src, "blur")
+}
+
+/// The blur tile with an offset added to every output pixel: in 32-bit
+/// `int` after the arithmetic shift in the SLM, at 8 bits after the
+/// logical shift and truncation in the RTL. Constant shifts and the RTL's
+/// constant-index output mux are on the path.
+fn conv_offset(_smoke: bool) -> (Module, Module, EquivSpec) {
+    let k = CONV_K;
+    let slm = elaborate(conv_source);
 
     // The RTL tile inside a wrapper that adds `k` to `pix_out`, flattened.
     let inner = conv::rtl();
@@ -295,15 +320,21 @@ fn conv_offset(_smoke: bool) -> (Module, Module, EquivSpec) {
     (slm, rtl, conv::equiv_spec())
 }
 
+/// The memsys row's ROM image.
+const MEMSYS_TABLE: [u8; 16] = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3];
+
+fn memsys_source() -> (String, &'static str) {
+    (dfv_designs::memsys::slm_source(&MEMSYS_TABLE), "lookup")
+}
+
 /// The memory-system design's fast bank (1-cycle ROM latency), SLM
 /// elaborated from its conditioned C source — a sequential miter with
 /// real memories and `Free` tag pins. The spec's `addr < 8` constraint
 /// becomes an input fact, so the SLM's 16-entry read and the bank's
 /// 8-entry read are one word and the point closes with no SAT work.
 fn memsys_fast(_smoke: bool) -> (Module, Module, EquivSpec) {
-    let table = [3u8, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3];
-    let slm = elaborate(&dfv_designs::memsys::slm_source(&table), "lookup");
-    let rtl = dfv_designs::memsys::rtl(&table);
+    let slm = elaborate(memsys_source);
+    let rtl = dfv_designs::memsys::rtl(&MEMSYS_TABLE);
     (slm, rtl, dfv_designs::memsys::equiv_spec_fast())
 }
 
@@ -312,46 +343,55 @@ const WORKLOADS: [SecWorkload; 9] = [
         name: "mul_comm",
         build: mul_comm,
         equivalent: true,
+        source: None,
     },
     SecWorkload {
         name: "madd_comm",
         build: madd_comm,
         equivalent: true,
+        source: None,
     },
     SecWorkload {
         name: "add_assoc",
         build: add_assoc,
         equivalent: true,
+        source: None,
     },
     SecWorkload {
         name: "fpu_slice",
         build: fpu_slice,
         equivalent: true,
+        source: None,
     },
     SecWorkload {
         name: "memsys_fast",
         build: memsys_fast,
         equivalent: true,
+        source: Some(memsys_source),
     },
     SecWorkload {
         name: "mul_bug",
         build: mul_bug,
         equivalent: false,
+        source: None,
     },
     SecWorkload {
         name: "add3_promoted",
         build: add3_promoted,
         equivalent: true,
+        source: Some(add3_source),
     },
     SecWorkload {
         name: "fir_seeded",
         build: fir_seeded,
         equivalent: true,
+        source: Some(fir_source),
     },
     SecWorkload {
         name: "conv_offset",
         build: conv_offset,
         equivalent: true,
+        source: Some(conv_source),
     },
 ];
 
@@ -453,6 +493,19 @@ pub fn sec_bench_report(smoke: bool) -> RunReport {
 
         rep.push_phase(format!("{}.off", w.name), best_off);
         rep.push_phase(format!("{}.on", w.name), best_on);
+        if let Some(source) = w.source {
+            let (src, entry) = source();
+            let prog = dfv_slmir::parse(&src).unwrap();
+            let best_elab = (0..TIMING_REPS)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    std::hint::black_box(dfv_slmir::elaborate(&prog, entry).unwrap());
+                    t.elapsed()
+                })
+                .min()
+                .expect("at least one timing rep");
+            rep.push_phase(format!("{}.elab", w.name), best_elab);
+        }
         rep.set_counter(
             format!("sec.{}.verdict", w.name),
             verdict_code(&off.outcome),

@@ -717,7 +717,7 @@ fn build_miter(
             .collect()
     };
     let mut slm_sim = SymbolicSim::new(&mut dag, slm, InitState::Reset)?;
-    let slm_cycle = slm_sim.step(&mut dag, &slm_input_vec, &slm_demand);
+    let slm_cycle = slm_sim.evaluate(&mut dag, &slm_input_vec, &slm_demand);
     let mut sites = Vec::new();
     let site_words = |cycle: &SymbolicCycle, m: &Module| -> Vec<WordId> {
         m.node_ids()
@@ -729,11 +729,19 @@ fn build_miter(
     }
 
     // RTL unrolling, each cycle demanding the outputs compared on it.
-    let mut binding_at: HashMap<(usize, u32), &Binding> = HashMap::new();
+    // The binding of input port `i` on cycle `t` is at `t * ports + i`.
+    let ports = rtl.inputs.len();
+    let mut bound: Vec<Option<&Binding>> = vec![None; spec.rtl_cycles as usize * ports];
     for (port, cycle, b) in &spec.bindings {
         let idx = rtl.input_index(port).expect("validated");
-        binding_at.insert((idx, *cycle), b);
+        bound[*cycle as usize * ports + idx] = Some(b);
     }
+    let slm_word = |name: &str| slm_input_vec[slm.input_index(name).expect("validated")];
+    let compare_drivers: Vec<NodeId> = spec
+        .compares
+        .iter()
+        .map(|cp| output_driver(rtl, &cp.rtl_output))
+        .collect();
     let rtl_all = if sweep.enabled {
         all_nodes(rtl)
     } else {
@@ -747,14 +755,13 @@ fn build_miter(
     // unrolled.
     let mut rtl_outs: Vec<Option<WordId>> = vec![None; spec.compares.len()];
     let mut demand = Vec::new();
+    let mut inputs = Vec::with_capacity(ports);
     for t in 0..spec.rtl_cycles {
-        let inputs: Vec<WordId> = rtl
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| match binding_at.get(&(i, t)) {
-                Some(Binding::Slm(name)) => slm_words[name],
-                Some(Binding::SlmSlice { name, hi, lo }) => dag.slice(slm_words[name], *hi, *lo),
+        inputs.clear();
+        for (i, p) in rtl.inputs.iter().enumerate() {
+            inputs.push(match bound[t as usize * ports + i] {
+                Some(Binding::Slm(name)) => slm_word(name),
+                Some(Binding::SlmSlice { name, hi, lo }) => dag.slice(slm_word(name), *hi, *lo),
                 Some(Binding::Const(v)) => dag.constant(v),
                 Some(Binding::Free) => {
                     let w = dag.leaf(p.width);
@@ -762,8 +769,8 @@ fn build_miter(
                     w
                 }
                 None => dag.constant(&Bv::zero(p.width)),
-            })
-            .collect();
+            });
+        }
         demand.clear();
         if sweep.enabled {
             demand.extend_from_slice(&rtl_all);
@@ -771,17 +778,28 @@ fn build_miter(
             demand.extend(
                 spec.compares
                     .iter()
-                    .filter(|cp| cp.rtl_cycle == t)
-                    .map(|cp| output_driver(rtl, &cp.rtl_output)),
+                    .zip(&compare_drivers)
+                    .filter(|(cp, _)| cp.rtl_cycle == t)
+                    .map(|(_, &d)| d),
             );
         }
-        let cycle = sym.step(&mut dag, &inputs, &demand);
+        // Nothing reads the state after the last cycle.
+        let cycle = if t + 1 == spec.rtl_cycles {
+            sym.evaluate(&mut dag, &inputs, &demand)
+        } else {
+            sym.step(&mut dag, &inputs, &demand)
+        };
         if sweep.enabled {
             sites.push(site_words(cycle, rtl));
         }
-        for (cp, out) in spec.compares.iter().zip(&mut rtl_outs) {
+        for ((cp, &d), out) in spec
+            .compares
+            .iter()
+            .zip(&compare_drivers)
+            .zip(&mut rtl_outs)
+        {
             if cp.rtl_cycle == t {
-                *out = Some(cycle.output(rtl, &cp.rtl_output));
+                *out = Some(cycle.node(d).expect("demanded on its cycle"));
             }
         }
     }

@@ -37,7 +37,7 @@
 //! DAG closes costs no variable, clause or conflict.
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dfv_bits::{Bv, FxHasher};
 use dfv_rtl::ir::{BinOp, UnOp};
@@ -49,6 +49,9 @@ use dfv_rtl::{eval_bin, eval_un};
 pub struct WordId(u32);
 
 impl WordId {
+    /// An id no word has: the DAG holds fewer than `2^32 - 1` words.
+    pub(crate) const NONE: WordId = WordId(u32::MAX);
+
     /// The raw index of this word in its DAG.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -112,8 +115,10 @@ impl Word {
 const PUSH_DEPTH: u32 = 24;
 
 /// A linear form under construction: `konst + Σ c·t`, terms in id order
-/// with nonzero coefficients.
-struct Lin {
+/// with nonzero coefficients. [`crate::SymbolicSim`] keeps one per
+/// pending sum and extends it in place.
+#[derive(Debug)]
+pub(crate) struct Lin {
     konst: Bv,
     terms: Vec<(WordId, Bv)>,
 }
@@ -123,19 +128,121 @@ type OpKey = (u64, u64);
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
+/// The hash-consing table: an open-addressed set of word ids keyed by
+/// their nodes' hashes. A probe compares the stored hash, then the node
+/// in [`WordDag::nodes`], so a lookup never builds or clones a node and
+/// only a new node is moved into the DAG.
+#[derive(Debug, Default)]
+struct InternTable {
+    /// `hash << 32 | (id + 1)` per slot; 0 is an empty slot.
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl InternTable {
+    /// The id whose node `is` accepts among those stored under `hash`,
+    /// or the empty slot where such a node belongs.
+    fn find(&self, hash: u32, mut is: impl FnMut(WordId) -> bool) -> Result<WordId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return Err(i);
+            }
+            let id = WordId(slot as u32 - 1);
+            if (slot >> 32) as u32 == hash && is(id) {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Makes room for one more entry, keeping the load at most a half.
+    fn reserve_one(&mut self) {
+        if (self.len + 1) * 2 <= self.slots.len() {
+            return;
+        }
+        let size = (self.slots.len() * 2).max(64);
+        let old = std::mem::replace(&mut self.slots, vec![0; size]);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let mut i = (slot >> 32) as usize & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    fn insert_at(&mut self, i: usize, hash: u32, id: WordId) {
+        self.slots[i] = u64::from(hash) << 32 | (u64::from(id.0) + 1);
+        self.len += 1;
+    }
+}
+
+/// The table hash of a node. A linear form hashes through [`hash_lin`],
+/// so a form can be looked up from its borrowed parts.
+fn hash_word(word: &Word) -> u32 {
+    let (tag, x, y, z) = match *word {
+        Word::Linear(ref k, ref terms) => return hash_lin(k, terms),
+        Word::Leaf(n) => (0, n, 0, 0),
+        Word::Const(ref c) => {
+            let low = c.limbs()[0];
+            (1, c.width(), low as u32, (low >> 32) as u32)
+        }
+        Word::Un(op, a) => (2 | (op as u32) << 8, a.0, 0, 0),
+        Word::Bin(op, a, b) => (3 | (op as u32) << 8, a.0, b.0, 0),
+        Word::Mux(s, t, f) => (4, s.0, t.0, f.0),
+        Word::Slice(a, hi, lo) => (5, a.0, hi, lo),
+        Word::Concat(hi, lo) => (6, hi.0, lo.0, 0),
+        Word::Zext(a, w) => (7, a.0, w, 0),
+        Word::Sext(a, w) => (8, a.0, w, 0),
+    };
+    let mut h = FxHasher::default();
+    h.write_u64(u64::from(tag) | u64::from(x) << 32);
+    h.write_u64(u64::from(y) | u64::from(z) << 32);
+    h.finish() as u32
+}
+
+/// Hashes the width and each value's low limb: enough to spread the
+/// forms apart, and equal forms hash equal.
+fn hash_lin(konst: &Bv, terms: &[(WordId, Bv)]) -> u32 {
+    let mut h = FxHasher::default();
+    h.write_u32(konst.width());
+    h.write_u64(konst.limbs()[0]);
+    for (t, c) in terms {
+        h.write_u32(t.0);
+        h.write_u64(c.limbs()[0]);
+    }
+    h.finish() as u32
+}
+
+/// Whether `c` is 1.
+fn is_unit(c: &Bv) -> bool {
+    c.bit(0) && c.count_ones() == 1
+}
+
 /// The hash-consed, normalizing word DAG. See the module docs.
 #[derive(Debug, Default)]
 pub struct WordDag {
     nodes: Vec<Word>,
     widths: Vec<u32>,
     /// Normal-form node to id: the hash-consing proper.
-    intern: FxMap<Word, WordId>,
-    /// Constructor call to result. A constructor is a pure function of
-    /// its operator and operand ids, so a call seen before returns its
-    /// first answer without normalizing again: an unrolled cycle that
-    /// recomputes unchanged logic costs one small lookup per node.
+    intern: InternTable,
+    /// Constructor call to result, for the constructors whose
+    /// normalization costs more than a lookup: binary operators on
+    /// non-constant words, slices (memoized with their push depth) and
+    /// constants. A constructor is a pure function of its operator and
+    /// operand ids, so a call seen before returns its first answer
+    /// without normalizing again.
     ops: FxMap<OpKey, WordId>,
     leaves: u32,
+    /// The 1-bit constants 0 and 1, once built: control logic folds to
+    /// them on every cycle.
+    bits: [Option<WordId>; 2],
+    /// Term lists of finished linear forms, kept for the next ones.
+    spare: Vec<Vec<(WordId, Bv)>>,
 }
 
 /// Packs a constructor call: tag and operator in the top bits of the
@@ -182,7 +289,12 @@ impl WordDag {
     }
 
     fn push(&mut self, word: Word, width: u32) -> WordId {
-        let id = WordId(u32::try_from(self.nodes.len()).expect("fewer than 2^32 words"));
+        let id = WordId(
+            u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != u32::MAX)
+                .expect("fewer than 2^32 - 1 words"),
+        );
         self.nodes.push(word);
         self.widths.push(width);
         id
@@ -190,12 +302,34 @@ impl WordDag {
 
     /// Returns the id of `word`, adding it if it is new.
     fn intern(&mut self, word: Word, width: u32) -> WordId {
-        if let Some(&id) = self.intern.get(&word) {
-            return id;
+        let hash = hash_word(&word);
+        self.intern.reserve_one();
+        match self.intern.find(hash, |id| self.nodes[id.index()] == word) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = self.push(word, width);
+                self.intern.insert_at(slot, hash, id);
+                id
+            }
         }
-        let id = self.push(word.clone(), width);
-        self.intern.insert(word, id);
-        id
+    }
+
+    /// Returns the id of the linear form `konst + Σ terms`, adding it if
+    /// it is new; the terms are copied only then.
+    fn intern_lin(&mut self, konst: &Bv, terms: &[(WordId, Bv)]) -> WordId {
+        let hash = hash_lin(konst, terms);
+        self.intern.reserve_one();
+        let found = self.intern.find(hash, |id| {
+            matches!(&self.nodes[id.index()], Word::Linear(k, t) if k == konst && **t == *terms)
+        });
+        match found {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = self.push(Word::Linear(konst.clone(), terms.into()), konst.width());
+                self.intern.insert_at(slot, hash, id);
+                id
+            }
+        }
     }
 
     /// A fresh free word of `width` bits, distinct from every other word.
@@ -207,6 +341,15 @@ impl WordDag {
 
     /// The constant `value`.
     pub fn constant(&mut self, value: &Bv) -> WordId {
+        if value.width() == 1 {
+            let bit = usize::from(value.bit(0));
+            if let Some(id) = self.bits[bit] {
+                return id;
+            }
+            let id = self.intern(Word::Const(value.clone()), 1);
+            self.bits[bit] = Some(id);
+            return id;
+        }
         match value.try_to_u64() {
             Some(v) if value.width() <= 64 => {
                 let key = op_key(8, 0, WordId(value.width()), (v >> 32) as u32, v as u32);
@@ -229,10 +372,6 @@ impl WordDag {
 
     /// A unary operator.
     pub fn un(&mut self, op: UnOp, a: WordId) -> WordId {
-        self.memo(op_key(1, op as u64, a, 0, 0), |d| d.un_normal(op, a))
-    }
-
-    fn un_normal(&mut self, op: UnOp, a: WordId) -> WordId {
         if let Some(c) = self.const_value(a) {
             let v = eval_un(op, c);
             return self.constant(&v);
@@ -240,8 +379,7 @@ impl WordDag {
         match op {
             UnOp::Neg => {
                 let w = self.width(a);
-                let mut lin = Lin::zero(w);
-                self.lin_add(&mut lin, a, &Bv::ones(w));
+                let lin = self.lin_of(a, &Bv::ones(w));
                 self.finish_lin(lin)
             }
             UnOp::Not => match *self.word(a) {
@@ -255,20 +393,21 @@ impl WordDag {
 
     /// A binary operator, with the IR's width rules.
     pub fn bin(&mut self, op: BinOp, a: WordId, b: WordId) -> WordId {
-        self.memo(op_key(2, op as u64, a, b.0, 0), |d| d.bin_normal(op, a, b))
-    }
-
-    fn bin_normal(&mut self, op: BinOp, a: WordId, b: WordId) -> WordId {
+        // Folding constants costs less than remembering that it was done.
         if let (Some(x), Some(y)) = (self.const_value(a), self.const_value(b)) {
             let v = eval_bin(op, x, y);
             return self.constant(&v);
         }
+        self.memo(op_key(2, op as u64, a, b.0, 0), |d| d.bin_normal(op, a, b))
+    }
+
+    /// A binary operator on two words that are not both constants.
+    fn bin_normal(&mut self, op: BinOp, a: WordId, b: WordId) -> WordId {
         let w = self.width(a);
         match op {
             BinOp::Add | BinOp::Sub => {
                 let one = Bv::from_u64(w, 1);
-                let mut lin = Lin::zero(w);
-                self.lin_add(&mut lin, a, &one);
+                let mut lin = self.lin_of(a, &one);
                 let scale = if op == BinOp::Add { one } else { Bv::ones(w) };
                 self.lin_add(&mut lin, b, &scale);
                 self.finish_lin(lin)
@@ -279,8 +418,7 @@ impl WordDag {
                     (Some(k), _) => (b, k.clone()),
                     _ => return self.intern(Word::Bin(op, a.min(b), a.max(b)), w),
                 };
-                let mut lin = Lin::zero(w);
-                self.lin_add(&mut lin, x, &k);
+                let lin = self.lin_of(x, &k);
                 self.finish_lin(lin)
             }
             BinOp::Shl | BinOp::LShr | BinOp::AShr => match self.const_value(b) {
@@ -343,8 +481,7 @@ impl WordDag {
         match op {
             BinOp::Shl if s >= w => self.constant(&Bv::zero(w)),
             BinOp::Shl => {
-                let mut lin = Lin::zero(w);
-                self.lin_add(&mut lin, a, &Bv::from_u64(w, 1).shl(s));
+                let lin = self.lin_of(a, &Bv::from_u64(w, 1).shl(s));
                 self.finish_lin(lin)
             }
             BinOp::LShr if s >= w => self.constant(&Bv::zero(w)),
@@ -391,10 +528,6 @@ impl WordDag {
 
     /// `if sel { t } else { f }`.
     pub fn mux(&mut self, sel: WordId, t: WordId, f: WordId) -> WordId {
-        self.memo(op_key(3, 0, sel, t.0, f.0), |d| d.mux_normal(sel, t, f))
-    }
-
-    fn mux_normal(&mut self, sel: WordId, t: WordId, f: WordId) -> WordId {
         if let Some(s) = self.const_value(sel) {
             return if s.bit(0) { t } else { f };
         }
@@ -402,7 +535,7 @@ impl WordDag {
             return t;
         }
         if let Word::Un(UnOp::Not, s) = *self.word(sel) {
-            return self.mux_normal(s, f, t);
+            return self.mux(s, f, t);
         }
         if self.width(t) == 1 {
             match (self.const_value(t), self.const_value(f)) {
@@ -423,6 +556,10 @@ impl WordDag {
     /// depth, so a word reached along many paths of a shared DAG is
     /// sliced once per depth, never once per path.
     fn slice_at(&mut self, a: WordId, hi: u32, lo: u32, depth: u32) -> WordId {
+        if let Some(c) = self.const_value(a) {
+            let v = c.slice(hi, lo);
+            return self.constant(&v);
+        }
         self.memo(op_key(4, u64::from(depth), a, hi, lo), |d| {
             d.slice_normal(a, hi, lo, depth)
         })
@@ -464,7 +601,7 @@ impl WordDag {
             let v = c.slice(hi, lo);
             return self.constant(&v);
         }
-        match self.word(a).clone() {
+        match *self.word(a) {
             Word::Zext(x, _) => {
                 // hi reaches the zero fill.
                 let wx = self.width(x);
@@ -485,7 +622,7 @@ impl WordDag {
             return self.intern(Word::Slice(a, hi, lo), w);
         }
         let d = depth - 1;
-        match self.word(a).clone() {
+        match *self.word(a) {
             Word::Concat(h, l) => {
                 let wl = self.width(l);
                 let hp = self.slice_at(h, hi - wl, 0, d);
@@ -509,14 +646,18 @@ impl WordDag {
             // Sums and products: the low `hi + 1` bits depend only on the
             // low `hi + 1` bits of the operands. Truncate there, then
             // select.
-            Word::Linear(k, terms) if hi + 1 < self.width(a) => {
-                let mut lin = Lin {
-                    konst: k.trunc(hi + 1),
-                    terms: Vec::new(),
-                };
-                for (t, c) in terms.iter() {
-                    let st = self.slice_at(*t, hi, 0, d);
-                    self.lin_add(&mut lin, st, &c.trunc(hi + 1));
+            Word::Linear(ref k, ref terms) if hi + 1 < self.width(a) => {
+                let n = terms.len();
+                let mut lin = self.lin_const(k.trunc(hi + 1));
+                for i in 0..n {
+                    // The DAG only grows, so `a`'s node stays where it is
+                    // while the terms' slices are built.
+                    let Word::Linear(_, terms) = &self.nodes[a.index()] else {
+                        unreachable!("a linear form above")
+                    };
+                    let (t, c) = (terms[i].0, terms[i].1.trunc(hi + 1));
+                    let st = self.slice_at(t, hi, 0, d);
+                    self.lin_add(&mut lin, st, &c);
                 }
                 let low = self.finish_lin(lin);
                 self.slice_at(low, hi, lo, d)
@@ -533,10 +674,6 @@ impl WordDag {
 
     /// `{hi, lo}`.
     pub fn concat(&mut self, hi: WordId, lo: WordId) -> WordId {
-        self.memo(op_key(5, 0, hi, lo.0, 0), |d| d.concat_normal(hi, lo))
-    }
-
-    fn concat_normal(&mut self, hi: WordId, lo: WordId) -> WordId {
         let w = self.width(hi) + self.width(lo);
         match (self.const_value(hi), self.const_value(lo)) {
             (Some(h), Some(l)) => {
@@ -558,10 +695,6 @@ impl WordDag {
 
     /// Zero-extension of `a` to `width` bits.
     pub fn zext(&mut self, a: WordId, width: u32) -> WordId {
-        self.memo(op_key(6, 0, a, width, 0), |d| d.zext_normal(a, width))
-    }
-
-    fn zext_normal(&mut self, a: WordId, width: u32) -> WordId {
         let wa = self.width(a);
         assert!(width >= wa, "zext narrows");
         if width == wa {
@@ -579,10 +712,6 @@ impl WordDag {
 
     /// Sign-extension of `a` to `width` bits.
     pub fn sext(&mut self, a: WordId, width: u32) -> WordId {
-        self.memo(op_key(7, 0, a, width, 0), |d| d.sext_normal(a, width))
-    }
-
-    fn sext_normal(&mut self, a: WordId, width: u32) -> WordId {
         let wa = self.width(a);
         assert!(width >= wa, "sext narrows");
         if width == wa {
@@ -600,39 +729,75 @@ impl WordDag {
         }
     }
 
+    /// The linear form `konst` with no terms, its term list drawn from
+    /// the spare ones (every spare is empty).
+    fn lin_const(&mut self, konst: Bv) -> Lin {
+        Lin {
+            konst,
+            terms: self.spare.pop().unwrap_or_default(),
+        }
+    }
+
+    /// The linear form `scale · a`.
+    pub(crate) fn lin_of(&mut self, a: WordId, scale: &Bv) -> Lin {
+        let mut lin = self.lin_const(Bv::zero(scale.width()));
+        self.lin_add(&mut lin, a, scale);
+        lin
+    }
+
     /// `lin += scale · a`: a constant joins the constant, a linear form
-    /// adds its terms, anything else is one term.
-    fn lin_add(&self, lin: &mut Lin, a: WordId, scale: &Bv) {
+    /// merges its terms in one pass, anything else is one term.
+    pub(crate) fn lin_add(&mut self, lin: &mut Lin, a: WordId, scale: &Bv) {
         if scale.is_zero() {
             return;
         }
-        match self.word(a) {
-            Word::Const(c) => lin.konst = lin.konst.wrapping_add(&c.wrapping_mul(scale)),
+        match &self.nodes[a.index()] {
+            Word::Const(c) => lin.add_konst(c, scale),
             Word::Linear(k, terms) => {
-                lin.konst = lin.konst.wrapping_add(&k.wrapping_mul(scale));
-                for (t, c) in terms.iter() {
-                    lin.add_term(*t, c.wrapping_mul(scale));
-                }
+                lin.add_konst(k, scale);
+                let mut out = self.spare.pop().unwrap_or_default();
+                lin.merge(terms, scale, &mut out);
+                out.clear();
+                self.spare.push(out);
             }
             _ => lin.add_term(a, scale.clone()),
         }
     }
 
-    /// Interns a linear form in normal form.
-    fn finish_lin(&mut self, lin: Lin) -> WordId {
-        let w = lin.konst.width();
-        match lin.terms.as_slice() {
-            [] => self.constant(&lin.konst),
-            [(t, c)] if lin.konst.is_zero() && c.count_ones() == 1 && c.bit(0) => *t,
-            _ => self.intern(Word::Linear(lin.konst, lin.terms.into_boxed_slice()), w),
+    /// `lin += scale · other`, consuming `other`.
+    pub(crate) fn lin_merge(&mut self, lin: &mut Lin, other: Lin, scale: &Bv) {
+        if !scale.is_zero() {
+            lin.add_konst(&other.konst, scale);
+            let mut out = self.spare.pop().unwrap_or_default();
+            lin.merge(&other.terms, scale, &mut out);
+            out.clear();
+            self.spare.push(out);
         }
+        self.recycle(other);
+    }
+
+    /// Returns a form's term list to the spares.
+    fn recycle(&mut self, mut lin: Lin) {
+        lin.terms.clear();
+        self.spare.push(lin.terms);
+    }
+
+    /// Interns a linear form in normal form.
+    pub(crate) fn finish_lin(&mut self, lin: Lin) -> WordId {
+        let id = match lin.terms.as_slice() {
+            [] => self.constant(&lin.konst),
+            [(t, c)] if lin.konst.is_zero() && is_unit(c) => *t,
+            terms => self.intern_lin(&lin.konst, terms),
+        };
+        self.recycle(lin);
+        id
     }
 
     /// Evaluates `id` with every leaf read from `leaf`: the concrete
     /// semantics of the DAG, the oracle the rewrite-rule tests check
     /// normalization against, and how a counterexample reads a word no
     /// cone lowered.
-    pub(crate) fn eval(&self, id: WordId, leaf: &mut dyn FnMut(WordId) -> Bv) -> Bv {
+    pub fn eval(&self, id: WordId, leaf: &mut dyn FnMut(WordId) -> Bv) -> Bv {
         let mut vals: HashMap<WordId, Bv> = HashMap::new();
         let mut stack = vec![(id, false)];
         while let Some((v, ready)) = stack.pop() {
@@ -671,11 +836,30 @@ impl WordDag {
 }
 
 impl Lin {
-    fn zero(width: u32) -> Lin {
-        Lin {
-            konst: Bv::zero(width),
-            terms: Vec::new(),
+    /// `konst += scale · k`.
+    fn add_konst(&mut self, k: &Bv, scale: &Bv) {
+        if k.is_zero() {
+            return;
         }
+        let term = if is_unit(scale) {
+            k.wrapping_add(&self.konst)
+        } else {
+            k.wrapping_mul(scale).wrapping_add(&self.konst)
+        };
+        self.konst = term;
+    }
+
+    /// `*= k`: scales the constant and every coefficient, dropping the
+    /// terms whose coefficient becomes 0.
+    pub(crate) fn scale(&mut self, k: &Bv) {
+        if is_unit(k) {
+            return;
+        }
+        self.konst = self.konst.wrapping_mul(k);
+        self.terms.retain_mut(|(_, c)| {
+            *c = c.wrapping_mul(k);
+            !c.is_zero()
+        });
     }
 
     /// `+= c·t`, keeping the terms in id order with nonzero coefficients.
@@ -692,6 +876,55 @@ impl Lin {
             Err(i) if !c.is_zero() => self.terms.insert(i, (t, c)),
             Err(_) => {}
         }
+    }
+
+    /// `+= scale · Σ terms` (`terms` in id order, `scale` nonzero) in one
+    /// merge pass; `out` is scratch, left holding the old terms.
+    fn merge(&mut self, terms: &[(WordId, Bv)], scale: &Bv, out: &mut Vec<(WordId, Bv)>) {
+        let unit = is_unit(scale);
+        let scaled = |c: &Bv| {
+            if unit {
+                c.clone()
+            } else {
+                c.wrapping_mul(scale)
+            }
+        };
+        if let [(t, c)] = terms {
+            self.add_term(*t, scaled(c));
+            return;
+        }
+        out.clear();
+        let (mut i, mut j) = (0, 0);
+        while i < self.terms.len() || j < terms.len() {
+            let (mine, theirs) = (self.terms.get(i), terms.get(j));
+            match (mine, theirs) {
+                (Some((a, x)), Some((b, y))) if a == b => {
+                    let sum = x.wrapping_add(&scaled(y));
+                    if !sum.is_zero() {
+                        out.push((*a, sum));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+                (Some((a, x)), Some((b, _))) if a < b => {
+                    out.push((*a, x.clone()));
+                    i += 1;
+                }
+                (Some((a, x)), None) => {
+                    out.push((*a, x.clone()));
+                    i += 1;
+                }
+                (_, Some((b, y))) => {
+                    let c = scaled(y);
+                    if !c.is_zero() {
+                        out.push((*b, c));
+                    }
+                    j += 1;
+                }
+                (None, None) => unreachable!("loop condition"),
+            }
+        }
+        std::mem::swap(&mut self.terms, out);
     }
 }
 

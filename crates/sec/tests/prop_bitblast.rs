@@ -19,6 +19,7 @@
 use std::collections::HashMap;
 
 use dfv_bits::{Bv, SplitMix64};
+use dfv_rtl::ir::{BinOp, UnOp};
 use dfv_rtl::{Module, ModuleBuilder, NodeId, Simulator};
 use dfv_sat::{Budget, Lit, SolveResult};
 use dfv_sec::{
@@ -1284,4 +1285,246 @@ fn demanded_words_equal_the_all_node_run() {
             assert_eq!(lazy.reg_state(), full.reg_state(), "case {case}");
         }
     }
+}
+
+/// A random linear expression over the inputs: the shape
+/// `SymbolicSim` leaves pending and extends in place.
+#[derive(Debug, Clone)]
+enum LinExpr {
+    Input(usize),
+    Add(Box<LinExpr>, Box<LinExpr>),
+    Sub(Box<LinExpr>, Box<LinExpr>),
+    Neg(Box<LinExpr>),
+    /// Times a constant.
+    Mul(Box<LinExpr>, u64),
+    /// Shifted left by a constant.
+    Shl(Box<LinExpr>, u64),
+}
+
+impl LinExpr {
+    /// A random expression of about `size` inputs.
+    fn random(rng: &mut SplitMix64, inputs: usize, size: usize, w: u32) -> LinExpr {
+        let e = if size <= 1 {
+            LinExpr::Input(rng.below(inputs as u64) as usize)
+        } else {
+            let cut = rng.range_u64(1, size as u64 - 1) as usize;
+            let (l, r) = (
+                Box::new(LinExpr::random(rng, inputs, cut, w)),
+                Box::new(LinExpr::random(rng, inputs, size - cut, w)),
+            );
+            if rng.below(3) == 0 {
+                LinExpr::Sub(l, r)
+            } else {
+                LinExpr::Add(l, r)
+            }
+        };
+        match rng.below(6) {
+            0 => LinExpr::Neg(Box::new(e)),
+            1 => LinExpr::Mul(Box::new(e), rng.next_u64() & (u64::MAX >> (64 - w))),
+            2 => LinExpr::Shl(Box::new(e), rng.below(u64::from(w) + 2)),
+            _ => e,
+        }
+    }
+
+    /// Its value in plain `Bv` arithmetic.
+    fn value(&self, xs: &[Bv], w: u32) -> Bv {
+        match self {
+            LinExpr::Input(i) => xs[*i].clone(),
+            LinExpr::Add(a, b) => a.value(xs, w).wrapping_add(&b.value(xs, w)),
+            LinExpr::Sub(a, b) => a.value(xs, w).wrapping_sub(&b.value(xs, w)),
+            LinExpr::Neg(a) => a.value(xs, w).wrapping_neg(),
+            LinExpr::Mul(a, k) => a.value(xs, w).wrapping_mul(&Bv::from_u64(w, *k)),
+            LinExpr::Shl(a, s) => a.value(xs, w).shl((*s).min(u64::from(w)) as u32),
+        }
+    }
+
+    /// Its coefficient on each input, mod `2^w`: its value where that
+    /// input is 1 and the others 0.
+    fn coefficients(&self, inputs: usize, w: u32) -> Vec<Bv> {
+        (0..inputs)
+            .map(|i| {
+                let mut xs = vec![Bv::zero(w); inputs];
+                xs[i] = Bv::from_u64(w, 1);
+                self.value(&xs, w)
+            })
+            .collect()
+    }
+
+    /// Builds it into `b`, recording every sum node in `sums`.
+    fn build(
+        &self,
+        b: &mut ModuleBuilder,
+        ins: &[NodeId],
+        w: u32,
+        sums: &mut Vec<NodeId>,
+    ) -> NodeId {
+        let n = match self {
+            LinExpr::Input(i) => return ins[*i],
+            LinExpr::Add(x, y) | LinExpr::Sub(x, y) => {
+                let (x, y) = (x.build(b, ins, w, sums), y.build(b, ins, w, sums));
+                if matches!(self, LinExpr::Add(..)) {
+                    b.add(x, y)
+                } else {
+                    b.sub(x, y)
+                }
+            }
+            LinExpr::Neg(x) => {
+                let x = x.build(b, ins, w, sums);
+                b.neg(x)
+            }
+            LinExpr::Mul(x, k) => {
+                let x = x.build(b, ins, w, sums);
+                let k = b.lit(w, *k);
+                b.mul(x, k)
+            }
+            LinExpr::Shl(x, s) => {
+                let x = x.build(b, ins, w, sums);
+                let s = b.lit(6, *s);
+                b.shl(x, s)
+            }
+        };
+        sums.push(n);
+        n
+    }
+
+    /// Builds it word by word in `dag`.
+    fn word(&self, dag: &mut WordDag, leaves: &[WordId], w: u32) -> WordId {
+        match self {
+            LinExpr::Input(i) => leaves[*i],
+            LinExpr::Add(x, y) | LinExpr::Sub(x, y) => {
+                let (x, y) = (x.word(dag, leaves, w), y.word(dag, leaves, w));
+                let op = if matches!(self, LinExpr::Add(..)) {
+                    BinOp::Add
+                } else {
+                    BinOp::Sub
+                };
+                dag.bin(op, x, y)
+            }
+            LinExpr::Neg(x) => {
+                let x = x.word(dag, leaves, w);
+                dag.un(UnOp::Neg, x)
+            }
+            LinExpr::Mul(x, k) => {
+                let x = x.word(dag, leaves, w);
+                let k = dag.constant(&Bv::from_u64(w, *k));
+                dag.bin(BinOp::Mul, k, x)
+            }
+            LinExpr::Shl(x, s) => {
+                let x = x.word(dag, leaves, w);
+                let s = dag.constant(&Bv::from_u64(6, *s));
+                dag.bin(BinOp::Shl, x, s)
+            }
+        }
+    }
+}
+
+/// `Σ c_i · x_i` as a random association of constant products.
+fn shuffled_sum(coefs: &[Bv], rng: &mut SplitMix64) -> LinExpr {
+    let mut terms: Vec<LinExpr> = coefs
+        .iter()
+        .enumerate()
+        .map(|(i, c)| LinExpr::Mul(Box::new(LinExpr::Input(i)), c.to_u64()))
+        .collect();
+    for i in (1..terms.len()).rev() {
+        terms.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    while terms.len() > 1 {
+        let i = rng.below(terms.len() as u64 - 1) as usize;
+        let (l, r) = (terms.remove(i), terms.remove(i));
+        terms.insert(i, LinExpr::Add(Box::new(l), Box::new(r)));
+    }
+    terms.pop().expect("at least one input")
+}
+
+#[test]
+fn linear_chains_in_any_order_are_one_word() {
+    // Random sums, constant products and constant shifts, built three
+    // ways: as a module stepped by `SymbolicSim` (which leaves one-user
+    // sums pending and extends them in place), as the same module with
+    // one intermediate sum given a second user, and as a shuffled sum of
+    // the same coefficients. All are one word, the word the DAG builds
+    // from the expression directly, and its value is the expression's.
+    // Every intermediate sum, demanded after the user that extended it in
+    // place (or, with a second user, read it), evaluates to its own
+    // subexpression: an extension never changes a word another node reads.
+    let mut rng = SplitMix64::new(0x11_AC4A);
+    let mut shared = 0;
+    for case in 0..300 {
+        let w = rng.range_u64(1, 24) as u32;
+        let n_in = rng.range_u64(1, 4) as usize;
+        let size = rng.range_u64(1, 9) as usize;
+        let e = LinExpr::random(&mut rng, n_in, size, w);
+        let coefs = e.coefficients(n_in, w);
+        let shuffled = shuffled_sum(&coefs, &mut rng);
+
+        let mut b = ModuleBuilder::new("chains");
+        let ins: Vec<NodeId> = (0..n_in).map(|i| b.input(format!("x{i}"), w)).collect();
+        let mut sums = Vec::new();
+        let a = e.build(&mut b, &ins, w, &mut sums);
+        let c = shuffled.build(&mut b, &ins, w, &mut Vec::new());
+        b.output("a", a);
+        b.output("c", c);
+        // A second user for one intermediate sum, half the time.
+        let inner = sums
+            .len()
+            .checked_sub(1)
+            .filter(|&n| n > 0 && rng.below(2) == 0);
+        let inner = inner.map(|n| sums[rng.below(n as u64) as usize]);
+        if let Some(x) = inner {
+            b.output("inner", x);
+            shared += 1;
+        }
+        let m = b.finish().unwrap();
+
+        let mut dag = WordDag::new();
+        let leaves: Vec<WordId> = (0..n_in).map(|_| dag.leaf(w)).collect();
+        let mut sim = SymbolicSim::new(&mut dag, &m, InitState::Reset).unwrap();
+        let (da, dc) = (m.output_drivers[0], m.output_drivers[1]);
+        // Every intermediate sum, demanded after the outputs.
+        let mut demand = vec![da, dc];
+        demand.extend(m.output_drivers.get(2));
+        demand.extend(&sums);
+        let cycle = sim.evaluate(&mut dag, &leaves, &demand);
+        let word = |id: NodeId| cycle.node(id).expect("demanded");
+        let (wa, wc) = (word(da), word(dc));
+        assert_eq!(
+            wa,
+            wc,
+            "case {case}: {:?} vs {:?}",
+            dag.word(wa),
+            dag.word(wc)
+        );
+        let sum_words: Vec<WordId> = sums.iter().map(|&s| word(s)).collect();
+        let direct = e.word(&mut dag, &leaves, w);
+        assert_eq!(wa, direct, "case {case}");
+
+        // Each sum node's expression, to evaluate it directly.
+        let mut exprs = Vec::new();
+        fn collect<'e>(e: &'e LinExpr, out: &mut Vec<&'e LinExpr>) {
+            match e {
+                LinExpr::Input(_) => return,
+                LinExpr::Add(x, y) | LinExpr::Sub(x, y) => {
+                    collect(x, out);
+                    collect(y, out);
+                }
+                LinExpr::Neg(x) | LinExpr::Mul(x, _) | LinExpr::Shl(x, _) => collect(x, out),
+            }
+            out.push(e);
+        }
+        collect(&e, &mut exprs);
+        assert_eq!(exprs.len(), sums.len());
+        for _ in 0..64 {
+            let xs: Vec<Bv> = (0..n_in).map(|_| Bv::from_u64(w, rng.next_u64())).collect();
+            let value = |id: WordId| {
+                dag.eval(id, &mut |l| {
+                    xs[leaves.iter().position(|&x| x == l).expect("an input leaf")].clone()
+                })
+            };
+            assert_eq!(value(wa), e.value(&xs, w), "case {case}");
+            for (s, x) in sum_words.iter().zip(&exprs) {
+                assert_eq!(value(*s), x.value(&xs, w), "case {case}: {x:?}");
+            }
+        }
+    }
+    assert!(shared >= 60, "{shared} cases gave a sum a second user");
 }

@@ -20,7 +20,7 @@
 //! evaluated on [`Static`] integers against a flat, borrowed variable
 //! stack.
 
-use dfv_bits::Bv;
+use dfv_bits::{Bv, FxHasher};
 use dfv_rtl::{Module, NodeId};
 
 use crate::ast::*;
@@ -29,6 +29,7 @@ use crate::sema::{self, int_promote, literal_ty, promote};
 use crate::statics::Static;
 use crate::token::Span;
 use std::fmt;
+use std::hash::Hasher;
 
 /// An elaboration error with location. Messages reference the DFV lint rule
 /// that predicts them.
@@ -214,19 +215,47 @@ enum Slot {
     Array { elems: Vec<NodeId>, ty: ScalarTy },
 }
 
+/// A name's lookup key. A name of at most seven bytes is packed into
+/// its key, so equal keys mean equal names; a longer name's key is a
+/// hash, and a match is confirmed on the strings.
+fn name_key(name: &str) -> u64 {
+    let b = name.as_bytes();
+    if b.len() < 8 {
+        b.iter()
+            .enumerate()
+            .fold((b.len() as u64) << 56, |k, (i, &c)| {
+                k | u64::from(c) << (8 * i)
+            })
+    } else {
+        let mut h = FxHasher::default();
+        h.write(b);
+        h.finish() | 0xFF << 56
+    }
+}
+
+/// Whether the entry `(key, n)` is the name `name` with key `k`.
+fn is_name(key: u64, n: &str, k: u64, name: &str) -> bool {
+    key == k && (k >> 56 < 8 || n == name)
+}
+
 /// One inlined function's variables. Names borrow from the program, and
-/// both stacks are searched innermost-first by a linear scan: a
-/// conditioned function has a handful of live names, so a scan is
-/// cheaper than hashing a name once per scope.
+/// both stacks are searched innermost-first by a linear scan over name
+/// keys: a conditioned function has a handful of live names, so a scan
+/// is cheaper than a map per scope.
 #[derive(Debug)]
 struct Frame<'p> {
-    /// Declared variables, innermost last.
-    vars: Vec<(&'p str, Slot)>,
+    /// Declared variables by key and name, innermost last, each marked
+    /// when it shadows an in-flight loop variable.
+    vars: Vec<(u64, &'p str, Slot, bool)>,
+    /// How many of `vars` shadow a loop variable: while none does, a
+    /// loop variable's name is its own.
+    shadows: usize,
     /// Where each open block's declarations start in `vars`.
     scopes: Vec<usize>,
     /// Constant values of in-flight loop variables, for bound evaluation,
-    /// innermost last.
-    consts: Vec<(&'p str, Static)>,
+    /// by key and name, innermost last, each with the index in `vars`
+    /// its declaration takes in the loop body.
+    consts: Vec<(u64, &'p str, Static, usize)>,
     ret_ty: Option<ScalarTy>,
     ret_val: Option<NodeId>,
     returned: NodeId,
@@ -239,36 +268,53 @@ impl<'p> Frame<'p> {
 
     fn close(&mut self) {
         let start = self.scopes.pop().expect("scope stack nonempty");
+        self.shadows -= self.vars[start..].iter().filter(|v| v.3).count();
         self.vars.truncate(start);
     }
 
     fn declare(&mut self, name: &'p str, slot: Slot) {
-        self.vars.push((name, slot));
+        let k = name_key(name);
+        // A loop variable's own declaration in its body is no shadow.
+        let at = self.vars.len();
+        let shadows = self
+            .consts
+            .iter()
+            .any(|&(key, n, _, decl)| decl != at && is_name(key, n, k, name));
+        self.shadows += usize::from(shadows);
+        self.vars.push((k, name, slot, shadows));
     }
 
     fn slot(&self, name: &str) -> Option<&Slot> {
+        let k = name_key(name);
         self.vars
             .iter()
             .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
+            .find(|(key, n, ..)| is_name(*key, n, k, name))
+            .map(|(_, _, s, _)| s)
     }
 
     fn slot_mut(&mut self, name: &str) -> Option<&mut Slot> {
+        let k = name_key(name);
         self.vars
             .iter_mut()
             .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
+            .find(|(key, n, ..)| is_name(*key, n, k, name))
+            .map(|(_, _, s, _)| s)
     }
 
-    /// The constant value of loop variable `name`, if it is one.
+    /// The constant value of loop variable `name`, if `name` is one
+    /// here: not when a declaration in the loop body shadows it.
     fn const_of(&self, name: &str) -> Option<&Static> {
-        self.consts
+        let k = name_key(name);
+        let (.., v, decl) = self
+            .consts
             .iter()
             .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
+            .find(|(key, n, ..)| is_name(*key, n, k, name))?;
+        let inner = self.vars.get(decl + 1..).unwrap_or_default();
+        let shadowed =
+            self.shadows > 0 && inner.iter().any(|(key, n, ..)| is_name(*key, n, k, name));
+        (!shadowed).then_some(v)
     }
 }
 
@@ -302,6 +348,7 @@ impl<'p> Elab<'p> {
         let ret_val = ret_ty.map(|s| self.b.constant(Bv::zero(s.width)));
         Frame {
             vars: Vec::new(),
+            shadows: 0,
             scopes: Vec::new(),
             consts: Vec::new(),
             ret_ty,
@@ -340,6 +387,15 @@ impl<'p> Elab<'p> {
         guard: NodeId,
         loop_ctx: &Option<LoopCtx>,
     ) -> NodeId {
+        // Nothing has returned, broken or continued: the guard stands.
+        let no = self.b.constant(Bv::from_bool(false));
+        if fr.returned == no
+            && loop_ctx
+                .as_ref()
+                .is_none_or(|lc| lc.broke == no && lc.continued == no)
+        {
+            return guard;
+        }
         let nr = self.b.not(fr.returned);
         let mut g = self.b.and(guard, nr);
         if let Some(lc) = loop_ctx {
@@ -354,21 +410,26 @@ impl<'p> Elab<'p> {
     /// Constant evaluation over literals, loop variables, and pure
     /// operators — used for loop bounds (the "static" in static analysis).
     fn const_eval(&self, fr: &Frame<'p>, e: &Expr) -> Option<Static> {
+        // Literals and loop variables, most of the operands, are read in
+        // place rather than through a call.
+        let operand = |e: &Expr| match &e.kind {
+            ExprKind::Int(v) => Some(Static::literal(*v)),
+            ExprKind::Var(n) => fr.const_of(n).copied(),
+            _ => self.const_eval(fr, e),
+        };
         Some(match &e.kind {
             ExprKind::Int(v) => Static::literal(*v),
             ExprKind::Var(n) => *fr.const_of(n)?,
-            ExprKind::Un(op, a) => Static::un(*op, self.const_eval(fr, a)?),
-            ExprKind::Bin(op, a, b) => {
-                Static::bin(*op, self.const_eval(fr, a)?, self.const_eval(fr, b)?)
-            }
+            ExprKind::Un(op, a) => Static::un(*op, operand(a)?),
+            ExprKind::Bin(op, a, b) => Static::bin(*op, operand(a)?, operand(b)?),
             ExprKind::Ternary { cond, t, f } => {
-                if self.const_eval(fr, cond)?.is_zero() {
-                    self.const_eval(fr, f)?
+                if operand(cond)?.is_zero() {
+                    operand(f)?
                 } else {
-                    self.const_eval(fr, t)?
+                    operand(t)?
                 }
             }
-            ExprKind::Cast(ty, a) => self.const_eval(fr, a)?.cast(*ty),
+            ExprKind::Cast(ty, a) => operand(a)?.cast(*ty),
             _ => return None,
         })
     }
@@ -574,9 +635,9 @@ impl<'p> Elab<'p> {
                 };
                 let mut broke = self.b.constant(Bv::from_bool(false));
                 let mut iterations = 0u32;
-                fr.consts.push((var, v));
+                fr.consts.push((name_key(var), var, v, fr.vars.len()));
                 let result = loop {
-                    fr.consts.last_mut().expect("pushed above").1 = v;
+                    fr.consts.last_mut().expect("pushed above").2 = v;
                     let Some(c) = self.const_eval(fr, cond) else {
                         break self.err(
                             cond.span,
@@ -1187,5 +1248,32 @@ mod tests {
         assert_eq!(hit.to_u64(), 2);
         let miss = run_comb(&m, &[("xs", xs), ("needle", Bv::from_u64(8, 0x99))]);
         assert_eq!(miss.to_u64(), 0xFF);
+    }
+
+    /// A body declaration that shadows the loop variable is what its
+    /// name reads there, in conditions and assignments alike, as in the
+    /// interpreter.
+    #[test]
+    fn body_declaration_shadows_the_loop_variable() {
+        let src = r#"
+            int f(int a) {
+                int s = 0;
+                for (int i = 0; i < 2; i++) {
+                    int i = a;
+                    if (i > 3) { s = s + 1; }
+                    i = i + 1;
+                    s = s + i;
+                }
+                return s;
+            }
+        "#;
+        let prog = parse(src).unwrap();
+        let m = elaborate(&prog, "f").unwrap();
+        for a in [0u64, 7] {
+            let arg = crate::Value::Scalar(Bv::from_u64(32, a), true);
+            let want = crate::Interp::new(&prog).run("f", &[arg]).unwrap().ret;
+            let got = run_comb(&m, &[("a", Bv::from_u64(32, a))]);
+            assert_eq!(crate::Value::Scalar(got, true), want, "a = {a}");
+        }
     }
 }

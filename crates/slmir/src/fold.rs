@@ -20,6 +20,8 @@ use dfv_bits::{Bv, FxHasher};
 use dfv_rtl::ir::{BinOp, UnOp};
 use dfv_rtl::{eval_bin, eval_un, Module, ModuleBuilder, NodeId, RtlError};
 
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 /// A [`ModuleBuilder`] that folds constants and constant-operand
 /// identities as nodes are built. See the module docs.
 #[derive(Debug)]
@@ -27,8 +29,13 @@ pub(crate) struct Fold {
     b: ModuleBuilder,
     /// The value of each node known to be constant, by node index.
     known: Vec<Option<Bv>>,
-    /// Literal nodes by value: each literal is emitted once.
-    literals: HashMap<Bv, NodeId, BuildHasherDefault<FxHasher>>,
+    /// Literal nodes by width and value: each literal is emitted once.
+    /// Literals of at most 64 bits, nearly all of them, are keyed by
+    /// their one limb, the rest by value.
+    literals: FxMap<(u32, u64), NodeId>,
+    wide_literals: FxMap<Bv, NodeId>,
+    /// The 1-bit literals 0 and 1, which guards and conditions fold to.
+    bits: [Option<NodeId>; 2],
 }
 
 impl Fold {
@@ -36,7 +43,9 @@ impl Fold {
         Fold {
             b: ModuleBuilder::new(name),
             known: Vec::new(),
-            literals: HashMap::default(),
+            literals: FxMap::default(),
+            wide_literals: FxMap::default(),
+            bits: [None; 2],
         }
     }
 
@@ -63,7 +72,26 @@ impl Fold {
 
     /// The literal `value`, emitted on first use.
     pub(crate) fn constant(&mut self, value: Bv) -> NodeId {
-        if let Some(&id) = self.literals.get(&value) {
+        if value.width() == 1 {
+            let bit = usize::from(value.bit(0));
+            if let Some(id) = self.bits[bit] {
+                return id;
+            }
+            let id = self.literal(value);
+            self.bits[bit] = Some(id);
+            return id;
+        }
+        self.literal(value)
+    }
+
+    /// The literal `value`, looked up by width and value.
+    fn literal(&mut self, value: Bv) -> NodeId {
+        let narrow = (value.width() <= 64).then(|| (value.width(), value.limbs()[0]));
+        let found = match narrow {
+            Some(key) => self.literals.get(&key),
+            None => self.wide_literals.get(&value),
+        };
+        if let Some(&id) = found {
             return id;
         }
         let id = self.b.constant(value.clone());
@@ -71,8 +99,15 @@ impl Fold {
         if self.known.len() <= i {
             self.known.resize(i + 1, None);
         }
-        self.known[i] = Some(value.clone());
-        self.literals.insert(value, id);
+        match narrow {
+            Some(key) => {
+                self.literals.insert(key, id);
+            }
+            None => {
+                self.wide_literals.insert(value.clone(), id);
+            }
+        }
+        self.known[i] = Some(value);
         id
     }
 
@@ -104,6 +139,20 @@ impl Fold {
         build: fn(&mut ModuleBuilder, NodeId, NodeId) -> NodeId,
     ) -> NodeId {
         if let (Some(x), Some(y)) = (self.value(a), self.value(b)) {
+            // Guards and conditions: 1-bit logic folds on the bits.
+            if x.width() == 1 {
+                let (x, y) = (x.bit(0), y.bit(0));
+                let bit = match op {
+                    BinOp::And => Some(x & y),
+                    BinOp::Or => Some(x | y),
+                    BinOp::Xor | BinOp::Ne => Some(x ^ y),
+                    BinOp::Eq => Some(x == y),
+                    _ => None,
+                };
+                if let Some(bit) = bit {
+                    return self.constant(Bv::from_bool(bit));
+                }
+            }
             let v = eval_bin(op, x, y);
             return self.constant(v);
         }
@@ -144,6 +193,10 @@ impl Fold {
         build: fn(&mut ModuleBuilder, NodeId) -> NodeId,
     ) -> NodeId {
         match self.value(a) {
+            Some(x) if op == UnOp::Not && x.width() == 1 => {
+                let bit = !x.bit(0);
+                self.constant(Bv::from_bool(bit))
+            }
             Some(x) => {
                 let v = eval_un(op, x);
                 self.constant(v)

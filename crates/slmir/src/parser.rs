@@ -85,12 +85,11 @@ impl Parser {
         self.peek().tok == Tok::Eof
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Steps past the current token (never past the end-of-input one).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
@@ -137,22 +136,23 @@ impl Parser {
 
     fn expect_ident(&mut self) -> Result<(String, Span), ParseError> {
         let span = self.peek().span;
-        match self.peek().tok.clone() {
-            Tok::Ident(s) if !is_keyword(&s) => {
+        match &self.peek().tok {
+            Tok::Ident(s) if !is_keyword(s) => {
+                let s = s.clone();
                 self.bump();
                 Ok((s, span))
             }
-            other => self.err(format!("expected identifier, found {}", describe(&other))),
+            other => self.err(format!("expected identifier, found {}", describe(other))),
         }
     }
 
     fn expect_int(&mut self) -> Result<u64, ParseError> {
-        match self.peek().tok.clone() {
+        match self.peek().tok {
             Tok::Int(v) => {
                 self.bump();
                 Ok(v)
             }
-            other => self.err(format!("expected integer, found {}", describe(&other))),
+            ref other => self.err(format!("expected integer, found {}", describe(other))),
         }
     }
 

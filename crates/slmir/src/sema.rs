@@ -12,6 +12,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
+
+use dfv_bits::FxHasher;
 
 use crate::ast::*;
 use crate::token::Span;
@@ -36,7 +39,7 @@ impl std::error::Error for SemaError {}
 /// The result of type checking: every expression's type, by expression id.
 #[derive(Debug, Clone, Default)]
 pub struct TypeMap {
-    types: HashMap<u32, Ty>,
+    types: FxMap<u32, Ty>,
 }
 
 impl TypeMap {
@@ -129,19 +132,21 @@ pub fn binop_result(op: BinOp, lhs: ScalarTy, rhs: ScalarTy) -> ScalarTy {
     }
 }
 
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 struct Scope {
-    vars: Vec<HashMap<String, Ty>>,
+    vars: Vec<FxMap<String, Ty>>,
 }
 
 impl Scope {
     fn new() -> Self {
         Scope {
-            vars: vec![HashMap::new()],
+            vars: vec![FxMap::default()],
         }
     }
 
     fn push(&mut self) {
-        self.vars.push(HashMap::new());
+        self.vars.push(FxMap::default());
     }
 
     fn pop(&mut self) {

@@ -91,8 +91,29 @@ impl Static {
     /// [`eval_binop`] on the same operands.
     pub(crate) fn bin(op: BinOp, a: Static, b: Static) -> Static {
         use BinOp::*;
+        // Two `int`s, the loop variables' and literals' type: no
+        // promotion and no cast, so the common operators read the bits.
+        if a.ty == ScalarTy::INT && b.ty == ScalarTy::INT {
+            let (x, y) = (a.bits as u32, b.bits as u32);
+            let int = |v: u32| Static::new(u128::from(v), ScalarTy::INT);
+            let lt = |x: u32, y: u32| (x as i32) < (y as i32);
+            match op {
+                Add => return int(x.wrapping_add(y)),
+                Sub => return int(x.wrapping_sub(y)),
+                Mul => return int(x.wrapping_mul(y)),
+                Eq => return Static::from_bool(x == y),
+                Ne => return Static::from_bool(x != y),
+                Lt => return Static::from_bool(lt(x, y)),
+                Le => return Static::from_bool(!lt(y, x)),
+                Gt => return Static::from_bool(lt(y, x)),
+                Ge => return Static::from_bool(!lt(x, y)),
+                _ => {}
+            }
+        }
         let p = promote(a.ty, b.ty);
-        let (x, y) = (a.cast(p), b.cast(p));
+        // A value cast to its own type is itself.
+        let cast = |v: Static| if v.ty == p { v } else { v.cast(p) };
+        let (x, y) = (cast(a), cast(b));
         let signed_lt = |x: Static, y: Static| {
             if p.signed {
                 x.signed() < y.signed()

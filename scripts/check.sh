@@ -192,6 +192,10 @@ gate_counters sat BENCH_sat.json "$obs_dir/bench_sat.json"
 run cargo run --release -q -p dfv-bench --bin bench -- sim \
     --out "$obs_dir/bench_sim_full.json" --canonical "$obs_dir/bench_sim.json" > /dev/null
 gate_counters sim BENCH_sim.json "$obs_dir/bench_sim.json"
+# All of dfv-sec's tests in release, the optimization level the
+# benchmarks run at: the word DAG's and the symbolic simulator's unit
+# tests as well as the property suites.
+run cargo test -q --release -p dfv-sec
 run cargo test -q --release -p dfv-sec --test prop_sweep
 run cargo test -q --release -p dfv-sec --test prop_bitblast
 run cargo test -q --release -p dfv-sat --test prop_solver

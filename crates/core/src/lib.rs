@@ -127,7 +127,7 @@ pub use stimsweep::{ScenarioOutcome, StimulusSweep, StimulusSweepReport};
 use dfv_obs::ObsHook;
 
 /// One SLM/RTL block correspondence (paper §4.2).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockPair {
     /// Block name (unique within a plan).
     pub name: String,

@@ -141,6 +141,12 @@ impl Json {
             }
         }
     }
+
+    /// Appends `s` as a JSON string literal: what `Json::str(s)` renders
+    /// to, without building the value.
+    pub fn render_str_into(s: &str, out: &mut String) {
+        write_escaped(s, out);
+    }
 }
 
 impl fmt::Display for Json {

@@ -114,6 +114,17 @@ impl RunReport {
     /// section (wall times) is appended; without it the output is a
     /// pure function of counters and values.
     pub fn to_json(&self, include_timing: bool) -> Json {
+        self.json_with(Json::Obj(self.values.clone()), include_timing)
+    }
+
+    /// [`to_json`](RunReport::to_json), consuming the report: the values
+    /// move into the tree instead of being copied.
+    pub fn into_json(mut self, include_timing: bool) -> Json {
+        let values = Json::Obj(std::mem::take(&mut self.values));
+        self.json_with(values, include_timing)
+    }
+
+    fn json_with(&self, values: Json, include_timing: bool) -> Json {
         let mut pairs = vec![
             ("report".to_string(), Json::str(&self.name)),
             (
@@ -125,7 +136,7 @@ impl RunReport {
                         .collect(),
                 ),
             ),
-            ("values".to_string(), Json::Obj(self.values.clone())),
+            ("values".to_string(), values),
         ];
         if include_timing {
             pairs.push((
@@ -228,6 +239,22 @@ mod tests {
         rep.set_value("a", Json::UInt(3));
         let canon = rep.canonical_json();
         assert!(canon.find("\"a\":3").unwrap() < canon.find("\"b\":2").unwrap());
+    }
+
+    #[test]
+    fn into_json_equals_to_json_and_moves_the_values() {
+        for timing in [false, true] {
+            let mut rep = RunReport::new("r");
+            rep.set_counter("n", 1);
+            rep.set_value("note", Json::str("a string that lives on the heap"));
+            rep.push_phase("p", Duration::from_micros(7));
+            let want = rep.to_json(timing);
+            let text = rep.value("note").and_then(Json::as_str).unwrap().as_ptr();
+            let got = rep.into_json(timing);
+            assert_eq!(got, want);
+            let note = got.get("values").and_then(|v| v.get("note"));
+            assert_eq!(note.and_then(Json::as_str).unwrap().as_ptr(), text);
+        }
     }
 
     #[test]

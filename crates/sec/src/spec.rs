@@ -65,7 +65,7 @@ pub enum InitState {
 
 /// A transaction-level equivalence specification between a combinational
 /// SLM model and a sequential RTL module.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EquivSpec {
     /// Number of RTL cycles in one transaction.
     pub rtl_cycles: u32,

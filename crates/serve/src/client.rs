@@ -19,7 +19,14 @@
 //! `MissingRefs`; the client forgets those ids and resends the whole
 //! submission in full, once. The caller never sees the miss. A
 //! submission naming a journal always goes in full.
+//!
+//! Naming a block costs a structural walk of all its content, so the
+//! client keeps the blocks of its last campaign submission and their ids
+//! by name. A block `==` to the one last sent under its name reuses that
+//! id — equal content walks to equal bytes, so it is the id a fresh walk
+//! would give — and a warm resubmission walks only what changed.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -28,8 +35,8 @@ use dfv_obs::Json;
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{
-    decode_response, encode_request, JobSpec, ProtoError, Request, Response, RetryClass,
-    SubmitOptions, WireBlock, REF_TABLE_CAPACITY,
+    decode_response, encode_campaign, encode_request, encode_submit, BlockRef, JobSpec, ProtoError,
+    Request, Response, RetryClass, SubmitOptions, REF_TABLE_CAPACITY,
 };
 
 /// Why a client call failed.
@@ -147,6 +154,35 @@ impl Default for Backoff {
     }
 }
 
+/// The blocks of a client's last campaign submission and their ref ids,
+/// by block name.
+#[derive(Debug, Default)]
+struct LastSent(HashMap<String, (BlockPair, ContentKey)>);
+
+impl LastSent {
+    /// The ref id of each of `blocks`, in order. A block `==` to the one
+    /// last sent under its name reuses that block's id; `walk` names the
+    /// rest. Afterwards the memo holds exactly this submission.
+    fn ids(
+        &mut self,
+        blocks: &[BlockPair],
+        mut walk: impl FnMut(&BlockPair) -> ContentKey,
+    ) -> Vec<ContentKey> {
+        let mut last = std::mem::take(&mut self.0);
+        blocks
+            .iter()
+            .map(|b| {
+                let (name, (block, id)) = match last.remove_entry(&b.name) {
+                    Some(same) if same.1 .0 == *b => same,
+                    _ => (b.name.clone(), (b.clone(), walk(b))),
+                };
+                self.0.insert(name, (block, id));
+                id
+            })
+            .collect()
+    }
+}
+
 /// A blocking protocol client over any byte-stream pair.
 #[derive(Debug)]
 pub struct Client<R, W> {
@@ -157,6 +193,8 @@ pub struct Client<R, W> {
     /// Ref ids of blocks a report on this connection answered with a
     /// [storable](BlockStatus::is_storable) verdict.
     known: FifoMap<ContentKey, ()>,
+    /// The last campaign submission's blocks, whose ids need no walk.
+    last_sent: LastSent,
 }
 
 impl<R: Read, W: Write> Client<R, W> {
@@ -167,12 +205,18 @@ impl<R: Read, W: Write> Client<R, W> {
             w,
             secret: HashSecret::random(),
             known: FifoMap::new(REF_TABLE_CAPACITY),
+            last_sent: LastSent::default(),
         }
     }
 
+    /// Sends one request message and reads the next response.
+    fn exchange(&mut self, msg: &Json) -> Result<Response, ClientError> {
+        write_frame(&mut self.w, msg)?;
+        Ok(decode_response(read_frame(&mut self.r)?)?)
+    }
+
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.w, &encode_request(req)?)?;
-        Ok(decode_response(&read_frame(&mut self.r)?)?)
+        self.exchange(&encode_request(req)?)
     }
 
     /// Liveness probe.
@@ -214,11 +258,7 @@ impl<R: Read, W: Write> Client<R, W> {
     ///
     /// [`wait_report`]: Client::wait_report
     pub fn submit_nowait(&mut self, spec: &JobSpec) -> Result<Admission, ClientError> {
-        write_frame(
-            &mut self.w,
-            &encode_request(&Request::Submit(spec.clone()))?,
-        )?;
-        match decode_response(&read_frame(&mut self.r)?)? {
+        match self.exchange(&encode_submit(spec)?)? {
             Response::Accepted { job } => Ok(Admission::Accepted(job)),
             Response::Rejected { reason, class } => Ok(Admission::Rejected { reason, class }),
             Response::Error { message, class } => Err(ClientError::Server { message, class }),
@@ -234,7 +274,7 @@ impl<R: Read, W: Write> Client<R, W> {
         mut on_progress: impl FnMut(&str, &str),
     ) -> Result<Json, ClientError> {
         loop {
-            match decode_response(&read_frame(&mut self.r)?)? {
+            match decode_response(read_frame(&mut self.r)?)? {
                 Response::Progress { block, status, .. } => on_progress(&block, &status),
                 Response::Report { job: id, report } if id == job => return Ok(report),
                 Response::Error { message, class } => {
@@ -276,31 +316,19 @@ impl<R: Read, W: Write> Client<R, W> {
         options: &SubmitOptions,
         mut on_progress: impl FnMut(&str, &str),
     ) -> Result<SubmitOutcome, ClientError> {
-        let ids: Vec<ContentKey> = blocks.iter().map(|b| b.content_key(&self.secret)).collect();
+        let ids = self.last_sent.ids(blocks, |b| b.content_key(&self.secret));
         let mut use_known = true;
         let job = loop {
-            let wire = blocks
-                .iter()
-                .zip(&ids)
-                .map(|(b, &id)| {
-                    if use_known && self.known.get(&id).is_some() {
-                        WireBlock::Known {
-                            name: b.name.clone(),
-                            ref_id: id,
-                        }
-                    } else {
-                        WireBlock::Full {
-                            block: Box::new(b.clone()),
-                            ref_id: Some(id),
-                        }
-                    }
-                })
-                .collect();
-            let req = Request::SubmitRefs {
-                blocks: wire,
-                options: options.clone(),
-            };
-            match self.call(&req)? {
+            let known = &self.known;
+            let wire = blocks.iter().zip(&ids).map(|(b, &id)| {
+                if use_known && known.get(&id).is_some() {
+                    BlockRef::Known(&b.name, id)
+                } else {
+                    BlockRef::Full(b, Some(id))
+                }
+            });
+            let msg = encode_campaign(wire, options)?;
+            match self.exchange(&msg)? {
                 Response::Accepted { job } => break job,
                 Response::Rejected { reason, class } => {
                     return Ok(SubmitOutcome::Rejected { reason, class })
@@ -376,6 +404,180 @@ fn unexpected(resp: &Response) -> ClientError {
 mod tests {
     use super::*;
 
+    use std::sync::{Arc, Mutex};
+
+    use dfv_rtl::ModuleBuilder;
+    use dfv_sec::{Binding, EquivSpec};
+
+    use crate::pipe::duplex;
+    use crate::proto::{decode_request, WireBlock};
+    use crate::server::{ServeConfig, Server};
+
+    /// A one-cycle `y = x + delta` block; `bug` makes the RTL add one
+    /// more, so the pair is inequivalent.
+    fn add_block(name: &str, delta: u64, bug: bool) -> BlockPair {
+        let mut b = ModuleBuilder::new("add_rtl");
+        let x = b.input("x", 8);
+        let k = b.lit(8, delta + u64::from(bug));
+        let y = b.add(x, k);
+        b.output("y", y);
+        BlockPair {
+            name: name.into(),
+            slm_source: format!("uint8 f(uint8 x) {{ return x + {delta}; }}"),
+            slm_entry: "f".into(),
+            rtl: b.finish().unwrap(),
+            spec: EquivSpec::new(1)
+                .bind("x", 0, Binding::Slm("x".into()))
+                .compare("return", "y", 0),
+        }
+    }
+
+    #[test]
+    fn a_warm_resubmit_walks_only_blocks_changed_under_their_name() {
+        let secret = HashSecret::from_words(3, 5);
+        let plan: Vec<BlockPair> = (0..128)
+            .map(|i| add_block(&format!("b{i}"), i, false))
+            .collect();
+        let mut last = LastSent::default();
+        let mut submit = |blocks: &[BlockPair]| {
+            let mut walked = Vec::new();
+            let ids = last.ids(blocks, |b| {
+                walked.push(b.name.clone());
+                b.content_key(&secret)
+            });
+            let fresh: Vec<ContentKey> = blocks.iter().map(|b| b.content_key(&secret)).collect();
+            assert_eq!(ids, fresh, "a reused id is the id a fresh walk gives");
+            walked
+        };
+        assert_eq!(submit(&plan).len(), 128, "a cold plan walks every block");
+        assert!(submit(&plan).is_empty(), "an unchanged plan walks nothing");
+        // One edit, then the next edit elsewhere with the first reverted:
+        // what the incremental workload does job after job.
+        let mut edited = plan.clone();
+        edited[5] = add_block("b5", 200, false);
+        assert_eq!(submit(&edited), ["b5"]);
+        let mut edited = plan.clone();
+        edited[9] = add_block("b9", 201, true);
+        assert_eq!(submit(&edited), ["b5", "b9"]);
+    }
+
+    /// A writer that keeps a copy of every byte it passes on.
+    struct Tap<W> {
+        inner: W,
+        sent: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl<W: Write> Write for Tap<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.inner.write(buf)?;
+            self.sent.lock().unwrap().extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// `(name, status)` of every block row of a report.
+    fn verdicts(outcome: SubmitOutcome) -> Vec<(String, String)> {
+        let SubmitOutcome::Report { report, .. } = outcome else {
+            panic!("unexpected {outcome:?}");
+        };
+        let rows = report.get("values").and_then(|v| v.get("blocks"));
+        let field = |row: &Json, key| row.get(key).and_then(Json::as_str).unwrap().to_string();
+        rows.and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|row| (field(row, "name"), field(row, "status")))
+            .collect()
+    }
+
+    #[test]
+    fn reused_ref_ids_follow_content_through_edits_swaps_and_renames() {
+        let dir = std::env::temp_dir().join(format!("dfv-serve-reuse-{}", std::process::id()));
+        let server = Server::start(ServeConfig::new(&dir));
+        let ((cr, cw), (sr, sw)) = duplex();
+        let conn = server.attach(sr, sw);
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let w = Tap {
+            inner: cw,
+            sent: sent.clone(),
+        };
+        let mut client = Client::new(cr, w);
+        let spec = |blocks: Vec<BlockPair>| JobSpec::Campaign {
+            blocks,
+            options: SubmitOptions::default(),
+        };
+        let plan = vec![
+            add_block("a", 1, false),
+            add_block("b", 2, false),
+            add_block("c", 3, false),
+        ];
+        let (a, b, c) = (plan[0].clone(), plan[1].clone(), plan[2].clone());
+        let mut b_bug = b.clone();
+        b_bug.rtl = add_block("b", 2, true).rtl;
+        let mut a_renamed = a.clone();
+        a_renamed.name = "a2".into();
+        let mut a_as_c = a.clone();
+        a_as_c.name = "c".into();
+        let mut c_as_a = c.clone();
+        c_as_a.name = "a".into();
+        let variants = [
+            plan.clone(),
+            // The RTL changes under an unchanged name: FAIL, never the
+            // stored PASS.
+            vec![a.clone(), b_bug, c.clone()],
+            plan.clone(),
+            // Two blocks swap names.
+            vec![c_as_a, b.clone(), a_as_c],
+            // A block is renamed.
+            vec![a_renamed, b, c],
+        ];
+        for (k, blocks) in variants.into_iter().enumerate() {
+            let from = sent.lock().unwrap().len();
+            let got = verdicts(client.submit(&spec(blocks.clone()), |_, _| {}).unwrap());
+            // Every id the client sent names its block's content, exactly
+            // as a fresh walk would.
+            let bytes = sent.lock().unwrap()[from..].to_vec();
+            let mut frames = &bytes[..];
+            while !frames.is_empty() {
+                let msg = crate::frame::read_frame(&mut frames).unwrap();
+                let Request::SubmitRefs { blocks: wire, .. } = decode_request(&msg).unwrap() else {
+                    panic!("a campaign without a journal goes with refs");
+                };
+                for (w, b) in wire.iter().zip(&blocks) {
+                    let id = match w {
+                        WireBlock::Full { block, ref_id } => {
+                            assert_eq!(**block, *b);
+                            ref_id.expect("a full block carries its ref id")
+                        }
+                        WireBlock::Known { name, ref_id } => {
+                            assert_eq!(*name, b.name);
+                            *ref_id
+                        }
+                    };
+                    assert_eq!(id, b.content_key(&client.secret), "variant {k}, {}", b.name);
+                }
+            }
+            // And the verdicts are a fresh client's.
+            let ((fr, fw), (sr, sw)) = duplex();
+            let fresh_conn = server.attach(sr, sw);
+            let mut fresh = Client::new(fr, fw);
+            let want = verdicts(fresh.submit(&spec(blocks), |_, _| {}).unwrap());
+            drop(fresh);
+            fresh_conn.join();
+            assert_eq!(got, want, "variant {k}");
+            if k == 1 {
+                assert_eq!(got[1].1, "FAIL");
+            }
+        }
+        drop(client);
+        conn.join();
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn backoff_schedule_is_deterministic_and_exponential() {
         let b = Backoff {
@@ -400,24 +602,28 @@ mod tests {
         let script = std::thread::spawn(move || {
             for class in [RetryClass::Transient, RetryClass::Transient] {
                 let _ = crate::frame::read_frame(&mut sr).unwrap();
-                crate::frame::write_frame(
-                    &mut sw,
-                    &encode_response(&Response::Rejected {
-                        reason: "busy".into(),
-                        class,
-                    }),
-                )
+                crate::frame::write_frame_with(&mut sw, |out| {
+                    encode_response(
+                        Response::Rejected {
+                            reason: "busy".into(),
+                            class,
+                        },
+                        out,
+                    )
+                })
                 .unwrap();
             }
             // Third frame is the permanent case from the second call.
             let _ = crate::frame::read_frame(&mut sr).unwrap();
-            crate::frame::write_frame(
-                &mut sw,
-                &encode_response(&Response::Rejected {
-                    reason: "malformed".into(),
-                    class: RetryClass::Permanent,
-                }),
-            )
+            crate::frame::write_frame_with(&mut sw, |out| {
+                encode_response(
+                    Response::Rejected {
+                        reason: "malformed".into(),
+                        class: RetryClass::Permanent,
+                    },
+                    out,
+                )
+            })
             .unwrap();
         });
 

@@ -129,16 +129,25 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Serializes `msg` and writes one complete frame, flushing the stream.
+pub fn write_frame<W: Write>(w: &mut W, msg: &Json) -> Result<(), FrameError> {
+    write_frame_with(w, |out| msg.render_into(out))
+}
+
+/// Writes one complete frame whose JSON payload `render` appends to the
+/// text it is handed, flushing the stream.
 ///
 /// The payload is rendered straight into the frame buffer behind a
 /// placeholder header, which is filled in once the length is known.
-pub fn write_frame<W: Write>(w: &mut W, msg: &Json) -> Result<(), FrameError> {
+pub fn write_frame_with<W: Write>(
+    w: &mut W,
+    render: impl FnOnce(&mut String),
+) -> Result<(), FrameError> {
     const HEADER: usize = 4 + 4 + 8;
     let mut text = String::with_capacity(256);
     // The magic is ASCII and the placeholder NULs, so the header is text.
     text.extend(MAGIC.map(char::from));
     text.extend(std::iter::repeat_n('\0', HEADER - MAGIC.len()));
-    msg.render_into(&mut text);
+    render(&mut text);
     let mut buf = text.into_bytes();
     let len = buf.len() - HEADER;
     if len > MAX_FRAME {

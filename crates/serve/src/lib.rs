@@ -46,7 +46,7 @@ pub mod server;
 
 pub use admission::Limits;
 pub use client::{Admission, Backoff, Client, ClientError, SubmitOutcome};
-pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME};
+pub use frame::{read_frame, write_frame, write_frame_with, FrameError, MAX_FRAME};
 pub use pipe::{duplex, pipe, PipeReader, PipeWriter};
 pub use proto::{
     JobSpec, ProtoError, Request, Response, RetryClass, SubmitOptions, WireBlock,

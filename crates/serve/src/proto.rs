@@ -30,6 +30,8 @@
 //! submission with neither field decodes to the plain
 //! [`Request::Submit`], exactly as before refs existed.
 
+use std::fmt::Write as _;
+
 use dfv_bits::Bv;
 use dfv_core::{BlockPair, ContentKey, FaultBlock};
 use dfv_cosim::{ComparatorPolicy, StreamItem};
@@ -156,6 +158,26 @@ pub enum WireBlock {
     },
 }
 
+impl WireBlock {
+    /// The block as [`encode_campaign`] takes it.
+    fn as_ref(&self) -> BlockRef<'_> {
+        match self {
+            WireBlock::Full { block, ref_id } => BlockRef::Full(block, *ref_id),
+            WireBlock::Known { name, ref_id } => BlockRef::Known(name, *ref_id),
+        }
+    }
+}
+
+/// One campaign block to encode, borrowed from wherever the caller keeps
+/// it: the wire form of a [`WireBlock`] without owning its content.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BlockRef<'a> {
+    /// Full content, optionally registering a ref id for it.
+    Full(&'a BlockPair, Option<ContentKey>),
+    /// A ref: the block's name and the ref id its content was sent under.
+    Known(&'a str, ContentKey),
+}
+
 /// A client-to-server message.
 #[derive(Debug, Clone)]
 pub enum Request {
@@ -219,8 +241,8 @@ pub enum Response {
     Report {
         /// The job id.
         job: u64,
-        /// The canonical run report (`RunReport::canonical_json` parsed
-        /// back to a value — rendering it reproduces the bytes).
+        /// The canonical run report: `RunReport::to_json(false)`, so
+        /// rendering it gives exactly `RunReport::canonical_json`'s bytes.
         report: Json,
     },
     /// A [`Request::Cancel`] was applied: the job's cancel latch is set
@@ -284,6 +306,15 @@ fn opt_u64(v: &Json, key: &str, ctx: &str) -> Result<Option<u64>, ProtoError> {
             ProtoError::permanent(format!("{ctx}: field '{key}' must be an integer or null"))
         }),
     }
+}
+
+/// Moves the value of `key` out of an object, as [`need`] finds it.
+fn take(v: &mut Json, key: &str) -> Option<Json> {
+    let Json::Obj(pairs) = v else {
+        return None;
+    };
+    let i = pairs.iter().position(|(k, _)| k == key)?;
+    Some(pairs.swap_remove(i).1)
 }
 
 /// A journal name must stay inside the server's state directory: a bare,
@@ -481,24 +512,22 @@ fn spec_from_json(v: &Json) -> Result<EquivSpec, ProtoError> {
     })
 }
 
-fn block_pair_to_json(b: &BlockPair, ref_id: Option<ContentKey>) -> Result<Json, ProtoError> {
-    let mut fields = vec![
-        ("name", Json::str(&b.name)),
-        ("slm_source", Json::str(&b.slm_source)),
-        ("slm_entry", Json::str(&b.slm_entry)),
-        ("rtl", Json::str(write_module(&b.rtl))),
-        ("spec", spec_to_json(&b.spec)?),
-    ];
-    if let Some(id) = ref_id {
-        fields.push(("ref", Json::str(id.to_hex())));
-    }
-    Ok(Json::obj(fields))
-}
-
-fn wire_block_to_json(b: &WireBlock) -> Result<Json, ProtoError> {
+fn block_to_json(b: BlockRef<'_>) -> Result<Json, ProtoError> {
     match b {
-        WireBlock::Full { block, ref_id } => block_pair_to_json(block, *ref_id),
-        WireBlock::Known { name, ref_id } => Ok(Json::obj(vec![
+        BlockRef::Full(b, ref_id) => {
+            let mut fields = vec![
+                ("name", Json::str(&b.name)),
+                ("slm_source", Json::str(&b.slm_source)),
+                ("slm_entry", Json::str(&b.slm_entry)),
+                ("rtl", Json::str(write_module(&b.rtl))),
+                ("spec", spec_to_json(&b.spec)?),
+            ];
+            if let Some(id) = ref_id {
+                fields.push(("ref", Json::str(id.to_hex())));
+            }
+            Ok(Json::obj(fields))
+        }
+        BlockRef::Known(name, ref_id) => Ok(Json::obj(vec![
             ("name", Json::str(name)),
             ("known", Json::str(ref_id.to_hex())),
         ])),
@@ -736,47 +765,57 @@ pub fn encode_request(req: &Request) -> Result<Json, ProtoError> {
             ("job", Json::UInt(*job)),
         ]),
         Request::Drain => Json::obj(vec![("type", Json::str("drain"))]),
-        Request::Submit(JobSpec::Campaign { blocks, options }) => {
-            let mut encoded = Vec::with_capacity(blocks.len());
-            for b in blocks {
-                encoded.push(block_pair_to_json(b, None)?);
-            }
-            campaign_to_json(encoded, options)
-        }
+        Request::Submit(spec) => encode_submit(spec)?,
         Request::SubmitRefs { blocks, options } => {
-            let mut encoded = Vec::with_capacity(blocks.len());
-            for b in blocks {
-                encoded.push(wire_block_to_json(b)?);
-            }
-            campaign_to_json(encoded, options)
+            encode_campaign(blocks.iter().map(WireBlock::as_ref), options)?
         }
-        Request::Submit(JobSpec::FaultSweep {
+    })
+}
+
+/// Encodes a [`Request::Submit`] of `spec` without owning it.
+pub(crate) fn encode_submit(spec: &JobSpec) -> Result<Json, ProtoError> {
+    match spec {
+        JobSpec::Campaign { blocks, options } => {
+            encode_campaign(blocks.iter().map(|b| BlockRef::Full(b, None)), options)
+        }
+        JobSpec::FaultSweep {
             seed,
             blocks,
             options,
-        }) => {
+        } => {
             let mut encoded = Vec::with_capacity(blocks.len());
             for b in blocks {
                 encoded.push(fault_block_to_json(b)?);
             }
-            Json::obj(vec![
+            Ok(Json::obj(vec![
                 ("type", Json::str("submit")),
                 ("job_kind", Json::str("fault_sweep")),
                 ("seed", Json::UInt(*seed)),
                 ("blocks", Json::Arr(encoded)),
                 ("options", options_to_json(options)),
-            ])
+            ]))
         }
-    })
+    }
 }
 
-fn campaign_to_json(blocks: Vec<Json>, options: &SubmitOptions) -> Json {
-    Json::obj(vec![
+/// Encodes a campaign submission from borrowed blocks: a plain
+/// [`Request::Submit`] when no block carries or is a ref, a
+/// [`Request::SubmitRefs`] otherwise. The one campaign encoder, for both
+/// [`encode_request`] and the client.
+pub(crate) fn encode_campaign<'a>(
+    blocks: impl ExactSizeIterator<Item = BlockRef<'a>>,
+    options: &SubmitOptions,
+) -> Result<Json, ProtoError> {
+    let mut encoded = Vec::with_capacity(blocks.len());
+    for b in blocks {
+        encoded.push(block_to_json(b)?);
+    }
+    Ok(Json::obj(vec![
         ("type", Json::str("submit")),
         ("job_kind", Json::str("campaign")),
-        ("blocks", Json::Arr(blocks)),
+        ("blocks", Json::Arr(encoded)),
         ("options", options_to_json(options)),
-    ])
+    ]))
 }
 
 /// A decoded campaign: the plain [`Request::Submit`] when no block
@@ -847,65 +886,98 @@ pub fn decode_request(v: &Json) -> Result<Request, ProtoError> {
     }
 }
 
-/// Encodes a response for the wire.
-pub fn encode_response(resp: &Response) -> Json {
-    match resp {
-        Response::Pong => Json::obj(vec![("type", Json::str("pong"))]),
-        Response::Status { counters } => Json::obj(vec![
-            ("type", Json::str("status")),
-            (
-                "counters",
-                Json::Obj(
-                    counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::UInt(*v)))
-                        .collect(),
-                ),
-            ),
-        ]),
-        Response::Accepted { job } => Json::obj(vec![
-            ("type", Json::str("accepted")),
-            ("job", Json::UInt(*job)),
-        ]),
-        Response::Rejected { reason, class } => Json::obj(vec![
-            ("type", Json::str("rejected")),
-            ("reason", Json::str(reason)),
-            ("class", Json::str(class.tag())),
-        ]),
-        Response::Progress { job, block, status } => Json::obj(vec![
-            ("type", Json::str("progress")),
-            ("job", Json::UInt(*job)),
-            ("block", Json::str(block)),
-            ("status", Json::str(status)),
-        ]),
-        Response::Report { job, report } => Json::obj(vec![
-            ("type", Json::str("report")),
-            ("job", Json::UInt(*job)),
-            ("report", report.clone()),
-        ]),
-        Response::Cancelled { job } => Json::obj(vec![
-            ("type", Json::str("cancelled")),
-            ("job", Json::UInt(*job)),
-        ]),
-        Response::DrainAck => Json::obj(vec![("type", Json::str("drain_ack"))]),
-        Response::MissingRefs { refs } => Json::obj(vec![
-            ("type", Json::str("missing_refs")),
-            (
-                "refs",
-                Json::Arr(refs.iter().map(|r| Json::str(r.to_hex())).collect()),
-            ),
-        ]),
-        Response::Error { message, class } => Json::obj(vec![
-            ("type", Json::str("error")),
-            ("message", Json::str(message)),
-            ("class", Json::str(class.tag())),
-        ]),
+impl Response {
+    /// The message's wire `type`.
+    fn tag(&self) -> &'static str {
+        match self {
+            Response::Pong => "pong",
+            Response::Status { .. } => "status",
+            Response::Accepted { .. } => "accepted",
+            Response::Rejected { .. } => "rejected",
+            Response::Progress { .. } => "progress",
+            Response::Report { .. } => "report",
+            Response::Cancelled { .. } => "cancelled",
+            Response::DrainAck => "drain_ack",
+            Response::MissingRefs { .. } => "missing_refs",
+            Response::Error { .. } => "error",
+        }
     }
 }
 
-/// Decodes a response from the wire.
-pub fn decode_response(v: &Json) -> Result<Response, ProtoError> {
+/// Renders a response's JSON text onto `out`, field by field, with no
+/// message tree built around it: a report is rendered where it lies.
+/// [`write_frame_with`](crate::frame::write_frame_with) takes this as
+/// the payload of one frame.
+pub fn encode_response(resp: Response, out: &mut String) {
+    out.push_str("{\"type\":\"");
+    out.push_str(resp.tag());
+    out.push('"');
+    let key = |out: &mut String, key: &str| {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+    };
+    let uint = |out: &mut String, name: &str, v: u64| {
+        key(out, name);
+        let _ = write!(out, "{v}");
+    };
+    let text = |out: &mut String, name: &str, v: &str| {
+        key(out, name);
+        Json::render_str_into(v, out);
+    };
+    match resp {
+        Response::Pong | Response::DrainAck => {}
+        Response::Status { counters } => {
+            key(out, "counters");
+            out.push('{');
+            for (i, (name, v)) in counters.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                Json::render_str_into(name, out);
+                let _ = write!(out, ":{v}");
+            }
+            out.push('}');
+        }
+        Response::Accepted { job } | Response::Cancelled { job } => uint(out, "job", job),
+        Response::Rejected { reason, class } => {
+            text(out, "reason", &reason);
+            text(out, "class", class.tag());
+        }
+        Response::Progress { job, block, status } => {
+            uint(out, "job", job);
+            text(out, "block", &block);
+            text(out, "status", &status);
+        }
+        Response::Report { job, report } => {
+            uint(out, "job", job);
+            key(out, "report");
+            report.render_into(out);
+        }
+        Response::MissingRefs { refs } => {
+            key(out, "refs");
+            out.push('[');
+            for (i, r) in refs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "\"{}\"", r.to_hex());
+            }
+            out.push(']');
+        }
+        Response::Error { message, class } => {
+            text(out, "message", &message);
+            text(out, "class", class.tag());
+        }
+    }
+    out.push('}');
+}
+
+/// Decodes a response from the wire, moving a report out of the message
+/// rather than copying it.
+pub fn decode_response(mut msg: Json) -> Result<Response, ProtoError> {
     let ctx = "response";
+    let v = &msg;
     let class_of = |v: &Json| -> Result<RetryClass, ProtoError> {
         RetryClass::from_tag(need_str(v, "class", ctx)?)
             .ok_or_else(|| ProtoError::permanent("response: unknown retry class"))
@@ -944,10 +1016,12 @@ pub fn decode_response(v: &Json) -> Result<Response, ProtoError> {
             block: need_str(v, "block", ctx)?.to_string(),
             status: need_str(v, "status", ctx)?.to_string(),
         }),
-        "report" => Ok(Response::Report {
-            job: need_u64(v, "job", ctx)?,
-            report: need(v, "report", ctx)?.clone(),
-        }),
+        "report" => {
+            let job = need_u64(v, "job", ctx)?;
+            let report = take(&mut msg, "report")
+                .ok_or_else(|| ProtoError::permanent("response: missing field 'report'"))?;
+            Ok(Response::Report { job, report })
+        }
         "cancelled" => Ok(Response::Cancelled {
             job: need_u64(v, "job", ctx)?,
         }),
@@ -1211,11 +1285,142 @@ mod tests {
                 class: RetryClass::Permanent,
             },
         ] {
-            let wire = encode_response(&resp);
-            let back = decode_response(&wire).unwrap();
-            assert_eq!(std::mem::discriminant(&resp), std::mem::discriminant(&back));
-            assert_eq!(encode_response(&back).render(), wire.render());
+            let tag = std::mem::discriminant(&resp);
+            let mut wire = String::new();
+            encode_response(resp, &mut wire);
+            let back = decode_response(dfv_obs::parse_json(&wire).unwrap()).unwrap();
+            assert_eq!(tag, std::mem::discriminant(&back));
+            let mut again = String::new();
+            encode_response(back, &mut again);
+            assert_eq!(again, wire);
         }
+    }
+
+    /// The wire format is fixed: every response variant's whole frame,
+    /// header and payload, byte for byte.
+    #[test]
+    fn every_response_frame_matches_its_wire_golden() {
+        use crate::frame::{read_frame, write_frame_with};
+        let report = Json::obj(vec![
+            ("report", Json::str("campaign")),
+            (
+                "counters",
+                Json::obj(vec![("campaign.blocks", Json::UInt(2))]),
+            ),
+            (
+                "values",
+                Json::obj(vec![
+                    ("neg", Json::Int(-3)),
+                    ("ratio", Json::Float(0.25)),
+                    ("note", Json::str("tab\there \"quoted\" \u{1}")),
+                    ("none", Json::Null),
+                    ("flag", Json::Bool(true)),
+                    (
+                        "blocks",
+                        Json::Arr(vec![Json::obj(vec![
+                            ("name", Json::str("b0")),
+                            ("status", Json::str("PASS")),
+                        ])]),
+                    ),
+                ]),
+            ),
+        ]);
+        let responses = [
+            Response::Pong,
+            Response::Status {
+                counters: vec![("serve.accepted".into(), 3), ("serve.completed".into(), 2)],
+            },
+            Response::Accepted { job: 1 },
+            Response::Rejected {
+                reason: "service busy: \"campaign\" queue full".into(),
+                class: RetryClass::Transient,
+            },
+            Response::Progress {
+                job: 7,
+                block: "alu\n3".into(),
+                status: "PASS".into(),
+            },
+            Response::Report { job: 9, report },
+            Response::Cancelled { job: 4 },
+            Response::DrainAck,
+            Response::MissingRefs {
+                refs: vec![ContentKey(1), ContentKey(u128::MAX)],
+            },
+            Response::Error {
+                message: "unknown job 5".into(),
+                class: RetryClass::Permanent,
+            },
+        ];
+        // (frame header as hex, payload text)
+        let goldens = [
+            ("444656310000000fd2ef0ede9435d0e9", r#"{"type":"pong"}"#),
+            (
+                "4446563100000045c5de5ee1151aeea9",
+                r#"{"type":"status","counters":{"serve.accepted":3,"serve.completed":2}}"#,
+            ),
+            (
+                "444656310000001ba9b53531a570b2e2",
+                r#"{"type":"accepted","job":1}"#,
+            ),
+            (
+                "444656310000005818113c860d01c3e7",
+                r#"{"type":"rejected","reason":"service busy: \"campaign\" queue full","class":"transient"}"#,
+            ),
+            (
+                "444656310000003c221118ccb41579c7",
+                r#"{"type":"progress","job":7,"block":"alu\n3","status":"PASS"}"#,
+            ),
+            (
+                "44465631000000e0dcdb1abd7608b942",
+                r#"{"type":"report","job":9,"report":{"report":"campaign","counters":{"campaign.blocks":2},"values":{"neg":-3,"ratio":0.25,"note":"tab\there \"quoted\" \u0001","none":null,"flag":true,"blocks":[{"name":"b0","status":"PASS"}]}}}"#,
+            ),
+            (
+                "444656310000001c900ce78924eafb89",
+                r#"{"type":"cancelled","job":4}"#,
+            ),
+            (
+                "4446563100000014c9fa1923702eb0bf",
+                r#"{"type":"drain_ack"}"#,
+            ),
+            (
+                "44465631000000669dfe5b01f64f5207",
+                r#"{"type":"missing_refs","refs":["00000000000000000000000000000001","ffffffffffffffffffffffffffffffff"]}"#,
+            ),
+            (
+                "444656310000003e9ab94160fde86fb6",
+                r#"{"type":"error","message":"unknown job 5","class":"permanent"}"#,
+            ),
+        ];
+        assert_eq!(responses.len(), goldens.len());
+        for (resp, (header, payload)) in responses.into_iter().zip(goldens) {
+            let tag = resp.tag();
+            let mut frame = Vec::new();
+            write_frame_with(&mut frame, |out| encode_response(resp, out)).unwrap();
+            let hex: String = frame[..16].iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(std::str::from_utf8(&frame[16..]).unwrap(), payload);
+            assert_eq!(hex, header, "{payload}");
+            let msg = read_frame(&mut frame.as_slice()).unwrap();
+            assert_eq!(decode_response(msg).unwrap().tag(), tag);
+        }
+    }
+
+    #[test]
+    fn a_decoded_report_is_moved_out_of_its_message_not_copied() {
+        let msg = Json::obj(vec![
+            ("type", Json::str("report")),
+            ("job", Json::UInt(3)),
+            (
+                "report",
+                Json::obj(vec![("note", Json::str("a string on the heap"))]),
+            ),
+        ]);
+        let note = |v: &Json| v.get("note").and_then(Json::as_str).unwrap().as_ptr();
+        let sent = note(msg.get("report").unwrap());
+        let Response::Report { job, report } = decode_response(msg).unwrap() else {
+            panic!("a report decodes as a report");
+        };
+        assert_eq!(job, 3);
+        assert_eq!(note(&report), sent, "the report's text was copied");
     }
 
     #[test]

@@ -85,10 +85,10 @@ use dfv_core::{
     Campaign, CampaignOptions, CancelToken, ContentKey, FaultCampaign, FifoMap, IoHandle,
     PlanEntry, ProgressHook, SharedStore,
 };
-use dfv_obs::{kinds, parse_json, ObsHook};
+use dfv_obs::{kinds, ObsHook};
 
 use crate::admission::{AdmissionQueue, Job, Limits, QueuedJob};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, write_frame_with};
 use crate::proto::{
     decode_request, encode_response, JobSpec, Request, Response, RetryClass, SubmitOptions,
     WireBlock, REF_TABLE_CAPACITY,
@@ -305,7 +305,7 @@ impl Server {
         let writer_handle = std::thread::spawn(move || {
             let mut w = writer;
             while let Ok(resp) = rx.recv() {
-                if write_frame(&mut w, &encode_response(&resp)).is_err() {
+                if write_frame_with(&mut w, |out| encode_response(resp, out)).is_err() {
                     // Client gone with a frame still owed to it. Dropping
                     // rx makes every later send fail fast at the sender.
                     writer_inner.counters.bump(kinds::SERVE_CLIENT_LOST);
@@ -685,7 +685,10 @@ fn run_job(inner: &Arc<ServerInner>, job: QueuedJob) {
             if evicted > 0 {
                 inner.counters.add(kinds::SERVE_STORE_EVICTED, evicted);
             }
-            canonical_response(id, &report.to_run_report().canonical_json())
+            Response::Report {
+                job: id,
+                report: report.to_run_report().into_json(false),
+            }
         }
         Job::FaultSweep {
             seed,
@@ -702,8 +705,10 @@ fn run_job(inner: &Arc<ServerInner>, job: QueuedJob) {
                 if let Some(w) = options.workers.or(inner.cfg.default_workers) {
                     camp = camp.with_workers(w);
                 }
-                let report = camp.run(&blocks);
-                canonical_response(id, &report.to_run_report().canonical_json())
+                Response::Report {
+                    job: id,
+                    report: camp.run(&blocks).to_run_report().into_json(false),
+                }
             }
         }
     };
@@ -711,15 +716,5 @@ fn run_job(inner: &Arc<ServerInner>, job: QueuedJob) {
     inner.counters.bump(kinds::SERVE_COMPLETED);
     if !outbound.send_final(final_resp) {
         inner.counters.bump(kinds::SERVE_CLIENT_LOST);
-    }
-}
-
-fn canonical_response(id: u64, canonical: &str) -> Response {
-    match parse_json(canonical) {
-        Ok(v) => Response::Report { job: id, report: v },
-        Err(e) => Response::Error {
-            message: format!("internal: canonical report did not parse: {e}"),
-            class: RetryClass::Permanent,
-        },
     }
 }

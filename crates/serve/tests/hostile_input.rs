@@ -373,7 +373,7 @@ impl Conn {
                     None => End::Closed,
                 };
             };
-            match decode_response(&msg).expect("the daemon answers in protocol") {
+            match decode_response(msg).expect("the daemon answers in protocol") {
                 Response::Accepted { job: id } => job = Some(id),
                 Response::Progress { .. } if job.is_some() => {}
                 Response::Report { job: id, report } if Some(id) == job => {

@@ -406,7 +406,7 @@ fn garbage_and_bitflipped_frames_get_typed_refusals() {
     let conn = server.attach(sr, sw);
     cw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
     let v = frame::read_frame(&mut cr).unwrap();
-    match dfv_serve::proto::decode_response(&v).unwrap() {
+    match dfv_serve::proto::decode_response(v).unwrap() {
         dfv_serve::Response::Error { class, .. } => {
             assert_eq!(class, RetryClass::Permanent)
         }
@@ -428,7 +428,7 @@ fn garbage_and_bitflipped_frames_get_typed_refusals() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0x10;
     cw.write_all(&bytes).unwrap();
-    match dfv_serve::proto::decode_response(&frame::read_frame(&mut cr).unwrap()).unwrap() {
+    match dfv_serve::proto::decode_response(frame::read_frame(&mut cr).unwrap()).unwrap() {
         dfv_serve::Response::Error { message, class } => {
             assert_eq!(class, RetryClass::Permanent);
             assert!(message.contains("checksum"), "{message}");
@@ -971,6 +971,61 @@ fn warm_resubmit_over_refs_matches_a_full_submission_byte_for_byte() {
     server.stop();
 }
 
+/// A reader that keeps a copy of every byte it hands on, so a test can
+/// see exactly which frames the daemon sent.
+struct TapRead<R> {
+    inner: R,
+    seen: Arc<Mutex<Vec<u8>>>,
+}
+
+impl<R: Read> Read for TapRead<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.seen.lock().unwrap().extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+}
+
+#[test]
+fn a_report_frame_carries_the_campaigns_canonical_json_byte_for_byte() {
+    let server = Server::start(ServeConfig::new(temp_dir("wire-report")));
+    let ((cr, cw), (sr, sw)) = duplex();
+    let conn = server.attach(sr, sw);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let r = TapRead {
+        inner: cr,
+        seen: seen.clone(),
+    };
+    let mut client = Client::new(r, cw);
+    let plan = design_plan();
+    let SubmitOutcome::Report { job, .. } = client
+        .submit(&campaign(plan.clone(), None), |_, _| {})
+        .unwrap()
+    else {
+        panic!("the campaign runs");
+    };
+    // The report is the last frame the daemon sent.
+    let bytes = seen.lock().unwrap().clone();
+    let mut rest = &bytes[..];
+    let mut last = &bytes[..0];
+    while !rest.is_empty() {
+        let len = u32::from_be_bytes(rest[4..8].try_into().unwrap()) as usize;
+        last = &rest[16..16 + len];
+        rest = &rest[16 + len..];
+    }
+    let canonical = dfv_core::Campaign::new()
+        .run(&dfv_core::VerificationPlan { blocks: plan })
+        .to_run_report()
+        .canonical_json();
+    assert_eq!(
+        std::str::from_utf8(last).unwrap(),
+        format!(r#"{{"type":"report","job":{job},"report":{canonical}}}"#)
+    );
+    drop(client);
+    conn.join();
+    server.stop();
+}
+
 #[test]
 fn another_clients_ref_ids_never_resolve() {
     let mut cfg = ServeConfig::new(temp_dir("refs-foreign"));
@@ -986,7 +1041,7 @@ fn another_clients_ref_ids_never_resolve() {
     let ((mut br, mut bw), (sr, sw)) = duplex();
     let conn_b = server.attach(sr, sw);
     frame::write_frame(&mut bw, &replay).unwrap();
-    let answer = dfv_serve::proto::decode_response(&frame::read_frame(&mut br).unwrap()).unwrap();
+    let answer = dfv_serve::proto::decode_response(frame::read_frame(&mut br).unwrap()).unwrap();
     let Response::MissingRefs { refs } = answer else {
         panic!("foreign refs must not resolve, got {answer:?}");
     };

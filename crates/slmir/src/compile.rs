@@ -465,21 +465,23 @@ impl<'p> Builder<'p> {
             }
             ExprKind::Ternary { cond, t, f } => {
                 // Only the taken side runs (and ticks), so `?:` branches.
+                // Each arm lands in `dst` converted to the arms' common
+                // type, which is known only once both are compiled: the
+                // true arm's store is a placeholder until then.
                 let (c, _) = self.expr(cond)?;
                 let [tb, fb, join] = self.blocks();
                 let dst = self.alloc(1);
                 self.jump(Term::Branch(c, tb, fb), tb);
                 let (a, at) = self.expr(t)?;
+                let store_t = self.instrs.len();
                 self.emit(Instr::Copy1 { dst, a });
                 self.jump(Term::Goto(join), fb);
-                let (a, ft) = self.expr(f)?;
-                if ft != at {
-                    // The walker's result type would depend on the branch.
-                    return None;
-                }
-                self.emit(Instr::Copy1 { dst, a });
+                let (b, ft) = self.expr(f)?;
+                let rt = promote(at, ft);
+                self.instrs[store_t] = resized(a, at, dst, rt);
+                self.emit(resized(b, ft, dst, rt));
                 self.jump(Term::Goto(join), join);
-                (dst, at)
+                (dst, rt)
             }
             ExprKind::Cast(ty, a) => {
                 let ty = ok_width(*ty)?;
@@ -654,25 +656,32 @@ impl<'p> Builder<'p> {
 
     /// Writes the value in `src`, resized from `from` to `to`, into `dst`.
     fn store_resized(&mut self, src: u32, from: ScalarTy, dst: u32, to: ScalarTy) {
-        let (fw, tw) = (from.width as u8, to.width as u8);
-        self.emit(if tw < fw {
-            Instr::Slice1 {
-                dst,
-                a: src,
-                sh: 0,
-                w: tw,
-            }
-        } else if tw > fw && from.signed {
-            Instr::Sext1 {
-                dst,
-                a: src,
-                aw: fw,
-                ow: tw,
-            }
-        } else if src != dst {
-            Instr::Copy1 { dst, a: src }
-        } else {
-            return;
-        });
+        match resized(src, from, dst, to) {
+            Instr::Copy1 { dst, a } if dst == a => {}
+            ins => self.emit(ins),
+        }
+    }
+}
+
+/// The instruction writing the value in `src`, resized from `from` to
+/// `to`, into `dst`.
+fn resized(src: u32, from: ScalarTy, dst: u32, to: ScalarTy) -> Instr {
+    let (fw, tw) = (from.width as u8, to.width as u8);
+    if tw < fw {
+        Instr::Slice1 {
+            dst,
+            a: src,
+            sh: 0,
+            w: tw,
+        }
+    } else if tw > fw && from.signed {
+        Instr::Sext1 {
+            dst,
+            a: src,
+            aw: fw,
+            ow: tw,
+        }
+    } else {
+        Instr::Copy1 { dst, a: src }
     }
 }

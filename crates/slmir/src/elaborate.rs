@@ -113,7 +113,7 @@ pub fn elaborate_with(
     entry: &str,
     opts: &ElabOptions,
 ) -> Result<Module, ElabError> {
-    sema::check(prog).map_err(|e| ElabError {
+    let types = sema::check(prog).map_err(|e| ElabError {
         span: e.span,
         message: e.message,
     })?;
@@ -123,6 +123,7 @@ pub fn elaborate_with(
     })?;
     let mut el = Elab {
         prog,
+        types,
         b: Fold::new(entry),
         opts,
         call_stack: vec![entry.to_string()],
@@ -326,6 +327,8 @@ struct LoopCtx {
 
 struct Elab<'p> {
     prog: &'p Program,
+    /// Every expression's type, from the checker.
+    types: sema::TypeMap,
     b: Fold,
     opts: &'p ElabOptions,
     call_stack: Vec<String>,
@@ -422,12 +425,10 @@ impl<'p> Elab<'p> {
             ExprKind::Var(n) => *fr.const_of(n)?,
             ExprKind::Un(op, a) => Static::un(*op, operand(a)?),
             ExprKind::Bin(op, a, b) => Static::bin(*op, operand(a)?, operand(b)?),
+            // The taken arm, converted to the arms' common type (C's rule).
             ExprKind::Ternary { cond, t, f } => {
-                if operand(cond)?.is_zero() {
-                    operand(f)?
-                } else {
-                    operand(t)?
-                }
+                let taken = if operand(cond)?.is_zero() { f } else { t };
+                operand(taken)?.cast(self.types.scalar(e))
             }
             ExprKind::Cast(ty, a) => operand(a)?.cast(*ty),
             _ => return None,

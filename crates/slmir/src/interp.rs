@@ -763,12 +763,23 @@ impl<'p> Interp<'p> {
             ExprKind::Ternary { cond, t, f: fe } => {
                 let (c, _) = self.scalar(f, cond, env)?;
                 // Both sides are pure in SLM-C, so evaluate only the taken
-                // side for speed.
-                if !c.is_zero() {
-                    self.eval(f, t, env)
-                } else {
-                    self.eval(f, fe, env)
-                }
+                // side for speed. The other side still sets the result's
+                // type: C converts both arms to their common type.
+                let (taken, other) = if c.is_zero() { (fe, t) } else { (t, fe) };
+                let v = self.eval(f, taken, env)?;
+                Ok(match (v, self.scalar_ty(other, env)) {
+                    (Value::Scalar(b, signed), Some(ot)) => {
+                        let rt = promote(
+                            ScalarTy {
+                                width: b.width(),
+                                signed,
+                            },
+                            ot,
+                        );
+                        Value::Scalar(resize(&b, signed, rt), rt.signed)
+                    }
+                    (v, _) => v,
+                })
             }
             ExprKind::Cast(ty, a) => {
                 let (b, signed) = self.scalar(f, a, env)?;
@@ -807,6 +818,36 @@ impl<'p> Interp<'p> {
                 }))
             }
         }
+    }
+
+    /// The scalar type `e` evaluates to in `env`, found without evaluating
+    /// it (so no fuel is spent); `None` for a non-scalar or undeclared
+    /// value.
+    fn scalar_ty(&self, e: &Expr, env: &HashMap<String, usize>) -> Option<ScalarTy> {
+        let cell = |n: &str| env.get(n).map(|&i| &self.store[i]);
+        Some(match &e.kind {
+            ExprKind::Int(v) => literal_ty(*v),
+            ExprKind::Var(n) => cell(n).filter(|c| c.kind == Kind::Scalar)?.ty,
+            ExprKind::Index { base, .. } => cell(base).filter(|c| c.kind != Kind::Scalar)?.ty,
+            ExprKind::Deref(p) => match &p.kind {
+                ExprKind::Var(n) => cell(n).filter(|c| c.kind == Kind::Ptr)?.ty,
+                _ => return None,
+            },
+            ExprKind::Call { callee, .. } => match self.prog.func(callee)?.ret {
+                Ty::Scalar(s) => s,
+                _ => return None,
+            },
+            ExprKind::Un(UnOp::LNot, _) => ScalarTy::BOOL,
+            ExprKind::Un(_, a) => self.scalar_ty(a, env)?,
+            ExprKind::Bin(op, a, b) => {
+                binop_result(*op, self.scalar_ty(a, env)?, self.scalar_ty(b, env)?)
+            }
+            ExprKind::Ternary { t, f, .. } => {
+                promote(self.scalar_ty(t, env)?, self.scalar_ty(f, env)?)
+            }
+            ExprKind::Cast(ty, _) => *ty,
+            ExprKind::AddrOf(_) | ExprKind::Malloc { .. } => return None,
+        })
     }
 
     fn call(
@@ -1388,15 +1429,51 @@ mod tests {
     }
 
     #[test]
+    fn conditional_arms_convert_to_their_common_type() {
+        // C's rule: `c ? a : b` has the arms' common type, here uint32,
+        // whichever arm runs, so the comparison is unsigned and false.
+        let src = "int f(int a, uint32 b, bool c) { if ((c ? a : b) < 0) { return 1; } return 0; }";
+        let int = |v| Value::from_i64(ScalarTy::INT, v);
+        let u32v = Value::from_u64(
+            ScalarTy {
+                width: 32,
+                signed: false,
+            },
+            5,
+        );
+        let args = [int(-1), u32v, Value::from_u64(ScalarTy::BOOL, 1)];
+        let prog = parse(src).unwrap();
+        assert_eq!(Interp::new(&prog).run("f", &args).unwrap().ret, int(0));
+        assert_compiled_parity(src, "f", &args);
+        // Two uint8 arms promote to int, so the negation is an int's.
+        let src = "int g(uint8 x, bool c) { return -(c ? x : x); }";
+        let x = Value::from_u64(
+            ScalarTy {
+                width: 8,
+                signed: false,
+            },
+            1,
+        );
+        let args = [x, Value::from_u64(ScalarTy::BOOL, 0)];
+        let prog = parse(src).unwrap();
+        assert_eq!(Interp::new(&prog).run("g", &args).unwrap().ret, int(-1));
+        assert_compiled_parity(src, "g", &args);
+        // Arms of different widths compile too, each extended by its own
+        // signedness.
+        let src = "int h(int x) { uint8 a = 200; int8 b = -3; return (x > 0 ? a : b) + (x > 1 ? b : x); }";
+        for v in [-1, 1, 2] {
+            assert_compiled_parity(src, "h", &[int(v)]);
+        }
+    }
+
+    #[test]
     fn uncompilable_functions_run_on_the_walker() {
-        // Pointers, recursion, a value call with out params, a ternary
-        // whose arms differ in type, a repeated out-parameter name: each
-        // stays on the walker, unchanged.
+        // Pointers, recursion, a value call with out params, a repeated
+        // out-parameter name: each stays on the walker, unchanged.
         let cases = [
             "int f(int x) { int y = x * 2; int *p = &y; *p = *p + 1; return y; }",
             "int f(int x) { if (x > 0) { return f(x - 1) + 1; } return 0; }",
             "int g(int a, out int b) { b = a; return a; } int f(int x) { int o = 0; return g(x, o) + o; }",
-            "int f(int x) { uint8 a = 1; return (x > 0 ? a : x) + 1; }",
             "void f(int x, out int8 y, out int y) { y = x * 300; }",
         ];
         for src in cases {

@@ -116,4 +116,19 @@ pub const CORPUS: &[(&str, &str)] = &[
         }"#,
         "scoped_kinds",
     ),
+    (
+        // `?:` converts both arms to their common type (C's rule), even
+        // the arm that does not run: each test below is false in C. The
+        // second condition is decided at run time on every input, the
+        // third statically.
+        r#"int mixed_arms(int a, uint32 b, bool c) {
+            int r = 0;
+            if ((c ? a : b) < 0) { r = r + 1; }
+            if (((b | 1) != 0 ? a | (int) 0x80000000 : b) < 0) { r = r + 2; }
+            if ((1 ? -1 : b) < 0) { r = r + 4; }
+            uint8 n = (uint8) a;
+            return r * 1000 + -(c ? n : n);
+        }"#,
+        "mixed_arms",
+    ),
 ];

@@ -130,6 +130,10 @@ run "$serve_demo" submit "$obs_dir/serve_crash" --journal job.journal --out "$ob
 run "$serve_demo" drain "$obs_dir/serve_crash" > /dev/null
 run wait "$resume_pid"
 run cmp "$obs_dir/serve_base.json" "$obs_dir/serve_resumed.json"
+# dfv-serve's suites in release, the optimization level the benchmark
+# runs the daemon at: the wire goldens and ref-id reuse tests beside
+# robustness and hostile_input.
+run cargo test -q --release -p dfv-serve
 run cargo run --release -q -p dfv-bench --bin experiments -- e14 > /dev/null
 # The 64-lane batched engine (its sweep rides in `bench sim` above): the
 # lane-parity property suite pins VM vs LaneSim vs full-oracle 3-way

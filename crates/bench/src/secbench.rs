@@ -1,8 +1,8 @@
 //! The SEC sweeping benchmark behind `bench sec` and E17: every miter
 //! workload is checked twice — sweep-off (the raw bit-blasted miter) and
-//! sweep-on (word-level rewriting + simulation-guided fraiging, `dfv-sec`'s
-//! [`SweepOptions`]) — and the two runs' *verdicts* and counterexample
-//! mismatch locations are asserted identical before any number lands in
+//! sweep-on (word-level rewriting + simulation-guided fraiging,
+//! [`dfv_sec::SweepOptions`]) — and the two runs' *verdicts* and
+//! counterexample mismatch locations are asserted identical before any number lands in
 //! the report. The comparable payload is the deterministic counter set
 //! (SAT conflicts, CNF size, sweep statistics, a structural
 //! counterexample hash); wall-clock lives only in the timing section, so

@@ -1,4 +1,5 @@
-//! A fast, unseeded hasher for small integer keys.
+//! Unseeded hashes: a fast hasher for small integer keys, and FNV-1a-64
+//! for checksums and digests that must be stable across runs.
 
 use std::hash::Hasher;
 
@@ -42,5 +43,64 @@ impl Hasher for FxHasher {
 
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
+    }
+}
+
+/// Incremental FNV-1a-64: the record checksum of the campaign cache and
+/// journal, the `dfv-serve` frame checksum, block content hashes and
+/// stimulus-sweep digests. Stable across platforms and runs (unlike
+/// `DefaultHasher`), so its values can be stored and sent. An integrity
+/// check, not an authenticator: collisions are easy to craft.
+#[derive(Debug, Clone)]
+pub struct Fnv(u64);
+
+impl Fnv {
+    /// A hasher at the FNV-64 offset basis.
+    pub fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` in, one byte at a time.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
+/// FNV-1a-64 of a whole byte slice.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut f = Fnv::new();
+    f.write(bytes);
+    f.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_matches_the_reference_vectors() {
+        // From the FNV reference test suite (FNV-1a, 64-bit).
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        // Incremental writes hash the concatenation.
+        let mut h = Fnv::default();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv64(b"foobar"));
     }
 }

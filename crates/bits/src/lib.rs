@@ -74,5 +74,5 @@ pub use bv::Bv;
 pub use error::ParseBvError;
 pub use fixed::{Fx, OverflowMode, RoundingMode};
 pub use fourstate::Xv;
-pub use hash::FxHasher;
+pub use hash::{fnv64, Fnv, FxHasher};
 pub use rng::SplitMix64;

@@ -36,6 +36,8 @@ use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use dfv_bits::fnv64;
+
 use crate::chaos::IoHandle;
 use crate::{BlockResult, BlockStatus, SolverTotals};
 
@@ -103,35 +105,6 @@ pub enum CacheLoad {
         /// What exactly was wrong with the file.
         reason: String,
     },
-}
-
-/// Incremental FNV-1a-64 hasher — shared by the cache and journal record
-/// checksums and [`crate::BlockPair::content_hash`]. No dependencies,
-/// stable across platforms and runs (unlike `DefaultHasher`).
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a of a full byte slice (record-checksum helper).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut f = Fnv::new();
-    f.write(bytes);
-    f.finish()
 }
 
 pub(crate) fn escape(s: &str) -> String {

@@ -58,7 +58,7 @@ pub enum FailAction {
 /// POSIX-shaped: `write` and `append` include the fsync, so a fault
 /// injected on them models exactly "did these bytes survive the crash?",
 /// and `rename` + `sync_dir` model the atomic-commit step of the cache
-/// save. Everything the cache ([`crate::cache`]) and journal
+/// save. Everything the cache (`cache.rs`) and journal
 /// ([`crate::Campaign`] checkpointing) touch on disk goes through one of
 /// these six methods — there is no side channel for chaos to miss.
 pub trait IoShim: Send + Sync {
@@ -73,7 +73,7 @@ pub trait IoShim: Send + Sync {
     /// Best-effort fsync of a directory (durability of a rename).
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
     /// Exclusively creates `path` with `data` (and fsyncs it), failing
-    /// with [`ErrorKind::AlreadyExists`] if the file exists — the
+    /// with [`io::ErrorKind::AlreadyExists`] if the file exists — the
     /// advisory-lock primitive ([`crate::lockfile`]).
     fn create_new(&self, path: &Path, data: &[u8]) -> io::Result<()>;
     /// Removes the file at `path`.

@@ -18,12 +18,11 @@
 
 use std::fmt;
 
-use dfv_bits::Bv;
+use dfv_bits::{Bv, Fnv};
 use dfv_rtl::ir::Node;
 use dfv_rtl::{Module, NodeId};
 use dfv_sec::{Binding, EquivSpec, InitState};
 
-use crate::cache::Fnv;
 use crate::sip::Sip24;
 use crate::BlockPair;
 

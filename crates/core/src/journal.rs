@@ -40,7 +40,9 @@ use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::cache::{escape, fnv64, status_tag, unescape, PersistError};
+use dfv_bits::fnv64;
+
+use crate::cache::{escape, status_tag, unescape, PersistError};
 use crate::chaos::IoHandle;
 use crate::{BlockResult, BlockStatus, SolverTotals};
 

@@ -723,11 +723,12 @@ impl CampaignReport {
             .count()
     }
 
-    /// The run as a machine-readable [`RunReport`]: block tallies and
-    /// solver totals as counters, per-block verdicts under `values`, and
-    /// the measured per-block wall times in the timing section (only) —
-    /// so [`RunReport::canonical_json`] of the result depends on the
-    /// verdicts, never on how long the solver took to reach them.
+    /// The run as a machine-readable [`dfv_obs::RunReport`]: block
+    /// tallies and solver totals as counters, per-block verdicts under
+    /// `values`, and the measured per-block wall times in the timing
+    /// section (only) — so [`dfv_obs::RunReport::canonical_json`] of the
+    /// result depends on the verdicts, never on how long the solver took
+    /// to reach them.
     pub fn to_run_report(&self) -> dfv_obs::RunReport {
         use dfv_obs::Json;
         let mut rep = dfv_obs::RunReport::new("campaign");

@@ -1,6 +1,6 @@
 //! Advisory lock files with stale-lock detection and recovery.
 //!
-//! The cache ([`crate::cache`]) and journal ([`crate::Campaign`]
+//! The cache (`cache.rs`) and journal ([`crate::Campaign`]
 //! checkpointing) are each safe against *crashes* — atomic rename saves,
 //! per-record checksums — but not against two live processes writing the
 //! same path at once: interleaved appends corrupt the journal silently,

@@ -27,12 +27,10 @@
 //! for every `lanes` and worker count.
 
 use dfv_bits::limbs::{limbs_for, LANES};
-use dfv_bits::{Bv, SplitMix64};
+use dfv_bits::{Bv, Fnv, SplitMix64};
 use dfv_cosim::{FieldSpec, StimulusGen};
 use dfv_obs::{Json, RunReport};
 use dfv_rtl::{LaneSim, Module, Simulator};
-
-use crate::cache::Fnv;
 
 /// A seeded multi-scenario constrained-random sweep.
 ///
@@ -153,17 +151,22 @@ impl StimulusSweep {
         let workers = crate::sched::resolve_workers(self.workers);
         let scenario_ids: Vec<usize> = (0..self.scenarios).collect();
         let groups: Vec<&[usize]> = scenario_ids.chunks(self.lanes.max(1)).collect();
-        let runs = crate::sched::run_indexed(&groups, workers, |_, group| {
-            if self.lanes > 1 {
-                self.run_group_lanes(module, group)
-            } else {
-                self.run_group_scalar(module, group)
-            }
-        });
+        // One engine is validated and built per sweep; each work item
+        // runs on its own clone of it.
+        let runs = if self.lanes > 1 {
+            let engine = LaneSim::new(module.clone()).map_err(|e| e.to_string())?;
+            crate::sched::run_indexed(&groups, workers, |_, group| {
+                self.run_group_lanes(engine.clone(), module, group)
+            })
+        } else {
+            let engine = Simulator::new(module.clone()).map_err(|e| e.to_string())?;
+            crate::sched::run_indexed(&groups, workers, |_, group| {
+                self.run_group_scalar(engine.clone(), module, group)
+            })
+        };
         let mut scenarios = Vec::with_capacity(self.scenarios);
         let mut node_evals = 0u64;
         for run in runs {
-            let run = run?;
             scenarios.extend(run.hashes);
             node_evals += run.node_evals;
         }
@@ -175,12 +178,13 @@ impl StimulusSweep {
         })
     }
 
-    /// One lane group on the scalar engine: each scenario gets its own
-    /// [`Simulator`] and its stream is replayed cycle by cycle.
-    fn run_group_scalar(&self, module: &Module, group: &[usize]) -> Result<GroupRun, String> {
+    /// One lane group on the scalar engine `sim` (a fresh clone of the
+    /// sweep's engine): each scenario starts from a reset and its stream
+    /// is replayed cycle by cycle.
+    fn run_group_scalar(&self, mut sim: Simulator, module: &Module, group: &[usize]) -> GroupRun {
         let mut run = GroupRun::default();
         for &scenario in group {
-            let mut sim = Simulator::new(module.clone()).map_err(|e| e.to_string())?;
+            sim.reset();
             let mut gen = self.gen_for(scenario);
             let mut h = Fnv::new();
             for _ in 0..self.cycles {
@@ -196,21 +200,22 @@ impl StimulusSweep {
                 scenario,
                 out_hash: h.finish(),
             });
-            run.node_evals += sim.stats().node_evals;
         }
-        Ok(run)
+        // Stats survive a reset, so they cover every scenario of the group.
+        run.node_evals = sim.stats().node_evals;
+        run
     }
 
-    /// One lane group on the batched engine: a single [`LaneSim`] carries
-    /// the whole group, scenario *i* on lane *i*, each lane fed by its own
-    /// generator — the same per-scenario streams the scalar path draws.
+    /// One lane group on the batched engine: `sim` (a fresh clone of the
+    /// sweep's [`LaneSim`]) carries the whole group, scenario *i* on lane
+    /// *i*, each lane fed by its own generator — the same per-scenario
+    /// streams the scalar path draws.
     /// Ports move as whole planes: each cycle every lane's fields are
     /// drawn in field order straight into per-field planes (the draws
     /// [`StimulusGen::next_transaction`] makes, with no map built), each
     /// plane is poked with one call, and each lane's digest is folded
     /// from the output planes in the bytes [`hash_bv`] writes.
-    fn run_group_lanes(&self, module: &Module, group: &[usize]) -> Result<GroupRun, String> {
-        let mut sim = LaneSim::new(module.clone()).map_err(|e| e.to_string())?;
+    fn run_group_lanes(&self, mut sim: LaneSim, module: &Module, group: &[usize]) -> GroupRun {
         // `run` has checked that every field names an input of its width.
         let ports: Vec<usize> = self
             .fields
@@ -254,7 +259,7 @@ impl StimulusSweep {
             });
         }
         run.node_evals = sim.stats().node_evals;
-        Ok(run)
+        run
     }
 }
 

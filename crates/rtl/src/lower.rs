@@ -10,23 +10,24 @@
 //!   into the input nodes' slots and marks the consuming instructions
 //!   dirty ([`VmEngine::input_succ`]);
 //! * `Const` — written once at reset, never changes;
-//! * fused producers — a single-consumer compare feeding a mux select, an
-//!   add feeding a slice, or a constant multiply/shift feeding an add is
-//!   absorbed into the consumer ([`Instr::CmpMux1`] / [`Instr::AddSlice1`]
-//!   / [`Instr::MulCAdd1`] / [`Instr::ShlCAdd1`]). The fused instruction
-//!   still writes the producer's slot, so peeks, traces, register D
-//!   sampling, and output reads observe exactly the values the scalar
-//!   engine produces.
+//! * fused producers — a single-consumer compare feeding a mux select
+//!   ([`Instr::CmpMux1`], the convolution's compare-selects), or a
+//!   constant multiply or constant left shift feeding an add
+//!   ([`Instr::MulCAdd1`], the FIR taps; [`Instr::ShlCAdd1`], the
+//!   convolution's weighted sums) is absorbed into the consumer. The fused instruction still writes the
+//!   producer's slot, so peeks, traces, register D sampling, and output
+//!   reads observe exactly the values the scalar engine produces.
 //!
-//! Constant operands of single-limb binary ops fold into const-operand
-//! instructions (`AddC1`, `EqC1`, constant-amount shifts, ...);
-//! commutative ops swap a constant left operand to the right.
+//! A constant operand is read from its slot like any other operand, so
+//! a binary op lowers to the same instruction whichever side (if any)
+//! holds a constant.
 //!
 //! Dirty-cone semantics carry over at instruction granularity: the
 //! successor map ([`VmEngine::succs`]) lists, for each instruction, the
 //! instructions reading any slot it writes, all at strictly higher
-//! levels — so one pass per level, in level order, visits each dirty
-//! instruction exactly once, exactly like the kernel engine's node walk.
+//! levels — so one pass over the level buckets, in level order, runs
+//! exactly the marked instructions, each once, like the kernel engine's
+//! node walk.
 //! Programs of at most [`DENSE_MAX`] instructions skip all of that and
 //! run *dense*: every pass executes the whole program straight-line, and
 //! pokes and commits do no marking at all — for a small module the
@@ -124,10 +125,6 @@ pub(crate) struct VmEngine {
     /// Topological level of each instruction (its owning node's level;
     /// for a fused pair, the consumer's).
     instr_level: Vec<u32>,
-    /// Per level: the `[lo, hi)` instruction range (levels are contiguous
-    /// because emission is level-sorted). `(0, 0)` for instruction-free
-    /// levels.
-    level_ranges: Vec<(u32, u32)>,
     /// CSR successor map over instruction ids.
     succ_off: Vec<u32>,
     succ: Vec<u32>,
@@ -156,29 +153,26 @@ impl VmEngine {
 
         // Fusion plan: absorb a producer P into its sole consumer C.
         // `fused[p]` suppresses P's own instruction; `fuse_src[c]` tells
-        // C's emission which producer it carries.
+        // C's emission which producer it carries. First pass: a compare
+        // feeding a single-limb mux select.
         let mut fused = vec![false; n];
         let mut fuse_src: Vec<Option<u32>> = vec![None; n];
         for (i, node) in module.nodes.iter().enumerate() {
-            let (p, want_add) = match node {
-                Node::Mux { sel, .. } if one_limb(&NodeId(i as u32)) => (sel.index(), false),
-                Node::Slice { src, .. } if one_limb(&NodeId(i as u32)) && one_limb(src) => {
-                    (src.index(), true)
-                }
-                _ => continue,
+            let Node::Mux { sel, .. } = node else {
+                continue;
             };
-            if fused[p] {
+            let p = sel.index();
+            if fused[p] || !one_limb(&NodeId(i as u32)) {
                 continue;
             }
             let Node::Bin(op, x, y) = &module.nodes[p] else {
                 continue;
             };
-            let shape_ok = if want_add {
-                *op == BinOp::Add
-            } else {
-                cmp_of(*op).is_some()
-            };
-            if shape_ok && one_limb(x) && one_limb(y) && sole_consumer(sched, p as u32, i as u32) {
+            if cmp_of(*op).is_some()
+                && one_limb(x)
+                && one_limb(y)
+                && sole_consumer(sched, p as u32, i as u32)
+            {
                 fused[p] = true;
                 fuse_src[i] = Some(p as u32);
             }
@@ -251,19 +245,6 @@ impl VmEngine {
             }
         }
         let num_instrs = instrs.len();
-
-        // Contiguous per-level ranges.
-        let mut level_ranges = vec![(0u32, 0u32); sched.num_levels() as usize];
-        let mut start = 0usize;
-        while start < num_instrs {
-            let lvl = instr_level[start] as usize;
-            let mut end = start + 1;
-            while end < num_instrs && instr_level[end] as usize == lvl {
-                end += 1;
-            }
-            level_ranges[lvl] = (start as u32, end as u32);
-            start = end;
-        }
 
         // Successor map: instructions reading any slot instruction `i`
         // writes. Every fanout of an owned node is a computation node and
@@ -390,7 +371,6 @@ impl VmEngine {
             reg_plans,
             mem_plans,
             instr_level,
-            level_ranges,
             succ_off,
             succ,
             input_succ,
@@ -419,10 +399,6 @@ impl VmEngine {
 
     pub(crate) fn instr_level(&self, i: u32) -> u32 {
         self.instr_level[i as usize]
-    }
-
-    pub(crate) fn level_range(&self, lvl: usize) -> (u32, u32) {
-        self.level_ranges[lvl]
     }
 
     pub(crate) fn succs(&self, i: u32) -> &[u32] {
@@ -503,7 +479,7 @@ fn const1_of(module: &Module, id: &NodeId) -> Option<u64> {
 }
 
 /// Lowers one non-fused computation node (with `fuse` naming the absorbed
-/// producer for a fused mux/slice consumer).
+/// producer for a fused mux or add consumer).
 fn lower_node(module: &Module, sched: &SimSchedule, i: usize, fuse: Option<u32>) -> Instr {
     let s = sched.node_slot(i);
     let (dst, ow, ol) = (s.off, s.width, s.limbs);
@@ -582,37 +558,21 @@ fn lower_node(module: &Module, sched: &SimSchedule, i: usize, fuse: Option<u32>)
             }
         }
         Node::Slice { src, lo, .. } => {
-            if let Some(p) = fuse {
-                let Node::Bin(BinOp::Add, x, y) = &module.nodes[p as usize] else {
-                    unreachable!("fused slice source is an add");
-                };
-                let (xs, ys) = (so(x), so(y));
-                Instr::AddSlice1 {
-                    a: xs.off,
-                    b: ys.off,
-                    aw: xs.width as u8,
-                    dst_a: so(src).off,
-                    sh: *lo as u8,
-                    ow: ow as u8,
+            let a = so(src);
+            if a.limbs == 1 {
+                Instr::Slice1 {
                     dst,
+                    a: a.off,
+                    sh: *lo as u8,
+                    w: ow as u8,
                 }
             } else {
-                let a = so(src);
-                if a.limbs == 1 {
-                    Instr::Slice1 {
-                        dst,
-                        a: a.off,
-                        sh: *lo as u8,
-                        w: ow as u8,
-                    }
-                } else {
-                    Instr::NSlice {
-                        dst,
-                        a: a.off,
-                        aw: a.width as u16,
-                        lo: *lo as u16,
-                        ow: ow as u16,
-                    }
+                Instr::NSlice {
+                    dst,
+                    a: a.off,
+                    aw: a.width as u16,
+                    lo: *lo as u16,
+                    ow: ow as u16,
                 }
             }
         }
@@ -745,40 +705,6 @@ fn lower_bin(
         };
     }
     let (aw, bw) = (sa.width as u8, sb.width as u8);
-    let ca = const1_of(module, a);
-    let cb = const1_of(module, b);
-    // Constant right operand (the common shape after expression building).
-    if let Some(imm) = cb {
-        if let Some(ins) = const_rhs(op, dst, sa.off, imm, aw) {
-            return ins;
-        }
-    }
-    // Constant left operand: swap if commutative, or use the reversed
-    // subtract form.
-    if let (Some(imm), None) = (ca, cb) {
-        match op {
-            BinOp::Add
-            | BinOp::Mul
-            | BinOp::And
-            | BinOp::Or
-            | BinOp::Xor
-            | BinOp::Eq
-            | BinOp::Ne => {
-                if let Some(ins) = const_rhs(op, dst, sb.off, imm, bw) {
-                    return ins;
-                }
-            }
-            BinOp::Sub => {
-                return Instr::RSubC1 {
-                    dst,
-                    a: sb.off,
-                    imm,
-                    w: aw,
-                }
-            }
-            _ => {}
-        }
-    }
     match op {
         BinOp::Add => Instr::Add1 {
             dst,
@@ -891,38 +817,4 @@ fn lower_bin(
             bw,
         },
     }
-}
-
-/// The const-right-operand form of `a_off <op> imm`, if one exists.
-fn const_rhs(op: BinOp, dst: u32, a: u32, imm: u64, w: u8) -> Option<Instr> {
-    Some(match op {
-        BinOp::Add => Instr::AddC1 { dst, a, imm, w },
-        BinOp::Sub => Instr::SubC1 { dst, a, imm, w },
-        BinOp::Mul => Instr::MulC1 { dst, a, imm, w },
-        BinOp::And => Instr::AndC1 { dst, a, imm },
-        BinOp::Or => Instr::OrC1 { dst, a, imm },
-        BinOp::Xor => Instr::XorC1 { dst, a, imm },
-        BinOp::Eq => Instr::EqC1 { dst, a, imm },
-        BinOp::Ne => Instr::NeC1 { dst, a, imm },
-        BinOp::Shl if imm >= w as u64 => Instr::Const1 { dst, imm: 0 },
-        BinOp::Shl => Instr::ShlC1 {
-            dst,
-            a,
-            sh: imm as u8,
-            w,
-        },
-        BinOp::LShr if imm >= w as u64 => Instr::Const1 { dst, imm: 0 },
-        BinOp::LShr => Instr::LShrC1 {
-            dst,
-            a,
-            sh: imm as u8,
-        },
-        BinOp::AShr => Instr::AShrC1 {
-            dst,
-            a,
-            sh: imm.min(63) as u8,
-            w,
-        },
-        _ => return None,
-    })
 }

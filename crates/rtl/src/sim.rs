@@ -13,15 +13,15 @@
 //! * [`EvalMode::Bytecode`] (the default, [`Simulator::new`]) — the
 //!   levelized [`SimSchedule`] lowered into flat `dfv-vm` register
 //!   bytecode (see `lower.rs`). All values live in one flat limb arena
-//!   at fixed offsets; every operand offset is pre-resolved, constant
-//!   operands fold into immediate forms, common compare→mux and
-//!   add→slice pairs fuse into one instruction, and the clock edge
-//!   commits through a compiled offset plan. Small programs run dense
-//!   (whole-program straight-line passes, zero tracking overhead);
-//!   larger ones keep dirty-cone scheduling at instruction granularity
-//!   — a pass runs only the fanout cone of inputs and state that
-//!   actually changed — with whole-level straight-line blocks when a
-//!   level is mostly dirty. Zero heap allocation per instruction.
+//!   at fixed offsets (constants too, written once at reset); every
+//!   operand offset is pre-resolved, three producer/consumer pairs
+//!   (compare→mux, constant multiply→add, constant shift→add) fuse into
+//!   one instruction, and the clock edge commits through a compiled
+//!   offset plan. Small programs run dense (whole-program straight-line
+//!   passes, zero tracking overhead); larger ones keep dirty-cone
+//!   scheduling at instruction granularity — a pass runs exactly the
+//!   fanout cone of inputs and state that actually changed. Zero heap
+//!   allocation per instruction.
 //! * [`EvalMode::FullOracle`] ([`Simulator::new_reference`]) — the
 //!   reference interpreter: every pass re-evaluates every node in id
 //!   order through [`eval_bin`]/[`eval_un`] on freshly materialized
@@ -84,12 +84,11 @@ pub fn eval_un(op: UnOp, a: &Bv) -> Bv {
 pub enum EvalMode {
     /// The default: the schedule lowered to flat register bytecode
     /// executed by the `dfv-vm` interpreter loop: no per-node enum
-    /// dispatch, constant
-    /// operands folded into immediates, common pairs fused, and the clock
-    /// edge committed through a compiled offset plan. Small programs run
-    /// *dense* — every pass executes the whole program straight-line with
-    /// no dirty tracking — while larger ones keep dirty-cone scheduling
-    /// at instruction granularity. [`SimStats::node_evals`] counts
+    /// dispatch, three common pairs fused, and the clock edge committed
+    /// through a compiled offset plan. Small programs run *dense* — every
+    /// pass executes the whole program straight-line with no dirty
+    /// tracking — while larger ones keep dirty-cone scheduling at
+    /// instruction granularity. [`SimStats::node_evals`] counts
     /// instructions executed either way (a dense pass counts the whole
     /// program), still bounded by `eval_passes * node_count`.
     Bytecode,
@@ -473,13 +472,11 @@ impl Simulator {
         vm.prog().len() as u64
     }
 
-    /// Bytecode incremental pass: walk dirty instructions level by level.
-    /// Successor instructions always sit at a strictly higher level, so
-    /// each instruction runs at most once per pass. A mostly-dirty level
-    /// is executed as its whole contiguous straight-line block instead of
-    /// instruction-picking — the block costs no dispatch overhead per
-    /// skipped instruction and keeps `node_evals` deterministic (marks
-    /// are a set; full blocks and sorted buckets are order-independent).
+    /// Bytecode incremental pass: run exactly the marked instructions,
+    /// level by level. Successor instructions always sit at a strictly
+    /// higher level, so each instruction runs at most once per pass, and
+    /// `node_evals` is the number of marked instructions (marks are a
+    /// set, and each bucket runs sorted, so poke order cannot change it).
     fn vm_dirty_pass(&mut self) -> u64 {
         let vm = self.vm.as_ref().expect("Bytecode mode has an engine");
         let mut evaled = 0u64;
@@ -488,35 +485,16 @@ impl Simulator {
                 continue;
             }
             let mut bucket = std::mem::take(&mut self.dirty_levels[lvl]);
-            let (lo, hi) = vm.level_range(lvl);
-            let range_len = (hi - lo) as usize;
-            if bucket.len() * 4 >= range_len {
-                // Mostly dirty: run the whole level straight-line.
-                for &i in &bucket {
-                    self.in_dirty[i as usize] = false;
-                }
-                evaled += range_len as u64;
-                for i in lo..hi {
-                    let changed =
-                        vm.prog()
-                            .exec_one(i as usize, &mut self.arena, &mut self.scratch);
-                    if changed {
-                        mark(vm, vm.succs(i), &mut self.in_dirty, &mut self.dirty_levels);
-                    }
-                }
-            } else {
-                // Deterministic, cache-friendly order regardless of poke
-                // order.
-                bucket.sort_unstable();
-                evaled += bucket.len() as u64;
-                for &i in &bucket {
-                    self.in_dirty[i as usize] = false;
-                    let changed =
-                        vm.prog()
-                            .exec_one(i as usize, &mut self.arena, &mut self.scratch);
-                    if changed {
-                        mark(vm, vm.succs(i), &mut self.in_dirty, &mut self.dirty_levels);
-                    }
+            // Deterministic, cache-friendly order regardless of poke order.
+            bucket.sort_unstable();
+            evaled += bucket.len() as u64;
+            for &i in &bucket {
+                self.in_dirty[i as usize] = false;
+                let changed = vm
+                    .prog()
+                    .exec_one(i as usize, &mut self.arena, &mut self.scratch);
+                if changed {
+                    mark(vm, vm.succs(i), &mut self.in_dirty, &mut self.dirty_levels);
                 }
             }
             bucket.clear();
@@ -1210,8 +1188,9 @@ mod tests {
     /// Every operator shape the bytecode lowering handles: all 19 binary
     /// ops at single-limb and multi-limb widths, the unary and structural
     /// ops, constant operands on both sides (including oversized constant
-    /// shift amounts), fusable compare→mux and add→slice pairs, plus a
-    /// memory and registered feedback so stepping keeps the cone churning.
+    /// shift amounts), a fusable compare→mux pair and an add→slice pair,
+    /// plus a memory and registered feedback so stepping keeps the cone
+    /// churning.
     fn op_soup() -> Module {
         let mut b = ModuleBuilder::new("soup");
         let x = b.input("x", 64);
@@ -1358,20 +1337,28 @@ mod tests {
 
     #[test]
     fn bytecode_fused_pairs_keep_intermediates_observable() {
-        // The compare and the add are absorbed into their consumers, but
-        // their slots must still hold exactly the values the reference
-        // engine computes — peeks and watches read them.
+        // The compare, the constant multiply and the constant shift are
+        // absorbed into their consumers, but their slots must still hold
+        // exactly the values the reference engine computes — peeks and
+        // watches read them.
         let mut b = ModuleBuilder::new("fused");
         let x = b.input("x", 32);
         let y = b.input("y", 32);
         let sel = b.ult(x, y);
         let mx = b.mux(sel, y, x);
-        let sum = b.add(x, y);
-        let sl = b.slice(sum, 20, 5);
+        let k = b.lit(32, 0x9E37_79B9);
+        let prod = b.mul(x, k);
+        let mac = b.add(prod, y);
+        let k3 = b.lit(32, 3);
+        let term = b.shl(y, k3);
+        let sac = b.add(x, term);
         b.output("max", mx);
-        b.output("mid", sl);
+        b.output("mac", mac);
+        b.output("sac", sac);
         let module = b.finish().unwrap();
         let mut vm = Simulator::new(module.clone()).unwrap();
+        let instrs = vm.vm.as_ref().unwrap().prog().len();
+        assert_eq!(instrs, 3, "three fused instructions, nothing else");
         let mut oracle = Simulator::new_reference(module).unwrap();
         let mut rng = dfv_bits::SplitMix64::new(9);
         for _ in 0..64 {
@@ -1380,10 +1367,12 @@ mod tests {
                 sim.poke("x", Bv::from_u64(32, a));
                 sim.poke("y", Bv::from_u64(32, bb));
             }
-            assert_eq!(vm.output("max"), oracle.output("max"));
-            assert_eq!(vm.output("mid"), oracle.output("mid"));
+            for port in ["max", "mac", "sac"] {
+                assert_eq!(vm.output(port), oracle.output(port), "{port}");
+            }
             assert_eq!(vm.peek(sel), oracle.peek(sel), "fused compare slot");
-            assert_eq!(vm.peek(sum), oracle.peek(sum), "fused add slot");
+            assert_eq!(vm.peek(prod), oracle.peek(prod), "fused multiply slot");
+            assert_eq!(vm.peek(term), oracle.peek(term), "fused shift slot");
             vm.step();
             oracle.step();
         }
@@ -1550,6 +1539,128 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `lanes` independent two-instruction chains `out_i = !x_i + k`:
+    /// level 1 holds the `lanes` nots and level 2 the `lanes` adds, so
+    /// poking `n` inputs dirties exactly `2n` instructions.
+    fn parallel_chains(lanes: usize) -> Module {
+        let mut b = ModuleBuilder::new("chains");
+        let k = b.lit(8, 0x5A);
+        for i in 0..lanes {
+            let x = b.input(format!("x{i}"), 8);
+            let n = b.not(x);
+            let y = b.add(n, k);
+            b.output(format!("y{i}"), y);
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn dirty_pass_runs_exactly_the_marked_instructions() {
+        let lanes = 40;
+        let module = parallel_chains(lanes);
+        let mut sim = Simulator::new(module.clone()).unwrap();
+        let mut oracle = Simulator::new_reference(module).unwrap();
+        let vm = sim.vm.as_ref().unwrap();
+        assert!(!vm.dense(), "80 instructions run tracked");
+        assert_eq!(vm.prog().len(), 2 * lanes);
+        sim.eval();
+        let mut round = 0u64;
+        // From one poke (well under a quarter of a level) to every input
+        // (the whole level): the pass costs what was marked, no more.
+        for poked in [1usize, 9, 10, 11, 20, 30, 39, 40] {
+            round += 1;
+            let before = sim.stats().node_evals;
+            for i in 0..poked {
+                let v = Bv::from_u64(8, round * 7 + i as u64);
+                sim.poke(&format!("x{i}"), v.clone());
+                oracle.poke(&format!("x{i}"), v);
+            }
+            sim.eval();
+            assert_eq!(
+                sim.stats().node_evals - before,
+                2 * poked as u64,
+                "{poked} of {lanes} inputs poked"
+            );
+            for i in 0..lanes {
+                let port = format!("y{i}");
+                assert_eq!(sim.output(&port), oracle.output(&port), "{port}");
+            }
+        }
+    }
+
+    /// Adds two outputs per constant `k` in `ks` to `b`: `x op k` (`k` at
+    /// `kw` bits, the shift-amount width for shifts) and `k op x` (`k`
+    /// truncated to `x`'s width `w`; for a shift, `x` is the amount).
+    fn add_const_cases(b: &mut ModuleBuilder, x: NodeId, w: u32, op: BinOp, ks: &[u64], kw: u32) {
+        for (i, &k) in ks.iter().enumerate() {
+            let right = b.lit(kw, k);
+            let o = b.bin(op, x, right);
+            b.output(format!("{op:?}_x_k{i}"), o);
+            let left = b.lit(w, k & mask64(w));
+            let o = b.bin(op, left, x);
+            b.output(format!("{op:?}_k{i}_x"), o);
+        }
+    }
+
+    /// Pokes every `x` into both engines and compares every output.
+    fn assert_matches_reference(module: Module, xs: &[u64], what: &str) {
+        let w = module.inputs[0].width;
+        let mut sim = Simulator::new(module.clone()).unwrap();
+        let mut oracle = Simulator::new_reference(module.clone()).unwrap();
+        for &x in xs {
+            sim.poke("x", Bv::from_u64(w, x));
+            oracle.poke("x", Bv::from_u64(w, x));
+            for p in &module.outputs {
+                let name = &p.name;
+                assert_eq!(
+                    sim.output(name),
+                    oracle.output(name),
+                    "{what} x={x:#x} {name}"
+                );
+            }
+        }
+    }
+
+    /// Constants are plain slots: every single-limb binary op with a
+    /// constant on either side (`c - x`, constant divisors, constant
+    /// shift amounts below, at and above the width) matches the
+    /// reference, in a dense module and in a tracked one.
+    #[test]
+    fn constant_operands_match_the_reference_dense_and_tracked() {
+        let mut rng = dfv_bits::SplitMix64::new(0xC0457);
+        for &w in &[1u32, 9, 40, 64] {
+            let m = mask64(w);
+            let mut ks = vec![0, 1, m, m >> 1, 1u64 << (w - 1)];
+            ks.extend((0..3).map(|_| rng.next_u64() & m));
+            let shift_ks = [0, 1, w as u64 - 1, w as u64, w as u64 + 1, 64, 65, 1000];
+            let mut xs = vec![0, 1, m, 1u64 << (w - 1), w as u64 & m];
+            xs.extend((0..12).map(|_| rng.next_u64() & m));
+            // Every op's cases alone (dense), then all of them in one
+            // module (tracked).
+            let mut all = ModuleBuilder::new("all");
+            let all_x = all.input("x", w);
+            for op in BIN_OPS {
+                let (ks, kw) = if op.is_shift() {
+                    (&shift_ks[..], 16)
+                } else {
+                    (&ks[..], w)
+                };
+                let mut b = ModuleBuilder::new("one");
+                let x = b.input("x", w);
+                add_const_cases(&mut b, x, w, op, ks, kw);
+                let module = b.finish().unwrap();
+                let sim = Simulator::new(module.clone()).unwrap();
+                assert!(sim.vm.as_ref().unwrap().dense(), "{op:?} w={w}");
+                assert_matches_reference(module, &xs, &format!("dense {op:?} w={w}"));
+                add_const_cases(&mut all, all_x, w, op, ks, kw);
+            }
+            let module = all.finish().unwrap();
+            let sim = Simulator::new(module.clone()).unwrap();
+            assert!(!sim.vm.as_ref().unwrap().dense(), "w={w}");
+            assert_matches_reference(module, &xs, &format!("tracked w={w}"));
         }
     }
 }

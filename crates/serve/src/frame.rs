@@ -16,9 +16,11 @@
 //! - the **length** is validated against [`MAX_FRAME`] *before* the
 //!   payload buffer is allocated, so a hostile or corrupted length field
 //!   cannot balloon server memory;
-//! - the **checksum** catches in-flight corruption (a single flipped bit
-//!   anywhere in the payload fails the frame with a typed error instead
-//!   of feeding garbage to the JSON parser);
+//! - the **checksum** ([`dfv_bits::fnv64`], the construction the campaign
+//!   cache and journal use for their records) catches in-flight
+//!   corruption (a single flipped bit anywhere in the payload fails the
+//!   frame with a typed error instead of feeding garbage to the JSON
+//!   parser); it is an integrity check, not an authenticator;
 //! - a clean EOF *between* frames is a distinct, expected condition
 //!   ([`FrameError::Closed`]) — a torn frame mid-read is not.
 //!
@@ -28,6 +30,7 @@
 
 use std::io::{self, Read, Write};
 
+use dfv_bits::fnv64;
 use dfv_obs::{parse_json, Json};
 
 /// Frame magic: protocol name + wire-format version.
@@ -114,20 +117,6 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// FNV-1a over a byte slice — the frame checksum.
-///
-/// Deliberately the same construction the campaign cache and journal use
-/// for their record checksums: cheap, dependency-free, and plenty to
-/// catch wire corruption (it is an integrity check, not an authenticator).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Serializes `msg` and writes one complete frame, flushing the stream.
 pub fn write_frame<W: Write>(w: &mut W, msg: &Json) -> Result<(), FrameError> {
     write_frame_with(w, |out| msg.render_into(out))
@@ -153,7 +142,7 @@ pub fn write_frame_with<W: Write>(
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let sum = fnv1a(&buf[HEADER..]);
+    let sum = fnv64(&buf[HEADER..]);
     buf[4..8].copy_from_slice(&(len as u32).to_be_bytes());
     buf[8..HEADER].copy_from_slice(&sum.to_be_bytes());
     // One buffered write per frame: a frame either reaches the OS whole
@@ -192,7 +181,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Json, FrameError> {
     let declared = u64::from_be_bytes(sum8);
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let computed = fnv1a(&payload);
+    let computed = fnv64(&payload);
     if computed != declared {
         return Err(FrameError::Checksum { declared, computed });
     }

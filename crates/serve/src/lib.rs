@@ -26,7 +26,7 @@
 //! - [`client`] — a blocking client whose retry loop honors the server's
 //!   transient/permanent classification on a deterministic backoff, and
 //!   which replaces blocks the connection already proved with refs;
-//! - [`pipe`] — an in-process duplex byte stream, so every robustness
+//! - [`pipe`](mod@pipe) — an in-process duplex byte stream, so every robustness
 //!   property above is tested hermetically (and composes with
 //!   [`dfv_core::ChaosWire`] for wire-fault injection).
 //!

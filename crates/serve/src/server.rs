@@ -9,7 +9,7 @@
 //! ```
 //!
 //! The server is transport-agnostic: [`Server::attach`] accepts any
-//! `(Read, Write)` pair — the in-process [`crate::pipe`] duplex in tests,
+//! `(Read, Write)` pair — the in-process [`pipe`](mod@crate::pipe) duplex in tests,
 //! split TCP or Unix-domain streams in the example binary, or either
 //! wrapped in a [`dfv_core::ChaosWire`]. Each connection gets two
 //! threads: a *reader* that parses frames and performs admission, and a

@@ -15,13 +15,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use dfv_bits::SplitMix64;
+use dfv_bits::{fnv64, SplitMix64};
 use dfv_core::{BlockPair, ContentKey};
 use dfv_designs::{alu, fir, memsys};
 use dfv_obs::Json;
 use dfv_rtl::{parse_module, write_module, ModuleBuilder, RtlError, MAX_MEM_DEPTH, MAX_WIDTH};
 use dfv_sec::{Binding, EquivSpec};
-use dfv_serve::frame::{fnv1a, MAGIC};
+use dfv_serve::frame::MAGIC;
 use dfv_serve::proto::{decode_request, decode_response, encode_request};
 use dfv_serve::{
     duplex, read_frame, write_frame, FrameError, JobSpec, PipeReader, PipeWriter, Request,
@@ -217,7 +217,7 @@ fn json_escape(s: &str) -> String {
 fn framed(payload: &[u8]) -> Vec<u8> {
     let mut f = MAGIC.to_vec();
     f.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    f.extend_from_slice(&fnv1a(payload).to_be_bytes());
+    f.extend_from_slice(&fnv64(payload).to_be_bytes());
     f.extend_from_slice(payload);
     f
 }

@@ -663,13 +663,6 @@ fn journal_resume_across_server_incarnations_is_byte_identical() {
     server.stop();
 }
 
-/// FNV-1a-64, the journal's record checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 #[test]
 fn a_planted_journal_verdict_never_reaches_another_client() {
     // A journal record is matched by block name and the unkeyed 64-bit
@@ -704,7 +697,10 @@ fn a_planted_journal_verdict_never_reaches_another_client() {
                 let (payload, _) = rest.rsplit_once('\t').unwrap();
                 let payload = payload.replace(&from, &to);
                 let payload = payload.strip_prefix('\t').unwrap();
-                format!("entry\t{payload}\t{:016x}\n", fnv1a(payload.as_bytes()))
+                format!(
+                    "entry\t{payload}\t{:016x}\n",
+                    dfv_bits::fnv64(payload.as_bytes())
+                )
             }
             None => format!("{line}\n"),
         })

@@ -575,11 +575,7 @@ impl<'p> Builder<'p> {
             } else {
                 And1 { dst, a: za, b: zb }
             });
-            self.emit(XorC1 {
-                dst,
-                a: dst,
-                imm: 1,
-            });
+            self.emit(EqZ1 { dst, a: dst });
             return Some(ScalarTy::BOOL);
         }
         let shift = matches!(op, Shl | Shr);

@@ -20,11 +20,17 @@
 //!   opcodes with the operator semantics of `dfv_rtl::eval_bin`/`eval_un`
 //!   baked in (masking, division-by-zero results, shift-amount ≥ width).
 //!   Widths are stored, masks are two ALU ops at execution time.
-//! * **Const-operand and fused forms.** Constant operands are folded into
-//!   the instruction ([`Instr::AddC1`], ...), and the two hottest
-//!   producer/consumer pairs — compare feeding a mux select, add feeding a
-//!   slice — fuse into one instruction that writes *both* destination
-//!   slots, so peeking/tracing the intermediate value still works.
+//! * **Constants live in slots.** A constant operand is an arena slot like
+//!   any other (the front-end writes it once, at reset), so every
+//!   operator has one single-limb form. Immediates appear only in
+//!   [`Instr::Const1`], which writes a value at run time, and in the
+//!   fused forms' absorbed constant multiplier or shift amount.
+//! * **Three fused pairs.** The producer/consumer pairs the benchmarked
+//!   designs execute most fuse into one instruction that writes *both*
+//!   destination slots, so peeking/tracing the intermediate value still
+//!   works: a compare feeding a mux select ([`Instr::CmpMux1`]), and a
+//!   constant multiply or constant left shift feeding an add
+//!   ([`Instr::MulCAdd1`], [`Instr::ShlCAdd1`]).
 //! * **No bounds checks in the hot loop.** [`Program::new`] validates
 //!   every operand offset, and every indexed array's `base + len`, against
 //!   the declared arena length once; execution then uses unchecked
@@ -112,9 +118,9 @@ pub enum NUnOp {
 ///
 /// Naming: a `1` suffix means the single-limb fast path (every operand and
 /// the result fit in one `u64` limb and are stored masked to their width);
-/// a `C` means one operand is an inline constant; an `N` prefix means the
-/// generic multi-limb form. Offsets (`dst`, `a`, `b`, ...) index the limb
-/// arena; widths are in bits.
+/// a `C` means the fused producer's operand is an inline constant; an `N`
+/// prefix means the generic multi-limb form. Offsets (`dst`, `a`, `b`,
+/// ...) index the limb arena; widths are in bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Instr {
@@ -321,78 +327,6 @@ pub enum Instr {
         b: u32,
         sh: u8,
     },
-    // ---- const-operand forms (imm pre-masked at build time) ----
-    AddC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-        w: u8,
-    },
-    /// `a - imm`.
-    SubC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-        w: u8,
-    },
-    /// `imm - a`.
-    RSubC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-        w: u8,
-    },
-    MulC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-        w: u8,
-    },
-    AndC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-    },
-    OrC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-    },
-    XorC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-    },
-    EqC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-    },
-    NeC1 {
-        dst: u32,
-        a: u32,
-        imm: u64,
-    },
-    /// Left shift by a constant amount `sh < w`.
-    ShlC1 {
-        dst: u32,
-        a: u32,
-        sh: u8,
-        w: u8,
-    },
-    /// Logical right shift by a constant amount `sh < w`.
-    LShrC1 {
-        dst: u32,
-        a: u32,
-        sh: u8,
-    },
-    /// Arithmetic right shift by a constant (pre-clamped) amount.
-    AShrC1 {
-        dst: u32,
-        a: u32,
-        sh: u8,
-        w: u8,
-    },
     // ---- fused pairs: write BOTH destinations ----
     /// Fused compare + mux: `arena[dst_c] = cmp(a, b)`, then
     /// `arena[dst] = if cmp { arena[t] } else { arena[f] }`. The reported
@@ -407,17 +341,6 @@ pub enum Instr {
         dst_c: u32,
         t: u32,
         f: u32,
-        dst: u32,
-    },
-    /// Fused add + slice: `arena[dst_a] = (a + b) & mask(aw)`, then
-    /// `arena[dst] = (sum >> sh) & mask(ow)`.
-    AddSlice1 {
-        a: u32,
-        b: u32,
-        aw: u8,
-        dst_a: u32,
-        sh: u8,
-        ow: u8,
         dst: u32,
     },
     /// Fused multiply-accumulate: `arena[dst_p] = (a * imm) & mask(w)`,
@@ -842,54 +765,6 @@ unsafe fn exec(ins: &Instr, arena: &mut [u64], scratch: &mut Vec<u64>) -> bool {
                 let v = (rd(arena, a) << sh) | rd(arena, b);
                 wr(arena, dst, v)
             }
-            AddC1 { dst, a, imm, w } => {
-                let v = rd(arena, a).wrapping_add(imm) & mask(w);
-                wr(arena, dst, v)
-            }
-            SubC1 { dst, a, imm, w } => {
-                let v = rd(arena, a).wrapping_sub(imm) & mask(w);
-                wr(arena, dst, v)
-            }
-            RSubC1 { dst, a, imm, w } => {
-                let v = imm.wrapping_sub(rd(arena, a)) & mask(w);
-                wr(arena, dst, v)
-            }
-            MulC1 { dst, a, imm, w } => {
-                let v = rd(arena, a).wrapping_mul(imm) & mask(w);
-                wr(arena, dst, v)
-            }
-            AndC1 { dst, a, imm } => {
-                let v = rd(arena, a) & imm;
-                wr(arena, dst, v)
-            }
-            OrC1 { dst, a, imm } => {
-                let v = rd(arena, a) | imm;
-                wr(arena, dst, v)
-            }
-            XorC1 { dst, a, imm } => {
-                let v = rd(arena, a) ^ imm;
-                wr(arena, dst, v)
-            }
-            EqC1 { dst, a, imm } => {
-                let v = (rd(arena, a) == imm) as u64;
-                wr(arena, dst, v)
-            }
-            NeC1 { dst, a, imm } => {
-                let v = (rd(arena, a) != imm) as u64;
-                wr(arena, dst, v)
-            }
-            ShlC1 { dst, a, sh, w } => {
-                let v = (rd(arena, a) << sh) & mask(w);
-                wr(arena, dst, v)
-            }
-            LShrC1 { dst, a, sh } => {
-                let v = rd(arena, a) >> sh;
-                wr(arena, dst, v)
-            }
-            AShrC1 { dst, a, sh, w } => {
-                let v = ((sx(rd(arena, a), w) >> sh) as u64) & mask(w);
-                wr(arena, dst, v)
-            }
             CmpMux1 {
                 kind,
                 a,
@@ -904,20 +779,6 @@ unsafe fn exec(ins: &Instr, arena: &mut [u64], scratch: &mut Vec<u64>) -> bool {
                 let c = cmp1(kind, rd(arena, a), aw, rd(arena, b), bw);
                 wr(arena, dst_c, c);
                 let v = rd(arena, if c == 1 { t } else { f });
-                wr(arena, dst, v)
-            }
-            AddSlice1 {
-                a,
-                b,
-                aw,
-                dst_a,
-                sh,
-                ow,
-                dst,
-            } => {
-                let sum = rd(arena, a).wrapping_add(rd(arena, b)) & mask(aw);
-                wr(arena, dst_a, sum);
-                let v = (sum >> sh) & mask(ow);
                 wr(arena, dst, v)
             }
             MulCAdd1 {
@@ -1247,33 +1108,6 @@ fn validate(ins: &Instr, arena_len: usize) -> Result<(), String> {
                 Err(format!("sext narrows {aw} -> {ow}"))
             }
         }
-        AddC1 { dst, a, w, .. }
-        | SubC1 { dst, a, w, .. }
-        | RSubC1 { dst, a, w, .. }
-        | MulC1 { dst, a, w, .. } => {
-            limb(dst, "dst")?;
-            limb(a, "a")?;
-            w1(w, "op")
-        }
-        AndC1 { dst, a, .. }
-        | OrC1 { dst, a, .. }
-        | XorC1 { dst, a, .. }
-        | EqC1 { dst, a, .. }
-        | NeC1 { dst, a, .. }
-        | LShrC1 { dst, a, .. } => {
-            limb(dst, "dst")?;
-            limb(a, "a")
-        }
-        ShlC1 { dst, a, sh, w } | AShrC1 { dst, a, sh, w } => {
-            limb(dst, "dst")?;
-            limb(a, "a")?;
-            w1(w, "op")?;
-            if sh < 64 {
-                Ok(())
-            } else {
-                Err(format!("const shift {sh} not below 64"))
-            }
-        }
         CmpMux1 {
             a,
             b,
@@ -1293,27 +1127,6 @@ fn validate(ins: &Instr, arena_len: usize) -> Result<(), String> {
             limb(dst, "dst")?;
             w1(aw, "lhs")?;
             w1(bw, "rhs")
-        }
-        AddSlice1 {
-            a,
-            b,
-            aw,
-            dst_a,
-            sh,
-            ow,
-            dst,
-        } => {
-            limb(a, "a")?;
-            limb(b, "b")?;
-            limb(dst_a, "dst_a")?;
-            limb(dst, "dst")?;
-            w1(aw, "add")?;
-            w1(ow, "slice")?;
-            if sh as u32 + ow as u32 <= aw as u32 {
-                Ok(())
-            } else {
-                Err(format!("slice sh {sh} + width {ow} exceeds add width {aw}"))
-            }
         }
         MulCAdd1 {
             a,

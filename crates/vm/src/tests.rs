@@ -262,130 +262,6 @@ fn single_limb_unary_and_structural_match_bv_oracle() {
 }
 
 #[test]
-fn const_forms_match_their_two_operand_twins() {
-    let mut rng = SplitMix64::new(0xC0457);
-    for &w in &[1u8, 9, 40, 64] {
-        for _ in 0..100 {
-            let a = rng.bits(w as u32);
-            let c = rng.bits(w as u32);
-            let cases: Vec<(Instr, u64)> = vec![
-                (
-                    Instr::AddC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                        w,
-                    },
-                    bv_bin(NBinOp::Add, a, w as u32, c, w as u32),
-                ),
-                (
-                    Instr::SubC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                        w,
-                    },
-                    bv_bin(NBinOp::Sub, a, w as u32, c, w as u32),
-                ),
-                (
-                    Instr::RSubC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                        w,
-                    },
-                    bv_bin(NBinOp::Sub, c, w as u32, a, w as u32),
-                ),
-                (
-                    Instr::MulC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                        w,
-                    },
-                    bv_bin(NBinOp::Mul, a, w as u32, c, w as u32),
-                ),
-                (
-                    Instr::AndC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                    },
-                    a & c,
-                ),
-                (
-                    Instr::OrC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                    },
-                    a | c,
-                ),
-                (
-                    Instr::XorC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                    },
-                    a ^ c,
-                ),
-                (
-                    Instr::EqC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                    },
-                    (a == c) as u64,
-                ),
-                (
-                    Instr::NeC1 {
-                        dst: 1,
-                        a: 0,
-                        imm: c,
-                    },
-                    (a != c) as u64,
-                ),
-            ];
-            for (ins, want) in cases {
-                let mut ar = arena_of(&[a, 0]);
-                run1(ins, &mut ar);
-                assert_eq!(ar[1], want, "{ins:?}");
-            }
-            let sh = (rng.next_u64() % w as u64) as u8;
-            let shift_cases: Vec<(Instr, u64)> = vec![
-                (
-                    Instr::ShlC1 {
-                        dst: 1,
-                        a: 0,
-                        sh,
-                        w,
-                    },
-                    bv_bin(NBinOp::Shl, a, w as u32, sh as u64, w as u32),
-                ),
-                (
-                    Instr::LShrC1 { dst: 1, a: 0, sh },
-                    bv_bin(NBinOp::LShr, a, w as u32, sh as u64, w as u32),
-                ),
-                (
-                    Instr::AShrC1 {
-                        dst: 1,
-                        a: 0,
-                        sh,
-                        w,
-                    },
-                    bv_bin(NBinOp::AShr, a, w as u32, sh as u64, w as u32),
-                ),
-            ];
-            for (ins, want) in shift_cases {
-                let mut ar = arena_of(&[a, 0]);
-                run1(ins, &mut ar);
-                assert_eq!(ar[1], want, "{ins:?} sh {sh}");
-            }
-        }
-    }
-}
-
-#[test]
 fn fused_pairs_write_both_destinations() {
     let mut rng = SplitMix64::new(0x000F_05ED);
     for _ in 0..200 {
@@ -414,26 +290,6 @@ fn fused_pairs_write_both_destinations() {
             assert_eq!(ar[4], c, "fused compare slot {kind:?} w {w}");
             assert_eq!(ar[5], if c == 1 { t } else { f }, "fused mux out {kind:?}");
         }
-
-        let sh = (rng.next_u64() % w as u64) as u8;
-        let ow = 1 + (rng.next_u64() % (w - sh) as u64) as u8;
-        // arena: a b dst_a dst
-        let mut ar = arena_of(&[a, b, 99, 99]);
-        run1(
-            Instr::AddSlice1 {
-                a: 0,
-                b: 1,
-                aw: w,
-                dst_a: 2,
-                sh,
-                ow,
-                dst: 3,
-            },
-            &mut ar,
-        );
-        let sum = bv_bin(NBinOp::Add, a, w as u32, b, w as u32);
-        assert_eq!(ar[2], sum, "fused add slot");
-        assert_eq!(ar[3], (sum >> sh) & mask(ow), "fused slice out");
 
         // Fused multiply-accumulate: p = (a*imm)&mask; dst = (p+b)&mask.
         let imm = rng.bits(w as u32);
@@ -480,7 +336,7 @@ fn fused_pairs_write_both_destinations() {
 
 #[test]
 fn aliased_dst_is_safe_for_single_limb_ops() {
-    // x = x + x, x = x - x, x = x * x in place — the SLM front-end
+    // x = x + y, x = x - x, x = x * x in place — the SLM front-end
     // compiles `x = x + 1`-style updates to dst == a.
     let mut ar = arena_of(&[7, 3]);
     run1(
@@ -505,15 +361,35 @@ fn aliased_dst_is_safe_for_single_limb_ops() {
     assert_eq!(ar[0], 0);
     let mut ar = arena_of(&[5]);
     run1(
-        Instr::MulC1 {
+        Instr::Mul1 {
             dst: 0,
             a: 0,
-            imm: 5,
+            b: 0,
             w: 8,
         },
         &mut ar,
     );
     assert_eq!(ar[0], 25);
+    // dst == b as well as dst == a: x = ~x & 0xff, then x = 3 - x.
+    let mut ar = arena_of(&[0x0F, 3]);
+    run1(Instr::Not1 { dst: 0, a: 0, w: 8 }, &mut ar);
+    assert_eq!(ar[0], 0xF0);
+    run1(
+        Instr::Sub1 {
+            dst: 0,
+            a: 1,
+            b: 0,
+            w: 8,
+        },
+        &mut ar,
+    );
+    assert_eq!(ar[0], 3u64.wrapping_sub(0xF0) & 0xff);
+    // In-place logical not, the SLM front-end's `&&`/`||` negation.
+    let mut ar = arena_of(&[0]);
+    run1(Instr::EqZ1 { dst: 0, a: 0 }, &mut ar);
+    assert_eq!(ar[0], 1);
+    run1(Instr::EqZ1 { dst: 0, a: 0 }, &mut ar);
+    assert_eq!(ar[0], 0);
 }
 
 #[test]
@@ -913,7 +789,8 @@ fn validation_rejects_bad_programs() {
 
 #[test]
 fn run_range_executes_straight_line_blocks() {
-    // dst2 = (a + b) & 0xff; dst3 = dst2 * 3 — as a two-instr block.
+    // dst2 = (a + b) & 0xff; dst3 = dst2 * k — as a two-instr block, the
+    // constant k = 3 in slot 4 like every constant operand.
     let p = Program::new(
         vec![
             Instr::Add1 {
@@ -922,23 +799,23 @@ fn run_range_executes_straight_line_blocks() {
                 b: 1,
                 w: 8,
             },
-            Instr::MulC1 {
+            Instr::Mul1 {
                 dst: 3,
                 a: 2,
-                imm: 3,
+                b: 4,
                 w: 8,
             },
         ],
-        4,
+        5,
     )
     .unwrap();
-    let mut arena = vec![200, 100, 0, 0];
+    let mut arena = vec![200, 100, 0, 0, 3];
     let mut scratch = Vec::new();
     p.run_range(0, 2, &mut arena, &mut scratch);
     assert_eq!(arena[2], (200 + 100) & 0xff);
     assert_eq!(arena[3], (((200 + 100) & 0xff) * 3) & 0xff);
     // run() covers the whole program.
-    let mut arena2 = vec![200, 100, 0, 0];
+    let mut arena2 = vec![200, 100, 0, 0, 3];
     p.run(&mut arena2, &mut scratch);
     assert_eq!(arena, arena2);
 }

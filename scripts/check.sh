@@ -205,6 +205,9 @@ run cargo test -q --release -p dfv-sec --test prop_bitblast
 run cargo test -q --release -p dfv-sat --test prop_solver
 run cargo run --release -q -p dfv-bench --bin experiments -- e17 > /dev/null
 run cargo clippy --all-targets --workspace -- -D warnings
+# Every crate's rustdoc builds warning-free, so an intra-doc link to an
+# item that was renamed or deleted fails here instead of dangling.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run cargo fmt --all --check
 
 echo "==> all checks passed"

@@ -314,7 +314,7 @@ pub fn e14_report() -> RunReport {
                     format!("{full_bytes}"),
                 ],
                 vec![
-                    "warm resubmit (refs)".into(),
+                    "warm resubmit (delta)".into(),
                     format!("{warm_blocks}"),
                     "0".into(),
                     format!("{warm_hits}"),
@@ -342,8 +342,8 @@ pub fn e14_serve() -> String {
         "\nthe shared content-hash store means a fleet submitting overlapping\n\
          block sets pays for each proof once; admission limits turn overload\n\
          into typed transient rejections instead of unbounded queue growth;\n\
-         a warm resubmission names what the connection already proved by\n\
-         ref and sends only what the daemon lacks.\n",
+         a warm resubmission sends only the slots that changed since the\n\
+         connection's last plan, and the daemon resolves the rest itself.\n",
     );
     out.push_str("\ncanonical JSON (byte-reproducible; wall time lives only in `timing`):\n");
     out.push_str(&rep.canonical_json());

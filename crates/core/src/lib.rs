@@ -480,18 +480,23 @@ impl<B: std::borrow::Borrow<BlockPair>> PlanEntry<B> {
     }
 }
 
-/// A per-completion progress callback, fired by the campaign's
-/// completion-order sink (the same single-threaded step that journals).
+/// A progress callback, fired on the campaign's calling thread with
+/// every result as it exists.
 ///
 /// This is how a daemon streams "block finished" frames to a client while
-/// the run is live. Completion *order* varies with worker count, so
-/// anything derived from the firing order must stay out of canonical
-/// reports — the hook is observability, like [`CampaignOptions::obs`].
+/// the run is live. [`Campaign::run_entries`] fires it once with the
+/// whole batch of store hits ([`PlanEntry::Stored`]), in plan order,
+/// before any proof starts; then once per computed block, with a
+/// one-element slice, from the completion-order sink (the same
+/// single-threaded step that journals). Completion *order* varies with
+/// worker count, so anything derived from the firing order must stay out
+/// of canonical reports — the hook is observability, like
+/// [`CampaignOptions::obs`].
 #[derive(Clone, Default)]
 pub struct ProgressHook(Option<ProgressFn>);
 
 /// The shared callback a [`ProgressHook`] fires.
-type ProgressFn = std::sync::Arc<dyn Fn(&BlockResult) + Send + Sync>;
+type ProgressFn = std::sync::Arc<dyn Fn(&[BlockResult]) + Send + Sync>;
 
 impl ProgressHook {
     /// The inert default hook (no allocation, no call overhead).
@@ -499,14 +504,14 @@ impl ProgressHook {
         ProgressHook::default()
     }
 
-    /// A hook calling `f` with every completed block result.
-    pub fn new(f: impl Fn(&BlockResult) + Send + Sync + 'static) -> Self {
+    /// A hook calling `f` with every batch of finished block results.
+    pub fn new(f: impl Fn(&[BlockResult]) + Send + Sync + 'static) -> Self {
         ProgressHook(Some(std::sync::Arc::new(f)))
     }
 
-    fn fire(&self, r: &BlockResult) {
+    fn fire(&self, batch: &[BlockResult]) {
         if let Some(f) = &self.0 {
-            f(r);
+            f(batch);
         }
     }
 }
@@ -627,8 +632,8 @@ pub struct CampaignOptions {
     /// and the per-campaign cache; conclusive fresh verdicts are inserted
     /// post-join. `None` (default) disables the tier.
     pub shared_store: Option<SharedStore>,
-    /// Per-completion progress callback (see [`ProgressHook`]). Fired in
-    /// completion order from the single-threaded sink; never part of
+    /// Progress callback (see [`ProgressHook`]): store hits as one batch,
+    /// then computed blocks one by one in completion order; never part of
     /// canonical reports.
     pub progress: ProgressHook,
 }
@@ -1114,11 +1119,15 @@ impl Campaign {
     }
 
     /// [`run`](Campaign::run) over a plan some of whose entries the
-    /// [`SharedStore`] already answered ([`PlanEntry::Stored`]). Those
-    /// take the same path as a full block that hits the store: the same
-    /// deadline and cancel checks, progress hook, plan-order merge and
-    /// report, with the stored verdict under the entry's name. They are
-    /// never journaled, cached or re-stored.
+    /// [`SharedStore`] already answered ([`PlanEntry::Stored`]). Those are
+    /// answered first, in plan order, in one pass on the calling thread
+    /// before the scheduler starts: each gets the fail point, deadline and
+    /// cancel checks of any entry, the progress hook sees them as one
+    /// batch, and the report carries the stored verdict under the entry's
+    /// name in its plan slot. They are never journaled, cached or
+    /// re-stored. Answered before any proof, a stored entry is
+    /// deadline-skipped only by a deadline that had already passed, never
+    /// by the time a proof in the same plan took.
     pub fn run_entries<B>(&mut self, items: &[PlanEntry<B>]) -> CampaignReport
     where
         B: std::borrow::Borrow<BlockPair> + Sync,
@@ -1220,17 +1229,46 @@ impl Campaign {
             }
             done(verify_block_with(b, retry, deadline))
         };
-        // The completion-order sink is the journal's single writer: each
-        // verdict is durably appended the moment it exists, so a kill
-        // between two appends loses at most the in-flight blocks. Crashed
-        // items are journaled too (a resumed run must replay them);
-        // replayed and deadline-skipped ones are not (already journaled /
-        // not a verdict), and neither are stored entries (no content).
+        // Store hits need no worker: one pass answers them all, in plan
+        // order, and the hook hears them as one batch. A panic (the chaos
+        // fail point) is quarantined exactly as in the pool.
         let progress = &self.opts.progress;
-        let results = sched::run_quarantined(items, workers, work, |i, res| {
+        let mut stored = Vec::new();
+        let mut stored_panics = Vec::new();
+        for (i, item) in items.iter().enumerate() {
+            if let PlanEntry::Stored { name, .. } = item {
+                stored.push(match sched::quarantine(|| work(i, item)) {
+                    Ok(w) => w.result,
+                    Err(payload) => {
+                        let r = crashed_result(name, &payload);
+                        stored_panics.push((i, payload));
+                        r
+                    }
+                });
+            }
+        }
+        if !stored.is_empty() {
+            progress.fire(&stored);
+        }
+        // The scheduler runs the rest. Its completion-order sink is the
+        // journal's single writer: each verdict is durably appended the
+        // moment it exists, so a kill between two appends loses at most
+        // the in-flight blocks. Crashed items are journaled too (a
+        // resumed run must replay them); replayed and deadline-skipped
+        // ones are not (already journaled / not a verdict).
+        let computed: Vec<usize> = (0..items.len())
+            .filter(|&i| matches!(items[i], PlanEntry::Block { .. }))
+            .collect();
+        let work = &work;
+        let run_one = |_k: usize, &i: &usize| work(i, &items[i]);
+        let results = sched::run_quarantined(&computed, workers, run_one, |k, res| {
+            let PlanEntry::Block { block, .. } = &items[computed[k]] else {
+                unreachable!("only full blocks are scheduled");
+            };
+            let b = block.borrow();
             match res {
-                Ok(w) => progress.fire(&w.result),
-                Err(payload) => progress.fire(&crashed_result(items[i].name(), payload)),
+                Ok(w) => progress.fire(std::slice::from_ref(&w.result)),
+                Err(payload) => progress.fire(&[crashed_result(&b.name, payload)]),
             }
             let Some(w) = journal_writer.as_mut() else {
                 return;
@@ -1243,16 +1281,10 @@ impl Campaign {
                 }) if !r.from_journal => w.append(&r.name, *hash, r),
                 Ok(_) => {}
                 Err(payload) => {
-                    let PlanEntry::Block { block, .. } = &items[i] else {
-                        return;
-                    };
-                    let b = block.borrow();
                     // Re-derive the hash defensively: if hashing is what
                     // panicked, journaling this block is hopeless — skip
                     // it (the resumed run recomputes and re-crashes).
-                    let hashed =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.content_hash()));
-                    if let Ok(hash) = hashed {
+                    if let Ok(hash) = sched::quarantine(|| b.content_hash()) {
                         w.append(&b.name, hash, &crashed_result(&b.name, payload));
                     }
                 }
@@ -1260,23 +1292,36 @@ impl Campaign {
         });
         // Single writer: the cache is only mutated here, after the join,
         // in plan order — worker count cannot change what gets cached.
-        let mut blocks = Vec::with_capacity(results.len());
-        for (res, item) in results.into_iter().zip(items) {
+        let mut blocks = Vec::with_capacity(items.len());
+        let mut stored = stored.into_iter();
+        let mut stored_panics = stored_panics.into_iter().peekable();
+        let mut results = results.into_iter();
+        for (i, item) in items.iter().enumerate() {
+            let (worked, panic) = match item {
+                PlanEntry::Stored { .. } => (
+                    Worked::skipped(stored.next().expect("one result per stored entry")),
+                    stored_panics.next_if(|(j, _)| *j == i).map(|(_, p)| p),
+                ),
+                PlanEntry::Block { .. } => match results.next().expect("one result per block") {
+                    Ok(w) => (w, None),
+                    Err(payload) => (
+                        Worked::skipped(crashed_result(item.name(), &payload)),
+                        Some(payload),
+                    ),
+                },
+            };
+            if let Some(payload) = panic {
+                // Recorded here, post-join in plan order, so the obs
+                // stream is deterministic across worker counts.
+                self.opts.obs.event(dfv_obs::kinds::SCHED_PANIC, || {
+                    format!("{}: {payload}", item.name())
+                });
+            }
             let Worked {
                 hash,
                 key,
                 result: r,
-            } = match res {
-                Ok(w) => w,
-                Err(payload) => {
-                    // Recorded here, post-join in plan order, so the obs
-                    // stream is deterministic across worker counts.
-                    self.opts.obs.event(dfv_obs::kinds::SCHED_PANIC, || {
-                        format!("{}: {payload}", item.name())
-                    });
-                    Worked::skipped(crashed_result(item.name(), &payload))
-                }
-            };
+            } = worked;
             // Inconclusive is a statement about the *budget*, not the
             // block — and a crash says even less: caching either would
             // freeze a non-verdict forever.
@@ -2023,7 +2068,10 @@ mod tests {
         let sink = fired.clone();
         let mut c = Campaign::with_options(CampaignOptions {
             shared_store: Some(store.clone()),
-            progress: ProgressHook::new(move |r| sink.lock().unwrap().push(r.name.clone())),
+            progress: ProgressHook::new(move |batch| {
+                let names = batch.iter().map(|r| r.name.clone());
+                sink.lock().unwrap().push(names.collect::<Vec<_>>());
+            }),
             ..CampaignOptions::default()
         });
         let mixed = c.run_entries(&entries);
@@ -2031,8 +2079,8 @@ mod tests {
             mixed.to_run_report().canonical_json(),
             full.to_run_report().canonical_json()
         );
-        fired.lock().unwrap().sort();
-        assert_eq!(*fired.lock().unwrap(), ["bug", "inc"]);
+        // The store hit is one batch, fired before the computed block.
+        assert_eq!(*fired.lock().unwrap(), [["inc"], ["bug"]]);
         assert_eq!(store.len(), 2, "stored entries are not re-stored");
         // A stored entry still honours the deadline like any block.
         let mut late = Campaign::with_options(CampaignOptions {
@@ -2040,6 +2088,80 @@ mod tests {
             ..CampaignOptions::default()
         });
         assert_eq!(late.run_entries(&entries).deadline_skipped(), 2);
+    }
+
+    #[test]
+    fn store_hits_are_answered_in_one_batch_before_any_proof() {
+        let store = SharedStore::new();
+        let proved = inc_block(false);
+        Campaign::with_options(CampaignOptions {
+            shared_store: Some(store.clone()),
+            ..CampaignOptions::default()
+        })
+        .run(&VerificationPlan::new().block(proved.clone()));
+        let verdict = store.get(store.digest(&proved).key).expect("stored");
+        let hit = |name: &str| PlanEntry::Stored {
+            name: name.into(),
+            verdict: Box::new(verdict.clone()),
+        };
+        let block = |name: &str, bug| PlanEntry::Block {
+            block: BlockPair {
+                name: name.into(),
+                ..inc_block(bug)
+            },
+            digest: None,
+        };
+        let entries = vec![
+            block("b0", true),
+            hit("s1"),
+            block("b2", false),
+            hit("s3"),
+            hit("victim"),
+        ];
+        for workers in [1, 4] {
+            let batches = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let sink = batches.clone();
+            let rec = dfv_obs::MemoryRecorder::shared();
+            let mut c = Campaign::with_options(CampaignOptions {
+                workers: Some(workers),
+                io: IoHandle::chaos(ChaosPlan::none(0).panic_on_block("victim")),
+                obs: dfv_obs::ObsHook::attached(rec.clone()),
+                progress: ProgressHook::new(move |batch| {
+                    let rows = batch.iter().map(|r| (r.name.clone(), r.status.to_string()));
+                    sink.lock().unwrap().push(rows.collect::<Vec<_>>());
+                }),
+                ..CampaignOptions::default()
+            });
+            let report = c.run_entries(&entries);
+            let names: Vec<&str> = report.blocks.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(names, ["b0", "s1", "b2", "s3", "victim"], "plan order");
+            assert_eq!(report.cache_hits(), 2);
+            assert_eq!(report.crashed(), 1);
+            // The store hits, the quarantined one among them, are the
+            // first batch; each proof follows as a batch of its own.
+            let row = |n: &str, s: &str| (n.to_string(), s.to_string());
+            let mut got = batches.lock().unwrap().clone();
+            assert_eq!(
+                got[0],
+                [row("s1", "PASS"), row("s3", "PASS"), row("victim", "CRASH")],
+                "workers={workers}"
+            );
+            got.remove(0);
+            got.sort();
+            assert_eq!(got, [[row("b0", "FAIL")], [row("b2", "PASS")]]);
+            assert_eq!(
+                rec.lock().unwrap().events_of(dfv_obs::kinds::SCHED_PANIC),
+                vec!["victim: chaos: injected panic in block victim"]
+            );
+        }
+        // A cancelled campaign skips its store hits like any entry.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let mut c = Campaign::with_options(CampaignOptions {
+            cancel,
+            ..CampaignOptions::default()
+        });
+        assert_eq!(c.run_entries(&entries).cancelled(), entries.len());
     }
 
     #[test]
@@ -2119,7 +2241,11 @@ mod tests {
             let sink = seen.clone();
             let mut campaign = Campaign::with_options(CampaignOptions {
                 workers: Some(workers),
-                progress: ProgressHook::new(move |r| {
+                progress: ProgressHook::new(move |batch| {
+                    // No store hits here: each computed block is its own
+                    // one-element batch.
+                    assert_eq!(batch.len(), 1);
+                    let r = &batch[0];
                     sink.lock()
                         .unwrap()
                         .push((r.name.clone(), r.status.to_string()));

@@ -154,12 +154,7 @@ where
     F: Fn(usize, &T) -> R + Sync,
     S: FnMut(usize, &Result<R, String>),
 {
-    let guarded = |i: usize, t: &T| -> Result<R, String> {
-        // `f` only borrows Sync data, and on panic the partial state is
-        // dropped with the unwound stack — nothing torn escapes, so the
-        // unwind-safety assertion is sound.
-        panic::catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(|p| panic_text(p.as_ref()))
-    };
+    let guarded = |i: usize, t: &T| quarantine(|| f(i, t));
     if workers <= 1 || items.len() <= 1 {
         return items
             .iter()
@@ -206,6 +201,16 @@ where
         .into_iter()
         .map(|s| s.expect("every item index was claimed exactly once"))
         .collect()
+}
+
+/// Runs `f`, turning a panic into `Err(canonicalized payload)`: the
+/// isolation [`run_quarantined`] gives each work item, for one item run
+/// outside the pool.
+pub fn quarantine<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    // `f` only borrows Sync data, and on panic the partial state is
+    // dropped with the unwound stack — nothing torn escapes, so the
+    // unwind-safety assertion is sound.
+    panic::catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_text(p.as_ref()))
 }
 
 /// A shared, amortized campaign deadline clock.

@@ -151,17 +151,16 @@ impl StimulusSweep {
         let workers = crate::sched::resolve_workers(self.workers);
         let scenario_ids: Vec<usize> = (0..self.scenarios).collect();
         let groups: Vec<&[usize]> = scenario_ids.chunks(self.lanes.max(1)).collect();
-        // One engine is validated and built per sweep; each work item
-        // runs on its own clone of it.
+        // One engine is validated and built per sweep.
         let runs = if self.lanes > 1 {
             let engine = LaneSim::new(module.clone()).map_err(|e| e.to_string())?;
-            crate::sched::run_indexed(&groups, workers, |_, group| {
-                self.run_group_lanes(engine.clone(), module, group)
+            run_groups(&groups, workers, engine, |sim, group| {
+                self.run_group_lanes(sim, module, group)
             })
         } else {
             let engine = Simulator::new(module.clone()).map_err(|e| e.to_string())?;
-            crate::sched::run_indexed(&groups, workers, |_, group| {
-                self.run_group_scalar(engine.clone(), module, group)
+            run_groups(&groups, workers, engine, |sim, group| {
+                self.run_group_scalar(sim, module, group)
             })
         };
         let mut scenarios = Vec::with_capacity(self.scenarios);
@@ -178,9 +177,9 @@ impl StimulusSweep {
         })
     }
 
-    /// One lane group on the scalar engine `sim` (a fresh clone of the
-    /// sweep's engine): each scenario starts from a reset and its stream
-    /// is replayed cycle by cycle.
+    /// One lane group on the scalar engine `sim` (the sweep's engine or a
+    /// fresh clone of it): each scenario starts from a reset and its
+    /// stream is replayed cycle by cycle.
     fn run_group_scalar(&self, mut sim: Simulator, module: &Module, group: &[usize]) -> GroupRun {
         let mut run = GroupRun::default();
         for &scenario in group {
@@ -206,8 +205,8 @@ impl StimulusSweep {
         run
     }
 
-    /// One lane group on the batched engine: `sim` (a fresh clone of the
-    /// sweep's [`LaneSim`]) carries the whole group, scenario *i* on lane
+    /// One lane group on the batched engine: `sim` (the sweep's [`LaneSim`]
+    /// or a fresh clone of it) carries the whole group, scenario *i* on lane
     /// *i*, each lane fed by its own generator — the same per-scenario
     /// streams the scalar path draws.
     /// Ports move as whole planes: each cycle every lane's fields are
@@ -269,6 +268,20 @@ impl StimulusSweep {
 struct GroupRun {
     hashes: Vec<ScenarioOutcome>,
     node_evals: u64,
+}
+
+/// Runs each lane group on its own clone of `engine`, or a sweep's only
+/// group on `engine` itself, which then costs no clone.
+fn run_groups<E: Clone + Sync>(
+    groups: &[&[usize]],
+    workers: usize,
+    engine: E,
+    run: impl Fn(E, &[usize]) -> GroupRun + Sync,
+) -> Vec<GroupRun> {
+    match groups {
+        [only] => vec![run(engine, only)],
+        _ => crate::sched::run_indexed(groups, workers, |_, group| run(engine.clone(), group)),
+    }
 }
 
 fn field_width(spec: &FieldSpec) -> u32 {

@@ -85,6 +85,10 @@ pub mod kinds {
     /// Counter: `known` block refs a connection could not resolve
     /// (answered with `MissingRefs`, each ref once per submission).
     pub const SERVE_REFS_MISSED: &str = "serve.refs_missed";
+    /// Counter: plan-delta submissions whose base was not the
+    /// connection's last all-ref campaign, or whose length was not the
+    /// base's (answered with an empty `MissingRefs`).
+    pub const SERVE_DELTA_STALE: &str = "serve.delta_stale";
     /// Counter: block refs a connection's bounded ref table forgot to
     /// make room for newer ones.
     pub const SERVE_REFS_EVICTED: &str = "serve.refs_evicted";

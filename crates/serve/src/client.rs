@@ -20,6 +20,17 @@
 //! submission in full, once. The caller never sees the miss. A
 //! submission naming a journal always goes in full.
 //!
+//! A resubmission that keeps some slots of the last accepted campaign
+//! goes as a plan delta (see [`crate::proto`]'s module docs): a slot
+//! whose name and ref id are the ones that plan had there, with a known
+//! verdict, is left out, and only the other slots travel, as refs or in
+//! full. If the daemon answers the delta with `MissingRefs`, the client
+//! forgets the refs it names and resends as a full ref submission; an
+//! empty answer means the connection lost its state (its base, and with
+//! it the refs), so that resend carries every block in full. Store hits
+//! come back as one `Stored` frame, and [`Client::wait_report`] feeds
+//! them to the progress callback one block at a time.
+//!
 //! Naming a block costs a structural walk of all its content, so the
 //! client keeps the blocks of its last campaign submission and their ids
 //! by name. A block `==` to the one last sent under its name reuses that
@@ -35,8 +46,8 @@ use dfv_obs::Json;
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{
-    decode_response, encode_campaign, encode_request, encode_submit, BlockRef, JobSpec, ProtoError,
-    Request, Response, RetryClass, SubmitOptions, REF_TABLE_CAPACITY,
+    decode_response, encode_campaign, encode_delta, encode_request, encode_submit, BlockRef,
+    JobSpec, ProtoError, Request, Response, RetryClass, SubmitOptions, REF_TABLE_CAPACITY,
 };
 
 /// Why a client call failed.
@@ -157,30 +168,88 @@ impl Default for Backoff {
 /// The blocks of a client's last campaign submission and their ref ids,
 /// by block name.
 #[derive(Debug, Default)]
-struct LastSent(HashMap<String, (BlockPair, ContentKey)>);
+struct LastSent {
+    by_name: HashMap<String, Sent>,
+    /// Which submission [`LastSent::ids`] is memoizing.
+    round: u64,
+}
+
+/// A block as last sent under its name.
+#[derive(Debug)]
+struct Sent {
+    block: BlockPair,
+    id: ContentKey,
+    /// The last round that sent a block under this name.
+    round: u64,
+}
 
 impl LastSent {
     /// The ref id of each of `blocks`, in order. A block `==` to the one
     /// last sent under its name reuses that block's id; `walk` names the
-    /// rest. Afterwards the memo holds exactly this submission.
+    /// rest. Afterwards the memo holds exactly this submission: entries
+    /// are compared and replaced in place, and names it lacks dropped.
     fn ids(
         &mut self,
         blocks: &[BlockPair],
         mut walk: impl FnMut(&BlockPair) -> ContentKey,
     ) -> Vec<ContentKey> {
-        let mut last = std::mem::take(&mut self.0);
-        blocks
-            .iter()
-            .map(|b| {
-                let (name, (block, id)) = match last.remove_entry(&b.name) {
-                    Some(same) if same.1 .0 == *b => same,
-                    _ => (b.name.clone(), (b.clone(), walk(b))),
-                };
-                self.0.insert(name, (block, id));
-                id
-            })
-            .collect()
+        self.round += 1;
+        let round = self.round;
+        // Entries this submission names, each counted once.
+        let mut named = 0;
+        let mut ids = Vec::with_capacity(blocks.len());
+        for b in blocks {
+            let id = match self.by_name.get_mut(&b.name) {
+                Some(sent) => {
+                    if sent.round != round {
+                        sent.round = round;
+                        named += 1;
+                    }
+                    if sent.block != *b {
+                        sent.block = b.clone();
+                        sent.id = walk(b);
+                    }
+                    sent.id
+                }
+                None => {
+                    let id = walk(b);
+                    let sent = Sent {
+                        block: b.clone(),
+                        id,
+                        round,
+                    };
+                    self.by_name.insert(b.name.clone(), sent);
+                    named += 1;
+                    id
+                }
+            };
+            ids.push(id);
+        }
+        if self.by_name.len() > named {
+            self.by_name.retain(|_, sent| sent.round == round);
+        }
+        ids
     }
+}
+
+/// The client's last accepted campaign, as a base for plan deltas.
+#[derive(Debug)]
+struct Base {
+    /// Its job id.
+    job: u64,
+    /// Each slot's block name and ref id, in plan order.
+    slots: Vec<(String, ContentKey)>,
+}
+
+/// How [`Client::submit`] sends a campaign, from the leanest form down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    /// Only the slots that differ from the base.
+    Delta,
+    /// Every slot, known ones as refs.
+    Refs,
+    /// Every slot in full.
+    Full,
 }
 
 /// A blocking protocol client over any byte-stream pair.
@@ -195,6 +264,8 @@ pub struct Client<R, W> {
     known: FifoMap<ContentKey, ()>,
     /// The last campaign submission's blocks, whose ids need no walk.
     last_sent: LastSent,
+    /// The last accepted campaign that went with refs.
+    base: Option<Base>,
 }
 
 impl<R: Read, W: Write> Client<R, W> {
@@ -206,6 +277,7 @@ impl<R: Read, W: Write> Client<R, W> {
             secret: HashSecret::random(),
             known: FifoMap::new(REF_TABLE_CAPACITY),
             last_sent: LastSent::default(),
+            base: None,
         }
     }
 
@@ -267,7 +339,8 @@ impl<R: Read, W: Write> Client<R, W> {
     }
 
     /// Blocks until the final report of an accepted job, feeding streamed
-    /// progress to `on_progress(block, status)`.
+    /// progress to `on_progress(block, status)` once per block, store
+    /// hits included.
     pub fn wait_report(
         &mut self,
         job: u64,
@@ -276,6 +349,11 @@ impl<R: Read, W: Write> Client<R, W> {
         loop {
             match decode_response(read_frame(&mut self.r)?)? {
                 Response::Progress { block, status, .. } => on_progress(&block, &status),
+                Response::Stored { blocks, .. } => {
+                    for (block, status) in &blocks {
+                        on_progress(block, status);
+                    }
+                }
                 Response::Report { job: id, report } if id == job => return Ok(report),
                 Response::Error { message, class } => {
                     return Err(ClientError::Server { message, class })
@@ -288,7 +366,8 @@ impl<R: Read, W: Write> Client<R, W> {
     /// Submits a job and blocks until its final report (or rejection),
     /// feeding streamed progress to `on_progress(block, status)`. A
     /// campaign without a journal sends blocks this connection already
-    /// proved as refs (see the module docs).
+    /// proved as refs, or leaves them out of a plan delta (see the module
+    /// docs).
     pub fn submit(
         &mut self,
         spec: &JobSpec,
@@ -317,27 +396,48 @@ impl<R: Read, W: Write> Client<R, W> {
         mut on_progress: impl FnMut(&str, &str),
     ) -> Result<SubmitOutcome, ClientError> {
         let ids = self.last_sent.ids(blocks, |b| b.content_key(&self.secret));
-        let mut use_known = true;
+        let unchanged = self.unchanged_slots(blocks, &ids);
+        let mut form = if unchanged.contains(&true) {
+            Form::Delta
+        } else {
+            Form::Refs
+        };
         let job = loop {
             let known = &self.known;
-            let wire = blocks.iter().zip(&ids).map(|(b, &id)| {
-                if use_known && known.get(&id).is_some() {
+            let wire = |k: usize| {
+                let (b, id) = (&blocks[k], ids[k]);
+                if form != Form::Full && known.get(&id).is_some() {
                     BlockRef::Known(&b.name, id)
                 } else {
                     BlockRef::Full(b, Some(id))
                 }
-            });
-            let msg = encode_campaign(wire, options)?;
+            };
+            let msg = match (form, &self.base) {
+                (Form::Delta, Some(base)) => {
+                    let edits: Vec<_> = (0..blocks.len())
+                        .filter(|&k| !unchanged[k])
+                        .map(|k| (k, wire(k)))
+                        .collect();
+                    encode_delta(base.job, blocks.len(), edits.into_iter(), options)?
+                }
+                _ => encode_campaign((0..blocks.len()).map(wire), options)?,
+            };
             match self.exchange(&msg)? {
                 Response::Accepted { job } => break job,
                 Response::Rejected { reason, class } => {
                     return Ok(SubmitOutcome::Rejected { reason, class })
                 }
-                Response::MissingRefs { refs } if use_known => {
+                Response::MissingRefs { refs } if form != Form::Full => {
                     for id in &refs {
                         self.known.remove(id);
                     }
-                    use_known = false;
+                    // An empty answer to a delta: the daemon holds no
+                    // base for this connection, so no ref of it either.
+                    form = if form == Form::Delta && !refs.is_empty() {
+                        Form::Refs
+                    } else {
+                        Form::Full
+                    };
                 }
                 Response::Error { message, class } => {
                     return Err(ClientError::Server { message, class })
@@ -345,9 +445,49 @@ impl<R: Read, W: Write> Client<R, W> {
                 other => return Err(unexpected(&other)),
             }
         };
+        self.set_base(job, blocks, &ids);
         let report = self.wait_report(job, &mut on_progress)?;
         self.learn(&ids, &report);
         Ok(SubmitOutcome::Report { job, report })
+    }
+
+    /// Which slots of `blocks` a plan delta may leave out: the base has a
+    /// slot at the same place with the same name and ref id, whose verdict
+    /// the daemon holds. All `false` without a base of the same length.
+    fn unchanged_slots(&self, blocks: &[BlockPair], ids: &[ContentKey]) -> Vec<bool> {
+        let Some(base) = self.base.as_ref().filter(|b| b.slots.len() == blocks.len()) else {
+            return vec![false; blocks.len()];
+        };
+        blocks
+            .iter()
+            .zip(ids)
+            .zip(&base.slots)
+            .map(|((b, id), (name, base_id))| {
+                id == base_id && b.name == *name && self.known.get(id).is_some()
+            })
+            .collect()
+    }
+
+    /// Makes an accepted campaign the base of the next delta, updating
+    /// the last one in place.
+    fn set_base(&mut self, job: u64, blocks: &[BlockPair], ids: &[ContentKey]) {
+        let base = self.base.get_or_insert_with(|| Base {
+            job,
+            slots: Vec::new(),
+        });
+        base.job = job;
+        base.slots.truncate(blocks.len());
+        for (k, (b, &id)) in blocks.iter().zip(ids).enumerate() {
+            match base.slots.get_mut(k) {
+                Some(slot) => {
+                    if slot.0 != b.name {
+                        slot.0.clone_from(&b.name);
+                    }
+                    slot.1 = id;
+                }
+                None => base.slots.push((b.name.clone(), id)),
+            }
+        }
     }
 
     /// Remembers the ref id of every block the report answered with a
@@ -534,6 +674,7 @@ mod tests {
             // A block is renamed.
             vec![a_renamed, b, c],
         ];
+        let mut last: Vec<BlockPair> = Vec::new();
         for (k, blocks) in variants.into_iter().enumerate() {
             let from = sent.lock().unwrap().len();
             let got = verdicts(client.submit(&spec(blocks.clone()), |_, _| {}).unwrap());
@@ -543,23 +684,42 @@ mod tests {
             let mut frames = &bytes[..];
             while !frames.is_empty() {
                 let msg = crate::frame::read_frame(&mut frames).unwrap();
-                let Request::SubmitRefs { blocks: wire, .. } = decode_request(&msg).unwrap() else {
-                    panic!("a campaign without a journal goes with refs");
+                // A delta leaves out slots that keep the last plan's name
+                // and id there.
+                let wire: Vec<Option<WireBlock>> = match decode_request(&msg).unwrap() {
+                    Request::SubmitRefs { blocks: wire, .. } => {
+                        wire.into_iter().map(Some).collect()
+                    }
+                    Request::SubmitDelta { len, edits, .. } => {
+                        assert!(k > 0, "a cold plan has no base");
+                        let mut wire = vec![None; len];
+                        for (slot, b) in edits {
+                            wire[slot] = Some(b);
+                        }
+                        wire
+                    }
+                    other => panic!("a campaign without a journal goes with refs: {other:?}"),
                 };
-                for (w, b) in wire.iter().zip(&blocks) {
+                assert_eq!(wire.len(), blocks.len());
+                for (i, (w, b)) in wire.iter().zip(&blocks).enumerate() {
                     let id = match w {
-                        WireBlock::Full { block, ref_id } => {
+                        Some(WireBlock::Full { block, ref_id }) => {
                             assert_eq!(**block, *b);
                             ref_id.expect("a full block carries its ref id")
                         }
-                        WireBlock::Known { name, ref_id } => {
+                        Some(WireBlock::Known { name, ref_id }) => {
                             assert_eq!(*name, b.name);
                             *ref_id
+                        }
+                        None => {
+                            assert_eq!(last[i].name, b.name);
+                            last[i].content_key(&client.secret)
                         }
                     };
                     assert_eq!(id, b.content_key(&client.secret), "variant {k}, {}", b.name);
                 }
             }
+            last = blocks.clone();
             // And the verdicts are a fresh client's.
             let ((fr, fw), (sr, sw)) = duplex();
             let fresh_conn = server.attach(sr, sw);

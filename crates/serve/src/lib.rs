@@ -6,8 +6,9 @@
 //! across `dfv-core`'s deterministic scheduler, and deduplicates
 //! identical blocks across clients through a content-keyed verdict store
 //! — a fleet verifying overlapping block sets pays for each proof once.
-//! A client resubmitting a plan on one connection sends only the blocks
-//! the daemon lacks; the rest travel as connection-scoped refs.
+//! A client resubmitting a plan on one connection sends only the slots
+//! that changed, as a delta on its last plan, and the daemon answers all
+//! the blocks its store already holds in one frame.
 //!
 //! The crate is organized as concentric trust layers:
 //!
@@ -52,4 +53,4 @@ pub use proto::{
     JobSpec, ProtoError, Request, Response, RetryClass, SubmitOptions, WireBlock,
     REF_TABLE_CAPACITY,
 };
-pub use server::{ConnHandle, Counters, Outbound, ServeConfig, Server};
+pub use server::{ConnHandle, Counters, Outbound, ServeConfig, Server, OUTBOUND_QUEUE};

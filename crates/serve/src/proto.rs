@@ -29,6 +29,29 @@
 //! with [`Response::MissingRefs`], and the client resends in full. A
 //! submission with neither field decodes to the plain
 //! [`Request::Submit`], exactly as before refs existed.
+//!
+//! # Plan deltas
+//!
+//! A warm resubmission usually changes one block of a long plan, so the
+//! refs of the unchanged ones would still cost a line each on the wire.
+//! A [`Request::SubmitDelta`] names only what changed:
+//! `{"type":"submit","job_kind":"campaign_delta","base":<job>,"len":N,
+//! "edits":[{"slot":k,"block":<wire block>}],"options":…}`. `base` is the
+//! job id of the connection's last admitted campaign whose every slot
+//! carried a ref id; every slot of the new `N`-slot plan that no edit
+//! names is that plan's slot, sent as a `known` ref under its old name.
+//! The daemon expands the delta against the base it recorded itself and
+//! resolves each slot exactly as a `known` ref. A base it does not hold,
+//! or an `N` that is not the base's length, is answered with an empty
+//! [`Response::MissingRefs`]: the connection lost its state, and the
+//! client resends in full. Edit slots are strictly ascending and below
+//! `N`, and a delta never names a journal.
+//!
+//! # Store hits
+//!
+//! A campaign answers its store hits in one pass before any proof runs,
+//! and the daemon sends them as one [`Response::Stored`] frame; each
+//! computed block still gets its own [`Response::Progress`].
 
 use std::fmt::Write as _;
 
@@ -195,6 +218,19 @@ pub enum Request {
         /// Submission knobs.
         options: SubmitOptions,
     },
+    /// Resubmit a campaign as edits to this connection's last admitted
+    /// all-ref campaign (see the module docs). Never names a journal.
+    SubmitDelta {
+        /// The job id of the plan this one edits.
+        base: u64,
+        /// The plan's length, which must be the base's.
+        len: usize,
+        /// `(slot, block)` for each slot that differs from the base,
+        /// strictly ascending and below `len`.
+        edits: Vec<(usize, WireBlock)>,
+        /// Submission knobs.
+        options: SubmitOptions,
+    },
     /// Cancel a previously accepted job.
     Cancel {
         /// The job id from [`Response::Accepted`].
@@ -237,6 +273,14 @@ pub enum Response {
         /// Short status tag (`PASS`, `FAIL`, ...).
         status: String,
     },
+    /// The blocks of an accepted job the shared store answered, all in
+    /// one frame, in plan order. As sheddable as [`Response::Progress`].
+    Stored {
+        /// The job id.
+        job: u64,
+        /// `(block name, status tag)` of each store hit.
+        blocks: Vec<(String, String)>,
+    },
     /// The final canonical report of an accepted job.
     Report {
         /// The job id.
@@ -255,12 +299,13 @@ pub enum Response {
     /// The drain was acknowledged; the server finishes in-flight jobs and
     /// exits.
     DrainAck,
-    /// A [`Request::SubmitRefs`] named refs this connection cannot
-    /// resolve (never sent here, forgotten, or their verdicts evicted);
-    /// nothing was admitted. Transient: resending those blocks in full
-    /// succeeds.
+    /// A [`Request::SubmitRefs`] or [`Request::SubmitDelta`] named refs
+    /// this connection cannot resolve (never sent here, forgotten, or
+    /// their verdicts evicted); nothing was admitted. Transient: resending
+    /// those blocks in full succeeds.
     MissingRefs {
-        /// The unresolved ref ids, each once, in plan order.
+        /// The unresolved ref ids, each once, in plan order; empty when a
+        /// delta's base is not the connection's (resend everything).
         refs: Vec<ContentKey>,
     },
     /// A request-level failure (malformed frame payload, unknown job id).
@@ -769,6 +814,17 @@ pub fn encode_request(req: &Request) -> Result<Json, ProtoError> {
         Request::SubmitRefs { blocks, options } => {
             encode_campaign(blocks.iter().map(WireBlock::as_ref), options)?
         }
+        Request::SubmitDelta {
+            base,
+            len,
+            edits,
+            options,
+        } => encode_delta(
+            *base,
+            *len,
+            edits.iter().map(|(slot, b)| (*slot, b.as_ref())),
+            options,
+        )?,
     })
 }
 
@@ -818,6 +874,67 @@ pub(crate) fn encode_campaign<'a>(
     ]))
 }
 
+/// Encodes a [`Request::SubmitDelta`] from borrowed edits.
+pub(crate) fn encode_delta<'a>(
+    base: u64,
+    len: usize,
+    edits: impl ExactSizeIterator<Item = (usize, BlockRef<'a>)>,
+    options: &SubmitOptions,
+) -> Result<Json, ProtoError> {
+    let mut encoded = Vec::with_capacity(edits.len());
+    for (slot, b) in edits {
+        encoded.push(Json::obj(vec![
+            ("slot", Json::UInt(slot as u64)),
+            ("block", block_to_json(b)?),
+        ]));
+    }
+    Ok(Json::obj(vec![
+        ("type", Json::str("submit")),
+        ("job_kind", Json::str("campaign_delta")),
+        ("base", Json::UInt(base)),
+        ("len", Json::UInt(len as u64)),
+        ("edits", Json::Arr(encoded)),
+        ("options", options_to_json(options)),
+    ]))
+}
+
+/// Decodes a [`Request::SubmitDelta`]: slots strictly ascending and below
+/// `len`, no journal. Nothing is sized from `len`.
+fn delta_request(v: &Json, options: SubmitOptions) -> Result<Request, ProtoError> {
+    let ctx = "delta";
+    if options.journal.is_some() {
+        return Err(ProtoError::permanent(
+            "delta: a submission naming a journal must send every block in full",
+        ));
+    }
+    let index = |x: u64, what: &str| {
+        usize::try_from(x).map_err(|_| ProtoError::permanent(format!("delta: {what} out of range")))
+    };
+    let len = index(need_u64(v, "len", ctx)?, "'len'")?;
+    let entries = need_arr(v, "edits", ctx)?;
+    let mut edits = Vec::with_capacity(entries.len());
+    for entry in entries {
+        let slot = index(need_u64(entry, "slot", ctx)?, "slot")?;
+        if slot >= len {
+            return Err(ProtoError::permanent(format!(
+                "delta: slot {slot} is not below len {len}"
+            )));
+        }
+        if edits.last().is_some_and(|(prev, _)| *prev >= slot) {
+            return Err(ProtoError::permanent(
+                "delta: edit slots must be strictly ascending",
+            ));
+        }
+        edits.push((slot, wire_block_from_json(need(entry, "block", ctx)?)?));
+    }
+    Ok(Request::SubmitDelta {
+        base: need_u64(v, "base", ctx)?,
+        len,
+        edits,
+        options,
+    })
+}
+
 /// A decoded campaign: the plain [`Request::Submit`] when no block
 /// carries or is a ref, [`Request::SubmitRefs`] otherwise.
 fn campaign_request(blocks: Vec<WireBlock>, options: SubmitOptions) -> Result<Request, ProtoError> {
@@ -864,6 +981,7 @@ pub fn decode_request(v: &Json) -> Result<Request, ProtoError> {
                     }
                     campaign_request(blocks, options)
                 }
+                "campaign_delta" => delta_request(v, options),
                 "fault_sweep" => {
                     let mut blocks = Vec::new();
                     for entry in need_arr(v, "blocks", ctx)? {
@@ -895,6 +1013,7 @@ impl Response {
             Response::Accepted { .. } => "accepted",
             Response::Rejected { .. } => "rejected",
             Response::Progress { .. } => "progress",
+            Response::Stored { .. } => "stored",
             Response::Report { .. } => "report",
             Response::Cancelled { .. } => "cancelled",
             Response::DrainAck => "drain_ack",
@@ -948,6 +1067,19 @@ pub fn encode_response(resp: Response, out: &mut String) {
             uint(out, "job", job);
             text(out, "block", &block);
             text(out, "status", &status);
+        }
+        Response::Stored { job, blocks } => {
+            uint(out, "job", job);
+            key(out, "blocks");
+            out.push('[');
+            for (i, (block, status)) in blocks.iter().enumerate() {
+                out.push_str(if i > 0 { ",[" } else { "[" });
+                Json::render_str_into(block, out);
+                out.push(',');
+                Json::render_str_into(status, out);
+                out.push(']');
+            }
+            out.push(']');
         }
         Response::Report { job, report } => {
             uint(out, "job", job);
@@ -1016,6 +1148,23 @@ pub fn decode_response(mut msg: Json) -> Result<Response, ProtoError> {
             block: need_str(v, "block", ctx)?.to_string(),
             status: need_str(v, "status", ctx)?.to_string(),
         }),
+        "stored" => {
+            let mut blocks = Vec::new();
+            for pair in need_arr(v, "blocks", ctx)? {
+                let pair = match pair.as_arr() {
+                    Some([block, status]) => block.as_str().zip(status.as_str()),
+                    _ => None,
+                };
+                let (block, status) = pair.ok_or_else(|| {
+                    ProtoError::permanent("response: each stored block must be [name, status]")
+                })?;
+                blocks.push((block.to_string(), status.to_string()));
+            }
+            Ok(Response::Stored {
+                job: need_u64(v, "job", ctx)?,
+                blocks,
+            })
+        }
         "report" => {
             let job = need_u64(v, "job", ctx)?;
             let report = take(&mut msg, "report")
@@ -1280,6 +1429,15 @@ mod tests {
             Response::MissingRefs {
                 refs: vec![ContentKey(1), ContentKey(u128::MAX)],
             },
+            Response::MissingRefs { refs: vec![] },
+            Response::Stored {
+                job: 1,
+                blocks: vec![("b0".into(), "PASS".into()), ("b1".into(), "FAIL".into())],
+            },
+            Response::Stored {
+                job: 2,
+                blocks: vec![],
+            },
             Response::Error {
                 message: "unknown job".into(),
                 class: RetryClass::Permanent,
@@ -1350,6 +1508,13 @@ mod tests {
                 message: "unknown job 5".into(),
                 class: RetryClass::Permanent,
             },
+            Response::Stored {
+                job: 7,
+                blocks: vec![
+                    ("alu\n3".into(), "PASS".into()),
+                    ("fir".into(), "FAIL".into()),
+                ],
+            },
         ];
         // (frame header as hex, payload text)
         let goldens = [
@@ -1390,6 +1555,10 @@ mod tests {
                 "444656310000003e9ab94160fde86fb6",
                 r#"{"type":"error","message":"unknown job 5","class":"permanent"}"#,
             ),
+            (
+                "4446563100000045c05468b0788a3bff",
+                r#"{"type":"stored","job":7,"blocks":[["alu\n3","PASS"],["fir","FAIL"]]}"#,
+            ),
         ];
         assert_eq!(responses.len(), goldens.len());
         for (resp, (header, payload)) in responses.into_iter().zip(goldens) {
@@ -1402,6 +1571,60 @@ mod tests {
             let msg = read_frame(&mut frame.as_slice()).unwrap();
             assert_eq!(decode_response(msg).unwrap().tag(), tag);
         }
+    }
+
+    /// The delta request's bytes are fixed too: its field order and
+    /// each edit's `{"slot", "block"}` shape.
+    #[test]
+    fn a_delta_request_matches_its_wire_golden_and_roundtrips() {
+        let req = Request::SubmitDelta {
+            base: 9,
+            len: 128,
+            edits: vec![
+                (
+                    5,
+                    WireBlock::Known {
+                        name: "b5".into(),
+                        ref_id: ContentKey(0xab),
+                    },
+                ),
+                (
+                    127,
+                    WireBlock::Full {
+                        block: Box::new(tiny_block("b127")),
+                        ref_id: Some(ContentKey(1)),
+                    },
+                ),
+            ],
+            options: SubmitOptions {
+                deadline_ms: Some(50),
+                ..SubmitOptions::default()
+            },
+        };
+        let wire = encode_request(&req).unwrap().render();
+        let golden = concat!(
+            r#"{"type":"submit","job_kind":"campaign_delta","base":9,"len":128,"edits":["#,
+            r#"{"slot":5,"block":{"name":"b5","known":"000000000000000000000000000000ab"}},"#,
+            r#"{"slot":127,"block":{"name":"b127","slm_source":"int f(int a) { return a; }","#,
+            r#""slm_entry":"f","rtl":"module passthru\n  input a 4\n  output y 4\n  n0 = input 0 : 4\n  drive 0 n0\nend\n","#,
+            r#""spec":{"rtl_cycles":1,"init":"reset","bindings":[["a",0,{"kind":"slm","name":"a"}],"#,
+            r#"["b",0,{"kind":"const","width":4,"value":9}]],"compares":[{"slm_output":"f","slm_slice":null,"rtl_output":"y","rtl_cycle":0}],"constraints":[]},"#,
+            r#""ref":"00000000000000000000000000000001"}}],"#,
+            r#""options":{"workers":null,"deadline_ms":50,"journal":null}}"#,
+        );
+        assert_eq!(wire, golden);
+        let back = decode_request(&dfv_obs::parse_json(&wire).unwrap()).unwrap();
+        let Request::SubmitDelta {
+            base: 9,
+            len: 128,
+            ref edits,
+            ..
+        } = back
+        else {
+            panic!("a delta decodes as a delta: {back:?}");
+        };
+        assert_eq!(edits.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [5, 127]);
+        assert_eq!(encode_request(&back).unwrap().render(), golden);
     }
 
     #[test]
@@ -1444,6 +1667,20 @@ mod tests {
             r#"{"type":"submit","job_kind":"fault_sweep","seed":1,"blocks":[
                 {"name":"s","policy":{"kind":"exact"},"expected":[],"actual":[],"ref":"0000000000000000000000000000000a"}],"options":{}}"#,
             r#"{"type":"submit","job_kind":"campaign","blocks":[{"name":"b","known":"0000000000000000000000000000000a"}],"options":{"journal":"j"}}"#,
+            // Deltas: missing or ill-typed fields, slots out of order, out
+            // of range or repeated, a bad edit block, and a journal.
+            r#"{"type":"submit","job_kind":"campaign_delta","len":2,"edits":[],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"edits":[],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":-1,"edits":[],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":1e40,"edits":[],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":2,"edits":{},"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":2,"edits":[{"slot":2,"block":{"name":"b","known":"0000000000000000000000000000000a"}}],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":4,"edits":[{"slot":1,"block":{"name":"b","known":"0000000000000000000000000000000a"}},{"slot":0,"block":{"name":"c","known":"0000000000000000000000000000000a"}}],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":4,"edits":[{"slot":1,"block":{"name":"b","known":"0000000000000000000000000000000a"}},{"slot":1,"block":{"name":"c","known":"0000000000000000000000000000000a"}}],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":4,"edits":[{"block":{"name":"b","known":"0000000000000000000000000000000a"}}],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":4,"edits":[{"slot":0}],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":4,"edits":[{"slot":0,"block":{"name":"b","known":"abc"}}],"options":{}}"#,
+            r#"{"type":"submit","job_kind":"campaign_delta","base":1,"len":4,"edits":[],"options":{"journal":"j"}}"#,
         ];
         for text in cases {
             let v = dfv_obs::parse_json(text).unwrap();

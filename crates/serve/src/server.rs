@@ -26,10 +26,11 @@
 //!   [`dfv_core::STORE_CAPACITY`] verdicts, each connection's ref table
 //!   at [`REF_TABLE_CAPACITY`] refs, both evicting the oldest entry
 //!   first.
-//! - **Slow client**: progress frames are sent with `try_send` and
-//!   *dropped* (counted) when the outbound channel is full; final
-//!   reports retry with a bounded backoff, then give up and count
-//!   `serve.client_lost`. No send blocks an executor forever.
+//! - **Slow client**: progress frames (one `Progress` per computed
+//!   block, one `Stored` for all of a job's store hits) are sent with
+//!   `try_send` and *dropped* (counted) when the outbound channel is
+//!   full; final reports retry with a bounded backoff, then give up and
+//!   count `serve.client_lost`. No send blocks an executor forever.
 //! - **Disconnected / stalled client**: the reader thread sees EOF (or a
 //!   read timeout) and fires the cancel latch of every job the
 //!   connection owns; a running campaign stops starting new blocks,
@@ -67,6 +68,18 @@
 //! admitted. A ref only ever resolves on the connection that sent its
 //! content, so refs give one client no handle on another's verdicts.
 //!
+//! The reader thread also keeps the connection's *base*: the job id and
+//! `(name, ref id)` slots of the last admitted campaign whose every slot
+//! carried a ref id. A [`Request::SubmitDelta`] is expanded against it,
+//! each slot the delta leaves out becoming a `known` ref under the base's
+//! name and id, and then resolved like any ref submission. A delta whose
+//! base or length is not the connection's gets an empty `MissingRefs`.
+//!
+//! The campaign answers its stored entries in one pass before any proof
+//! starts, and the progress hook hands the executor all of them at once:
+//! they go out as one [`Response::Stored`] frame, where each computed
+//! block gets its own [`Response::Progress`].
+//!
 //! The reader thread walks each full block once, for both its store key
 //! and the unkeyed hash the campaign's journal and cache use, and hands
 //! both to the campaign, so no block is walked again on the executor.
@@ -95,7 +108,7 @@ use crate::proto::{
 };
 
 /// Outbound frames buffered per connection before progress is shed.
-const OUTBOUND_QUEUE: usize = 64;
+pub const OUTBOUND_QUEUE: usize = 64;
 /// Bounded patience for final (non-sheddable) sends: a slow client gets
 /// 2 s to make room, polled finely enough that a queue full of shed
 /// progress frames, which the writer drains in microseconds, costs the
@@ -420,6 +433,8 @@ fn serve_requests(
     // This connection's refs: the client's ref id -> the store key the
     // daemon computed from the content sent under it.
     let mut refs = FifoMap::new(REF_TABLE_CAPACITY);
+    // The plan this connection's next delta may edit.
+    let mut base: Option<Base> = None;
     loop {
         let msg = match read_frame(r) {
             Ok(v) => v,
@@ -449,6 +464,8 @@ fn serve_requests(
                 continue;
             }
         };
+        // The slots of a campaign that becomes the base once admitted.
+        let mut slots = None;
         // `Ok`: a job to admit. `Err`: the answer to send.
         let next = match req {
             Request::Ping => Err(Response::Pong),
@@ -480,13 +497,35 @@ fn serve_requests(
                 plan_campaign(inner, &mut refs, blocks, options)
             }
             Request::SubmitRefs { blocks, options } => {
+                slots = ref_slots(&blocks);
                 plan_campaign(inner, &mut refs, blocks, options)
             }
+            Request::SubmitDelta {
+                base: job,
+                len,
+                edits,
+                options,
+            } => match expand_delta(base.as_ref(), job, len, edits) {
+                Some(blocks) => {
+                    slots = ref_slots(&blocks);
+                    plan_campaign(inner, &mut refs, blocks, options)
+                }
+                None => {
+                    inner.counters.bump(kinds::SERVE_DELTA_STALE);
+                    Err(Response::MissingRefs { refs: Vec::new() })
+                }
+            },
         };
         let reply = match next {
             Ok(job) => {
-                if !admit(inner, job, outbound, conn_jobs) {
-                    return;
+                match admit(inner, job, outbound, conn_jobs) {
+                    Admitted::Job(id) => {
+                        if let Some(slots) = slots {
+                            base = Some(Base { job: id, slots });
+                        }
+                    }
+                    Admitted::Refused => {}
+                    Admitted::Gone => return,
                 }
                 continue;
             }
@@ -496,6 +535,56 @@ fn serve_requests(
             return;
         }
     }
+}
+
+/// The campaign a connection's next [`Request::SubmitDelta`] may edit:
+/// the last admitted one whose every slot carried a ref id.
+struct Base {
+    /// Its job id.
+    job: u64,
+    /// Each slot's block name and ref id, in plan order.
+    slots: Vec<(String, ContentKey)>,
+}
+
+/// Each block's name and ref id, when every block carries one.
+fn ref_slots(blocks: &[WireBlock]) -> Option<Vec<(String, ContentKey)>> {
+    blocks
+        .iter()
+        .map(|b| match b {
+            WireBlock::Full { block, ref_id } => ref_id.map(|id| (block.name.clone(), id)),
+            WireBlock::Known { name, ref_id } => Some((name.clone(), *ref_id)),
+        })
+        .collect()
+}
+
+/// Expands a delta against the connection's base: each slot no edit
+/// names becomes a `known` ref under the base slot's name and ref id, to
+/// be resolved like any other. `None` when `job` is not the base or `len`
+/// is not its length; nothing is sized from `len` before that check.
+fn expand_delta(
+    base: Option<&Base>,
+    job: u64,
+    len: usize,
+    edits: Vec<(usize, WireBlock)>,
+) -> Option<Vec<WireBlock>> {
+    let base = base.filter(|b| b.job == job && b.slots.len() == len)?;
+    // Decoding made the edit slots strictly ascending and below `len`.
+    let mut edits = edits.into_iter().peekable();
+    let blocks = base
+        .slots
+        .iter()
+        .enumerate()
+        .map(
+            |(k, (name, ref_id))| match edits.next_if(|(slot, _)| *slot == k) {
+                Some((_, edit)) => edit,
+                None => WireBlock::Known {
+                    name: name.clone(),
+                    ref_id: *ref_id,
+                },
+            },
+        )
+        .collect();
+    Some(blocks)
 }
 
 /// Trips the cancel latch of job `job`.
@@ -596,25 +685,39 @@ fn plan_campaign(
     Ok(Job::Campaign { plan, options })
 }
 
+/// How admission ended.
+enum Admitted {
+    /// Accepted and queued under this id.
+    Job(u64),
+    /// Refused with a typed rejection.
+    Refused,
+    /// The client vanished mid-admission: the connection should close.
+    Gone,
+}
+
 /// Admission: reserve a slot, register, *answer*, then publish — in that
 /// order, so the `Accepted` frame is in the outbound channel before any
 /// executor can see the job, and a client can never watch progress
-/// frames outrun its admission answer. Returns `false` when the client
-/// vanished mid-admission (the connection should close).
+/// frames outrun its admission answer.
 fn admit(
     inner: &Arc<ServerInner>,
     job: Job,
     outbound: &Outbound,
     conn_jobs: &Mutex<Vec<u64>>,
-) -> bool {
+) -> Admitted {
     let reservation = match inner.queue.reserve(&job) {
         Ok(r) => r,
         Err(busy) => {
             inner.counters.bump(kinds::SERVE_REJECTED);
-            return outbound.send_final(Response::Rejected {
+            let sent = outbound.send_final(Response::Rejected {
                 reason: busy.reason,
                 class: busy.class,
             });
+            return if sent {
+                Admitted::Refused
+            } else {
+                Admitted::Gone
+            };
         }
     };
     let id = inner.next_job.fetch_add(1, Ordering::Relaxed) + 1;
@@ -631,7 +734,7 @@ fn admit(
         // Client gone before it could hear the answer: release the slot
         // (reservation drops uncommitted) and never run the job.
         inner.jobs.lock().expect("job registry lock").remove(&id);
-        return false;
+        return Admitted::Gone;
     }
     reservation.commit(QueuedJob {
         id,
@@ -640,7 +743,7 @@ fn admit(
         outbound: outbound.clone(),
     });
     inner.counters.bump(kinds::SERVE_ACCEPTED);
-    true
+    Admitted::Job(id)
 }
 
 /// Runs one admitted job on the calling executor thread and delivers its
@@ -671,11 +774,22 @@ fn run_job(inner: &Arc<ServerInner>, job: QueuedJob) {
                 io: inner.cfg.io.clone(),
                 cancel: cancel.clone(),
                 shared_store: Some(inner.store.clone()),
-                progress: ProgressHook::new(move |res| {
-                    progress_out.send_progress(Response::Progress {
-                        job: id,
-                        block: res.name.clone(),
-                        status: res.status.to_string(),
+                // A computed block is one `Progress` frame; the store
+                // hits, answered in one batch, are one `Stored` frame.
+                progress: ProgressHook::new(move |batch| {
+                    progress_out.send_progress(match batch {
+                        [r] => Response::Progress {
+                            job: id,
+                            block: r.name.clone(),
+                            status: r.status.to_string(),
+                        },
+                        _ => Response::Stored {
+                            job: id,
+                            blocks: batch
+                                .iter()
+                                .map(|r| (r.name.clone(), r.status.to_string()))
+                                .collect(),
+                        },
                     });
                 }),
                 ..CampaignOptions::default()

@@ -328,6 +328,8 @@ struct Conn {
     r: PipeReader,
     w: Option<PipeWriter>,
     handle: dfv_serve::ConnHandle,
+    /// The id of the last job the daemon accepted on this connection.
+    last_job: Option<u64>,
 }
 
 fn open(server: &Server) -> Conn {
@@ -336,6 +338,7 @@ fn open(server: &Server) -> Conn {
         r,
         w: Some(w),
         handle: server.attach(sr, sw),
+        last_job: None,
     }
 }
 
@@ -374,8 +377,11 @@ impl Conn {
                 };
             };
             match decode_response(msg).expect("the daemon answers in protocol") {
-                Response::Accepted { job: id } => job = Some(id),
-                Response::Progress { .. } if job.is_some() => {}
+                Response::Accepted { job: id } => {
+                    job = Some(id);
+                    self.last_job = job;
+                }
+                Response::Progress { .. } | Response::Stored { .. } if job.is_some() => {}
                 Response::Report { job: id, report } if Some(id) == job => {
                     let rows = report
                         .get("values")
@@ -423,6 +429,16 @@ fn refs_request(blocks: Vec<WireBlock>) -> Json {
         options: SubmitOptions::default(),
     })
     .expect("ref request encodes")
+}
+
+fn delta_request(base: u64, len: usize, edits: Vec<(usize, WireBlock)>) -> Json {
+    encode_request(&Request::SubmitDelta {
+        base,
+        len,
+        edits,
+        options: SubmitOptions::default(),
+    })
+    .expect("delta request encodes")
 }
 
 fn full(block: BlockPair, id: u128) -> WireBlock {
@@ -529,10 +545,74 @@ fn hostile_refs_end_typed() {
             );
             assert_eq!(c.send_text(&text), permanent, "{field}");
         }
+
+        // Plan deltas. The last admitted plan is `[z: ref 1]`; a delta
+        // that keeps it is admitted and becomes the next base.
+        let stale = c.last_job.expect("a job was admitted");
+        assert_eq!(
+            c.send(&delta_request(stale, 1, vec![])),
+            End::Accepted(vec![("PASS".into(), true)])
+        );
+        let base = c.last_job.unwrap();
+        assert_ne!(base, stale);
+        let empty = End::Missing(Vec::new());
+        // A base this connection no longer holds, or never held.
+        for job in [stale, base + 1000, 0, u64::MAX] {
+            assert_eq!(c.send(&delta_request(job, 1, vec![])), empty, "base {job}");
+        }
+        // A length other than the base's, up to the largest integer;
+        // one past that does not decode.
+        for len in [0, 2, 1 << 40, usize::MAX] {
+            assert_eq!(
+                c.send(&delta_request(base, len, vec![])),
+                empty,
+                "len {len}"
+            );
+        }
+        let huge = format!(
+            r#"{{"type":"submit","job_kind":"campaign_delta","base":{base},"len":1e40,"edits":[],"options":{{}}}}"#
+        );
+        assert_eq!(c.send_text(&huge), permanent);
+        // Slots descending, repeated, or not below the length.
+        for slots in [[1, 0], [1, 1], [0, 3]] {
+            let edits = slots.iter().map(|&k| (k, known("e", 1))).collect();
+            assert_eq!(
+                c.send(&delta_request(base, 3, edits)),
+                permanent,
+                "{slots:?}"
+            );
+        }
+        // An edit naming a ref this connection never sent.
+        assert_eq!(
+            c.send(&delta_request(base, 1, vec![(0, known("w", 0x777))])),
+            End::Missing(vec![ContentKey(0x777)])
+        );
+        // A delta naming a journal.
+        let journaled = encode_request(&Request::SubmitDelta {
+            base,
+            len: 1,
+            edits: vec![],
+            options: SubmitOptions {
+                journal: Some("j".into()),
+                ..SubmitOptions::default()
+            },
+        })
+        .unwrap();
+        assert_eq!(c.send(&journaled), permanent);
+        // None of that moved the base: an edit of it is admitted.
+        assert_eq!(
+            c.send(&delta_request(
+                base,
+                1,
+                vec![(0, full(add_block("z2", 6), 3))]
+            )),
+            End::Accepted(vec![("PASS".into(), false)])
+        );
         c.close();
 
-        // Another connection cannot use this one's ref.
+        // Another connection cannot use this one's ref, or its base.
         let mut other = open(&server);
+        assert_eq!(other.send(&delta_request(base, 1, vec![])), empty);
         assert_eq!(
             other.send(&refs_request(vec![known("z", 1)])),
             End::Missing(vec![ContentKey(1)])

@@ -861,7 +861,7 @@ fn frames(mut bytes: &[u8]) -> Vec<Sent> {
 }
 
 /// How many blocks of a recorded request went as `known` refs, and how
-/// many in full.
+/// many in full. A plan delta's unchanged slots count as refs.
 fn known_and_full(req: &Request) -> (usize, usize) {
     match req {
         Request::SubmitRefs { blocks, .. } => {
@@ -870,6 +870,13 @@ fn known_and_full(req: &Request) -> (usize, usize) {
                 .filter(|b| matches!(b, WireBlock::Known { .. }))
                 .count();
             (known, blocks.len() - known)
+        }
+        Request::SubmitDelta { len, edits, .. } => {
+            let full = edits
+                .iter()
+                .filter(|(_, b)| matches!(b, WireBlock::Full { .. }))
+                .count();
+            (len - full, full)
         }
         Request::Submit(JobSpec::Campaign { blocks, .. }) => (0, blocks.len()),
         other => panic!("not a campaign: {other:?}"),
@@ -1029,18 +1036,47 @@ fn another_clients_ref_ids_never_resolve() {
     let server = Server::start(cfg);
     let spec = campaign(design_plan(), None);
     let mut alice = Tapped::connect(&server);
-    let (cold, _) = alice.submit(&spec);
+    let (cold, sent_cold) = alice.submit(&spec);
     let (_, sent) = alice.submit(&spec);
-    let replay = encode_request(&sent[0].request).unwrap();
+    // Alice's warm request is a delta on her last plan; the same plan as
+    // refs names her ids from the cold request.
+    assert!(matches!(sent[0].request, Request::SubmitDelta { .. }));
+    let Request::SubmitRefs { blocks, options } = &sent_cold[0].request else {
+        panic!("a cold plan goes with refs");
+    };
+    let as_refs = Request::SubmitRefs {
+        blocks: blocks
+            .iter()
+            .map(|b| match b {
+                WireBlock::Full {
+                    block,
+                    ref_id: Some(ref_id),
+                } => WireBlock::Known {
+                    name: block.name.clone(),
+                    ref_id: *ref_id,
+                },
+                other => panic!("a cold block goes in full with its id: {other:?}"),
+            })
+            .collect(),
+        options: options.clone(),
+    };
 
-    // Bob replays Alice's warm request byte for byte on his connection.
+    // Bob replays both on his connection: the delta finds no base there,
+    // and none of the refs resolves.
     let ((mut br, mut bw), (sr, sw)) = duplex();
     let conn_b = server.attach(sr, sw);
-    frame::write_frame(&mut bw, &replay).unwrap();
-    let answer = dfv_serve::proto::decode_response(frame::read_frame(&mut br).unwrap()).unwrap();
-    let Response::MissingRefs { refs } = answer else {
-        panic!("foreign refs must not resolve, got {answer:?}");
+    let mut replay = |req: &Request| {
+        frame::write_frame(&mut bw, &encode_request(req).unwrap()).unwrap();
+        let answer =
+            dfv_serve::proto::decode_response(frame::read_frame(&mut br).unwrap()).unwrap();
+        let Response::MissingRefs { refs } = answer else {
+            panic!("foreign refs must not resolve, got {answer:?}");
+        };
+        refs
     };
+    assert_eq!(replay(&sent[0].request), []);
+    assert_eq!(server.counter(kinds::SERVE_DELTA_STALE), 1);
+    let refs = replay(&as_refs);
     assert_eq!(refs.len(), design_plan().len());
     assert_eq!(server.counter(kinds::SERVE_REFS_MISSED), refs.len() as u64);
 
@@ -1076,7 +1112,11 @@ fn a_restarted_daemon_costs_the_client_one_extra_round_trip() {
     assert_eq!(sent.len(), 2, "one miss, one full resend");
     assert_eq!(known_and_full(&sent[0].request), (n, 0));
     assert_eq!(known_and_full(&sent[1].request), (0, n));
-    assert_eq!(second.counter(kinds::SERVE_REFS_MISSED), n as u64);
+    // The client's plan delta names a base the new daemon never saw: an
+    // empty miss, so the resend goes in full at once.
+    assert!(matches!(sent[0].request, Request::SubmitDelta { .. }));
+    assert_eq!(second.counter(kinds::SERVE_DELTA_STALE), 1);
+    assert_eq!(second.counter(kinds::SERVE_REFS_MISSED), 0);
     // Recomputed from scratch: the first daemon's cold report exactly.
     assert_eq!(report.render(), cold.render());
     // And the connection is warm again.
@@ -1184,5 +1224,248 @@ fn a_journaled_submission_always_goes_in_full() {
     assert_eq!(sent_first[0].bytes, sent_second[0].bytes);
     assert_eq!(block_rows(&first), block_rows(&second));
     client.close();
+    server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Plan deltas and one frame for all store hits
+// ---------------------------------------------------------------------------
+
+/// The `type` of every frame in a byte stream.
+fn frame_types(mut bytes: &[u8]) -> Vec<String> {
+    let mut out = Vec::new();
+    while !bytes.is_empty() {
+        let msg = frame::read_frame(&mut bytes).expect("whole frames");
+        out.push(msg.get("type").and_then(Json::as_str).unwrap().to_string());
+    }
+    out
+}
+
+#[test]
+fn a_warm_resubmit_sends_one_edit_and_gets_one_stored_frame_never_shed() {
+    let mut cfg = ServeConfig::new(temp_dir("delta-stored"));
+    cfg.executors = 1;
+    let server = Server::start(cfg);
+    let ((cr, cw), (sr, sw)) = duplex();
+    let conn = server.attach(sr, sw);
+    let (sent, seen) = (
+        Arc::new(Mutex::new(Vec::new())),
+        Arc::new(Mutex::new(Vec::new())),
+    );
+    let mut client = Client::new(
+        TapRead {
+            inner: cr,
+            seen: seen.clone(),
+        },
+        Tap {
+            inner: cw,
+            sent: sent.clone(),
+        },
+    );
+    // More store hits than the outbound queue holds twice over.
+    let n = 2 * dfv_serve::OUTBOUND_QUEUE + 1;
+    let mut plan: Vec<BlockPair> = (0..n)
+        .map(|i| add_block(&format!("b{i}"), i as u64, false))
+        .collect();
+    let mut submit = |plan: &[BlockPair]| {
+        let (from_sent, from_seen) = (sent.lock().unwrap().len(), seen.lock().unwrap().len());
+        let mut heard = Vec::new();
+        let outcome = client.submit(&campaign(plan.to_vec(), None), |block, status| {
+            heard.push((block.to_string(), status.to_string()))
+        });
+        let report = report_of(outcome.unwrap());
+        let requests = frames(&sent.lock().unwrap()[from_sent..]);
+        let answers = frame_types(&seen.lock().unwrap()[from_seen..]);
+        (report, requests, answers, heard)
+    };
+    submit(&plan);
+    let dropped = server.counter(kinds::SERVE_PROGRESS_DROPPED);
+
+    // One edit: one request naming one slot, one proof, one `Stored`
+    // frame for the rest.
+    plan[7] = add_block("b7", 200, true);
+    let (report, requests, answers, mut heard) = submit(&plan);
+    assert_eq!(requests.len(), 1);
+    match &requests[0].request {
+        Request::SubmitDelta { len, edits, .. } => {
+            assert_eq!(*len, n);
+            assert_eq!(edits.len(), 1);
+            assert_eq!(edits[0].0, 7);
+        }
+        other => panic!("a warm resubmit goes as a delta, not {other:?}"),
+    }
+    assert_eq!(answers, ["accepted", "stored", "progress", "report"]);
+    // Every block reaches the callback exactly once, with its verdict.
+    heard.sort();
+    let mut want: Vec<(String, String)> = block_rows(&report)
+        .into_iter()
+        .map(|(name, status, _)| (name, status))
+        .collect();
+    want.sort();
+    assert_eq!(heard, want);
+    assert_eq!(heard.len(), n);
+    assert_eq!(server.counter(kinds::SERVE_PROGRESS_DROPPED), dropped);
+    assert_eq!(counter(&report, "campaign.cache_hits"), n as u64 - 1);
+    drop(client);
+    conn.join();
+    server.stop();
+}
+
+#[test]
+fn every_plan_reshape_matches_a_fresh_clients_verdicts_and_report() {
+    let start = || {
+        let mut cfg = ServeConfig::new(temp_dir("delta-reshape"));
+        cfg.executors = 1;
+        Server::start(cfg)
+    };
+    // The warm client's daemon, and a twin that sees the same plans from
+    // a fresh client each time, sent in full: both stores hold the same
+    // verdicts before every submission.
+    let (warm_server, fresh_server) = (start(), start());
+    let base: Vec<BlockPair> = (0..6)
+        .map(|i| add_block(&format!("b{i}"), i, i == 4))
+        .collect();
+    let with = |f: &dyn Fn(&mut Vec<BlockPair>)| {
+        let mut plan = base.clone();
+        f(&mut plan);
+        plan
+    };
+    let variants: Vec<(&str, Vec<BlockPair>)> = vec![
+        ("cold", base.clone()),
+        ("unchanged", base.clone()),
+        ("edited", with(&|p| p[0] = add_block("b0", 40, false))),
+        ("renamed", with(&|p| p[2].name = "r2".into())),
+        ("moved", with(&|p| p.swap(1, 3))),
+        (
+            "names swapped",
+            with(&|p| {
+                p[1].name = "b3".into();
+                p[3].name = "b1".into();
+            }),
+        ),
+        (
+            "inserted",
+            with(&|p| p.insert(2, add_block("new", 50, false))),
+        ),
+        (
+            "removed",
+            with(&|p| {
+                p.remove(2);
+            }),
+        ),
+        ("appended", with(&|p| p.push(add_block("tail", 60, true)))),
+        ("back", base.clone()),
+    ];
+    let mut warm = Tapped::connect(&warm_server);
+    let mut last_len = None;
+    for (what, plan) in variants {
+        let (report, sent) = warm.submit(&campaign(plan.clone(), None));
+        let (mut fresh, conn) = connect(&fresh_server);
+        let want = report_of(
+            fresh
+                .submit(&campaign(plan.clone(), None), |_, _| {})
+                .unwrap(),
+        );
+        drop(fresh);
+        conn.join();
+        assert_eq!(report.render(), want.render(), "{what}");
+        // Nothing was evicted, so no form ever misses; a plan of the last
+        // plan's length keeps some slot and goes as a delta.
+        assert_eq!(sent.len(), 1, "{what}");
+        let delta = matches!(sent[0].request, Request::SubmitDelta { .. });
+        assert_eq!(delta, last_len == Some(plan.len()), "{what}");
+        last_len = Some(plan.len());
+    }
+    assert_eq!(warm_server.counter(kinds::SERVE_REFS_MISSED), 0);
+    assert_eq!(warm_server.counter(kinds::SERVE_DELTA_STALE), 0);
+    warm.close();
+    warm_server.stop();
+    fresh_server.stop();
+}
+
+#[test]
+fn cancel_after_the_stored_frame_keeps_the_store_hits_and_skips_the_rest() {
+    let mut cfg = ServeConfig::new(temp_dir("delta-cancel"));
+    cfg.executors = 1;
+    let server = Server::start(cfg);
+    let ((mut r, mut w), (sr, sw)) = duplex();
+    let conn = server.attach(sr, sw);
+    let mut send = |req: &Request| frame::write_frame(&mut w, &encode_request(req).unwrap());
+    let mut next =
+        || dfv_serve::proto::decode_response(frame::read_frame(&mut r).unwrap()).unwrap();
+    let options = SubmitOptions {
+        workers: Some(1),
+        ..SubmitOptions::default()
+    };
+    let hits: Vec<BlockPair> = (0..4)
+        .map(|i| add_block(&format!("h{i}"), i, false))
+        .collect();
+    let ids: Vec<dfv_core::ContentKey> = (0..4).map(|i| dfv_core::ContentKey(100 + i)).collect();
+    // Prove the hits, registering a ref id for each.
+    send(&Request::SubmitRefs {
+        blocks: hits
+            .iter()
+            .zip(&ids)
+            .map(|(b, id)| WireBlock::Full {
+                block: Box::new(b.clone()),
+                ref_id: Some(*id),
+            })
+            .collect(),
+        options: options.clone(),
+    })
+    .unwrap();
+    loop {
+        if let Response::Report { .. } = next() {
+            break;
+        }
+    }
+    // Resubmit them as refs ahead of four slow proofs.
+    let slow: Vec<BlockPair> = (0..4).map(|i| slow_block(&format!("s{i}"), 4)).collect();
+    let mut blocks: Vec<WireBlock> = hits
+        .iter()
+        .zip(&ids)
+        .map(|(b, id)| WireBlock::Known {
+            name: b.name.clone(),
+            ref_id: *id,
+        })
+        .collect();
+    blocks.extend(slow.iter().map(|b| WireBlock::Full {
+        block: Box::new(b.clone()),
+        ref_id: None,
+    }));
+    send(&Request::SubmitRefs { blocks, options }).unwrap();
+    let Response::Accepted { job } = next() else {
+        panic!("admitted");
+    };
+    // The store hits go out first, in one frame; then the cancel.
+    match next() {
+        Response::Stored { job: id, blocks } => {
+            assert_eq!(id, job);
+            let names: Vec<&str> = blocks.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, ["h0", "h1", "h2", "h3"]);
+            assert!(blocks.iter().all(|(_, status)| status == "PASS"));
+        }
+        other => panic!("the store hits come first, not {other:?}"),
+    }
+    send(&Request::Cancel { job }).unwrap();
+    let report = loop {
+        match next() {
+            Response::Progress { .. } | Response::Cancelled { .. } => {}
+            Response::Report { job: id, report } if id == job => break report,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    // The store hits stand; the proof in flight finishes; every proof not
+    // yet started is skipped as cancelled.
+    let rows = block_rows(&report);
+    assert_eq!(rows.len(), 8);
+    for row in &rows[..4] {
+        assert_eq!((row.1.as_str(), row.2), ("PASS", true), "{row:?}");
+    }
+    let cancelled = counter(&report, "campaign.cancelled");
+    assert!((1..=4).contains(&cancelled), "{cancelled} cancelled");
+    assert_eq!(counter(&report, "campaign.cache_hits"), 4);
+    drop((r, w));
+    conn.join();
     server.stop();
 }

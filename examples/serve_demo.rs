@@ -11,10 +11,15 @@
 //!   `--kill-after N` arms the chaos shim: the process hard-aborts the
 //!   instant the Nth journal record lands on disk — a deterministic
 //!   SIGKILL mid-campaign for the restart-recovery drill.
-//! * `submit <state_dir> [--journal NAME] [--out FILE]` — submit the
-//!   demo plan, stream progress, print the report, and optionally write
-//!   the canonical JSON to `FILE`. Exits nonzero if the submission is
-//!   rejected or the connection dies (e.g. the daemon was killed).
+//! * `submit <state_dir> [--journal NAME] [--edit-resubmit | --edited]
+//!   [--out FILE]` — submit the demo plan, stream progress, print the
+//!   report, and optionally write the canonical JSON to `FILE`. Exits
+//!   nonzero if the submission is rejected or the connection dies (e.g.
+//!   the daemon was killed). `--edit-resubmit` submits the plan and then,
+//!   on the same connection, the plan with one block changed, which the
+//!   client sends as a plan delta naming that one slot; the report is
+//!   the second one's. `--edited` submits only the edited plan (from a
+//!   fresh client, so every block goes in full).
 //! * `status <state_dir>` — print the daemon's counters. After two
 //!   `submit`s the `campaign.cache_hits` in the second report and the
 //!   shared-store dedup are visible here: the fleet pays for each proof
@@ -24,7 +29,9 @@
 //!
 //! `scripts/check.sh` drives the full drill: baseline run, `--kill-after`
 //! crash mid-campaign, restart, resubmit with the same journal name, and
-//! a byte-compare of the canonical reports.
+//! a byte-compare of the canonical reports. It also byte-compares an
+//! `--edit-resubmit` report against the one a fresh daemon gives for
+//! `submit` followed by `submit --edited`.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -87,6 +94,13 @@ fn demo_blocks() -> Vec<BlockPair> {
     blocks
 }
 
+/// The demo plan with one block's content changed under its name.
+fn edited_blocks() -> Vec<BlockPair> {
+    let mut blocks = demo_blocks();
+    blocks[3] = mul_block(&blocks[3].name, 7);
+    blocks
+}
+
 fn addr_file(state_dir: &Path) -> PathBuf {
     state_dir.join("serve.addr")
 }
@@ -94,7 +108,7 @@ fn addr_file(state_dir: &Path) -> PathBuf {
 fn usage() -> ! {
     eprintln!(
         "usage: serve_demo serve <state_dir> [--unix] [--kill-after N]\n\
-         \x20      serve_demo submit <state_dir> [--journal NAME] [--out FILE]\n\
+         \x20      serve_demo submit <state_dir> [--journal NAME] [--edit-resubmit | --edited] [--out FILE]\n\
          \x20      serve_demo status <state_dir>\n\
          \x20      serve_demo drain  <state_dir>"
     );
@@ -236,52 +250,74 @@ fn with_client(state_dir: &Path, f: impl FnOnce(&mut Client<Box<dyn Read>, Box<d
 fn cmd_submit(state_dir: &Path, rest: &[String]) {
     let mut journal = None;
     let mut out = None;
+    let (mut edit_resubmit, mut edited) = (false, false);
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--journal" => journal = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--edit-resubmit" => edit_resubmit = true,
+            "--edited" => edited = true,
             _ => usage(),
         }
     }
-    let spec = JobSpec::Campaign {
-        blocks: demo_blocks(),
+    if edit_resubmit && edited {
+        usage();
+    }
+    let spec = |blocks| JobSpec::Campaign {
+        blocks,
         options: SubmitOptions {
             workers: Some(2),
             deadline_ms: None,
-            journal,
+            journal: journal.clone(),
         },
     };
     with_client(state_dir, |client| {
-        let outcome = match client.submit(&spec, |block, status| {
+        let mut submit = |blocks| match client.submit(&spec(blocks), |block, status| {
             eprintln!("  progress: {block} {status}");
         }) {
-            Ok(o) => o,
+            Ok(outcome) => outcome,
             Err(e) => {
                 eprintln!("submission failed: {e}");
                 std::process::exit(1);
             }
         };
-        match outcome {
-            SubmitOutcome::Report { job, report } => {
-                let canonical = report.render();
-                let hits = report
-                    .get("counters")
-                    .and_then(|c| c.get("campaign.cache_hits"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                println!("job {job} finished; {hits} block(s) served from shared verdicts");
-                if let Some(path) = out {
-                    std::fs::write(&path, &canonical).expect("write canonical report");
-                    println!("canonical report written to {path}");
-                } else {
-                    println!("{canonical}");
-                }
-            }
-            SubmitOutcome::Rejected { reason, class } => {
-                eprintln!("rejected ({}): {reason}", class.tag());
-                std::process::exit(3);
+        if edit_resubmit {
+            // The first report only warms the connection.
+            if let rejected @ SubmitOutcome::Rejected { .. } = submit(demo_blocks()) {
+                finish_submit(rejected, None);
             }
         }
+        let blocks = if edit_resubmit || edited {
+            edited_blocks()
+        } else {
+            demo_blocks()
+        };
+        finish_submit(submit(blocks), out.as_deref());
     });
+}
+
+/// Prints a submission's outcome, writing its canonical report to `out`.
+fn finish_submit(outcome: SubmitOutcome, out: Option<&str>) {
+    match outcome {
+        SubmitOutcome::Report { job, report } => {
+            let canonical = report.render();
+            let hits = report
+                .get("counters")
+                .and_then(|c| c.get("campaign.cache_hits"))
+                .and_then(Json::as_u64)
+                .unwrap_or(0);
+            println!("job {job} finished; {hits} block(s) served from shared verdicts");
+            if let Some(path) = out {
+                std::fs::write(path, &canonical).expect("write canonical report");
+                println!("canonical report written to {path}");
+            } else {
+                println!("{canonical}");
+            }
+        }
+        SubmitOutcome::Rejected { reason, class } => {
+            eprintln!("rejected ({}): {reason}", class.tag());
+            std::process::exit(3);
+        }
+    }
 }

@@ -130,6 +130,25 @@ run "$serve_demo" submit "$obs_dir/serve_crash" --journal job.journal --out "$ob
 run "$serve_demo" drain "$obs_dir/serve_crash" > /dev/null
 run wait "$resume_pid"
 run cmp "$obs_dir/serve_base.json" "$obs_dir/serve_resumed.json"
+# A warm resubmit with one block changed travels as a plan delta naming
+# that one slot, and its store hits come back in one frame. Its report
+# must byte-match a fresh daemon's for the same two plans, the edited
+# one sent in full by a fresh client.
+echo "==> serve_demo submit --edit-resubmit (plan delta vs full submission)"
+"$serve_demo" serve "$obs_dir/serve_delta" 2> /dev/null &
+delta_pid=$!
+wait_addr "$obs_dir/serve_delta"
+run "$serve_demo" submit "$obs_dir/serve_delta" --edit-resubmit --out "$obs_dir/serve_delta.json" > /dev/null 2>&1
+run "$serve_demo" drain "$obs_dir/serve_delta" > /dev/null
+run wait "$delta_pid"
+"$serve_demo" serve "$obs_dir/serve_full" 2> /dev/null &
+full_pid=$!
+wait_addr "$obs_dir/serve_full"
+run "$serve_demo" submit "$obs_dir/serve_full" > /dev/null 2>&1
+run "$serve_demo" submit "$obs_dir/serve_full" --edited --out "$obs_dir/serve_full.json" > /dev/null 2>&1
+run "$serve_demo" drain "$obs_dir/serve_full" > /dev/null
+run wait "$full_pid"
+run cmp "$obs_dir/serve_delta.json" "$obs_dir/serve_full.json"
 # dfv-serve's suites in release, the optimization level the benchmark
 # runs the daemon at: the wire goldens and ref-id reuse tests beside
 # robustness and hostile_input.

@@ -109,10 +109,18 @@ fn design_plan() -> Vec<BlockPair> {
     ]
 }
 
-/// A writer that counts the bytes it passes on.
+/// A writer or reader that counts the bytes it passes on.
 struct Counted<W> {
     inner: W,
     bytes: Arc<AtomicU64>,
+}
+
+impl<R: std::io::Read> std::io::Read for Counted<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
 }
 
 impl<W: Write> Write for Counted<W> {
@@ -224,25 +232,29 @@ pub fn e14_report() -> RunReport {
     let serve_rejected = server.counter(kinds::SERVE_REJECTED);
     server.stop();
 
-    // Phase 3 — warm resubmit: the same plan twice on one connection,
-    // counting the request bytes of each submission.
+    // Phase 3 — warm resubmit: the same plan three times on one
+    // connection, counting the request and answer bytes of each.
     let mut cfg = ServeConfig::new(state_dir("warm"));
     cfg.executors = 1;
     let server = Server::start(cfg);
     let warm_blocks = design_plan().len();
-    let (full_bytes, ref_bytes, warm_hits) = rep.phase("warm_resubmit", || {
+    let (full, warm, steady) = rep.phase("warm_resubmit", || {
         let ((cr, cw), (sr, sw)) = duplex();
         let conn = server.attach(sr, sw);
         let sent = Arc::new(AtomicU64::new(0));
+        let heard = Arc::new(AtomicU64::new(0));
         let mut client = Client::new(
-            cr,
+            Counted {
+                inner: cr,
+                bytes: heard.clone(),
+            },
             Counted {
                 inner: cw,
                 bytes: sent.clone(),
             },
         );
         let mut submit = || {
-            let before = sent.load(Ordering::Relaxed);
+            let (before, answered) = (sent.load(Ordering::Relaxed), heard.load(Ordering::Relaxed));
             let outcome = client
                 .submit(&submit_spec(design_plan()), |_, _| {})
                 .expect("submission survives");
@@ -254,14 +266,15 @@ pub fn e14_report() -> RunReport {
                 .and_then(|c| c.get("campaign.cache_hits"))
                 .and_then(Json::as_u64)
                 .unwrap_or(0);
-            (sent.load(Ordering::Relaxed) - before, hits)
+            let answer = heard.load(Ordering::Relaxed) - answered;
+            (sent.load(Ordering::Relaxed) - before, answer, hits)
         };
-        let (full, _) = submit();
-        let (refs, hits) = submit();
+        let (full, warm, steady) = (submit(), submit(), submit());
         drop(client);
         conn.join();
-        (full, refs, hits)
+        (full, warm, steady)
     });
+    let ((full_bytes, full_answer, _), (ref_bytes, warm_answer, warm_hits)) = (full, warm);
     server.stop();
 
     rep.set_value("clients", Json::UInt(CLIENTS as u64));
@@ -277,6 +290,9 @@ pub fn e14_report() -> RunReport {
     rep.set_value("warm_full_frame_bytes", Json::UInt(full_bytes));
     rep.set_value("warm_ref_frame_bytes", Json::UInt(ref_bytes));
     rep.set_value("warm_hits", Json::UInt(warm_hits));
+    rep.set_value("cold_answer_bytes", Json::UInt(full_answer));
+    rep.set_value("warm_answer_bytes", Json::UInt(warm_answer));
+    rep.set_value("steady_answer_bytes", Json::UInt(steady.1));
     rep.set_value(
         "table",
         Json::Str(render_table(
@@ -287,6 +303,7 @@ pub fn e14_report() -> RunReport {
                 "dedup hits",
                 "rejected",
                 "request bytes",
+                "answer bytes",
             ],
             &[
                 vec![
@@ -296,6 +313,7 @@ pub fn e14_report() -> RunReport {
                     format!("{dedup_hits}"),
                     "0".into(),
                     "-".into(),
+                    "-".into(),
                 ],
                 vec![
                     "overload flood".into(),
@@ -303,6 +321,7 @@ pub fn e14_report() -> RunReport {
                     "0".into(),
                     "0".into(),
                     format!("{rejected}"),
+                    "-".into(),
                     "-".into(),
                 ],
                 vec![
@@ -312,6 +331,7 @@ pub fn e14_report() -> RunReport {
                     "0".into(),
                     "0".into(),
                     format!("{full_bytes}"),
+                    format!("{full_answer}"),
                 ],
                 vec![
                     "warm resubmit (delta)".into(),
@@ -320,6 +340,16 @@ pub fn e14_report() -> RunReport {
                     format!("{warm_hits}"),
                     "0".into(),
                     format!("{ref_bytes}"),
+                    format!("{warm_answer}"),
+                ],
+                vec![
+                    "warm again (delta)".into(),
+                    format!("{warm_blocks}"),
+                    "0".into(),
+                    format!("{}", steady.2),
+                    "0".into(),
+                    format!("{}", steady.0),
+                    format!("{}", steady.1),
                 ],
             ],
         )),
@@ -385,6 +415,10 @@ mod tests {
             other => panic!("missing {k}: {other:?}"),
         };
         assert_eq!(uint("warm_hits"), uint("warm_blocks"));
+        // Its answer refers to the last one: the rows that changed (all
+        // of them, from proved to stored) and then none.
+        assert!(uint("warm_answer_bytes") < uint("cold_answer_bytes"));
+        assert!(uint("steady_answer_bytes") < uint("warm_answer_bytes"));
         assert!(
             uint("warm_ref_frame_bytes") * 20 < uint("warm_full_frame_bytes"),
             "ref frame {} B vs full frame {} B",

@@ -305,6 +305,120 @@ pub struct BlockResult {
     pub attempts: u32,
 }
 
+impl BlockResult {
+    /// What the canonical report states of this block, less its name.
+    pub fn row_facts(&self) -> RowFacts {
+        let skip = match &self.status {
+            BlockStatus::Inconclusive(n) if n == DEADLINE_SKIP_NOTE => Some(Skip::Deadline),
+            BlockStatus::Inconclusive(n) if n == CANCELLED_NOTE => Some(Skip::Cancelled),
+            _ => None,
+        };
+        RowFacts {
+            status: self.status.name(),
+            skip,
+            from_cache: self.from_cache,
+            attempts: self.attempts,
+            lint_count: self.lint_count,
+            solver: self.solver,
+        }
+    }
+}
+
+/// Why an inconclusive block was never started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Skip {
+    /// The campaign deadline had passed ([`DEADLINE_SKIP_NOTE`]).
+    Deadline,
+    /// The campaign was cancelled ([`CANCELLED_NOTE`]).
+    Cancelled,
+}
+
+/// Everything a campaign's canonical report states of one block but its
+/// name: the row's fields, and what the report's counters count of it.
+/// Two results with equal names and facts give equal rows, so a report
+/// can be told apart from another by the rows whose facts differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowFacts {
+    /// The status's report name ([`BlockStatus::name`]).
+    pub status: &'static str,
+    /// Why the block was skipped, if it was.
+    pub skip: Option<Skip>,
+    /// [`BlockResult::from_cache`].
+    pub from_cache: bool,
+    /// [`BlockResult::attempts`].
+    pub attempts: u32,
+    /// [`BlockResult::lint_count`].
+    pub lint_count: usize,
+    /// [`BlockResult::solver`].
+    pub solver: SolverTotals,
+}
+
+impl RowFacts {
+    /// The block's row in the canonical report's `values.blocks`.
+    pub fn row(&self, name: &str) -> dfv_obs::Json {
+        use dfv_obs::Json;
+        Json::obj(vec![
+            ("name", Json::str(name)),
+            ("status", Json::str(self.status)),
+            ("from_cache", Json::Bool(self.from_cache)),
+            ("attempts", Json::UInt(u64::from(self.attempts))),
+            ("lint_findings", Json::UInt(self.lint_count as u64)),
+        ])
+    }
+}
+
+/// The counters of a campaign's canonical report over its rows' facts,
+/// sorted by name as the report renders them. Crash quarantines,
+/// deadline skips and cancellations are rare enough to keep out of clean
+/// reports (and conditional counters keep clean runs byte-identical to
+/// pre-existing baselines); when present each count is deterministic —
+/// the same blocks crash under the same chaos plan, the same tail is
+/// skipped once the deadline/cancel latch is set, and a resumed run
+/// replays crashes.
+pub fn campaign_counters(rows: impl IntoIterator<Item = RowFacts>) -> Vec<(&'static str, u64)> {
+    let mut n = [0u64; 11];
+    let [attempts, blocks, cache_hits, cancelled, cnf_clauses, cnf_vars, conflicts, crashed, deadline_skipped, inconclusive, passed] =
+        &mut n;
+    for r in rows {
+        *blocks += 1;
+        *passed += u64::from(r.status == "PASS");
+        *cache_hits += u64::from(r.from_cache);
+        *inconclusive += u64::from(r.status == "INCONC");
+        *crashed += u64::from(r.status == "CRASH");
+        *deadline_skipped += u64::from(r.skip == Some(Skip::Deadline));
+        *cancelled += u64::from(r.skip == Some(Skip::Cancelled));
+        *attempts += u64::from(r.attempts);
+        // The journal-survivable totals, not the full EquivReport, so a
+        // resumed run sums to the same counters.
+        *cnf_vars += r.solver.cnf_vars as u64;
+        *cnf_clauses += r.solver.cnf_clauses as u64;
+        *conflicts += r.solver.conflicts;
+    }
+    const NAMES: [&str; 11] = [
+        "campaign.attempts",
+        "campaign.blocks",
+        "campaign.cache_hits",
+        "campaign.cancelled",
+        "campaign.cnf_clauses",
+        "campaign.cnf_vars",
+        "campaign.conflicts",
+        "campaign.crashed",
+        "campaign.deadline_skipped",
+        "campaign.inconclusive",
+        "campaign.passed",
+    ];
+    const CONDITIONAL: [&str; 3] = [
+        "campaign.cancelled",
+        "campaign.crashed",
+        "campaign.deadline_skipped",
+    ];
+    NAMES
+        .into_iter()
+        .zip(n)
+        .filter(|(name, v)| *v > 0 || !CONDITIONAL.contains(name))
+        .collect()
+}
+
 /// How many verdicts a [`SharedStore`] holds before it evicts the oldest
 /// one.
 pub const STORE_CAPACITY: usize = 4096;
@@ -344,19 +458,46 @@ pub struct SharedStore {
 #[derive(Debug)]
 struct StoreInner {
     secret: HashSecret,
-    verdicts: std::sync::Mutex<FifoMap<ContentKey, StoredVerdict>>,
+    verdicts: std::sync::Mutex<FifoMap<ContentKey, StoreHit>>,
     evictions: std::sync::atomic::AtomicU64,
 }
 
-/// What the store keeps of a verdict: everything a hit reports, without
-/// the name it was proved under or the proof's [`EquivReport`].
+/// A verdict the [`SharedStore`] holds: everything the canonical report
+/// states of it, and its status with its note, without the name it was
+/// proved under, the proof's [`EquivReport`] or its lint findings (a hit
+/// reports their count, as a persisted-cache hit does). A cheap handle:
+/// cloning it copies no verdict.
 #[derive(Debug, Clone)]
+pub struct StoreHit(std::sync::Arc<StoredVerdict>);
+
+#[derive(Debug)]
 struct StoredVerdict {
     status: BlockStatus,
-    lint_findings: Vec<LintFinding>,
     lint_count: usize,
     solver: SolverTotals,
     attempts: u32,
+}
+
+impl StoreHit {
+    /// The hit served under `name`: [`from_cache`](BlockResult::from_cache)
+    /// set, no [`equiv`](BlockResult::equiv) report or lint findings, and
+    /// zero duration — provenance-wise a cache hit, with no time spent in
+    /// this run.
+    pub fn result(&self, name: &str) -> BlockResult {
+        let v = &*self.0;
+        BlockResult {
+            name: name.to_string(),
+            status: v.status.clone(),
+            lint_findings: Vec::new(),
+            lint_count: v.lint_count,
+            equiv: None,
+            solver: v.solver,
+            duration: Duration::ZERO,
+            from_cache: true,
+            from_journal: false,
+            attempts: v.attempts,
+        }
+    }
 }
 
 impl Default for SharedStore {
@@ -387,38 +528,27 @@ impl SharedStore {
         content::block_digest(block, &self.inner.secret)
     }
 
-    /// The verdict for `key`, if some campaign already concluded it, as
-    /// a hit: [`from_cache`](BlockResult::from_cache) set, no
-    /// [`equiv`](BlockResult::equiv) report, zero duration, and an empty
-    /// name (a stored verdict belongs to content, not to a name).
-    pub fn get(&self, key: ContentKey) -> Option<BlockResult> {
-        let v = self.lock().get(&key)?.clone();
-        Some(BlockResult {
-            name: String::new(),
-            status: v.status,
-            lint_findings: v.lint_findings,
-            lint_count: v.lint_count,
-            equiv: None,
-            solver: v.solver,
-            duration: Duration::ZERO,
-            from_cache: true,
-            from_journal: false,
-            attempts: v.attempts,
-        })
+    /// The key this store files `block` under, without the unkeyed hash.
+    pub fn key(&self, block: &BlockPair) -> ContentKey {
+        block.content_key(&self.inner.secret)
+    }
+
+    /// The verdict for `key`, if some campaign already concluded it.
+    pub fn get(&self, key: ContentKey) -> Option<StoreHit> {
+        self.lock().get(&key).cloned()
     }
 
     /// Records a conclusive verdict for `key`. A 128-bit keyed hash makes
     /// two different contents under one key a practical impossibility,
     /// so a second writer proved the same content and the last one wins.
-    /// The name, timing and [`EquivReport`] are not kept.
-    pub fn insert(&self, key: ContentKey, result: BlockResult) {
-        let v = StoredVerdict {
-            status: result.status,
-            lint_findings: result.lint_findings,
+    /// The name, timing, lint findings and [`EquivReport`] are not kept.
+    pub fn insert(&self, key: ContentKey, result: &BlockResult) {
+        let v = StoreHit(std::sync::Arc::new(StoredVerdict {
+            status: result.status.clone(),
             lint_count: result.lint_count,
             solver: result.solver,
             attempts: result.attempts,
-        };
+        }));
         if self.lock().insert(key, v) {
             self.inner
                 .evictions
@@ -443,7 +573,7 @@ impl SharedStore {
             .swap(0, std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FifoMap<ContentKey, StoredVerdict>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, FifoMap<ContentKey, StoreHit>> {
         self.inner.verdicts.lock().expect("store lock")
     }
 }
@@ -458,16 +588,20 @@ pub enum PlanEntry<B = BlockPair> {
     Block {
         /// The block.
         block: B,
-        /// Its [`SharedStore::digest`] under the campaign's store, when
-        /// the caller already computed it (`None`: the campaign does).
-        digest: Option<BlockDigest>,
+        /// Its [`SharedStore::key`] under the campaign's store, when the
+        /// caller already computed it (`None`: the campaign does). Given
+        /// the key, the campaign walks the block for its unkeyed hash only
+        /// if its journal or cache file needs one, and otherwise leaves
+        /// the block out of its in-memory cache, which a campaign run
+        /// once never reads.
+        key: Option<ContentKey>,
     },
     /// A block already answered by the shared store.
     Stored {
         /// The block's name in this plan.
         name: String,
         /// The stored verdict, as [`SharedStore::get`] returned it.
-        verdict: Box<BlockResult>,
+        verdict: StoreHit,
     },
 }
 
@@ -737,63 +871,18 @@ impl CampaignReport {
     pub fn to_run_report(&self) -> dfv_obs::RunReport {
         use dfv_obs::Json;
         let mut rep = dfv_obs::RunReport::new("campaign");
-        rep.set_counter("campaign.blocks", self.blocks.len() as u64);
-        rep.set_counter(
-            "campaign.passed",
-            self.blocks
-                .iter()
-                .filter(|b| b.status == BlockStatus::Pass)
-                .count() as u64,
-        );
-        rep.set_counter("campaign.cache_hits", self.cache_hits() as u64);
-        rep.set_counter("campaign.inconclusive", self.inconclusive() as u64);
-        rep.set_counter(
-            "campaign.attempts",
-            self.blocks.iter().map(|b| b.attempts as u64).sum(),
-        );
-        let (mut vars, mut clauses, mut conflicts) = (0u64, 0u64, 0u64);
-        for b in &self.blocks {
-            // The journal-survivable totals, not the full EquivReport, so
-            // a resumed run sums to the same counters.
-            vars += b.solver.cnf_vars as u64;
-            clauses += b.solver.cnf_clauses as u64;
-            conflicts += b.solver.conflicts;
+        for (name, v) in campaign_counters(self.blocks.iter().map(BlockResult::row_facts)) {
+            rep.set_counter(name, v);
         }
-        rep.set_counter("campaign.cnf_vars", vars);
-        rep.set_counter("campaign.cnf_clauses", clauses);
-        rep.set_counter("campaign.conflicts", conflicts);
         rep.set_value(
             "blocks",
             Json::Arr(
                 self.blocks
                     .iter()
-                    .map(|b| {
-                        Json::obj(vec![
-                            ("name", Json::str(&b.name)),
-                            ("status", Json::Str(b.status.to_string())),
-                            ("from_cache", Json::Bool(b.from_cache)),
-                            ("attempts", Json::UInt(b.attempts as u64)),
-                            ("lint_findings", Json::UInt(b.lint_count as u64)),
-                        ])
-                    })
+                    .map(|b| b.row_facts().row(&b.name))
                     .collect(),
             ),
         );
-        // Crash quarantines, deadline skips, and cancellations are rare
-        // enough to keep out of clean reports (and conditional counters
-        // keep clean runs byte-identical to pre-existing baselines); when
-        // present each count is deterministic — the same blocks crash
-        // under the same chaos plan, the same tail is skipped once the
-        // deadline/cancel latch is set, and a resumed run replays crashes.
-        if self.crashed() > 0 {
-            rep.set_counter("campaign.crashed", self.crashed() as u64);
-        }
-        if self.deadline_skipped() > 0 {
-            rep.set_counter("campaign.deadline_skipped", self.deadline_skipped() as u64);
-        }
-        if self.cancelled() > 0 {
-            rep.set_counter("campaign.cancelled", self.cancelled() as u64);
-        }
         if let Some(e) = &self.cache_write_error {
             rep.set_value("cache_write_error", Json::str(e));
         }
@@ -1011,17 +1100,6 @@ fn crashed_result(name: &str, payload: &str) -> BlockResult {
     }
 }
 
-/// A shared-store verdict served under `name`: provenance-wise a cache
-/// hit, with no time spent in this run.
-fn store_hit(name: &str, stored: &BlockResult) -> BlockResult {
-    let mut r = stored.clone();
-    r.name = name.to_string();
-    r.from_cache = true;
-    r.from_journal = false;
-    r.duration = Duration::ZERO;
-    r
-}
-
 /// One work item's outcome: its verdict, plus the content hash and store
 /// key it was looked up under (`None` when the item never got that far,
 /// and no key without a store).
@@ -1110,10 +1188,7 @@ impl Campaign {
         let entries: Vec<PlanEntry<&BlockPair>> = plan
             .blocks
             .iter()
-            .map(|block| PlanEntry::Block {
-                block,
-                digest: None,
-            })
+            .map(|block| PlanEntry::Block { block, key: None })
             .collect();
         self.run_entries(&entries)
     }
@@ -1155,6 +1230,7 @@ impl Campaign {
         let io = &self.opts.io;
         let cancel = &self.opts.cancel;
         let shared = self.opts.shared_store.as_ref();
+        let needs_hash = journal_writer.is_some() || self.opts.cache_path.is_some();
         let replayed_ref = &replayed;
         // The per-block work item: chaos fail point (deterministic, first),
         // then the deadline (amortized, shared) and the cancel latch so an
@@ -1181,37 +1257,34 @@ impl Campaign {
                 r.status = BlockStatus::Inconclusive(CANCELLED_NOTE.into());
                 return Worked::skipped(r);
             }
-            let (b, digest) = match item {
-                PlanEntry::Block { block, digest } => (block.borrow(), *digest),
+            let (b, key) = match item {
+                PlanEntry::Block { block, key } => (block.borrow(), *key),
                 PlanEntry::Stored { name, verdict } => {
-                    return Worked::skipped(store_hit(name, verdict))
+                    return Worked::skipped(verdict.result(name))
                 }
             };
-            // One walk gives both hashes; the key only matters to a store.
-            let (hash, key) = match (digest, shared) {
-                (Some(d), _) => (d.hash, Some(d.key)),
+            // One walk gives both hashes; the key only matters to a store,
+            // and a given key leaves the hash to the journal and cache file.
+            let (hash, key) = match (key, shared) {
+                (Some(k), _) => (needs_hash.then(|| b.content_hash()), Some(k)),
                 (None, Some(s)) => {
                     let d = s.digest(b);
-                    (d.hash, Some(d.key))
+                    (Some(d.hash), Some(d.key))
                 }
-                (None, None) => (b.content_hash(), None),
+                (None, None) => (Some(b.content_hash()), None),
             };
-            let done = |result| Worked {
-                hash: Some(hash),
-                key,
-                result,
-            };
+            let done = |result| Worked { hash, key, result };
             if let Some((h, journaled)) = replayed_ref.get(&b.name) {
                 // The journal outranks the cache: it also replays
                 // inconclusive and crashed verdicts, which the cache
                 // deliberately forgets, so resuming the *same* run stays
                 // byte-identical.
-                if *h == hash {
+                if Some(*h) == hash {
                     return done(journaled.clone());
                 }
             }
             if let Some((h, cached)) = cache.get(&b.name) {
-                if *h == hash {
+                if Some(*h) == hash {
                     let mut r = cached.clone();
                     r.from_cache = true;
                     r.duration = Duration::ZERO;
@@ -1225,7 +1298,7 @@ impl Campaign {
                 // Another campaign (another client) already proved this
                 // exact content — serve it as a cache hit under *this*
                 // block's name.
-                return done(store_hit(&b.name, &hit));
+                return done(hit.result(&b.name));
             }
             done(verify_block_with(b, retry, deadline))
         };
@@ -1325,21 +1398,25 @@ impl Campaign {
             // Inconclusive is a statement about the *budget*, not the
             // block — and a crash says even less: caching either would
             // freeze a non-verdict forever.
-            if let (Some(hash), PlanEntry::Block { block, .. }) = (hash, item) {
+            // Skipped entries carry neither hash nor key.
+            if let PlanEntry::Block { block, .. } = item {
                 if !r.from_cache && r.status.is_storable() {
-                    let mut cached = r.clone();
-                    // A journal-replayed verdict enters the cache as a
-                    // plain entry; the provenance flag is per-run. It
-                    // never enters the cross-client store (see
-                    // `SharedStore`): only verdicts proved here do.
-                    cached.from_journal = false;
+                    // A journal-replayed verdict never enters the
+                    // cross-client store (see `SharedStore`): only
+                    // verdicts proved here do.
                     if let (Some(store), Some(key), false) =
                         (&self.opts.shared_store, key, r.from_journal)
                     {
-                        store.insert(key, cached.clone());
+                        store.insert(key, &r);
                     }
-                    self.cache
-                        .insert(block.borrow().name.clone(), (hash, cached));
+                    if let Some(hash) = hash {
+                        // It enters the cache as a plain entry; the
+                        // provenance flag is per-run.
+                        let mut cached = r.clone();
+                        cached.from_journal = false;
+                        self.cache
+                            .insert(block.borrow().name.clone(), (hash, cached));
+                    }
                 }
             }
             blocks.push(r);
@@ -2053,15 +2130,13 @@ mod tests {
         let entries = vec![
             PlanEntry::Stored {
                 name: "inc".into(),
-                verdict: Box::new(
-                    store
-                        .get(store.digest(&plan.blocks[0]).key)
-                        .expect("stored"),
-                ),
+                verdict: store
+                    .get(store.digest(&plan.blocks[0]).key)
+                    .expect("stored"),
             },
             PlanEntry::Block {
                 block: plan.blocks[1].clone(),
-                digest: None,
+                key: None,
             },
         ];
         let fired = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -2091,6 +2166,60 @@ mod tests {
     }
 
     #[test]
+    fn keyed_entries_fill_the_store_and_hash_only_for_a_journal() {
+        let blocks = [
+            inc_block(false),
+            BlockPair {
+                name: "bug".into(),
+                ..inc_block(true)
+            },
+        ];
+        let keyed = |store: &SharedStore| -> Vec<PlanEntry> {
+            blocks
+                .iter()
+                .map(|b| PlanEntry::Block {
+                    block: b.clone(),
+                    key: Some(store.key(b)),
+                })
+                .collect()
+        };
+        let with = |store: &SharedStore, journal: Option<&PathBuf>| {
+            Campaign::with_options(CampaignOptions {
+                shared_store: Some(store.clone()),
+                journal_path: journal.cloned(),
+                ..CampaignOptions::default()
+            })
+        };
+        // No journal: the key alone, and the verdicts still enter the
+        // store, under the key the campaign would have computed itself.
+        let store = SharedStore::new();
+        let mut c = with(&store, None);
+        let report = c.run_entries(&keyed(&store));
+        assert_eq!(store.len(), 2);
+        for b in &blocks {
+            assert_eq!(store.key(b), store.digest(b).key);
+            assert!(store.get(store.key(b)).is_some(), "{} is stored", b.name);
+        }
+        assert!(c.cache.is_empty(), "no unkeyed hash, no in-memory cache");
+        let plain = with(&SharedStore::new(), None).run(&VerificationPlan {
+            blocks: blocks.to_vec(),
+        });
+        let canonical = plain.to_run_report().canonical_json();
+        assert_eq!(report.to_run_report().canonical_json(), canonical);
+        // A journal: the campaign hashes for it, and a rerun on the same
+        // journal replays every verdict byte-identically.
+        let path = temp_cache_path("keyed-journal");
+        let store = SharedStore::new();
+        let first = with(&store, Some(&path)).run_entries(&keyed(&store));
+        assert_eq!(first.to_run_report().canonical_json(), canonical);
+        let store = SharedStore::new();
+        let resumed = with(&store, Some(&path)).run_entries(&keyed(&store));
+        assert_eq!(resumed.journal_replayed(), 2);
+        assert_eq!(resumed.to_run_report().canonical_json(), canonical);
+        cleanup(&path);
+    }
+
+    #[test]
     fn store_hits_are_answered_in_one_batch_before_any_proof() {
         let store = SharedStore::new();
         let proved = inc_block(false);
@@ -2102,14 +2231,14 @@ mod tests {
         let verdict = store.get(store.digest(&proved).key).expect("stored");
         let hit = |name: &str| PlanEntry::Stored {
             name: name.into(),
-            verdict: Box::new(verdict.clone()),
+            verdict: verdict.clone(),
         };
         let block = |name: &str, bug| PlanEntry::Block {
             block: BlockPair {
                 name: name.into(),
                 ..inc_block(bug)
             },
-            digest: None,
+            key: None,
         };
         let entries = vec![
             block("b0", true),

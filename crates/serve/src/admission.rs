@@ -56,6 +56,9 @@ pub enum Job {
         plan: Vec<PlanEntry>,
         /// Submission knobs.
         options: SubmitOptions,
+        /// How the answer relates to the connection's last one (`None`:
+        /// in full, and never a delta's base).
+        answer: Option<crate::server::Answering>,
     },
     /// A seeded fault-injection sweep.
     FaultSweep {
@@ -303,6 +306,7 @@ mod tests {
         Job::Campaign {
             plan: Vec::new(),
             options: SubmitOptions::default(),
+            answer: None,
         }
     }
 

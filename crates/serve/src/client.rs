@@ -31,6 +31,18 @@
 //! come back as one `Stored` frame, and [`Client::wait_report`] feeds
 //! them to the progress callback one block at a time.
 //!
+//! The client keeps the report it last returned for a campaign, and sends
+//! a delta only on the campaign whose report it holds, so the daemon may
+//! answer the delta by reference to that report: a `Stored` frame naming
+//! only the slots whose status the held report does not give, and a
+//! `report_delta` frame with the new counters and the rows that changed.
+//! The client fires the progress callback for the slots it left out from
+//! the held report, and returns the held report patched with the new
+//! counters and rows — byte for byte the report the daemon would have
+//! sent in full. An answer by reference that does not fit the held report
+//! (another base, another length, a slot out of range, a row under
+//! another name) is a typed error.
+//!
 //! Naming a block costs a structural walk of all its content, so the
 //! client keeps the blocks of its last campaign submission and their ids
 //! by name. A block `==` to the one last sent under its name reuses that
@@ -241,6 +253,38 @@ struct Base {
     slots: Vec<(String, ContentKey)>,
 }
 
+/// The report [`Client::submit`] last returned for a campaign that went
+/// with refs, and its job id: what an answer by reference patches.
+#[derive(Debug)]
+struct Held {
+    job: u64,
+    report: Json,
+}
+
+/// A campaign sent as a plan delta, as reading its answer needs it.
+#[derive(Debug, Clone, Copy)]
+struct DeltaSent<'a> {
+    /// The job the delta edits.
+    base: u64,
+    /// The plan.
+    blocks: &'a [BlockPair],
+    /// Which slots the delta left out.
+    left_out: &'a [bool],
+}
+
+/// The block rows of a canonical campaign report.
+fn report_rows(report: &Json) -> Option<&[Json]> {
+    report.get("values")?.get("blocks")?.as_arr()
+}
+
+/// The value of `key` in an object, mutably.
+fn field_mut<'a>(v: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+    let Json::Obj(pairs) = v else {
+        return None;
+    };
+    pairs.iter_mut().find(|(k, _)| k == key).map(|(_, x)| x)
+}
+
 /// How [`Client::submit`] sends a campaign, from the leanest form down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Form {
@@ -266,6 +310,8 @@ pub struct Client<R, W> {
     last_sent: LastSent,
     /// The last accepted campaign that went with refs.
     base: Option<Base>,
+    /// The last report of such a campaign.
+    held: Option<Held>,
 }
 
 impl<R: Read, W: Write> Client<R, W> {
@@ -278,6 +324,7 @@ impl<R: Read, W: Write> Client<R, W> {
             known: FifoMap::new(REF_TABLE_CAPACITY),
             last_sent: LastSent::default(),
             base: None,
+            held: None,
         }
     }
 
@@ -346,6 +393,18 @@ impl<R: Read, W: Write> Client<R, W> {
         job: u64,
         mut on_progress: impl FnMut(&str, &str),
     ) -> Result<Json, ClientError> {
+        self.wait_answer(job, None, &mut on_progress)
+    }
+
+    /// [`wait_report`](Client::wait_report) for a campaign sent as `delta`,
+    /// whose answer may come by reference to the held report (then the
+    /// patched report becomes the held one).
+    fn wait_answer(
+        &mut self,
+        job: u64,
+        delta: Option<DeltaSent<'_>>,
+        on_progress: &mut impl FnMut(&str, &str),
+    ) -> Result<Json, ClientError> {
         loop {
             match decode_response(read_frame(&mut self.r)?)? {
                 Response::Progress { block, status, .. } => on_progress(&block, &status),
@@ -354,7 +413,75 @@ impl<R: Read, W: Write> Client<R, W> {
                         on_progress(block, status);
                     }
                 }
-                Response::Report { job: id, report } if id == job => return Ok(report),
+                Response::StoredRef {
+                    job: id,
+                    base,
+                    slots,
+                } if id == job => {
+                    let (d, rows) = by_ref(delta, &self.held, base, None)?;
+                    let mut named = slots.iter().peekable();
+                    for (k, b) in d.blocks.iter().enumerate() {
+                        if let Some((_, status)) = named.next_if(|(slot, _)| *slot == k) {
+                            on_progress(&b.name, status);
+                        } else if d.left_out[k] {
+                            let status = rows[k].get("status").and_then(Json::as_str);
+                            let status = status.ok_or_else(|| {
+                                ClientError::Unexpected(format!("held row {k} has no status"))
+                            })?;
+                            on_progress(&b.name, status);
+                        }
+                    }
+                    if let Some((slot, _)) = named.next() {
+                        return Err(ClientError::Unexpected(format!(
+                            "stored slot {slot} of a {}-slot plan",
+                            d.blocks.len()
+                        )));
+                    }
+                }
+                Response::ReportDelta {
+                    job: id,
+                    base,
+                    len,
+                    counters,
+                    rows,
+                } if id == job => {
+                    let (d, _) = by_ref(delta, &self.held, base, Some(len))?;
+                    for (slot, row) in &rows {
+                        let want = d.blocks.get(*slot).map(|b| b.name.as_str());
+                        if want.is_none() || row.get("name").and_then(Json::as_str) != want {
+                            return Err(ClientError::Unexpected(format!(
+                                "report row {slot} does not name slot {slot} of the plan"
+                            )));
+                        }
+                    }
+                    let held = self.held.as_mut().expect("checked by `by_ref`");
+                    let counters = counters
+                        .into_iter()
+                        .map(|(name, v)| (name, Json::UInt(v)))
+                        .collect();
+                    *field_mut(&mut held.report, "counters").ok_or_else(|| {
+                        ClientError::Unexpected("the held report has no counters".into())
+                    })? = Json::Obj(counters);
+                    let held_rows =
+                        field_mut(&mut held.report, "values").and_then(|v| field_mut(v, "blocks"));
+                    let Some(Json::Arr(held_rows)) = held_rows else {
+                        unreachable!("`by_ref` found the held rows");
+                    };
+                    for (slot, row) in rows {
+                        held_rows[slot] = row;
+                    }
+                    held.job = job;
+                    return Ok(held.report.clone());
+                }
+                Response::Report { job: id, report } if id == job => {
+                    if delta.is_some() || self.base.as_ref().is_some_and(|b| b.job == job) {
+                        self.held = Some(Held {
+                            job,
+                            report: report.clone(),
+                        });
+                    }
+                    return Ok(report);
+                }
                 Response::Error { message, class } => {
                     return Err(ClientError::Server { message, class })
                 }
@@ -402,6 +529,7 @@ impl<R: Read, W: Write> Client<R, W> {
         } else {
             Form::Refs
         };
+        let base_job = self.base.as_ref().map(|b| b.job);
         let job = loop {
             let known = &self.known;
             let wire = |k: usize| {
@@ -445,17 +573,33 @@ impl<R: Read, W: Write> Client<R, W> {
                 other => return Err(unexpected(&other)),
             }
         };
+        let delta = match (form, base_job) {
+            (Form::Delta, Some(base)) => Some(DeltaSent {
+                base,
+                blocks,
+                left_out: &unchanged,
+            }),
+            _ => None,
+        };
         self.set_base(job, blocks, &ids);
-        let report = self.wait_report(job, &mut on_progress)?;
-        self.learn(&ids, &report);
+        let report = self.wait_answer(job, delta, &mut on_progress)?;
+        // The slots a delta left out are known already.
+        let left_out = |k: usize| delta.is_some() && unchanged[k];
+        self.learn(&ids, &report, left_out);
         Ok(SubmitOutcome::Report { job, report })
     }
 
     /// Which slots of `blocks` a plan delta may leave out: the base has a
     /// slot at the same place with the same name and ref id, whose verdict
-    /// the daemon holds. All `false` without a base of the same length.
+    /// the daemon holds. All `false` without a base of the same length
+    /// whose report the client holds.
     fn unchanged_slots(&self, blocks: &[BlockPair], ids: &[ContentKey]) -> Vec<bool> {
-        let Some(base) = self.base.as_ref().filter(|b| b.slots.len() == blocks.len()) else {
+        let held = self.held.as_ref().map(|h| h.job);
+        let Some(base) = self
+            .base
+            .as_ref()
+            .filter(|b| b.slots.len() == blocks.len() && Some(b.job) == held)
+        else {
             return vec![false; blocks.len()];
         };
         blocks
@@ -491,18 +635,16 @@ impl<R: Read, W: Write> Client<R, W> {
     }
 
     /// Remembers the ref id of every block the report answered with a
-    /// [storable](BlockStatus::is_storable) verdict: the daemon holds
-    /// those in its store.
-    fn learn(&mut self, ids: &[ContentKey], report: &Json) {
-        let Some(rows) = report
-            .get("values")
-            .and_then(|v| v.get("blocks"))
-            .and_then(Json::as_arr)
-            .filter(|rows| rows.len() == ids.len())
-        else {
+    /// [storable](BlockStatus::is_storable) verdict, but for the slots
+    /// `skip` names: the daemon holds those in its store.
+    fn learn(&mut self, ids: &[ContentKey], report: &Json, skip: impl Fn(usize) -> bool) {
+        let Some(rows) = report_rows(report).filter(|rows| rows.len() == ids.len()) else {
             return;
         };
-        for (row, &id) in rows.iter().zip(ids) {
+        for (k, (row, &id)) in rows.iter().zip(ids).enumerate() {
+            if skip(k) {
+                continue;
+            }
             let status = row.get("status").and_then(Json::as_str);
             if status.is_some_and(BlockStatus::is_storable_name) {
                 self.known.insert(id, ());
@@ -534,6 +676,34 @@ impl<R: Read, W: Write> Client<R, W> {
             }
         }
     }
+}
+
+/// The delta an answer by reference to `base` answers, and the rows of
+/// the held report it refers to: `base` must be the delta's and the held
+/// report's, and the held report must have a row per slot (and `len`
+/// of them, when the answer states a length).
+fn by_ref<'a, 'h>(
+    delta: Option<DeltaSent<'a>>,
+    held: &'h Option<Held>,
+    base: u64,
+    len: Option<usize>,
+) -> Result<(DeltaSent<'a>, &'h [Json]), ClientError> {
+    let Some(d) = delta.filter(|d| d.base == base) else {
+        return Err(ClientError::Unexpected(format!(
+            "an answer by reference to job {base}, which this submission does not edit"
+        )));
+    };
+    let rows = held
+        .as_ref()
+        .filter(|h| h.job == base)
+        .and_then(|h| report_rows(&h.report))
+        .filter(|rows| rows.len() == d.blocks.len() && len.is_none_or(|n| n == rows.len()));
+    rows.map(|rows| (d, rows)).ok_or_else(|| {
+        ClientError::Unexpected(format!(
+            "an answer by reference to job {base} does not fit the {}-slot plan",
+            d.blocks.len()
+        ))
+    })
 }
 
 fn unexpected(resp: &Response) -> ClientError {

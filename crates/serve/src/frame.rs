@@ -161,10 +161,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Json, FrameError> {
     let mut magic = [0u8; 4];
     // Distinguish "no next frame" from "frame torn mid-header" by hand:
     // the first byte is allowed to be EOF, the remaining three are not.
-    match r.read(&mut magic[..1]) {
-        Ok(0) => return Err(FrameError::Closed),
-        Ok(_) => {}
-        Err(e) => return Err(FrameError::Io(e)),
+    // A signal interrupting the read is retried, as `read_exact` does
+    // for the rest of the frame.
+    loop {
+        match r.read(&mut magic[..1]) {
+            Ok(0) => return Err(FrameError::Closed),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
     }
     r.read_exact(&mut magic[1..])?;
     if magic != MAGIC {

@@ -52,6 +52,31 @@
 //! A campaign answers its store hits in one pass before any proof runs,
 //! and the daemon sends them as one [`Response::Stored`] frame; each
 //! computed block still gets its own [`Response::Progress`].
+//!
+//! # Answers by reference
+//!
+//! The daemon records, per connection, the row facts of the last answer
+//! it gave a campaign that can be a delta's base. A delta on that very
+//! answer is answered by reference to it, and the client, which sends a
+//! delta only on the campaign whose report it holds, rebuilds the full
+//! canonical report from the one it holds:
+//!
+//! - the store pass is one [`Response::StoredRef`] frame,
+//!   `{"type":"stored","job":J,"base":B,"slots":[[k,"STATUS"],…]}`,
+//!   naming only the store hits the delta sent and the left-out slots
+//!   whose status is not the one `B`'s report gives; every other slot
+//!   the delta left out is a store hit with `B`'s status there;
+//! - the report is one [`Response::ReportDelta`] frame,
+//!   `{"type":"report_delta","job":J,"base":B,"len":N,"counters":{…},
+//!   "rows":[[k,{row}],…]}`: every counter of the canonical report, and
+//!   only the rows that differ from `B`'s. `N` is the row count of both
+//!   reports, and slots are strictly ascending and below `N`.
+//!
+//! Everything else is answered in full: a delta whose base's answer the
+//! daemon no longer holds (another job answered since, or the base job
+//! has not finished), a journaled submission, and a full or ref
+//! submission. The full report stays the oracle: patching `B`'s report
+//! with a `report_delta` gives it byte for byte.
 
 use std::fmt::Write as _;
 
@@ -280,6 +305,36 @@ pub enum Response {
         job: u64,
         /// `(block name, status tag)` of each store hit.
         blocks: Vec<(String, String)>,
+    },
+    /// The store hits of a job answered by reference to the connection's
+    /// last answer (see the module docs): one frame for every stored
+    /// entry of the plan, naming only the slots whose status the client
+    /// cannot read from the report it holds for `base`. As sheddable as
+    /// [`Response::Progress`].
+    StoredRef {
+        /// The job id.
+        job: u64,
+        /// The job whose report the answer refers to.
+        base: u64,
+        /// `(slot, status tag)` of each store hit the delta sent, and of
+        /// each slot it left out whose status is not `base`'s, strictly
+        /// ascending.
+        slots: Vec<(usize, String)>,
+    },
+    /// The final canonical report of a job answered by reference: `base`'s
+    /// report with these counters and these rows in place of its own.
+    ReportDelta {
+        /// The job id.
+        job: u64,
+        /// The job whose report this one patches.
+        base: u64,
+        /// How many rows the report has (`base`'s count too).
+        len: usize,
+        /// Every counter of the canonical report, sorted by name.
+        counters: Vec<(String, u64)>,
+        /// `(slot, row)` of each row that differs from `base`'s, strictly
+        /// ascending; each row is an object.
+        rows: Vec<(usize, Json)>,
     },
     /// The final canonical report of an accepted job.
     Report {
@@ -1013,7 +1068,8 @@ impl Response {
             Response::Accepted { .. } => "accepted",
             Response::Rejected { .. } => "rejected",
             Response::Progress { .. } => "progress",
-            Response::Stored { .. } => "stored",
+            Response::Stored { .. } | Response::StoredRef { .. } => "stored",
+            Response::ReportDelta { .. } => "report_delta",
             Response::Report { .. } => "report",
             Response::Cancelled { .. } => "cancelled",
             Response::DrainAck => "drain_ack",
@@ -1044,20 +1100,21 @@ pub fn encode_response(resp: Response, out: &mut String) {
         key(out, name);
         Json::render_str_into(v, out);
     };
+    let counters_obj = |out: &mut String, counters: &[(String, u64)]| {
+        key(out, "counters");
+        out.push('{');
+        for (i, (name, v)) in counters.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            Json::render_str_into(name, out);
+            let _ = write!(out, ":{v}");
+        }
+        out.push('}');
+    };
     match resp {
         Response::Pong | Response::DrainAck => {}
-        Response::Status { counters } => {
-            key(out, "counters");
-            out.push('{');
-            for (i, (name, v)) in counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                Json::render_str_into(name, out);
-                let _ = write!(out, ":{v}");
-            }
-            out.push('}');
-        }
+        Response::Status { counters } => counters_obj(out, &counters),
         Response::Accepted { job } | Response::Cancelled { job } => uint(out, "job", job),
         Response::Rejected { reason, class } => {
             text(out, "reason", &reason);
@@ -1077,6 +1134,38 @@ pub fn encode_response(resp: Response, out: &mut String) {
                 Json::render_str_into(block, out);
                 out.push(',');
                 Json::render_str_into(status, out);
+                out.push(']');
+            }
+            out.push(']');
+        }
+        Response::StoredRef { job, base, slots } => {
+            uint(out, "job", job);
+            uint(out, "base", base);
+            key(out, "slots");
+            out.push('[');
+            for (i, (slot, status)) in slots.iter().enumerate() {
+                let _ = write!(out, "{}[{slot},", if i > 0 { "," } else { "" });
+                Json::render_str_into(status, out);
+                out.push(']');
+            }
+            out.push(']');
+        }
+        Response::ReportDelta {
+            job,
+            base,
+            len,
+            counters,
+            rows,
+        } => {
+            uint(out, "job", job);
+            uint(out, "base", base);
+            uint(out, "len", len as u64);
+            counters_obj(out, &counters);
+            key(out, "rows");
+            out.push('[');
+            for (i, (slot, row)) in rows.iter().enumerate() {
+                let _ = write!(out, "{}[{slot},", if i > 0 { "," } else { "" });
+                row.render_into(out);
                 out.push(']');
             }
             out.push(']');
@@ -1105,6 +1194,31 @@ pub fn encode_response(resp: Response, out: &mut String) {
     out.push('}');
 }
 
+/// The `[slot, x]` pairs of response field `key`, slots strictly
+/// ascending.
+fn slotted<'a>(v: &'a Json, key: &str) -> Result<Vec<(usize, &'a Json)>, ProtoError> {
+    let mut out: Vec<(usize, &Json)> = Vec::new();
+    for pair in need_arr(v, key, "response")? {
+        let pair = match pair.as_arr() {
+            Some([slot, x]) => slot
+                .as_u64()
+                .and_then(|k| usize::try_from(k).ok())
+                .map(|k| (k, x)),
+            _ => None,
+        };
+        let (slot, x) = pair.ok_or_else(|| {
+            ProtoError::permanent(format!("response: each of '{key}' must be [slot, value]"))
+        })?;
+        if out.last().is_some_and(|(prev, _)| *prev >= slot) {
+            return Err(ProtoError::permanent(format!(
+                "response: '{key}' slots must be strictly ascending"
+            )));
+        }
+        out.push((slot, x));
+    }
+    Ok(out)
+}
+
 /// Decodes a response from the wire, moving a report out of the message
 /// rather than copying it.
 pub fn decode_response(mut msg: Json) -> Result<Response, ProtoError> {
@@ -1114,27 +1228,59 @@ pub fn decode_response(mut msg: Json) -> Result<Response, ProtoError> {
         RetryClass::from_tag(need_str(v, "class", ctx)?)
             .ok_or_else(|| ProtoError::permanent("response: unknown retry class"))
     };
+    let counters_of = |v: &Json| -> Result<Vec<(String, u64)>, ProtoError> {
+        let Json::Obj(pairs) = need(v, "counters", ctx)? else {
+            return Err(ProtoError::permanent(
+                "response: 'counters' must be an object",
+            ));
+        };
+        let mut out = Vec::with_capacity(pairs.len());
+        for (k, val) in pairs {
+            let n = val.as_u64().ok_or_else(|| {
+                ProtoError::permanent("response: counter values must be integers")
+            })?;
+            out.push((k.clone(), n));
+        }
+        Ok(out)
+    };
     match need_str(v, "type", ctx)? {
         "pong" => Ok(Response::Pong),
-        "status" => {
-            let counters = match need(v, "counters", ctx)? {
-                Json::Obj(pairs) => {
-                    let mut out = Vec::with_capacity(pairs.len());
-                    for (k, val) in pairs {
-                        let n = val.as_u64().ok_or_else(|| {
-                            ProtoError::permanent("response: counter values must be integers")
-                        })?;
-                        out.push((k.clone(), n));
-                    }
-                    out
-                }
-                _ => {
+        "status" => Ok(Response::Status {
+            counters: counters_of(v)?,
+        }),
+        "stored" if v.get("base").is_some() => {
+            let mut slots = Vec::new();
+            for (slot, status) in slotted(v, "slots")? {
+                let status = status.as_str().ok_or_else(|| {
+                    ProtoError::permanent("response: a stored slot's status must be a string")
+                })?;
+                slots.push((slot, status.to_string()));
+            }
+            Ok(Response::StoredRef {
+                job: need_u64(v, "job", ctx)?,
+                base: need_u64(v, "base", ctx)?,
+                slots,
+            })
+        }
+        "report_delta" => {
+            let len = usize::try_from(need_u64(v, "len", ctx)?)
+                .map_err(|_| ProtoError::permanent("response: 'len' out of range"))?;
+            let mut rows = Vec::new();
+            for (slot, row) in slotted(v, "rows")? {
+                if !matches!(row, Json::Obj(_)) {
                     return Err(ProtoError::permanent(
-                        "response: 'counters' must be an object",
-                    ))
+                        "response: a report row must be an object",
+                    ));
                 }
-            };
-            Ok(Response::Status { counters })
+                rows.push((slot, row.clone()));
+            }
+            Ok(Response::ReportDelta {
+                job: need_u64(v, "job", ctx)?,
+                base: need_u64(v, "base", ctx)?,
+                len,
+                counters: counters_of(v)?,
+                rows,
+            })
         }
         "accepted" => Ok(Response::Accepted {
             job: need_u64(v, "job", ctx)?,
@@ -1438,6 +1584,23 @@ mod tests {
                 job: 2,
                 blocks: vec![],
             },
+            Response::StoredRef {
+                job: 3,
+                base: 2,
+                slots: vec![(0, "PASS".into()), (7, "CRASH".into())],
+            },
+            Response::StoredRef {
+                job: 3,
+                base: 2,
+                slots: vec![],
+            },
+            Response::ReportDelta {
+                job: 3,
+                base: 2,
+                len: 9,
+                counters: vec![("campaign.blocks".into(), 9)],
+                rows: vec![(4, Json::obj(vec![("name", Json::str("b4"))]))],
+            },
             Response::Error {
                 message: "unknown job".into(),
                 class: RetryClass::Permanent,
@@ -1515,6 +1678,30 @@ mod tests {
                     ("fir".into(), "FAIL".into()),
                 ],
             },
+            Response::StoredRef {
+                job: 8,
+                base: 7,
+                slots: vec![(5, "PASS".into()), (9, "CRASH".into())],
+            },
+            Response::ReportDelta {
+                job: 8,
+                base: 7,
+                len: 128,
+                counters: vec![
+                    ("campaign.blocks".into(), 128),
+                    ("campaign.cache_hits".into(), 127),
+                ],
+                rows: vec![(
+                    5,
+                    Json::obj(vec![
+                        ("name", Json::str("b5")),
+                        ("status", Json::str("FAIL")),
+                        ("from_cache", Json::Bool(false)),
+                        ("attempts", Json::UInt(1)),
+                        ("lint_findings", Json::UInt(0)),
+                    ]),
+                )],
+            },
         ];
         // (frame header as hex, payload text)
         let goldens = [
@@ -1558,6 +1745,14 @@ mod tests {
             (
                 "4446563100000045c05468b0788a3bff",
                 r#"{"type":"stored","job":7,"blocks":[["alu\n3","PASS"],["fir","FAIL"]]}"#,
+            ),
+            (
+                "44465631000000431d9c2dd577f6ae4a",
+                r#"{"type":"stored","job":8,"base":7,"slots":[[5,"PASS"],[9,"CRASH"]]}"#,
+            ),
+            (
+                "44465631000000ccdd55c0b262b0c151",
+                r#"{"type":"report_delta","job":8,"base":7,"len":128,"counters":{"campaign.blocks":128,"campaign.cache_hits":127},"rows":[[5,{"name":"b5","status":"FAIL","from_cache":false,"attempts":1,"lint_findings":0}]]}"#,
             ),
         ];
         assert_eq!(responses.len(), goldens.len());

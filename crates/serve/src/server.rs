@@ -80,9 +80,22 @@
 //! they go out as one [`Response::Stored`] frame, where each computed
 //! block gets its own [`Response::Progress`].
 //!
-//! The reader thread walks each full block once, for both its store key
-//! and the unkeyed hash the campaign's journal and cache use, and hands
-//! both to the campaign, so no block is walked again on the executor.
+//! # Answers by reference
+//!
+//! The executors record, per connection, an [`Answer`] — each row's name
+//! and [`RowFacts`] — of the last campaign they answered that may be a
+//! delta's base. A delta on exactly that answer still runs through
+//! `Campaign::run_entries`, but its answer refers to the recorded one: a
+//! [`Response::StoredRef`] naming only the store hits the delta sent and
+//! the left-out slots whose status changed, and a
+//! [`Response::ReportDelta`] with the counters and only the rows whose
+//! facts or name changed, built as [`Json`](dfv_obs::Json) for those rows
+//! alone. Any other campaign is answered in full (see [`crate::proto`]).
+//!
+//! The reader thread walks each full block once for its store key and
+//! hands the key to the campaign, so no block is walked again on the
+//! executor; a journaled campaign, which also needs the unkeyed hash,
+//! walks for both there instead.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -95,8 +108,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dfv_core::{
-    Campaign, CampaignOptions, CancelToken, ContentKey, FaultCampaign, FifoMap, IoHandle,
-    PlanEntry, ProgressHook, SharedStore,
+    campaign_counters, Campaign, CampaignOptions, CampaignReport, CancelToken, ContentKey,
+    FaultCampaign, FifoMap, IoHandle, PlanEntry, ProgressHook, RowFacts, SharedStore,
 };
 use dfv_obs::{kinds, ObsHook};
 
@@ -435,6 +448,8 @@ fn serve_requests(
     let mut refs = FifoMap::new(REF_TABLE_CAPACITY);
     // The plan this connection's next delta may edit.
     let mut base: Option<Base> = None;
+    // What the executors last answered this connection's base campaigns.
+    let recorded: Arc<Mutex<Option<Answer>>> = Arc::default();
     loop {
         let msg = match read_frame(r) {
             Ok(v) => v,
@@ -464,8 +479,10 @@ fn serve_requests(
                 continue;
             }
         };
-        // The slots of a campaign that becomes the base once admitted.
+        // The slots of a campaign that becomes the base once admitted, or
+        // a delta's edits to the base.
         let mut slots = None;
+        let mut edited = None;
         // `Ok`: a job to admit. `Err`: the answer to send.
         let next = match req {
             Request::Ping => Err(Response::Pong),
@@ -494,27 +511,42 @@ fn serve_requests(
                         ref_id: None,
                     })
                     .collect();
-                plan_campaign(inner, &mut refs, blocks, options)
+                plan_campaign(inner, &mut refs, blocks, options, None)
             }
             Request::SubmitRefs { blocks, options } => {
                 slots = ref_slots(&blocks);
-                plan_campaign(inner, &mut refs, blocks, options)
+                let answer = slots.as_ref().map(|_| Answering {
+                    recorded: recorded.clone(),
+                    delta: None,
+                });
+                plan_campaign(inner, &mut refs, blocks, options, answer)
             }
             Request::SubmitDelta {
                 base: job,
                 len,
                 edits,
                 options,
-            } => match expand_delta(base.as_ref(), job, len, edits) {
-                Some(blocks) => {
-                    slots = ref_slots(&blocks);
-                    plan_campaign(inner, &mut refs, blocks, options)
+            } => {
+                let sent: Vec<usize> = edits.iter().map(|(slot, _)| *slot).collect();
+                let edit_slots: Option<Vec<_>> = edits
+                    .iter()
+                    .map(|(k, b)| ref_slot(b).map(|slot| (*k, slot)))
+                    .collect();
+                match expand_delta(base.as_ref(), job, len, edits) {
+                    Some(blocks) => {
+                        edited = edit_slots;
+                        let answer = Answering {
+                            recorded: recorded.clone(),
+                            delta: Some((job, sent)),
+                        };
+                        plan_campaign(inner, &mut refs, blocks, options, Some(answer))
+                    }
+                    None => {
+                        inner.counters.bump(kinds::SERVE_DELTA_STALE);
+                        Err(Response::MissingRefs { refs: Vec::new() })
+                    }
                 }
-                None => {
-                    inner.counters.bump(kinds::SERVE_DELTA_STALE);
-                    Err(Response::MissingRefs { refs: Vec::new() })
-                }
-            },
+            }
         };
         let reply = match next {
             Ok(job) => {
@@ -522,6 +554,13 @@ fn serve_requests(
                     Admitted::Job(id) => {
                         if let Some(slots) = slots {
                             base = Some(Base { job: id, slots });
+                        }
+                        // A delta's base is the one it edits.
+                        if let (Some(edits), Some(b)) = (edited, base.as_mut()) {
+                            b.job = id;
+                            for (k, slot) in edits {
+                                b.slots[k] = slot;
+                            }
                         }
                     }
                     Admitted::Refused => {}
@@ -546,15 +585,173 @@ struct Base {
     slots: Vec<(String, ContentKey)>,
 }
 
+/// What a connection last answered for one of its base campaigns: each
+/// row's name and facts, the least that tells the next answer's rows
+/// apart from it.
+#[derive(Debug)]
+pub struct Answer {
+    /// The answered job.
+    job: u64,
+    /// Each block's name and row facts, in plan order.
+    rows: Vec<(String, RowFacts)>,
+}
+
+/// How an admitted campaign that may become the connection's base is
+/// answered and recorded.
+#[derive(Debug)]
+pub struct Answering {
+    /// The connection's recorded answer, shared by its reader thread and
+    /// the executors that answer its campaigns.
+    recorded: Arc<Mutex<Option<Answer>>>,
+    /// For a plan delta: its base job and the slots it sent, ascending.
+    delta: Option<(u64, Vec<usize>)>,
+}
+
+impl Answering {
+    /// Takes the recorded answer if this campaign is a delta on it: then
+    /// it is answered by reference, and every other campaign in full.
+    fn base_answer(&self, len: usize) -> Option<(u64, &[usize], Answer)> {
+        let (base, sent) = self.delta.as_ref()?;
+        let mut recorded = self.recorded.lock().expect("answer lock");
+        recorded
+            .as_ref()
+            .filter(|a| a.job == *base && a.rows.len() == len)?;
+        Some((*base, sent, recorded.take()?))
+    }
+
+    fn record(&self, answer: Answer) {
+        *self.recorded.lock().expect("answer lock") = Some(answer);
+    }
+}
+
+/// The store pass of a campaign answered by reference.
+struct StorePass {
+    /// The base job.
+    base: u64,
+    /// Per stored entry, its slot and, if the delta left it out, the
+    /// status the base answered there.
+    stored: Vec<(usize, Option<&'static str>)>,
+}
+
+impl StorePass {
+    fn new(plan: &[PlanEntry], base: u64, sent: &[usize], answer: &Answer) -> StorePass {
+        let mut sent = sent.iter().peekable();
+        let stored = plan
+            .iter()
+            .enumerate()
+            .filter_map(|(k, e)| {
+                let left_out = sent.next_if_eq(&&k).is_none();
+                matches!(e, PlanEntry::Stored { .. })
+                    .then(|| (k, left_out.then(|| answer.rows[k].1.status)))
+            })
+            .collect();
+        StorePass { base, stored }
+    }
+}
+
+/// The progress frame of one batch: a computed block's `Progress`, or the
+/// store pass as one `Stored` frame, by reference when `by_ref` is given.
+fn progress_frame(
+    job: u64,
+    batch: &[dfv_core::BlockResult],
+    by_ref: Option<&StorePass>,
+) -> Response {
+    match (batch, by_ref) {
+        (_, Some(StorePass { base, stored })) => Response::StoredRef {
+            job,
+            base: *base,
+            slots: stored
+                .iter()
+                .zip(batch)
+                .filter(|((_, was), r)| *was != Some(r.status.name()))
+                .map(|((slot, _), r)| (*slot, r.status.name().to_string()))
+                .collect(),
+        },
+        ([r], _) => Response::Progress {
+            job,
+            block: r.name.clone(),
+            status: r.status.to_string(),
+        },
+        _ => Response::Stored {
+            job,
+            blocks: batch
+                .iter()
+                .map(|r| (r.name.clone(), r.status.to_string()))
+                .collect(),
+        },
+    }
+}
+
+/// The final answer of campaign `job`: by reference to the base's answer
+/// when there is one, in full otherwise; recorded for the next delta when
+/// the campaign may be its base.
+fn answer_campaign(
+    job: u64,
+    report: CampaignReport,
+    answering: Option<&Answering>,
+    prev: Option<(u64, Answer)>,
+) -> Response {
+    let facts = report.blocks.iter().map(dfv_core::BlockResult::row_facts);
+    let Some((base, mut answer)) = prev else {
+        if let Some(a) = answering {
+            a.record(Answer {
+                job,
+                rows: report
+                    .blocks
+                    .iter()
+                    .zip(facts)
+                    .map(|(b, f)| (b.name.clone(), f))
+                    .collect(),
+            });
+        }
+        return Response::Report {
+            job,
+            report: report.to_run_report().into_json(false),
+        };
+    };
+    let counters = campaign_counters(facts.clone())
+        .into_iter()
+        .map(|(name, v)| (name.to_string(), v))
+        .collect();
+    let mut rows = Vec::new();
+    for (k, ((b, f), (name, was))) in report
+        .blocks
+        .iter()
+        .zip(facts)
+        .zip(&mut answer.rows)
+        .enumerate()
+    {
+        if b.name != *name || f != *was {
+            rows.push((k, f.row(&b.name)));
+            name.clone_from(&b.name);
+            *was = f;
+        }
+    }
+    answer.job = job;
+    let len = answer.rows.len();
+    answering
+        .expect("a delta answer has its answering")
+        .record(answer);
+    Response::ReportDelta {
+        job,
+        base,
+        len,
+        counters,
+        rows,
+    }
+}
+
 /// Each block's name and ref id, when every block carries one.
 fn ref_slots(blocks: &[WireBlock]) -> Option<Vec<(String, ContentKey)>> {
-    blocks
-        .iter()
-        .map(|b| match b {
-            WireBlock::Full { block, ref_id } => ref_id.map(|id| (block.name.clone(), id)),
-            WireBlock::Known { name, ref_id } => Some((name.clone(), *ref_id)),
-        })
-        .collect()
+    blocks.iter().map(ref_slot).collect()
+}
+
+/// A block's name and ref id, if it carries one.
+fn ref_slot(b: &WireBlock) -> Option<(String, ContentKey)> {
+    match b {
+        WireBlock::Full { block, ref_id } => ref_id.map(|id| (block.name.clone(), id)),
+        WireBlock::Known { name, ref_id } => Some((name.clone(), *ref_id)),
+    }
 }
 
 /// Expands a delta against the connection's base: each slot no edit
@@ -622,18 +819,21 @@ fn plan_campaign(
     refs: &mut FifoMap<ContentKey, ContentKey>,
     blocks: Vec<WireBlock>,
     options: SubmitOptions,
+    answer: Option<Answering>,
 ) -> Result<Job, Response> {
-    let mut digests = Vec::with_capacity(blocks.len());
+    // A journal needs each block's unkeyed hash too, which the campaign
+    // walks for together with the key; without one the key is all.
+    let journal = options.journal.is_some();
+    let mut keys = Vec::with_capacity(blocks.len());
     for b in &blocks {
         let WireBlock::Full { block, ref_id } = b else {
             continue;
         };
-        let digest = inner.store.digest(block);
-        digests.push(digest);
-        let Some(id) = ref_id else {
+        let key = (!journal || ref_id.is_some()).then(|| inner.store.key(block));
+        keys.push(key.filter(|_| !journal));
+        let (Some(id), Some(key)) = (ref_id, key) else {
             continue;
         };
-        let key = digest.key;
         if refs.get(id).is_some_and(|k| *k != key) {
             return Err(Response::Error {
                 message: format!("ref {id} was already sent with different content"),
@@ -644,8 +844,8 @@ fn plan_campaign(
             inner.counters.bump(kinds::SERVE_REFS_EVICTED);
         }
     }
-    let full = digests.len();
-    let mut digests = digests.into_iter();
+    let full = keys.len();
+    let mut keys = keys.into_iter();
     let mut plan = Vec::with_capacity(blocks.len());
     let mut missing = Vec::new();
     let mut seen = std::collections::HashSet::new();
@@ -653,14 +853,11 @@ fn plan_campaign(
         match b {
             WireBlock::Full { block, .. } => plan.push(PlanEntry::Block {
                 block: *block,
-                digest: digests.next(),
+                key: keys.next().flatten(),
             }),
             WireBlock::Known { name, ref_id } => {
                 match refs.get(&ref_id).and_then(|k| inner.store.get(*k)) {
-                    Some(verdict) => plan.push(PlanEntry::Stored {
-                        name,
-                        verdict: Box::new(verdict),
-                    }),
+                    Some(verdict) => plan.push(PlanEntry::Stored { name, verdict }),
                     None => {
                         if seen.insert(ref_id) {
                             missing.push(ref_id);
@@ -682,7 +879,11 @@ fn plan_campaign(
             .counters
             .add(kinds::SERVE_REFS_RESOLVED, resolved as u64);
     }
-    Ok(Job::Campaign { plan, options })
+    Ok(Job::Campaign {
+        plan,
+        options,
+        answer,
+    })
 }
 
 /// How admission ended.
@@ -756,13 +957,30 @@ fn run_job(inner: &Arc<ServerInner>, job: QueuedJob) {
         outbound,
     } = job;
     let final_resp = match job {
-        Job::Campaign { plan, options } => {
+        Job::Campaign {
+            plan,
+            options,
+            answer,
+        } => {
             let deadline_ms = match (options.deadline_ms, inner.cfg.max_deadline_ms) {
                 (Some(d), Some(cap)) => Some(d.min(cap)),
                 (Some(d), None) => Some(d),
                 (None, cap) => cap,
             };
             let progress_out = outbound.clone();
+            // A delta on the answer this connection last recorded is
+            // answered by reference to it; then the store pass's frame
+            // needs, per stored entry, its slot and, if the delta left it
+            // out, the status the base answered there.
+            let prev = answer.as_ref().and_then(|a| a.base_answer(plan.len()));
+            let by_ref = prev
+                .as_ref()
+                .map(|(base, sent, answer)| StorePass::new(&plan, *base, sent, answer));
+            let prev = prev.map(|(base, _, answer)| (base, answer));
+            // The store pass fires first, when there is one.
+            let store_pass = std::sync::atomic::AtomicBool::new(
+                by_ref.as_ref().is_some_and(|p| !p.stored.is_empty()),
+            );
             let opts = CampaignOptions {
                 deadline: deadline_ms.map(Duration::from_millis),
                 workers: options.workers.or(inner.cfg.default_workers),
@@ -777,20 +995,10 @@ fn run_job(inner: &Arc<ServerInner>, job: QueuedJob) {
                 // A computed block is one `Progress` frame; the store
                 // hits, answered in one batch, are one `Stored` frame.
                 progress: ProgressHook::new(move |batch| {
-                    progress_out.send_progress(match batch {
-                        [r] => Response::Progress {
-                            job: id,
-                            block: r.name.clone(),
-                            status: r.status.to_string(),
-                        },
-                        _ => Response::Stored {
-                            job: id,
-                            blocks: batch
-                                .iter()
-                                .map(|r| (r.name.clone(), r.status.to_string()))
-                                .collect(),
-                        },
-                    });
+                    let by_ref = by_ref
+                        .as_ref()
+                        .filter(|_| store_pass.swap(false, Ordering::Relaxed));
+                    progress_out.send_progress(progress_frame(id, batch, by_ref));
                 }),
                 ..CampaignOptions::default()
             };
@@ -799,10 +1007,7 @@ fn run_job(inner: &Arc<ServerInner>, job: QueuedJob) {
             if evicted > 0 {
                 inner.counters.add(kinds::SERVE_STORE_EVICTED, evicted);
             }
-            Response::Report {
-                job: id,
-                report: report.to_run_report().into_json(false),
-            }
+            answer_campaign(id, report, answer.as_ref(), prev)
         }
         Job::FaultSweep {
             seed,

@@ -9,6 +9,11 @@
 //! ref frames must each end in `Accepted`, `MissingRefs`, or a typed
 //! `Error` or `Rejected`, never in a panic or a hang.
 //!
+//! Answers by reference are exercised against a scripted daemon: a
+//! `report_delta` or by-reference `Stored` frame that does not fit the
+//! report the client holds, or a mutated one, must end the client's
+//! submission in a typed `ClientError` or a report, never in a panic.
+//!
 //! Uses the repo's own `SplitMix64`, so the suite runs offline; the seeds
 //! are fixed, making every run reproducible.
 
@@ -24,8 +29,8 @@ use dfv_sec::{Binding, EquivSpec};
 use dfv_serve::frame::MAGIC;
 use dfv_serve::proto::{decode_request, decode_response, encode_request};
 use dfv_serve::{
-    duplex, read_frame, write_frame, FrameError, JobSpec, PipeReader, PipeWriter, Request,
-    Response, RetryClass, ServeConfig, Server, SubmitOptions, WireBlock,
+    duplex, read_frame, write_frame, Client, FrameError, JobSpec, PipeReader, PipeWriter, Request,
+    Response, RetryClass, ServeConfig, Server, SubmitOptions, SubmitOutcome, WireBlock,
 };
 
 /// Bytes a mutation writes: half of the time one that means something to
@@ -330,6 +335,9 @@ struct Conn {
     handle: dfv_serve::ConnHandle,
     /// The id of the last job the daemon accepted on this connection.
     last_job: Option<u64>,
+    /// The `(status, from_cache)` rows of the last report, by job id: what
+    /// an answer by reference patches.
+    rows: Option<(u64, Vec<(String, bool)>)>,
 }
 
 fn open(server: &Server) -> Conn {
@@ -339,6 +347,7 @@ fn open(server: &Server) -> Conn {
         w: Some(w),
         handle: server.attach(sr, sw),
         last_job: None,
+        rows: None,
     }
 }
 
@@ -381,22 +390,37 @@ impl Conn {
                     job = Some(id);
                     self.last_job = job;
                 }
-                Response::Progress { .. } | Response::Stored { .. } if job.is_some() => {}
+                Response::Progress { .. }
+                | Response::Stored { .. }
+                | Response::StoredRef { .. }
+                    if job.is_some() => {}
                 Response::Report { job: id, report } if Some(id) == job => {
-                    let rows = report
+                    let rows: Vec<_> = report
                         .get("values")
                         .and_then(|v| v.get("blocks"))
                         .and_then(Json::as_arr)
                         .expect("report rows")
                         .iter()
-                        .map(|b| {
-                            (
-                                b.get("status").and_then(Json::as_str).unwrap().to_string(),
-                                b.get("from_cache") == Some(&Json::Bool(true)),
-                            )
-                        })
+                        .map(row_of)
                         .collect();
+                    self.rows = Some((id, rows.clone()));
                     return End::Accepted(rows);
+                }
+                // An answer by reference patches the last report's rows.
+                Response::ReportDelta {
+                    job: id,
+                    base,
+                    len,
+                    rows,
+                    ..
+                } if Some(id) == job => {
+                    let (held, mut patched) = self.rows.take().expect("a report to patch");
+                    assert_eq!((held, patched.len()), (base, len), "the base's report");
+                    for (slot, row) in &rows {
+                        patched[*slot] = row_of(row);
+                    }
+                    self.rows = Some((id, patched.clone()));
+                    return End::Accepted(patched);
                 }
                 Response::MissingRefs { refs } => return End::Missing(refs),
                 Response::Error { class, .. } => return End::Error(class),
@@ -421,6 +445,17 @@ impl Conn {
         drop((self.r, self.w));
         self.handle.join();
     }
+}
+
+/// A report row's `(status, from_cache)`.
+fn row_of(row: &Json) -> (String, bool) {
+    (
+        row.get("status")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string(),
+        row.get("from_cache") == Some(&Json::Bool(true)),
+    )
 }
 
 fn refs_request(blocks: Vec<WireBlock>) -> Json {
@@ -682,5 +717,198 @@ fn mutated_ref_frames_end_typed() {
         assert!(matches!(c.send(&register), End::Accepted(_)));
         c.close();
         server.stop();
+    });
+}
+
+/// The two-block plan a scripted daemon answers, and its cold report.
+fn scripted_plan() -> (Vec<BlockPair>, Json) {
+    let plan = vec![add_block("a", 1), add_block("b", 2)];
+    let row = |name: &str| {
+        Json::obj(vec![
+            ("name", Json::str(name)),
+            ("status", Json::str("PASS")),
+            ("from_cache", Json::Bool(false)),
+            ("attempts", Json::UInt(1)),
+            ("lint_findings", Json::UInt(0)),
+        ])
+    };
+    let report = Json::obj(vec![
+        ("report", Json::str("campaign")),
+        (
+            "counters",
+            Json::obj(vec![
+                ("campaign.blocks", Json::UInt(2)),
+                ("campaign.cache_hits", Json::UInt(0)),
+            ]),
+        ),
+        (
+            "values",
+            Json::obj(vec![("blocks", Json::Arr(vec![row("a"), row("b")]))]),
+        ),
+    ]);
+    (plan, report)
+}
+
+/// Runs a client through a cold submission of the scripted plan, answered
+/// as job 1 in full, and a warm resubmission of it, answered as job 2 by
+/// the raw frame payloads `hostile`. Returns how the warm one ended.
+fn against_script(hostile: Vec<Vec<u8>>) -> Result<SubmitOutcome, dfv_serve::ClientError> {
+    use std::io::Write as _;
+    let (plan, report) = scripted_plan();
+    let ((cr, cw), (mut sr, mut sw)) = duplex();
+    let script = std::thread::spawn(move || {
+        let send = |sw: &mut PipeWriter, resp: Response| {
+            let _ =
+                dfv_serve::write_frame_with(sw, |out| dfv_serve::proto::encode_response(resp, out));
+        };
+        let _ = read_frame(&mut sr);
+        send(&mut sw, Response::Accepted { job: 1 });
+        send(&mut sw, Response::Report { job: 1, report });
+        let warm = read_frame(&mut sr).map(|msg| decode_request(&msg).map(|r| format!("{r:?}")));
+        send(&mut sw, Response::Accepted { job: 2 });
+        for payload in hostile {
+            let _ = sw.write_all(&framed(&payload));
+        }
+        // Hang up, so a client that waits for more sees the end.
+        drop(sw);
+        let _ = read_frame(&mut sr);
+        warm
+    });
+    let mut client = Client::new(cr, cw);
+    let spec = JobSpec::Campaign {
+        blocks: plan,
+        options: SubmitOptions::default(),
+    };
+    let cold = client.submit(&spec, |_, _| {});
+    assert!(matches!(cold, Ok(SubmitOutcome::Report { job: 1, .. })));
+    let warm = client.submit(&spec, |_, _| {});
+    drop(client);
+    let sent = script.join().expect("the script never panics");
+    let sent = sent.expect("a warm frame").expect("a valid request");
+    assert!(sent.starts_with("SubmitDelta"), "{sent}");
+    warm
+}
+
+/// A `report_delta` payload answering job 2 against `base`.
+fn report_delta(base: u64, len: &str, counters: &str, rows: &str) -> Vec<u8> {
+    format!(
+        r#"{{"type":"report_delta","job":2,"base":{base},"len":{len},"counters":{counters},"rows":{rows}}}"#
+    )
+    .into_bytes()
+}
+
+const HIT_ROW: &str =
+    r#"{"name":"a","status":"PASS","from_cache":true,"attempts":0,"lint_findings":0}"#;
+
+#[test]
+fn hostile_answers_by_reference_end_typed_on_the_client() {
+    within(60, || {
+        let counters = r#"{"campaign.blocks":2,"campaign.cache_hits":1}"#;
+        // The well-formed answer patches the held report.
+        let good = report_delta(1, "2", counters, &format!("[[0,{HIT_ROW}]]"));
+        let stored = br#"{"type":"stored","job":2,"base":1,"slots":[]}"#.to_vec();
+        let Ok(SubmitOutcome::Report { job: 2, report }) = against_script(vec![stored, good])
+        else {
+            panic!("a fitting answer by reference is a report");
+        };
+        let (_, mut want) = scripted_plan();
+        let text = want.render().replacen(
+            r#""from_cache":false,"attempts":1"#,
+            r#""from_cache":true,"attempts":0"#,
+            1,
+        );
+        want = dfv_obs::parse_json(
+            &text.replace(r#""campaign.cache_hits":0"#, r#""campaign.cache_hits":1"#),
+        )
+        .unwrap();
+        assert_eq!(report.render(), want.render());
+
+        let row = |slot: usize| format!("[{slot},{HIT_ROW}]");
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("unknown base", report_delta(99, "2", counters, "[]")),
+            ("stale base", report_delta(0, "2", counters, "[]")),
+            ("its own job as base", report_delta(2, "2", counters, "[]")),
+            ("a shorter len", report_delta(1, "1", counters, "[]")),
+            ("a longer len", report_delta(1, "3", counters, "[]")),
+            ("a huge len", report_delta(1, "1e40", counters, "[]")),
+            (
+                "a slot at len",
+                report_delta(1, "2", counters, &format!("[{}]", row(2))),
+            ),
+            (
+                "a slot far past len",
+                report_delta(1, "2", counters, &format!("[{}]", row(usize::MAX))),
+            ),
+            (
+                "unsorted slots",
+                report_delta(1, "2", counters, &format!("[{},{}]", row(1), row(0))),
+            ),
+            (
+                "a repeated slot",
+                report_delta(1, "2", counters, &format!("[{},{}]", row(0), row(0))),
+            ),
+            (
+                "a row naming another block",
+                report_delta(1, "2", counters, &format!("[{}]", row(1))),
+            ),
+            (
+                "a row that is not an object",
+                report_delta(1, "2", counters, "[[0,7]]"),
+            ),
+            (
+                "a row without a slot",
+                report_delta(1, "2", counters, &format!("[{HIT_ROW}]")),
+            ),
+            (
+                "counters that are not an object",
+                report_delta(1, "2", "[1]", "[]"),
+            ),
+            (
+                "counters that are not integers",
+                report_delta(1, "2", r#"{"a":"b"}"#, "[]"),
+            ),
+            (
+                "a stored frame on another base",
+                br#"{"type":"stored","job":2,"base":7,"slots":[]}"#.to_vec(),
+            ),
+            (
+                "a stored slot at len",
+                br#"{"type":"stored","job":2,"base":1,"slots":[[2,"PASS"]]}"#.to_vec(),
+            ),
+            (
+                "unsorted stored slots",
+                br#"{"type":"stored","job":2,"base":1,"slots":[[1,"PASS"],[0,"PASS"]]}"#.to_vec(),
+            ),
+            (
+                "a stored status that is not a string",
+                br#"{"type":"stored","job":2,"base":1,"slots":[[0,1]]}"#.to_vec(),
+            ),
+        ];
+        for (what, payload) in cases {
+            match no_panic(0, &payload, || against_script(vec![payload.clone()])) {
+                Err(e) => assert!(!e.is_transient(), "{what}: {e}"),
+                Ok(other) => panic!("{what}: {other:?}"),
+            }
+        }
+    });
+}
+
+#[test]
+fn mutated_report_delta_frames_end_typed_on_the_client() {
+    within(120, || {
+        let counters = r#"{"campaign.blocks":2,"campaign.cache_hits":1}"#;
+        let good = report_delta(1, "2", counters, &format!("[[0,{HIT_ROW}]]"));
+        let mut rng = SplitMix64::new(0x7265_7064);
+        let mut reports = 0;
+        for case in 0..200u64 {
+            let mut bytes = good.clone();
+            mutate(&mut rng, &mut bytes);
+            // A report, or a typed error: never a panic.
+            if let Ok(outcome) = no_panic(case, &bytes, || against_script(vec![bytes.clone()])) {
+                assert!(matches!(outcome, SubmitOutcome::Report { job: 2, .. }));
+                reports += 1;
+            }
+        }
+        assert!(reports < 200, "some mutation must be refused");
     });
 }

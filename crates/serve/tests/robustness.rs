@@ -1282,7 +1282,7 @@ fn a_warm_resubmit_sends_one_edit_and_gets_one_stored_frame_never_shed() {
     let dropped = server.counter(kinds::SERVE_PROGRESS_DROPPED);
 
     // One edit: one request naming one slot, one proof, one `Stored`
-    // frame for the rest.
+    // frame for the rest, and the report by reference to the last one.
     plan[7] = add_block("b7", 200, true);
     let (report, requests, answers, mut heard) = submit(&plan);
     assert_eq!(requests.len(), 1);
@@ -1294,7 +1294,7 @@ fn a_warm_resubmit_sends_one_edit_and_gets_one_stored_frame_never_shed() {
         }
         other => panic!("a warm resubmit goes as a delta, not {other:?}"),
     }
-    assert_eq!(answers, ["accepted", "stored", "progress", "report"]);
+    assert_eq!(answers, ["accepted", "stored", "progress", "report_delta"]);
     // Every block reaches the callback exactly once, with its verdict.
     heard.sort();
     let mut want: Vec<(String, String)> = block_rows(&report)
@@ -1465,6 +1465,343 @@ fn cancel_after_the_stored_frame_keeps_the_store_hits_and_skips_the_rest() {
     let cancelled = counter(&report, "campaign.cancelled");
     assert!((1..=4).contains(&cancelled), "{cancelled} cancelled");
     assert_eq!(counter(&report, "campaign.cache_hits"), 4);
+    drop((r, w));
+    conn.join();
+    server.stop();
+}
+
+/// The frames a daemon sent in a byte stream: `(type, frame bytes)`.
+fn answer_frames(mut bytes: &[u8]) -> Vec<(String, usize)> {
+    let mut out = Vec::new();
+    while !bytes.is_empty() {
+        let before = bytes.len();
+        let msg = frame::read_frame(&mut bytes).expect("whole frames");
+        let kind = msg.get("type").and_then(Json::as_str).unwrap().to_string();
+        out.push((kind, before - bytes.len()));
+    }
+    out
+}
+
+/// A client whose read half records every byte the daemon sent.
+type SeenClient = Client<TapRead<PipeReader>, PipeWriter>;
+
+fn connect_seen(server: &Server) -> (SeenClient, Arc<Mutex<Vec<u8>>>, dfv_serve::ConnHandle) {
+    let ((cr, cw), (sr, sw)) = duplex();
+    let conn = server.attach(sr, sw);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let r = TapRead {
+        inner: cr,
+        seen: seen.clone(),
+    };
+    (Client::new(r, cw), seen, conn)
+}
+
+#[test]
+fn a_steady_warm_answer_is_o_edit_on_the_wire() {
+    // The `Stored` and report frames of the nth warm job, each job one
+    // new edit with the previous one reverted, as a workload edits.
+    let answer_bytes = |n: usize| -> Vec<usize> {
+        let mut cfg = ServeConfig::new(temp_dir("answer-bytes"));
+        cfg.executors = 1;
+        let server = Server::start(cfg);
+        let (mut client, seen, conn) = connect_seen(&server);
+        let plan: Vec<BlockPair> = (0..n)
+            .map(|i| add_block(&format!("b{i}"), i as u64, false))
+            .collect();
+        let mut bytes = Vec::new();
+        for job in 0..5 {
+            let mut blocks = plan.clone();
+            if job > 0 {
+                let slot = [5, 9][job % 2];
+                blocks[slot] = add_block(&format!("b{slot}"), 5000 + job as u64, job == 3);
+            }
+            let from = seen.lock().unwrap().len();
+            report_of(client.submit(&campaign(blocks, None), |_, _| {}).unwrap());
+            let frames = answer_frames(&seen.lock().unwrap()[from..]);
+            bytes.push(
+                frames
+                    .iter()
+                    .filter(|(kind, _)| kind.starts_with("report") || kind == "stored")
+                    .map(|(_, b)| b)
+                    .sum(),
+            );
+            if job > 0 {
+                let kinds: Vec<&str> = frames.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(kinds, ["accepted", "stored", "progress", "report_delta"]);
+            }
+        }
+        drop(client);
+        conn.join();
+        server.stop();
+        bytes
+    };
+    let (short, long) = (answer_bytes(128), answer_bytes(1024));
+    // The first warm job flips every left-out row to a store hit; from
+    // the second on, only the edit and the reverted slot change.
+    for (job, (&s, &l)) in short.iter().zip(&long).enumerate().skip(2) {
+        assert!(s < 1024, "job {job}: {s} answer bytes on 128 slots");
+        // A few more counter digits, nothing per slot.
+        assert!(
+            l <= s + 16,
+            "job {job}: {l} bytes on 1024 slots vs {s} on 128"
+        );
+    }
+    assert!(short[0] > 8 * 1024, "the cold answer is in full: {short:?}");
+}
+
+#[test]
+fn answers_by_reference_match_the_full_path_in_every_scenario() {
+    // Both daemons arm one chaos fail point, on the block name `boom`.
+    let start = || {
+        let mut cfg = ServeConfig::new(temp_dir("by-ref"));
+        cfg.executors = 1;
+        cfg.io = IoHandle::chaos(ChaosPlan::none(0).panic_on_block("boom"));
+        Server::start(cfg)
+    };
+    let (warm_server, fresh_server) = (start(), start());
+    let base: Vec<BlockPair> = (0..6)
+        .map(|i| add_block(&format!("b{i}"), i, i == 4))
+        .collect();
+    let with = |f: &dyn Fn(&mut Vec<BlockPair>)| {
+        let mut plan = base.clone();
+        f(&mut plan);
+        plan
+    };
+    let expired = SubmitOptions {
+        deadline_ms: Some(0),
+        ..SubmitOptions::default()
+    };
+    let boom = with(&|p| p[2].name = "boom".into());
+    let variants: Vec<(&str, Vec<BlockPair>, SubmitOptions)> = vec![
+        ("cold", base.clone(), SubmitOptions::default()),
+        (
+            "edited",
+            with(&|p| p[0] = add_block("b0", 40, false)),
+            SubmitOptions::default(),
+        ),
+        ("reverted", base.clone(), SubmitOptions::default()),
+        (
+            "edited as a known ref",
+            with(&|p| p[0] = add_block("b0", 40, false)),
+            SubmitOptions::default(),
+        ),
+        (
+            "a FAIL edit",
+            with(&|p| p[1] = add_block("b1", 41, true)),
+            SubmitOptions::default(),
+        ),
+        (
+            "renamed",
+            with(&|p| p[2].name = "r2".into()),
+            SubmitOptions::default(),
+        ),
+        ("moved", with(&|p| p.swap(1, 3)), SubmitOptions::default()),
+        (
+            "fail point on an edit",
+            boom.clone(),
+            SubmitOptions::default(),
+        ),
+        ("fail point left out", boom, SubmitOptions::default()),
+        ("deadline 0", base.clone(), expired),
+        ("after deadline 0", base.clone(), SubmitOptions::default()),
+        (
+            "inserted",
+            with(&|p| p.insert(2, add_block("new", 50, false))),
+            SubmitOptions::default(),
+        ),
+        ("removed", base.clone(), SubmitOptions::default()),
+        ("unchanged", base.clone(), SubmitOptions::default()),
+    ];
+    let (mut warm, seen, warm_conn) = connect_seen(&warm_server);
+    let mut by_ref = 0;
+    for (what, plan, options) in variants {
+        let spec = JobSpec::Campaign {
+            blocks: plan.clone(),
+            options: options.clone(),
+        };
+        let from = seen.lock().unwrap().len();
+        let mut heard = Vec::new();
+        let report = report_of(
+            warm.submit(&spec, |b, s| heard.push((b.to_string(), s.to_string())))
+                .unwrap(),
+        );
+        let kinds = answer_frames(&seen.lock().unwrap()[from..]);
+        by_ref += usize::from(kinds.iter().any(|(k, _)| k == "report_delta"));
+        // The oracle: a fresh client on the twin daemon, answered in full.
+        let (mut fresh, conn) = connect(&fresh_server);
+        let mut fresh_heard = Vec::new();
+        let want = report_of(
+            fresh
+                .submit(&spec, |b, s| {
+                    fresh_heard.push((b.to_string(), s.to_string()))
+                })
+                .unwrap(),
+        );
+        drop(fresh);
+        conn.join();
+        assert_eq!(report.render(), want.render(), "{what}");
+        // Every block reaches the callback once, with its verdict.
+        heard.sort();
+        fresh_heard.sort();
+        assert_eq!(heard, fresh_heard, "{what}");
+        assert_eq!(heard.len(), plan.len(), "{what}");
+    }
+    assert!(by_ref >= 9, "{by_ref} answers by reference");
+    drop(warm);
+    warm_conn.join();
+    warm_server.stop();
+    fresh_server.stop();
+}
+
+/// A reader that fails every other read with `Interrupted`, as a blocking
+/// socket read does when a signal arrives.
+struct Interrupting<R> {
+    inner: R,
+    calls: u64,
+}
+
+impl<R: Read> Read for Interrupting<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls % 2 == 1 {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        self.inner.read(buf)
+    }
+}
+
+#[test]
+fn an_interrupted_read_is_retried_on_both_ends() {
+    let server = Server::start(ServeConfig::new(temp_dir("interrupted")));
+    let ((cr, cw), (sr, sw)) = duplex();
+    let conn = server.attach(
+        Interrupting {
+            inner: sr,
+            calls: 0,
+        },
+        sw,
+    );
+    let mut client = Client::new(
+        Interrupting {
+            inner: cr,
+            calls: 0,
+        },
+        cw,
+    );
+    client.ping().unwrap();
+    let plan = vec![add_block("a", 1, false), add_block("b", 2, true)];
+    let report = report_of(client.submit(&campaign(plan, None), |_, _| {}).unwrap());
+    assert_eq!(counter(&report, "campaign.blocks"), 2);
+    client.ping().unwrap();
+    assert_eq!(server.counter(kinds::SERVE_BAD_FRAME), 0);
+    drop(client);
+    conn.join();
+    server.stop();
+}
+
+#[test]
+fn cancel_after_a_stored_frame_by_reference_patches_to_a_consistent_report() {
+    let mut cfg = ServeConfig::new(temp_dir("by-ref-cancel"));
+    cfg.executors = 1;
+    let server = Server::start(cfg);
+    let ((mut r, mut w), (sr, sw)) = duplex();
+    let conn = server.attach(sr, sw);
+    let mut send = |req: &Request| frame::write_frame(&mut w, &encode_request(req).unwrap());
+    let mut next =
+        || dfv_serve::proto::decode_response(frame::read_frame(&mut r).unwrap()).unwrap();
+    let options = SubmitOptions {
+        workers: Some(1),
+        ..SubmitOptions::default()
+    };
+    let full = |b: BlockPair, id: u128| WireBlock::Full {
+        block: Box::new(b),
+        ref_id: Some(dfv_core::ContentKey(id)),
+    };
+    // Four hits and four cheap blocks, proved in full: the base.
+    let blocks: Vec<WireBlock> = (0..8)
+        .map(|i| full(add_block(&format!("h{i}"), i, false), 100 + u128::from(i)))
+        .collect();
+    send(&Request::SubmitRefs {
+        blocks,
+        options: options.clone(),
+    })
+    .unwrap();
+    let Response::Accepted { job: base } = next() else {
+        panic!("admitted");
+    };
+    let mut held = loop {
+        if let Response::Report { report, .. } = next() {
+            break block_rows(&report);
+        }
+    };
+    // A delta keeping the first four and replacing the rest with slow
+    // proofs; cancelled once the store pass is out.
+    let edits = (4..8)
+        .map(|k| (k, full(slow_block(&format!("s{k}"), 4), 200 + k as u128)))
+        .collect();
+    send(&Request::SubmitDelta {
+        base,
+        len: 8,
+        edits,
+        options,
+    })
+    .unwrap();
+    let Response::Accepted { job } = next() else {
+        panic!("admitted");
+    };
+    match next() {
+        Response::StoredRef {
+            job: id,
+            base: b,
+            slots,
+        } => {
+            assert_eq!((id, b), (job, base));
+            assert!(slots.is_empty(), "every hit keeps its status: {slots:?}");
+        }
+        other => panic!("the store pass comes first, by reference, not {other:?}"),
+    }
+    send(&Request::Cancel { job }).unwrap();
+    let (counters, rows) = loop {
+        match next() {
+            Response::Progress { .. } | Response::Cancelled { .. } => {}
+            Response::ReportDelta {
+                job: id,
+                base: b,
+                len,
+                counters,
+                rows,
+            } if id == job => {
+                assert_eq!((b, len), (base, 8));
+                break (counters, rows);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    for (slot, row) in &rows {
+        let status = row.get("status").and_then(Json::as_str).unwrap();
+        let name = row.get("name").and_then(Json::as_str).unwrap();
+        held[*slot] = (
+            name.into(),
+            status.into(),
+            row.get("from_cache") == Some(&Json::Bool(true)),
+        );
+    }
+    // The hits stand, now from the store; the counters count the
+    // patched rows.
+    for row in &held[..4] {
+        assert_eq!((row.1.as_str(), row.2), ("PASS", true), "{row:?}");
+    }
+    let count = |name: &str| {
+        counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let inconclusive = held.iter().filter(|r| r.1 == "INCONC").count() as u64;
+    assert!((1..=4).contains(&count("campaign.cancelled")));
+    assert_eq!(count("campaign.cancelled"), inconclusive);
+    assert_eq!(count("campaign.cache_hits"), 4);
+    assert_eq!(count("campaign.blocks"), 8);
     drop((r, w));
     conn.join();
     server.stop();

@@ -11,15 +11,18 @@
 //!   `--kill-after N` arms the chaos shim: the process hard-aborts the
 //!   instant the Nth journal record lands on disk — a deterministic
 //!   SIGKILL mid-campaign for the restart-recovery drill.
-//! * `submit <state_dir> [--journal NAME] [--edit-resubmit | --edited]
-//!   [--out FILE]` — submit the demo plan, stream progress, print the
-//!   report, and optionally write the canonical JSON to `FILE`. Exits
-//!   nonzero if the submission is rejected or the connection dies (e.g.
-//!   the daemon was killed). `--edit-resubmit` submits the plan and then,
-//!   on the same connection, the plan with one block changed, which the
-//!   client sends as a plan delta naming that one slot; the report is
-//!   the second one's. `--edited` submits only the edited plan (from a
-//!   fresh client, so every block goes in full).
+//! * `submit <state_dir> [--journal NAME] [--edit-resubmit [--revert-out
+//!   FILE2] | --edited] [--out FILE]` — submit the demo plan, stream
+//!   progress, print the report, and optionally write the canonical JSON
+//!   to `FILE`. Exits nonzero if the submission is rejected or the
+//!   connection dies (e.g. the daemon was killed). `--edit-resubmit`
+//!   submits the plan and then, on the same connection, the plan with one
+//!   block changed, which the client sends as a plan delta naming that one
+//!   slot; the report is the second one's. `--revert-out FILE2` then
+//!   submits the plan once more, the edit reverted, and writes that
+//!   report, answered by reference with only the reverted row, to
+//!   `FILE2`. `--edited` submits only the edited plan (from a fresh
+//!   client, so every block goes in full).
 //! * `status <state_dir>` — print the daemon's counters. After two
 //!   `submit`s the `campaign.cache_hits` in the second report and the
 //!   shared-store dedup are visible here: the fleet pays for each proof
@@ -31,7 +34,8 @@
 //! crash mid-campaign, restart, resubmit with the same journal name, and
 //! a byte-compare of the canonical reports. It also byte-compares an
 //! `--edit-resubmit` report against the one a fresh daemon gives for
-//! `submit` followed by `submit --edited`.
+//! `submit` followed by `submit --edited`, and its `--revert-out` report
+//! against that daemon's next plain `submit`.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -108,7 +112,7 @@ fn addr_file(state_dir: &Path) -> PathBuf {
 fn usage() -> ! {
     eprintln!(
         "usage: serve_demo serve <state_dir> [--unix] [--kill-after N]\n\
-         \x20      serve_demo submit <state_dir> [--journal NAME] [--edit-resubmit | --edited] [--out FILE]\n\
+         \x20      serve_demo submit <state_dir> [--journal NAME] [--edit-resubmit [--revert-out FILE] | --edited] [--out FILE]\n\
          \x20      serve_demo status <state_dir>\n\
          \x20      serve_demo drain  <state_dir>"
     );
@@ -249,19 +253,20 @@ fn with_client(state_dir: &Path, f: impl FnOnce(&mut Client<Box<dyn Read>, Box<d
 
 fn cmd_submit(state_dir: &Path, rest: &[String]) {
     let mut journal = None;
-    let mut out = None;
+    let (mut out, mut revert_out) = (None, None);
     let (mut edit_resubmit, mut edited) = (false, false);
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--journal" => journal = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--revert-out" => revert_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--edit-resubmit" => edit_resubmit = true,
             "--edited" => edited = true,
             _ => usage(),
         }
     }
-    if edit_resubmit && edited {
+    if edit_resubmit && edited || revert_out.is_some() && !edit_resubmit {
         usage();
     }
     let spec = |blocks| JobSpec::Campaign {
@@ -294,6 +299,9 @@ fn cmd_submit(state_dir: &Path, rest: &[String]) {
             demo_blocks()
         };
         finish_submit(submit(blocks), out.as_deref());
+        if revert_out.is_some() {
+            finish_submit(submit(demo_blocks()), revert_out.as_deref());
+        }
     });
 }
 

@@ -133,12 +133,16 @@ run cmp "$obs_dir/serve_base.json" "$obs_dir/serve_resumed.json"
 # A warm resubmit with one block changed travels as a plan delta naming
 # that one slot, and its store hits come back in one frame. Its report
 # must byte-match a fresh daemon's for the same two plans, the edited
-# one sent in full by a fresh client.
+# one sent in full by a fresh client. A second warm resubmit reverts the
+# edit: its answer comes by reference, carrying only the reverted row,
+# and the report the client rebuilds must byte-match the fresh daemon's
+# for the plan sent in full once more.
 echo "==> serve_demo submit --edit-resubmit (plan delta vs full submission)"
 "$serve_demo" serve "$obs_dir/serve_delta" 2> /dev/null &
 delta_pid=$!
 wait_addr "$obs_dir/serve_delta"
-run "$serve_demo" submit "$obs_dir/serve_delta" --edit-resubmit --out "$obs_dir/serve_delta.json" > /dev/null 2>&1
+run "$serve_demo" submit "$obs_dir/serve_delta" --edit-resubmit --out "$obs_dir/serve_delta.json" \
+    --revert-out "$obs_dir/serve_delta_revert.json" > /dev/null 2>&1
 run "$serve_demo" drain "$obs_dir/serve_delta" > /dev/null
 run wait "$delta_pid"
 "$serve_demo" serve "$obs_dir/serve_full" 2> /dev/null &
@@ -146,9 +150,11 @@ full_pid=$!
 wait_addr "$obs_dir/serve_full"
 run "$serve_demo" submit "$obs_dir/serve_full" > /dev/null 2>&1
 run "$serve_demo" submit "$obs_dir/serve_full" --edited --out "$obs_dir/serve_full.json" > /dev/null 2>&1
+run "$serve_demo" submit "$obs_dir/serve_full" --out "$obs_dir/serve_full_revert.json" > /dev/null 2>&1
 run "$serve_demo" drain "$obs_dir/serve_full" > /dev/null
 run wait "$full_pid"
 run cmp "$obs_dir/serve_delta.json" "$obs_dir/serve_full.json"
+run cmp "$obs_dir/serve_delta_revert.json" "$obs_dir/serve_full_revert.json"
 # dfv-serve's suites in release, the optimization level the benchmark
 # runs the daemon at: the wire goldens and ref-id reuse tests beside
 # robustness and hostile_input.

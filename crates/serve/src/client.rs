@@ -474,7 +474,8 @@ impl<R: Read, W: Write> Client<R, W> {
                     return Ok(held.report.clone());
                 }
                 Response::Report { job: id, report } if id == job => {
-                    if delta.is_some() || self.base.as_ref().is_some_and(|b| b.job == job) {
+                    // A campaign that went with refs is the client's base.
+                    if self.base.as_ref().is_some_and(|b| b.job == job) {
                         self.held = Some(Held {
                             job,
                             report: report.clone(),

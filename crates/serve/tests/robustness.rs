@@ -1806,3 +1806,51 @@ fn cancel_after_a_stored_frame_by_reference_patches_to_a_consistent_report() {
     conn.join();
     server.stop();
 }
+
+#[test]
+fn an_answer_by_reference_survives_another_client_reproving_an_evicted_verdict() {
+    let mut cfg = ServeConfig::new(temp_dir("by-ref-overwrite"));
+    cfg.executors = 1;
+    let server = Server::start(cfg);
+    let plan = vec![add_block("x", 1, false), add_block("y", 2, true)];
+    let spec = campaign(plan.clone(), None);
+    let (mut alice, seen, alice_conn) = connect_seen(&server);
+    report_of(alice.submit(&spec, |_, _| {}).unwrap());
+    report_of(alice.submit(&spec, |_, _| {}).unwrap());
+
+    // A flood evicts Alice's verdicts; then Bob proves the same content
+    // again, and the store holds his verdicts under her blocks' keys.
+    let (mut flooder, conn) = connect(&server);
+    let flood: Vec<BlockPair> = (0..STORE_CAPACITY)
+        .map(|i| BlockPair {
+            slm_source: format!("not a program {i}"),
+            ..add_block(&format!("e{i}"), 1, false)
+        })
+        .collect();
+    report_of(flooder.submit(&campaign(flood, None), |_, _| {}).unwrap());
+    drop(flooder);
+    conn.join();
+    let (mut bob, conn) = connect(&server);
+    let proved = report_of(bob.submit(&spec, |_, _| {}).unwrap());
+    assert!(block_rows(&proved).iter().all(|(_, _, hit)| !hit));
+    drop(bob);
+    conn.join();
+
+    // Alice's delta resolves through her refs to Bob's verdicts and is
+    // answered by reference: a fresh client's report, byte for byte.
+    let from = seen.lock().unwrap().len();
+    let report = report_of(alice.submit(&spec, |_, _| {}).unwrap());
+    let kinds: Vec<String> = answer_frames(&seen.lock().unwrap()[from..])
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
+    assert_eq!(kinds, ["accepted", "stored", "report_delta"]);
+    let (mut fresh, conn) = connect(&server);
+    let want = report_of(fresh.submit(&spec, |_, _| {}).unwrap());
+    drop(fresh);
+    conn.join();
+    assert_eq!(report.render(), want.render());
+    drop(alice);
+    alice_conn.join();
+    server.stop();
+}

@@ -8,7 +8,9 @@
 //! — a fleet verifying overlapping block sets pays for each proof once.
 //! A client resubmitting a plan on one connection sends only the slots
 //! that changed, as a delta on its last plan, and the daemon answers all
-//! the blocks its store already holds in one frame.
+//! the blocks its store already holds in one frame, and the whole delta
+//! by reference to its last answer: the rows that changed, which the
+//! client patches into the report it holds.
 //!
 //! The crate is organized as concentric trust layers:
 //!
